@@ -58,6 +58,25 @@ def _strict(obj: dict, context: str, required: set[str], optional: set[str]) -> 
         raise ConfigError(f"{context}: missing fields {sorted(missing)}")
 
 
+def _int(raw, context: str, minimum: int | None = None) -> int:
+    """An integer config field, at least ``minimum`` when one is given; any
+    other value is a ConfigError naming the field."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{context}: expected an integer, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{context}: must be at least {minimum}, got {value}")
+    return value
+
+
+def _ints(raw, context: str) -> tuple[int, ...]:
+    """A list of integers, such as a degree or a box corner."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{context}: expected a list of integers")
+    return tuple(_int(x, f"{context}[{k}]") for k, x in enumerate(raw))
+
+
 def _parse_alpha(raw, d: int) -> tuple:
     if not isinstance(raw, list) or len(raw) != d:
         raise ConfigError(f"alpha: expected a list of {d} rationals")
@@ -81,21 +100,21 @@ def _parse_q(raw) -> QMatrix:
             raise ConfigError(f"q.l: {e}") from None
     _strict(raw, "q", {"N", "exps"}, set())
     try:
-        return QMatrix.from_exps(int(raw["N"]), raw["exps"])
+        return QMatrix.from_exps(_int(raw["N"], "q.N"), raw["exps"])
     except (ValueError, TypeError) as e:
         raise ConfigError(f"q: {e}") from None
 
 
 def _parse_box(raw, d: int, context: str) -> Box:
     if isinstance(raw, int):
-        return Box.radius(d, raw)
+        return Box.radius(d, _int(raw, context, 0))
     if isinstance(raw, dict):
         _strict(raw, context, {"lo", "hi"}, set())
-        lo, hi = raw["lo"], raw["hi"]
+        lo, hi = _ints(raw["lo"], f"{context}.lo"), _ints(raw["hi"], f"{context}.hi")
         if len(lo) != d or len(hi) != d:
             raise ConfigError(f"{context}: corners must have length {d}")
         try:
-            return Box(tuple(int(x) for x in lo), tuple(int(x) for x in hi))
+            return Box(lo, hi)
         except ValueError as e:
             raise ConfigError(f"{context}: {e}") from None
     raise ConfigError(f"{context}: expected an integer radius or lo/hi corners")
@@ -136,7 +155,7 @@ def _parse_elements(raw, d: int) -> list:
                     u.append(parse_rat(s))
                 except (ValueError, ZeroDivisionError) as e:
                     raise ConfigError(f"elements[{k}][{t}].u: {e}") from None
-            r = tuple(int(x) for x in term["r"])
+            r = _ints(term["r"], f"elements[{k}][{t}].r")
             if len(u) != d or len(r) != d:
                 raise ConfigError(f"elements[{k}][{t}]: u and r must have length {d}")
             elem = elem + AlgElem.term(tuple(u), r)
@@ -149,14 +168,14 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
             {"job", "algebra"},
             {"schema_version", "d", "q", "triples", "degree_radius", "elements"})
     algebra = config["algebra"]
-    triples = int(config.get("triples", 200))
+    triples = _int(config.get("triples", 200), "triples", 0)
     suites = []
     extras: dict = {}
     if algebra in verify.CLASSICAL_ALGEBRAS:
         if "d" not in config:
             raise ConfigError("config: classical algebras need the field 'd'")
-        d = int(config["d"])
-        radius = int(config.get("degree_radius", 3))
+        d = _int(config["d"], "d", 1)
+        radius = _int(config.get("degree_radius", 3), "degree_radius", 0)
         suites.append(verify.lie_suite_classical(d, algebra, triples, rng, radius))
         suites.append(verify.d_basis_span_suite(d, min(radius, 2)))
         suites.append(verify.lemma_orthg_suite(d, max(20, triples // 10), rng))
@@ -180,7 +199,7 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
         if "q" not in config:
             raise ConfigError("config: quantum algebras need the field 'q'")
         q = _parse_q(config["q"])
-        radius = int(config.get("degree_radius", 2))
+        radius = _int(config.get("degree_radius", 2), "degree_radius", 0)
         suites.append(verify.lie_suite_q(q, algebra, triples, rng, radius))
     else:
         raise ConfigError(f"algebra: unknown algebra {algebra!r}")
@@ -194,12 +213,12 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
     _strict(config, "config",
             {"job", "algebra", "d", "alpha", "rep"},
             {"schema_version", "q", "pairs", "degree_radius"})
-    d = int(config["d"])
+    d = _int(config["d"], "d", 1)
     alpha = _parse_alpha(config["alpha"], d)
     rep = _parse_rep(config["rep"], d)
     algebra = config["algebra"]
-    pairs = int(config.get("pairs", 200))
-    radius = int(config.get("degree_radius", 2))
+    pairs = _int(config.get("pairs", 200), "pairs", 0)
+    radius = _int(config.get("degree_radius", 2), "degree_radius", 0)
     suites = []
     extras: dict = {}
     if algebra in verify.CLASSICAL_ALGEBRAS:
@@ -244,21 +263,21 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
             {"job", "algebra", "d", "alpha", "rep", "seeds"},
             {"schema_version", "q", "gen_radius", "working_box", "target_box",
              "max_iters", "expect_label"})
-    d = int(config["d"])
+    d = _int(config["d"], "d", 1)
     alpha = _parse_alpha(config["alpha"], d)
     rep = _parse_rep(config["rep"], d)
     algebra = config["algebra"]
-    gen_radius = int(config.get("gen_radius", 2))
+    gen_radius = _int(config.get("gen_radius", 2), "gen_radius", 0)
     working = _parse_box(config.get("working_box", 3), d, "working_box")
     target = _parse_box(config.get("target_box", 1), d, "target_box")
-    max_iters = int(config.get("max_iters", 50))
+    max_iters = _int(config.get("max_iters", 50), "max_iters", 1)
     raw_seeds = config["seeds"]
     if not isinstance(raw_seeds, list) or not raw_seeds:
         raise ConfigError("seeds: expected a nonempty list")
 
     def parse_seed(k, raw):
         _strict(raw, f"seeds[{k}]", {"n", "coords"}, set())
-        n = tuple(int(x) for x in raw["n"])
+        n = _ints(raw["n"], f"seeds[{k}].n")
         if len(n) != d:
             raise ConfigError(f"seeds[{k}].n: expected length {d}")
         coords = []
@@ -325,7 +344,7 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
 def _job_qtorus_info(config: dict, rng: Random) -> tuple[str, dict]:
     _strict(config, "config", {"job", "q"}, {"schema_version", "sample_radius"})
     q = _parse_q(config["q"])
-    radius = int(config.get("sample_radius", 1))
+    radius = _int(config.get("sample_radius", 1), "sample_radius", 0)
     samples = []
     degs = sorted(Box.radius(q.d, radius).degrees())
     for m in degs[: 4]:

@@ -6,12 +6,20 @@ fiber at degree n to a fiber at degree n + shift and is applied only when
 both endpoints lie inside the working box, so the computed space is always a
 subspace of the true submodule's restriction to the box.
 
-Internally the span lives in one flat coordinate space (degree block by
-degree block) as a sparse integer echelon basis: every inserted vector is
-reduced against existing pivot rows and, when it survives, rescaled to a
-primitive integer (or monic cyclotomic) row.  Rescaling is harmless because
-only the span is tracked.  Seeds supported on several degrees are allowed;
-rows stay graded automatically whenever the seeds are graded.
+The span is an echelon basis of block rows ``{degree index: dense
+coordinates}``.  A row's pivot is the first nonzero coordinate of its lowest
+degree block; every inserted row is reduced against the existing rows and,
+when it survives, rescaled to a primitive integer (or monic cyclotomic) row.
+Rescaling is harmless because only the span is tracked.  Graded seeds keep
+every row a single dense block, which is then directly a fiber vector; seeds
+supported on several degrees give rows with several blocks on the same
+footing, and their fibers are found by re-elimination.
+
+Two facts keep the work small without changing any span.  A block holding
+``dim`` single-degree rows is full, so a generator whose image lands only in
+full blocks is skipped before it is applied.  And D(u, r) is linear in u, so
+each degree component of L is represented by one basis of its pair terms
+(:func:`pair_basis`) rather than by all of them.
 
 The per-degree report at the end is canonical (RREF fiber bases), so results
 do not depend on generator scheduling.
@@ -24,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .linalg import SpanBasis, basis_of, same_span
+from .linalg import SpanBasis, basis_of, empty_basis, same_span, span_extend
 from .modules import GradedVec, ModuleParams, _wedge_power, w_fiber_basis
 from .reps import RepVec, act_matrix
 from .scalars import Cyc
@@ -90,7 +98,7 @@ class ClosureResult:
 
 
 # ---------------------------------------------------------------------------
-# sparse echelon state over flattened (degree, coordinate) keys
+# block-row echelon state
 # ---------------------------------------------------------------------------
 
 
@@ -101,94 +109,98 @@ def _exact_div(a, b):
     return a / b
 
 
-def _normalize_row(v: dict) -> dict | None:
-    """Canonical primitive representative of the ray through ``v``."""
-    v = {k: x for k, x in v.items() if x}
-    if not v:
-        return None
-    vals = list(v.values())
+def _primitive(vals: list) -> list:
+    """Canonical representative of the ray through a nonzero vector: monic
+    when it needs cyclotomic entries, else primitive integral with a positive
+    leading entry."""
     if any(isinstance(x, Cyc) for x in vals):
-        lead = v[min(v)]
-        inv = _exact_div(1, lead)
-        w = {}
-        rationalizable = True
-        for k, x in v.items():
-            y = inv * x if isinstance(x, Cyc) or isinstance(inv, Cyc) else x * inv
-            if isinstance(y, Cyc) and y.is_rational():
-                y = y.rat()
-            if isinstance(y, Cyc):
-                rationalizable = False
-            w[k] = y
-        v = {k: x for k, x in w.items() if x}
-        if not rationalizable:
-            return v
-        vals = list(v.values())
+        inv = _exact_div(1, next(x for x in vals if x))
+        vals = [inv * x for x in vals]
+        vals = [y.rat() if isinstance(y, Cyc) and y.is_rational() else y for y in vals]
+        if any(isinstance(y, Cyc) for y in vals):
+            return vals
     if any(isinstance(x, Fraction) for x in vals):
         mult = lcm(*(x.denominator for x in vals if isinstance(x, Fraction)))
-        v = {k: int(x * mult) for k, x in v.items()}
-        vals = list(v.values())
+        vals = [int(x * mult) for x in vals]
     g = gcd(*vals)
-    if v[min(v)] < 0:
+    if next(x for x in vals if x) < 0:
         g = -g
-    if g != 1:
-        v = {k: x // g for k, x in v.items()}
-    return v
+    return vals if g == 1 else [x // g for x in vals]
+
+
+def _normalize_row(v: dict) -> dict:
+    """The nonzero block row ``v`` as a primitive row with sorted blocks."""
+    keys = sorted(v)
+    flat = _primitive([x for i in keys for x in v[i]])
+    w = len(flat) // len(keys)
+    return {i: flat[k * w:(k + 1) * w] for k, i in enumerate(keys)}
+
+
+def _combine(v: dict, row: dict, ca, cb) -> dict:
+    """ca * v - cb * row over block rows, dropping blocks that vanish."""
+    out = {}
+    for j, vb in v.items():
+        rb = row.get(j)
+        if rb is None:
+            blk = vb if ca == 1 else [ca * x for x in vb]
+        elif ca == 1:
+            blk = [x - cb * y if y else x for x, y in zip(vb, rb)]
+        else:
+            blk = [ca * x - cb * y for x, y in zip(vb, rb)]
+        if any(blk):
+            out[j] = blk
+    for j, rb in row.items():
+        if j not in v:
+            out[j] = [-cb * y for y in rb]
+    return out
+
+
+def _reduce_into(rows: dict, v: dict) -> dict | None:
+    """Reduce the block row ``v`` (nonzero blocks only) against the echelon
+    ``rows``, keyed by (block, coordinate) pivots; store and return its
+    primitive form if it is independent, else return None."""
+    while v:
+        i = min(v)
+        block = v[i]
+        b = next(t for t, x in enumerate(block) if x)
+        row = rows.get((i, b))
+        if row is None:
+            row = _normalize_row(v)
+            rows[i, b] = row
+            return row
+        a, c = block[b], row[i][b]
+        if isinstance(a, int) and isinstance(c, int):
+            g = gcd(a, c)
+            v = _combine(v, row, c // g, a // g)
+        else:
+            v = _combine(v, row, 1, _exact_div(a, c))
+    return None
 
 
 class SpanState:
-    """Echelon basis over flat keys deg_index * dim + coordinate."""
+    """Echelon basis of block rows over the degrees of a box.
+
+    ``rows`` maps each pivot (degree index, coordinate) to its row, and
+    ``graded_rank[i]`` counts the rows supported on block i alone; block i
+    is full (its whole fiber lies in the span) when that count is ``dim``.
+    """
 
     def __init__(self, box: Box, dim: int):
         self.box = box
         self.dim = dim
         self.deg_list = sorted(box.degrees())
         self.deg_index = {n: i for i, n in enumerate(self.deg_list)}
-        self.rows: dict[int, dict] = {}
-
-    def key(self, n: DegVec, b: int) -> int:
-        return self.deg_index[n] * self.dim + b
-
-    def row_fibers(self, row: dict) -> dict[DegVec, list]:
-        """Unflatten a row into degree -> dense coordinate list."""
-        out: dict[DegVec, list] = {}
-        for k, x in row.items():
-            n = self.deg_list[k // self.dim]
-            coords = out.get(n)
-            if coords is None:
-                coords = [0] * self.dim
-                out[n] = coords
-            coords[k % self.dim] = x
-        return out
+        self.rows: dict[tuple[int, int], dict[int, list]] = {}
+        self.graded_rank = [0] * len(self.deg_list)
 
     def insert(self, v: dict) -> dict | None:
-        """Reduce ``v`` against the basis; store and return it if independent."""
-        v = {k: x for k, x in v.items() if x}
-        while v:
-            p = min(v)
-            row = self.rows.get(p)
-            if row is None:
-                v = _normalize_row(v)
-                self.rows[p] = v
-                return v
-            a, b = v[p], row[p]
-            if isinstance(a, int) and isinstance(b, int):
-                g = gcd(a, b)
-                ca, cb = b // g, a // g
-                merged = {}
-                for k in v.keys() | row.keys():
-                    x = ca * v.get(k, 0) - cb * row.get(k, 0)
-                    if x:
-                        merged[k] = x
-                v = merged
-            else:
-                t = _exact_div(a, b)
-                merged = {}
-                for k in v.keys() | row.keys():
-                    x = v.get(k, 0) - t * row.get(k, 0)
-                    if x:
-                        merged[k] = x
-                v = merged
-        return None
+        """Reduce the block row ``v`` against the basis; store and return it
+        if independent."""
+        row = _reduce_into(self.rows, {i: blk for i, blk in v.items() if any(blk)})
+        if row is not None and len(row) == 1:
+            (i,) = row
+            self.graded_rank[i] += 1
+        return row
 
     def rank(self) -> int:
         return len(self.rows)
@@ -273,15 +285,18 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
              max_rounds: int) -> tuple[int, bool]:
     """Worklist saturation; returns (rounds executed, reached fixed point).
 
-    Every vector newly added to the basis is queued, and each queued vector
-    is hit with every applicable generator exactly once; linearity makes
-    this equivalent to sweeping whole fibers.
+    Every row newly added to the basis is queued, and each queued row is hit
+    once with every generator that keeps all of its blocks inside the box;
+    linearity makes this equivalent to sweeping whole fibers.  A generator
+    whose image would land only in full blocks is skipped unapplied: the
+    image lies in the span already.
     """
     dim = state.dim
+    deg_list, graded_rank = state.deg_list, state.graded_rank
     shift_tables = []
     for gen in generators:
         table = []
-        for n in state.deg_list:
+        for n in deg_list:
             m = tuple(a + s for a, s in zip(n, gen.shift))
             table.append(state.deg_index.get(m, -1))
         shift_tables.append(table)
@@ -297,20 +312,16 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
         rounds += 1
         next_frontier = []
         for row in frontier:
-            fibers = state.row_fibers(row)
-            src_idx = [state.deg_index[n] for n in fibers]
+            blocks = list(row.items())
             for gen, table in zip(generators, shift_tables):
-                if any(table[i] < 0 for i in src_idx):
+                dst = [table[i] for i, _ in blocks]
+                if -1 in dst or all(graded_rank[j] == dim for j in dst):
                     continue
-                image: dict[int, object] = {}
-                for n, coords in fibers.items():
-                    out = gen.block_apply(n, coords)
-                    if out is None:
-                        continue
-                    base = table[state.deg_index[n]] * dim
-                    for b, x in enumerate(out):
-                        if x:
-                            image[base + b] = x
+                image = {}
+                for j, (i, coords) in zip(dst, blocks):
+                    out = gen.block_apply(deg_list[i], coords)
+                    if out is not None:
+                        image[j] = out
                 if image:
                     added = state.insert(image)
                     if added is not None:
@@ -326,59 +337,37 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
 
 def _constrained_fiber(state: SpanState, n: DegVec) -> list[tuple]:
     """Vectors of the span supported only at degree n, found by running
-    elimination with the degree-n coordinates ordered last."""
-    lo = state.deg_index[n] * state.dim
-    hi = lo + state.dim
-
-    def order(k: int):
-        inside = lo <= k < hi
-        return (1 if inside else 0, k)
-
-    rows = [dict(r) for r in state.rows.values()]
-    echelon: dict[tuple, dict] = {}
+    elimination with the degree-n block ordered last."""
+    at, last = state.deg_index[n], len(state.deg_list)
+    echelon: dict = {}
     out = []
-    for v in rows:
-        while v:
-            p = min(v, key=order)
-            row = echelon.get(order(p))
-            if row is None:
-                break
-            t = _exact_div(v[p], row[p])
-            v = {k: x for k, x in ((k, v.get(k, 0) - t * row.get(k, 0))
-                                   for k in v.keys() | row.keys()) if x}
-        if not v:
-            continue
-        p = min(v, key=order)
-        echelon[order(p)] = v
-        if lo <= p < hi:
-            coords = [0] * state.dim
-            for k, x in v.items():
-                assert lo <= k < hi, "echelon row leaks outside its block"
-                coords[k - lo] = x
-            out.append(tuple(coords))
+    for row in state.rows.values():
+        v = {(last if i == at else i): blk for i, blk in row.items()}
+        added = _reduce_into(echelon, v)
+        # a row led by the last block has no other block
+        if added is not None and min(added) == last:
+            out.append(tuple(added[last]))
     return out
 
 
 def extract_fibers(state: SpanState, target: Box) -> dict[DegVec, SpanBasis]:
-    """Canonical per-degree bases of the computed span, over the target box."""
-    graded: dict[DegVec, list] = {}
-    mixed = []
+    """Canonical per-degree bases of the computed span, over the target box.
+
+    Single-block rows are fiber vectors as they stand; a degree that some
+    multi-block row touches is re-eliminated by :func:`_constrained_fiber`.
+    """
+    graded: dict[int, list] = {}
+    mixed: set[int] = set()
     for row in state.rows.values():
-        fibers = state.row_fibers(row)
-        if len(fibers) == 1:
-            (n, coords), = fibers.items()
-            graded.setdefault(n, []).append(tuple(coords))
+        if len(row) == 1:
+            for i, coords in row.items():
+                graded.setdefault(i, []).append(tuple(coords))
         else:
-            mixed.append(row)
+            mixed.update(row)
     out: dict[DegVec, SpanBasis] = {}
-    mixed_degrees = set()
-    for row in mixed:
-        mixed_degrees.update(state.row_fibers(row))
     for n in target.degrees():
-        if n in mixed_degrees:
-            vectors = _constrained_fiber(state, n)
-        else:
-            vectors = graded.get(n, [])
+        i = state.deg_index[n]
+        vectors = _constrained_fiber(state, n) if i in mixed else graded.get(i, [])
         out[n] = basis_of(vectors, state.dim)
     return out
 
@@ -417,12 +406,31 @@ def classify(result: ClosureResult, params: ModuleParams) -> Label:
 ALGEBRAS = ("W", "Lhat", "L")
 
 
+def pair_basis(r: DegVec) -> list[tuple[int, int, tuple]]:
+    """(i, j, u) for a greedy basis, in i < j order, of the pair terms
+    t^r (r_j d_i - r_i d_j) at a degree r != 0.
+
+    The d - 1 kept terms span the whole divergence-zero component
+    {u : (u|r) = 0}, which the C(d, 2) pair terms span with repeats.
+    """
+    span = empty_basis(len(r))
+    out = []
+    for i in range(1, len(r) + 1):
+        for j in range(i + 1, len(r) + 1):
+            u = pair_term(r, i, j).u
+            span, grew = span_extend(span, [u])
+            if grew:
+                out.append((i, j, u))
+    return out
+
+
 def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) -> list[Generator]:
     """Homogeneous generating family of the chosen algebra up to the radius.
 
-    L: the divergence-zero pair elements t^r (r_j d_i - r_i d_j) for every
-    pair i < j and every nonzero degree in the radius box (these span the
-    whole degree-r component).  Lhat additionally has the degree derivations.
+    L: at every nonzero degree r in the radius box, the d - 1 pair elements
+    t^r (r_j d_i - r_i d_j) of :func:`pair_basis`, a basis of the degree-r
+    component; D(u, r) is linear in u, so the remaining pair elements add no
+    image outside their span.  Lhat additionally has the degree derivations.
     W: D(e_j, r) for every j and every degree (u is free by linearity).
     """
     if algebra not in ALGEBRAS:
@@ -441,20 +449,16 @@ def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) ->
                 u = tuple(1 if t == j else 0 for t in range(d))
                 gens.append(linear_generator(params.rep, params.alpha, u, r,
                                              name=f"D(e{j + 1},{r})"))
-            continue
-        if r == zero:
-            continue
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                term = pair_term(r, i, j)
-                if term.is_zero():
-                    continue
-                gens.append(linear_generator(params.rep, params.alpha, term.u, r,
+        elif r != zero:
+            for i, j, u in pair_basis(r):
+                gens.append(linear_generator(params.rep, params.alpha, u, r,
                                              name=f"d({r},{i},{j})"))
     return gens
 
 
-def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[dict]:
+def seeds_to_rows(state: SpanState, seeds) -> list[dict]:
+    """Block rows of graded seeds (classical or quantum), each degree checked
+    against the working box."""
     rows = []
     for s in seeds:
         if s.is_zero():
@@ -463,9 +467,7 @@ def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[dict]:
         for n, coords in s.fibers.items():
             if not state.box.contains(n):
                 raise ValueError(f"seed degree {n} outside the working box")
-            for b, x in enumerate(coords):
-                if x:
-                    row[state.key(n, b)] = x
+            row[state.deg_index[n]] = list(coords)
         rows.append(row)
     return rows
 

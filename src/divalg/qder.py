@@ -36,13 +36,15 @@ from .closure import (
     SpanState,
     extract_fibers,
     linear_generator,
+    pair_basis,
     saturate,
+    seeds_to_rows,
 )
 from .modules import GradedVec, ModuleParams
 from .reps import RepHandle, RepVec, act_matrix
 from .scalars import Cyc
 from .qtorus import QMatrix, block_structure, in_rad, sigma, sigma_exponent
-from .witt import AlgElem, DegVec, pair_term, pairing
+from .witt import AlgElem, DegVec, pairing
 
 #: Global sign of the outer-outer bracket; +1 is the convention validated by
 #: the representation oracle (and the only one degenerating to the classical
@@ -477,7 +479,8 @@ Q_ALGEBRAS = ("Lq", "Lqhat")
 def qder_generators(q: QMatrix, alpha, rep: RepHandle, gen_radius: int,
                     algebra: str) -> list[Generator]:
     """Inner generators ad t^m off the radical plus divergence-zero outer
-    generators at radical degrees (with the degree derivations for Lqhat)."""
+    generators at radical degrees, one :func:`pair_basis` per degree (with
+    the degree derivations for Lqhat)."""
     if algebra not in Q_ALGEBRAS:
         raise ValueError(f"algebra must be one of {Q_ALGEBRAS}")
     d = q.d
@@ -503,15 +506,11 @@ def qder_generators(q: QMatrix, alpha, rep: RepHandle, gen_radius: int,
         if m == zero:
             continue
         if in_rad(q, m):
-            for i in range(1, d + 1):
-                for j in range(i + 1, d + 1):
-                    term = pair_term(m, i, j)
-                    if term.is_zero():
-                        continue
-                    gens.append(linear_generator(
-                        rep, alpha, term.u, m,
-                        sigma_factor=lambda n, r=m: sigma(q, r, n),
-                        name=f"d({m},{i},{j})"))
+            for i, j, u in pair_basis(m):
+                gens.append(linear_generator(
+                    rep, alpha, u, m,
+                    sigma_factor=lambda n, r=m: sigma(q, r, n),
+                    name=f"d({m},{i},{j})"))
         else:
             gens.append(inner_gen(m))
     return gens
@@ -549,18 +548,7 @@ def closure_q(q: QMatrix, alpha, rep: RepHandle, seeds: list[QGradedVec],
     if not working.contains_box(target):
         raise ValueError("target box must lie inside the working box")
     state = SpanState(working, rep.dim)
-    rows = []
-    for s in seeds:
-        if s.is_zero():
-            raise ValueError("zero seed")
-        row = {}
-        for n, coords in s.fibers.items():
-            if not working.contains(n):
-                raise ValueError(f"seed degree {n} outside the working box")
-            for b, x in enumerate(coords):
-                if x:
-                    row[state.key(n, b)] = x
-        rows.append(row)
+    rows = seeds_to_rows(state, seeds)
     gens = qder_generators(q, alpha, rep, gen_radius, algebra)
     iterations, saturated = saturate(state, rows, gens, max_iters)
     bases = extract_fibers(state, target)

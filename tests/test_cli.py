@@ -182,3 +182,23 @@ def test_report_json_stable_key_order():
     s1 = report_json(report)
     s2 = report_json(json.loads(s1))
     assert s1 == s2
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("triples", "abc", "triples"),
+    ("d", 0, "d"),
+    ("seeds", [{"n": ["x", 0], "coords": ["1/2", "0"]}], "seeds[0].n[0]"),
+    ("working_box", -1, "working_box"),
+    ("working_box", {"lo": "ab", "hi": [1, 1]}, "working_box.lo"),
+    ("gen_radius", -1, "gen_radius"),
+    ("max_iters", 0, "max_iters"),
+])
+def test_malformed_integer_field_exits_2(tmp_path, capsys, field, value, named):
+    if field in ("triples", "d"):
+        config = {"job": "verify-algebra", "algebra": "L", "d": 2, "triples": 10}
+    else:
+        config = dict(CLOSURE_W)
+    config[field] = value
+    path = write_config(tmp_path, "bad.json", config)
+    assert main([config["job"], "--config", path]) == 2
+    assert f"error: {named}:" in capsys.readouterr().err

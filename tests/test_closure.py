@@ -1,14 +1,19 @@
 """The saturation engine: spec'd closure runs, classification, determinism,
-and the non-graded seed path."""
+the non-graded seed path, the pair basis, and a differential check against a
+naive dense fixed point."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from divalg.closure import Box, classify, closure
-from divalg.linalg import same_span
-from divalg.modules import GradedVec, ModuleParams, graded, w_fiber_basis
+from divalg.closure import Box, ClosureResult, classical_generators, classify, closure, pair_basis
+from divalg.linalg import basis_of, same_span, span_contains
+from divalg.modules import GradedVec, ModuleParams, act, graded, w_fiber_basis
+from divalg.qder import QDerElem, QGradedVec, act_q, classify_q, closure_q, qgraded
+from divalg.qtorus import block_normal_q, in_rad
 from divalg.reps import RepHandle
+from divalg.witt import AlgElem, pair_term
 
 F = Fraction
 
@@ -144,3 +149,191 @@ def test_closure_cyclic_tensor_component_smoke():
     res = closure(p, [graded(p, (0, 0, 0), (1,) + (0,) * 7)], 1, work, tgt, 60, "L")
     assert res.saturated
     assert res.label.kind == "Full"  # highest weight w1+w2 is not fundamental
+
+
+# ---------------------------------------------------------------------------
+# the pair basis of a degree component
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_pair_basis_spans_every_pair_term(d):
+    for r in Box.radius(d, 2).degrees():
+        if not any(r):
+            continue
+        kept = pair_basis(r)
+        assert len(kept) == d - 1
+        assert [(i, j) for i, j, _ in kept] == sorted((i, j) for i, j, _ in kept)
+        span = basis_of([u for _, _, u in kept], d)
+        assert span.rank == d - 1
+        for i, j in combinations(range(1, d + 1), 2):
+            assert span_contains(span, pair_term(r, i, j).u)
+
+
+def test_classical_generator_count_d3():
+    p = ModuleParams(3, (F(1, 3), F(1, 5), 0), RepHandle.natural(3))
+    assert len(classical_generators(p, 2, "L")) == 248  # 2 per nonzero degree of 5^3
+
+
+# ---------------------------------------------------------------------------
+# differential check: the engine against a naive dense fixed point
+# ---------------------------------------------------------------------------
+
+
+def naive_closure(working, target, dim, seed_fibers, family, max_iters):
+    """Fiber bases, rounds and saturation of the plain fixed point
+    S_{j+1} = S_j + sum_g g(S_j) on flattened vectors over the working box.
+
+    Every round applies every (shift, apply) of ``family`` to every RREF row
+    of S_j whose support stays inside the box after the shift, and takes
+    ``basis_of`` of the lot; there is no worklist and no skipping.
+    """
+    degs = sorted(working.degrees())
+    pos = {n: k for k, n in enumerate(degs)}
+    width = len(degs) * dim
+
+    def flat(fibers):
+        v = [0] * width
+        for n, coords in fibers.items():
+            v[pos[n] * dim:(pos[n] + 1) * dim] = coords
+        return v
+
+    def unflat(v):
+        blocks = {n: tuple(v[k * dim:(k + 1) * dim]) for k, n in enumerate(degs)}
+        return {n: c for n, c in blocks.items() if any(c)}
+
+    span = basis_of([flat(f) for f in seed_fibers], width)
+    rounds, grew = 0, span.rank > 0
+    while grew and rounds < max_iters:
+        rounds += 1
+        images = []
+        for row in span.rows:
+            fibers = unflat(row)
+            for shift, apply in family:
+                if all(working.contains(tuple(a + b for a, b in zip(n, shift))) for n in fibers):
+                    images.append(flat(apply(fibers)))
+        new = basis_of(list(span.rows) + images, width)
+        grew = new.rank > span.rank
+        span = new
+
+    def fiber(n):
+        # eliminate with the degree-n columns last: rows led there live only there
+        lo = pos[n] * dim
+        order = [c for c in range(width) if not lo <= c < lo + dim] + list(range(lo, lo + dim))
+        b = basis_of([[row[c] for c in order] for row in span.rows], width)
+        return basis_of([r[-dim:] for r, p in zip(b.rows, b.pivot_cols) if p >= width - dim], dim)
+
+    return {n: fiber(n) for n in target.degrees()}, rounds, not grew
+
+
+def unit(d, i):
+    return tuple(1 if t == i else 0 for t in range(d))
+
+
+def classical_family(p, gen_radius, algebra):
+    """Every pair term at every nonzero degree (L, Lhat), the degree
+    derivations (Lhat), or every D(e_j, r) (W), applied through ``act``."""
+    d = p.d
+    family = []
+    for r in Box.radius(d, gen_radius).degrees():
+        if algebra == "W":
+            us = [unit(d, j) for j in range(d)]
+        elif not any(r):
+            us = [unit(d, j) for j in range(d)] if algebra == "Lhat" else []
+        else:
+            us = [pair_term(r, i, j).u for i, j in combinations(range(1, d + 1), 2)]
+        for u in us:
+            x = AlgElem.term(u, r)
+            family.append((r, lambda fib, x=x: act(p, x, GradedVec(p, fib)).fibers))
+    return family
+
+
+def assert_same_closure(res, ref, label):
+    bases, rounds, saturated = ref
+    assert res.iterations == rounds
+    assert res.saturated == saturated
+    assert set(res.fiber_bases) == set(bases)
+    for n, b in bases.items():
+        assert res.fiber_bases[n].rank == b.rank and same_span(res.fiber_bases[n], b), n
+    assert res.label == label
+
+
+NAT2 = RepHandle.natural(2)
+SYM2 = RepHandle.symmetric(2, 2)
+NONINT = (F(1, 2), F(1, 3))
+
+
+@pytest.mark.parametrize("algebra, rep, alpha, fibers, gen_radius, max_iters", [
+    ("L", NAT2, (F(1, 2), 0), {(0, 0): (F(1, 2), 0)}, 2, 50),  # W
+    ("L", NAT2, (F(1, 2), 0), {(0, 0): (0, 1)}, 2, 50),  # Full
+    ("L", NAT2, (F(1, 2), 0), {(0, 0): (0, 1)}, 2, 1),  # cut before the fixed point
+    ("L", NAT2, (0, 0), {(0, 0): (1, 0)}, 2, 50),  # WPrime(1)
+    ("Lhat", NAT2, NONINT, {(1, 0): (1, 0)}, 1, 50),
+    ("Lhat", NAT2, (F(1, 2), 0), {(0, 0): (F(1, 2), 0)}, 1, 2),
+    ("Lhat", SYM2, (0, 0), {(0, 0): (1, 0, 0)}, 1, 50),
+    ("W", NAT2, (F(1, 2), 0), {(0, 0): (0, 1)}, 1, 50),
+    ("W", SYM2, (0, 0), {(0, 0): (0, 1, 0)}, 1, 50),
+    ("L", SYM2, NONINT, {(0, 0): (0, 1, 0)}, 1, 50),
+    ("L", SYM2, (0, 0), {(1, -1): (1, 0, 0)}, 1, 50),
+    # the non-graded seed of test_closure_nongraded_seed_exact
+    ("L", NAT2, (F(1, 2), F(1, 7)), {(0, 0): (0, 1), (1, 0): (1, 0)}, 2, 60),
+    ("L", NAT2, (F(1, 2), F(1, 7)), {(0, 0): (0, 1), (1, 0): (1, 0)}, 1, 60),
+    # non-graded inside W, with a block on the edge of the working box
+    ("L", NAT2, (F(1, 2), 0), {(0, 0): (F(1, 2), 0), (2, 0): (F(5, 2), 0)}, 1, 60),
+])
+def test_engine_matches_naive_fixed_point(algebra, rep, alpha, fibers, gen_radius, max_iters):
+    p = ModuleParams(2, alpha, rep)
+    work, tgt = boxes(2, work=2, tgt=1)
+    res = closure(p, [GradedVec(p, fibers)], gen_radius, work, tgt, max_iters, algebra)
+    ref = naive_closure(work, tgt, rep.dim, [fibers],
+                        classical_family(p, gen_radius, algebra), max_iters)
+    label = None
+    if ref[2]:
+        label = classify(ClosureResult(tgt, ref[0], {}, None, ref[1], True), p)
+    assert_same_closure(res, ref, label)
+
+
+@pytest.mark.parametrize("coords, max_iters", [
+    ((0, 0, 1), 50),  # Full
+    ((5, 3, 0), 50),  # the wedge line through alpha: W
+    ((0, 0, 1), 1),
+])
+def test_engine_matches_naive_fixed_point_d3(coords, max_iters):
+    # at d = 3 the pair basis leaves one of the three pair terms out of
+    # every degree component; the reference keeps all three
+    p = ModuleParams(3, (F(1, 3), F(1, 5), 0), RepHandle.natural(3))
+    work, tgt = boxes(3, work=1, tgt=1)
+    fibers = {(0, 0, 0): coords}
+    res = closure(p, [GradedVec(p, fibers)], 1, work, tgt, max_iters, "L")
+    ref = naive_closure(work, tgt, 3, [fibers], classical_family(p, 1, "L"), max_iters)
+    label = None
+    if ref[2]:
+        label = classify(ClosureResult(tgt, ref[0], {}, None, ref[1], True), p)
+    assert_same_closure(res, ref, label)
+
+
+@pytest.mark.parametrize("algebra, n, coords", [
+    ("Lq", (1, 0), (1, 0)),
+    ("Lq", (0, 0), (0, 1)),
+    ("Lqhat", (1, 1), (1, 1)),
+])
+def test_q_engine_matches_naive_fixed_point(algebra, n, coords):
+    q = block_normal_q((2, 2))
+    alpha = (F(1, 5), F(1, 7))
+    work, tgt = boxes(2, work=2, tgt=1)
+    family = []
+    for m in Box.radius(2, 2).degrees():
+        if not any(m):
+            xs = [QDerElem.douter(unit(2, j), m) for j in range(2)] if algebra == "Lqhat" else []
+        elif in_rad(q, m):
+            xs = [QDerElem.douter(pair_term(m, 1, 2).u, m)]
+        else:
+            xs = [QDerElem.ad(m)]
+        for x in xs:
+            family.append((m, lambda fib, x=x: act_q(q, alpha, NAT2, x,
+                                                     QGradedVec(q, alpha, NAT2, fib)).fibers))
+    res = closure_q(q, alpha, NAT2, [qgraded(q, alpha, NAT2, n, coords)], 2, work, tgt, 50,
+                    algebra)
+    ref = naive_closure(work, tgt, 2, [{n: coords}], family, 50)
+    label = classify_q(ClosureResult(tgt, ref[0], {}, None, ref[1], True), q, NAT2)
+    assert_same_closure(res, ref, label)
