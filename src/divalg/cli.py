@@ -149,6 +149,8 @@ def _parse_elements(raw, d: int) -> list:
         elem = AlgElem.zero(d)
         for t, term in enumerate(terms):
             _strict(term, f"elements[{k}][{t}]", {"u", "r"}, set())
+            if not isinstance(term["u"], list):
+                raise ConfigError(f"elements[{k}][{t}].u: expected a list of rationals")
             u = []
             for s in term["u"]:
                 try:
@@ -280,6 +282,8 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
         n = _ints(raw["n"], f"seeds[{k}].n")
         if len(n) != d:
             raise ConfigError(f"seeds[{k}].n: expected length {d}")
+        if not isinstance(raw["coords"], list):
+            raise ConfigError(f"seeds[{k}].coords: expected a list of rationals")
         coords = []
         for t, s in enumerate(raw["coords"]):
             try:

@@ -143,11 +143,3 @@ def same_span(a: SpanBasis, b: SpanBasis) -> bool:
     if a.ambient_dim != b.ambient_dim or a.rank != b.rank:
         return False
     return all(span_contains(a, r) for r in b.rows)
-
-
-def as_fraction_rows(b: SpanBasis) -> tuple[tuple, ...]:
-    """Basis rows with int entries normalized to Fraction (for reports)."""
-    out = []
-    for r in b.rows:
-        out.append(tuple(Fraction(x) if isinstance(x, int) else x for x in r))
-    return tuple(out)

@@ -8,7 +8,8 @@ carries the action
 
 where r u^T is the rank-one matrix with entries r_i u_j acting through the
 representation.  For exterior powers the wedge-with-(alpha + n) fibers form
-the distinguished graded submodule tested by the closure engine.
+the distinguished graded submodule tested by the closure engine; a vector v
+lies in the fiber at n iff v ^ (alpha + n) = 0 (v = 0 where alpha + n = 0).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import SpanBasis, basis_of, span_contains
+from .linalg import SpanBasis, basis_of
 from .reps import RepHandle, RepVec, act_matrix
 from .witt import AlgElem, DegVec
 
@@ -30,6 +31,8 @@ __all__ = [
     "module_axiom_residual",
     "w_fiber_basis",
     "w_membership",
+    "wedge_terms",
+    "in_wedge_fiber",
     "TrivialSplit",
     "trivial_split",
 ]
@@ -212,16 +215,40 @@ def _wedge_power(rep: RepHandle) -> int | None:
     return None
 
 
+def wedge_terms(d: int, k: int) -> tuple:
+    """The map y -> y ^ w from the k-th to the (k+1)-st exterior power, as one
+    tuple per (k+1)-subset T of 1..d of the terms (S index, t - 1, sign) with
+    e_S ^ e_t = sign e_T and S = T minus t.  Empty when k = d."""
+    index = {lab: s for s, lab in enumerate(combinations(range(1, d + 1), k))}
+    return tuple(
+        tuple((index[T[:pos] + T[pos + 1:]], t - 1, -1 if (k - pos) % 2 else 1)
+              for pos, t in enumerate(T))
+        for T in combinations(range(1, d + 1), k + 1)
+    )
+
+
+def in_wedge_fiber(terms: tuple, coords, w) -> bool:
+    """True iff ``coords`` lies in the wedge fiber of w = alpha + m, given at
+    any nonzero scale; ``terms`` is :func:`wedge_terms` of its power k.
+
+    For w != 0 the fiber, the image of y -> y ^ w, is the kernel of
+    coords -> coords ^ w because the Koszul complex of a nonzero vector is
+    exact; for w = 0 the fiber is 0.
+    """
+    if not any(w):
+        return not any(coords)
+    return all(not sum(sign * coords[s] * w[t] for s, t, sign in T) for T in terms)
+
+
 def w_membership(v: GradedVec) -> bool:
     """True iff every fiber lies in its wedge-submodule fiber."""
     k = _wedge_power(v.params.rep)
     if k is None:
         raise ValueError("wedge membership is defined for exterior-power reps only")
-    for n, coords in v.fibers.items():
-        basis = w_fiber_basis(v.params.d, k, v.params.alpha, n)
-        if not span_contains(basis, coords):
-            return False
-    return True
+    terms = wedge_terms(v.params.d, k)
+    alpha = v.params.alpha
+    return all(in_wedge_fiber(terms, coords, tuple(a + ni for a, ni in zip(alpha, n)))
+               for n, coords in v.fibers.items())
 
 
 @dataclass(frozen=True)

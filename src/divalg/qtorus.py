@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .lattices import hermite_normal_form, in_lattice, smith_kernel_mod
+from .lattices import in_lattice, smith_kernel_mod
 from .scalars import Cyc
 from .witt import DegVec
 
@@ -221,11 +221,6 @@ def sigma_cocycle_residual(q: QMatrix, m, n, r) -> Cyc:
     mn = tuple(x + y for x, y in zip(m, n))
     nr = tuple(x + y for x, y in zip(n, r))
     return sigma(q, m, n) * sigma(q, mn, r) - sigma(q, n, r) * sigma(q, m, nr)
-
-
-def rad_basis_lattice(q: QMatrix) -> list[list[int]]:
-    """Rad_q basis, HNF-canonicalized (alias kept close to rad_q for reports)."""
-    return hermite_normal_form(rad_q(q))
 
 
 __all__ = [

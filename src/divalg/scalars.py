@@ -410,12 +410,3 @@ def cyc_arith(a: Cyc, b: Cyc, op: str) -> Cyc:
     if op == "div":
         return a / b
     raise ValueError(f"unknown operation {op!r}")
-
-
-def scalar_to_str(x) -> str:
-    """Serialize a Rat or Cyc scalar for reports."""
-    if isinstance(x, Cyc):
-        if x.is_rational():
-            return format_rat(x.rat())
-        return repr(x)
-    return format_rat(x)

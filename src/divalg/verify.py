@@ -10,6 +10,8 @@ fixed seed every suite is fully deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from random import Random
 
 from .closure import Box
@@ -17,12 +19,13 @@ from .linalg import basis_of, span_contains
 from .modules import (
     GradedVec,
     ModuleParams,
+    _wedge_power,
     act,
     act_d_basis,
-    graded,
+    in_wedge_fiber,
     module_axiom_residual,
     w_fiber_basis,
-    w_membership,
+    wedge_terms,
 )
 from .qder import (
     OUTER_SIGN,
@@ -51,8 +54,8 @@ from .qtorus import (
     torus_commutator,
     torus_mul,
 )
-from .reps import RepHandle
-from .scalars import Cyc
+from .reps import RepHandle, RepVec, act_E
+from .scalars import Cyc, format_rat
 from .witt import AlgElem, bracket_witt, d_basis, in_L, in_Lhat, jacobi_residual, pair_term, pairing
 
 CLASSICAL_ALGEBRAS = ("W", "Lhat", "L")
@@ -372,27 +375,66 @@ def act_crosscheck_suite(params: ModuleParams, count: int, rng: Random,
     return {"name": "basis-action-crosscheck", "checks": count, "violations": violations}
 
 
+def wedge_images(params: ModuleParams, k: int, gen_radius: int = 2, box_radius: int = 2):
+    """Every image the wedge-invariance suite checks, in its order, on integers.
+
+    For each wedge basis row at degree n in the box and each D(e_j, r) with r
+    in the generator box and j = 1..d, yields (n, row, r, j, img, w).  img is
+    the fiber at m = n + r of D(e_j, r).(row x t^n), which by the module
+    formula is (alpha + n)_j row + sum_i r_i E_ij row; it is scaled by
+    D lcm(row denominators), with D = lcm(alpha denominators), and
+    w = D (alpha + m), so both are integer.
+    """
+    d, rep = params.d, params.rep
+    D = lcm(*(a.denominator for a in params.alpha))
+    gens = list(Box.radius(d, gen_radius).degrees())
+    for n in Box.radius(d, box_radius).degrees():
+        wn = tuple(int(D * (a + ni)) for a, ni in zip(params.alpha, n))
+        for row in w_fiber_basis(d, k, params.alpha, n).rows:
+            c = lcm(*(x.denominator for x in row))
+            src = RepVec(rep, tuple(int(c * x) for x in row))
+            # cols[j - 1][b]: the coefficients D (E_ij row)_b over i = 1..d
+            cols = [list(zip(*(tuple(D * x for x in act_E(rep, i, j, src).coords)
+                               for i in range(1, d + 1))))
+                    for j in range(1, d + 1)]
+            for r in gens:
+                w = tuple(a + D * ri for a, ri in zip(wn, r))
+                for j in range(1, d + 1):
+                    img = tuple(wn[j - 1] * x + sum(map(mul, r, col))
+                                for x, col in zip(src.coords, cols[j - 1]))
+                    yield n, row, r, j, img, w
+
+
 def w_invariance_suite(params: ModuleParams, k: int, gen_radius: int = 2,
                        box_radius: int = 2) -> dict:
     """Exhaustive exact check: every algebra generator maps every wedge-fiber
     basis vector back into the wedge fibers (no truncation error; the wedge
-    submodule is graded and invariant under the full vector-field algebra)."""
-    d = params.d
+    submodule is graded and invariant under the full vector-field algebra).
+
+    The wedge basis rows come from the k-th exterior power and the images are
+    tested in the exterior power of the coefficient representation.  A
+    violation report carries ``first_violation``: the first failing degree n,
+    basis row, generator degree r and index j of D(e_j, r), which replays as
+    ``act(params, AlgElem.term(e_j, r), graded(params, n, row))``.
+    """
+    power = _wedge_power(params.rep)
+    if power is None:
+        raise ValueError("wedge membership is defined for exterior-power reps only")
+    terms = wedge_terms(params.d, power)
     violations = 0
     checks = 0
-    for n in Box.radius(d, box_radius).degrees():
-        wb = w_fiber_basis(d, k, params.alpha, n)
-        for row in wb.rows:
-            v = graded(params, n, row)
-            for r in Box.radius(d, gen_radius).degrees():
-                gens = [AlgElem.term(tuple(1 if t == j else 0 for t in range(d)), r)
-                        for j in range(d)]
-                for g in gens:
-                    img = act(params, g, v)
-                    checks += 1
-                    if not img.is_zero() and not w_membership(img):
-                        violations += 1
-    return {"name": "wedge-invariance", "checks": checks, "violations": violations}
+    first = None
+    for n, row, r, j, img, w in wedge_images(params, k, gen_radius, box_radius):
+        checks += 1
+        if not in_wedge_fiber(terms, img, w):
+            violations += 1
+            if first is None:
+                first = {"n": list(n), "row": [format_rat(x) for x in row],
+                         "r": list(r), "j": j}
+    out = {"name": "wedge-invariance", "checks": checks, "violations": violations}
+    if first is not None:
+        out["first_violation"] = first
+    return out
 
 
 # ---------------------------------------------------------------------------

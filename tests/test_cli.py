@@ -202,3 +202,19 @@ def test_malformed_integer_field_exits_2(tmp_path, capsys, field, value, named):
     path = write_config(tmp_path, "bad.json", config)
     assert main([config["job"], "--config", path]) == 2
     assert f"error: {named}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("job, field, value, named", [
+    ("closure", "seeds", [{"n": [0, 0], "coords": 5}], "seeds[0].coords"),
+    ("closure", "seeds", [{"n": [0, 0], "coords": "12"}], "seeds[0].coords"),
+    ("verify-algebra", "elements", [[{"u": 5, "r": [1, 2]}]], "elements[0][0].u"),
+])
+def test_malformed_list_field_exits_2(tmp_path, capsys, job, field, value, named):
+    if job == "closure":
+        config = dict(CLOSURE_W)
+    else:
+        config = {"job": "verify-algebra", "algebra": "L", "d": 2, "triples": 10}
+    config[field] = value
+    path = write_config(tmp_path, "bad.json", config)
+    assert main([job, "--config", path]) == 2
+    assert f"error: {named}:" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Graded module action, the wedge submodule fibers, and the rank-one split."""
 
 from fractions import Fraction
+from math import comb, lcm
 from random import Random
 
 import pytest
 
+from divalg.closure import Box
 from divalg.linalg import span_contains
 from divalg.modules import (
     GradedVec,
@@ -22,6 +24,7 @@ from divalg.verify import (
     act_crosscheck_suite,
     module_suite_classical,
     w_invariance_suite,
+    wedge_images,
 )
 from divalg.witt import AlgElem
 
@@ -143,6 +146,111 @@ def test_w_invariance_exact(d, k, alpha):
     p = ModuleParams(d, alpha, rep)
     out = w_invariance_suite(p, k, gen_radius=2, box_radius=1)
     assert out["violations"] == 0
+
+
+def _unit(d, j):
+    return tuple(1 if t == j else 0 for t in range(1, d + 1))
+
+
+@pytest.mark.parametrize("d,k,alpha", [
+    (2, 1, (F(1, 2), F(-2, 3))),
+    (2, 2, (1, -1)),
+    (3, 1, (F(1, 3), F(-1, 5), 0)),
+    (3, 2, (1, 0, F(-1, 2))),
+])
+def test_wedge_images_match_act(d, k, alpha):
+    rep = RepHandle.natural(d) if k == 1 else RepHandle.exterior(d, k)
+    p = ModuleParams(d, alpha, rep)
+    D = lcm(*(a.denominator for a in p.alpha))
+    seen = 0
+    for n, row, r, j, img, w in wedge_images(p, k, gen_radius=1, box_radius=1):
+        m = tuple(a + b for a, b in zip(n, r))
+        scale = D * lcm(*(x.denominator for x in row))
+        fiber = act(p, AlgElem.term(_unit(d, j), r), graded(p, n, row)).fibers
+        assert set(fiber) <= {m}
+        assert img == tuple(scale * x for x in fiber.get(m, (0,) * rep.dim))
+        assert w == tuple(D * (a + mi) for a, mi in zip(p.alpha, m))
+        seen += 1
+    rows = sum(w_fiber_basis(d, k, p.alpha, n).rank for n in Box.radius(d, 1).degrees())
+    assert seen == rows * 3 ** d * d
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_w_membership_matches_fiber_span(d):
+    rng = Random(d)
+    zero_deg = (-1,) + (0,) * (d - 1)
+    members = non_members = 0
+    for alpha in ((1,) + (0,) * (d - 1), (F(1, 2), F(-2, 3)) + (0,) * (d - 2)):
+        # zero_deg is the degree -alpha for the first alpha
+        degrees = [zero_deg, (0,) * d, (1, -2) + (1,) * (d - 2)]
+        for k in range(1, d + 1):
+            p = ModuleParams(d, alpha, RepHandle.exterior(d, k))
+            dim = comb(d, k)
+            for _ in range(30):
+                n = rng.choice(degrees + [tuple(rng.randint(-2, 2) for _ in range(d))])
+                basis = w_fiber_basis(d, k, alpha, n)
+                v = [F(0)] * dim
+                for row in basis.rows:
+                    c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                    v = [a + c * b for a, b in zip(v, row)]
+                if rng.random() < 0.5:
+                    v[rng.randrange(dim)] += rng.randint(1, 2)
+                expect = span_contains(basis, v)
+                assert w_membership(graded(p, n, v)) == expect
+                members += expect
+                non_members += not expect
+    assert members > 30 and non_members > 30
+
+
+def _naive_w_invariance(p, k, power, gen_radius, box_radius):
+    """The suite written out with the generic action and fiber spans; images
+    are tested against the wedge fibers of the power-th exterior power."""
+    d = p.d
+    checks = violations = 0
+    first = None
+    for n in Box.radius(d, box_radius).degrees():
+        for row in w_fiber_basis(d, k, p.alpha, n).rows:
+            for r in Box.radius(d, gen_radius).degrees():
+                for j in range(1, d + 1):
+                    img = act(p, AlgElem.term(_unit(d, j), r), graded(p, n, row))
+                    checks += 1
+                    if not all(span_contains(w_fiber_basis(d, power, p.alpha, m), c)
+                               for m, c in img.fibers.items()):
+                        violations += 1
+                        first = first or (n, row, r, j)
+    return checks, violations, first
+
+
+@pytest.mark.parametrize("rep,k,alpha", [
+    (RepHandle.natural(3), 2, (F(1, 3), F(1, 5), 0)),
+    (RepHandle.natural(3), 2, (1, -1, 0)),
+    (RepHandle.exterior(3, 2), 1, (F(1, 2), F(-2, 3), 1)),
+])
+def test_w_invariance_suite_matches_naive_on_violations(rep, k, alpha):
+    # wedge rows of the other power than the rep's: most images fail
+    p = ModuleParams(3, alpha, rep)
+    power = 3 - k
+    out = w_invariance_suite(p, k, gen_radius=1, box_radius=1)
+    checks, violations, (n, row, r, j) = _naive_w_invariance(p, k, power, 1, 1)
+    assert (out["checks"], out["violations"]) == (checks, violations)
+    assert 0 < violations < checks
+    assert out["first_violation"] == {
+        "n": list(n), "row": [str(F(x)) for x in row], "r": list(r), "j": j}
+    if alpha == (F(1, 3), F(1, 5), 0):
+        assert (checks, violations) == (4374, 4120)
+
+
+def test_w_invariance_first_violation_replays():
+    # W generators move a trivial-rep vector onto the empty fiber at -alpha
+    p = ModuleParams(2, (1, -2), RepHandle.trivial(2))
+    out = w_invariance_suite(p, 2, gen_radius=1, box_radius=1)
+    assert out["violations"] > 0
+    f = out["first_violation"]
+    img = act(p, AlgElem.term(_unit(2, f["j"]), f["r"]),
+              graded(p, f["n"], [F(x) for x in f["row"]]))
+    assert not img.is_zero() and not w_membership(img)
+    clean = w_invariance_suite(ModuleParams(2, (F(1, 2), 0), RepHandle.trivial(2)), 2)
+    assert "first_violation" not in clean
 
 
 # -- rank-one split --------------------------------------------------------------
