@@ -230,8 +230,11 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
             suites.append(verify.act_crosscheck_suite(params, max(20, pairs // 4), rng, radius))
         from .modules import _wedge_power
 
+        # under W the trivial rep differs from Lambda^d by the trace term, so
+        # the wedge-invariance suite's W generators do not apply to it;
+        # trivial_split reports that module's structure instead
         k = _wedge_power(rep)
-        if k is not None:
+        if k is not None and rep.kind != "trivial":
             suites.append(verify.w_invariance_suite(params, k))
         if rep.kind == "trivial":
             split = trivial_split(params)

@@ -98,7 +98,7 @@ class QDerElem:
             raise ValueError("dimension mismatch")
         inner = dict(self.inner)
         for m, c in other.inner.items():
-            inner[m] = inner.get(m, Cyc.from_rat(0)) + c
+            inner[m] = inner[m] + c if m in inner else c
         outer = dict(self.outer)
         for r, u in other.outer.items():
             if r in outer:

@@ -108,76 +108,94 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Remainder of a rational polynomial modulo Phi_n, padded to phi(n)."""
-    phi = list(cyclotomic_polynomial(n))
+@lru_cache(maxsize=None)
+def _powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """x^k mod Phi_n as integer rows of length phi(n), for 0 <= k <
+    max(n, 2 phi(n) - 1): every power that a product, an embedding or a
+    Galois conjugate looks up."""
+    phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    a = list(coeffs)
-    while len(a) > deg:
-        c = a[-1]
-        k = len(a) - 1 - deg
+    row = (1,) + (0,) * (deg - 1)
+    rows = []
+    for _ in range(max(n, 2 * deg - 1)):
+        rows.append(row)
+        top = row[-1]
+        row = (0,) + row[:-1]
+        if top:
+            # x^deg = -(phi_0 + ... + phi_(deg-1) x^(deg-1)) because Phi_n is monic
+            row = tuple(c - top * p for c, p in zip(row, phi))
+    return tuple(rows)
+
+
+def _mul_num(a, b, n: int) -> list[int]:
+    """Product of two integer power-basis vectors modulo Phi_n."""
+    deg = len(a)
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    out = prod[:deg]
+    rows = _powers(n)
+    for k in range(deg, 2 * deg - 1):
+        c = prod[k]
         if c:
-            for i in range(deg + 1):
-                a[k + i] -= c * phi[i]
-        del a[-1]
-    a.extend([Fraction(0)] * (deg - len(a)))
-    return tuple(Fraction(c) for c in a)
+            out = [o + c * r for o, r in zip(out, rows[k])]
+    return out
 
 
-def _poly_ext_inverse(a: tuple[Fraction, ...], n: int) -> list[Fraction]:
-    """Inverse of ``a`` modulo Phi_n via the extended Euclidean algorithm."""
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
+def _galois(num, k: int, n: int) -> list[int]:
+    """sum(num[j] x^(j k)) mod Phi_n: the conjugate zeta_n -> zeta_n^k of a
+    vector at order n, or, with n = k * order, its embedding at order n."""
+    rows = _powers(n)
+    out = [0] * len(rows[0])
+    for j, x in enumerate(num):
+        if x:
+            out = [o + x * r for o, r in zip(out, rows[j * k % n])]
+    return out
 
-    def divmod_q(x, y):
-        x = list(x)
-        q = [Fraction(0)] * max(0, len(x) - len(y) + 1)
-        inv_lead = 1 / y[-1]
-        while len(x) >= len(y):
-            c = x[-1] * inv_lead
-            k = len(x) - len(y)
-            if c:
-                q[k] = c
-                for i, yi in enumerate(y):
-                    x[k + i] -= c * yi
-            del x[-1]
-            trim(x)
-        return q, x
 
-    def sub_mul(p, q, m):
-        # p - q*m
-        out = list(p) + [Fraction(0)] * max(0, len(q) + len(m) - 1 - len(p))
-        for i, qi in enumerate(q):
-            if not qi:
-                continue
-            for j, mj in enumerate(m):
-                out[i + j] -= qi * mj
-        return trim(out)
+def _normal(num, den: int) -> tuple[tuple[int, ...], int]:
+    """num / den in normal form: den > 0 and gcd(den, *num) == 1, so zero is
+    (0, ..., 0) / 1."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(num), den
+    return tuple(x // g for x in num), den // g
 
-    r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    r1 = trim([Fraction(c) for c in a])
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = divmod_q(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub_mul(s0, q, s1)
-    # r0 is gcd(a, Phi_n): a nonzero constant since Phi_n is irreducible
-    assert len(r0) == 1, "element not invertible modulo an irreducible polynomial?"
-    c = r0[0]
-    return [si / c for si in s0]
+
+def _raw(order: int, num: tuple, den: int) -> "Cyc":
+    """A Cyc from a numerator tuple and denominator already in normal form."""
+    c = object.__new__(Cyc)
+    object.__setattr__(c, "order", order)
+    object.__setattr__(c, "num", num)
+    object.__setattr__(c, "den", den)
+    return c
+
+
+def _cyc(order: int, num, den: int) -> "Cyc":
+    """The Cyc num / den at this order, brought to normal form."""
+    return _raw(order, *_normal(num, den))
 
 
 class Cyc:
     """A cyclotomic number: element of Q(zeta_N) in canonical power-basis form.
 
-    Mixed arithmetic with ``int`` and ``Fraction`` coerces the rational side
-    to order 1 (or the Cyc's own order) first, so Cyc values drop into
-    generic field code transparently.
+    The value is ``sum(num[j] z^j) / den`` with integers ``num`` (phi(N) of
+    them) and one positive integer ``den``, normalised so that
+    ``gcd(den, *num) == 1``; equal values at one order are therefore equal
+    tuples.  Products reduce modulo the monic integer Phi_N and sums
+    cross-multiply the denominators, so arithmetic stays in Python integers.
+    ``coeffs`` gives the same power-basis coefficients as Fractions.
+
+    Mixed arithmetic with ``int`` and ``Fraction`` takes the rational side
+    at the Cyc's own order, so Cyc values drop into generic field code
+    transparently.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
     __hash__ = None  # values at distinct orders may be equal; do not hash
 
     ORDER_CAP = DEFAULT_ORDER_CAP
@@ -185,42 +203,38 @@ class Cyc:
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("order must be a positive integer")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError(
                 f"expected {euler_phi(order)} coefficients for order {order}, got {len(coeffs)}"
             )
+        den = lcm(*(c.denominator for c in coeffs))
+        num, den = _normal([c.numerator * (den // c.denominator) for c in coeffs], den)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rat(x, order: int = 1) -> "Cyc":
         x = Fraction(x)
-        coeffs = [Fraction(0)] * euler_phi(order)
-        if euler_phi(order) > 0:
-            coeffs[0] = x
-        c = Cyc.__new__(Cyc)
-        object.__setattr__(c, "order", order)
-        object.__setattr__(c, "coeffs", _reduce_mod_phi(coeffs, order))
-        return c
+        return _raw(order, (x.numerator,) + (0,) * (euler_phi(order) - 1), x.denominator)
 
     @staticmethod
     def zeta(order: int, k: int = 1) -> "Cyc":
         """zeta_order**k, exponent reduced mod order."""
         if order < 1:
             raise ValueError("order must be a positive integer")
-        k %= order
-        poly = [Fraction(0)] * (k + 1)
-        poly[k] = Fraction(1)
-        c = Cyc.__new__(Cyc)
-        object.__setattr__(c, "order", order)
-        object.__setattr__(c, "coeffs", _reduce_mod_phi(poly, order))
-        return c
+        return _zeta(order, k % order)
 
     # -- order handling ----------------------------------------------------
 
@@ -230,15 +244,7 @@ class Cyc:
             return self
         if m % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into order {m}")
-        step = m // self.order
-        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                poly[j * step] = c
-        out = Cyc.__new__(Cyc)
-        object.__setattr__(out, "order", m)
-        object.__setattr__(out, "coeffs", _reduce_mod_phi(poly, m))
-        return out
+        return _cyc(m, _galois(self.num, m // self.order, m), self.den)
 
     @staticmethod
     def _common(a: "Cyc", b: "Cyc") -> tuple["Cyc", "Cyc", int]:
@@ -261,33 +267,46 @@ class Cyc:
     # -- predicates and accessors ------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rat(self) -> Fraction:
         """The value as a Fraction; raises if not rational."""
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- ring / field operations --------------------------------------------
 
     def __add__(self, other):
-        o = Cyc._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b, m = Cyc._common(self, o)
-        return Cyc(m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if isinstance(other, Cyc):
+            a, b = self, other
+            if a.order != b.order:
+                a, b, _ = Cyc._common(a, b)
+            da, db = a.den, b.den
+            if da == db:
+                num = [x + y for x, y in zip(a.num, b.num)]
+            else:
+                num = [x * db + y * da for x, y in zip(a.num, b.num)]
+                da *= db
+            return _cyc(a.order, num, da)
+        if isinstance(other, (int, Fraction)):
+            # the rational p/q is (p, 0, ..., 0) / q at every order
+            p, q = other.numerator, other.denominator
+            num = list(self.num) if q == 1 else [x * q for x in self.num]
+            num[0] += p * self.den
+            return _cyc(self.order, num, self.den * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.order, [-c for c in self.coeffs])
+        return _raw(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         o = Cyc._coerce(other)
@@ -302,32 +321,34 @@ class Cyc:
         return o + (-self)
 
     def __mul__(self, other):
-        o = Cyc._coerce(other)
-        if o is None:
-            return NotImplemented
+        if isinstance(other, Cyc):
+            a, b = self, other
+            if a.order != b.order:
+                a, b, _ = Cyc._common(a, b)
+            return _cyc(a.order, _mul_num(a.num, b.num, a.order), a.den * b.den)
         if isinstance(other, (int, Fraction)):
             # scalar fast path, no order lifting needed
-            f = Fraction(other)
-            return Cyc(self.order, [c * f for c in self.coeffs])
-        a, b, m = Cyc._common(self, o)
-        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    prod[i + j] += x * y
-        return Cyc(m, _reduce_mod_phi(prod, m))
+            p = other.numerator
+            return _cyc(self.order, [x * p for x in self.num], self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
         if self.is_zero():
             raise CycDivisionError("division by zero cyclotomic number")
+        n, num = self.order, self.num
         if self.is_rational():
-            return Cyc.from_rat(1 / self.coeffs[0], self.order)
-        inv = _poly_ext_inverse(self.coeffs, self.order)
-        return Cyc(self.order, _reduce_mod_phi(inv, self.order))
+            return _cyc(n, (self.den,) + num[1:], num[0])
+        # 1/a = prod of the other Galois conjugates of a over the norm of a,
+        # an integer since the conjugates of an integral a are integral
+        rest = None
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = _galois(num, k, n)
+                rest = conj if rest is None else _mul_num(rest, conj, n)
+        norm = _mul_num(num, rest, n)[0]
+        return _cyc(n, [self.den * x for x in rest], norm)
 
     def __truediv__(self, other):
         o = Cyc._coerce(other)
@@ -356,13 +377,15 @@ class Cyc:
         return out
 
     def __eq__(self, other):
-        o = Cyc._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.order == o.order:
-            return self.coeffs == o.coeffs
-        a, b, _ = Cyc._common(self, o)
-        return a.coeffs == b.coeffs
+        if isinstance(other, Cyc):
+            a, b = self, other
+            if a.order != b.order:
+                a, b, _ = Cyc._common(a, b)
+            return a.den == b.den and a.num == b.num
+        if isinstance(other, (int, Fraction)):
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -374,7 +397,7 @@ class Cyc:
 
     def __repr__(self):
         if self.is_rational():
-            return f"Cyc({format_rat(self.coeffs[0])})"
+            return f"Cyc({format_rat(self.rat())})"
         terms = []
         for j, c in enumerate(self.coeffs):
             if not c:
@@ -392,6 +415,12 @@ class Cyc:
     @staticmethod
     def from_json(obj: dict) -> "Cyc":
         return Cyc(obj["order"], [parse_rat(c) for c in obj["coeffs"]])
+
+
+@lru_cache(maxsize=None)
+def _zeta(order: int, k: int) -> Cyc:
+    """zeta_order**k for 0 <= k < order; shared, which is safe as Cyc is immutable."""
+    return _raw(order, _powers(order)[k], 1)
 
 
 def root_of_unity(n: int, k: int) -> Cyc:

@@ -5,6 +5,12 @@ relevant exact residual checks, and returns a JSON-able summary dict with
 ``checks`` and ``violations`` counts (plus suite-specific extras).  The CLI
 wraps these into reports; the acceptance tests call them directly.  With a
 fixed seed every suite is fully deterministic.
+
+The Lie and module suites check each sampled algebra element through
+:func:`integral_sample`, a positive integer multiple with integer
+coordinates: their checks are multilinear in the elements and membership is
+in subspaces, so the multiple changes no verdict, and the brackets and
+actions then run on Python integers instead of Fractions.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ from .qder import (
 from .qtorus import (
     QMatrix,
     block_normal_q,
+    block_structure,
     cocycle_identities_residual,
+    f_form,
     in_rad,
     monomial,
     rad_q,
@@ -56,7 +64,17 @@ from .qtorus import (
 )
 from .reps import RepHandle, RepVec, act_E
 from .scalars import Cyc, format_rat
-from .witt import AlgElem, bracket_witt, d_basis, in_L, in_Lhat, jacobi_residual, pair_term, pairing
+from .witt import (
+    AlgElem,
+    bracket_witt,
+    d_basis,
+    in_L,
+    in_Lhat,
+    jacobi_residual,
+    lemma_orthg,
+    pair_term,
+    pairing,
+)
 
 CLASSICAL_ALGEBRAS = ("W", "Lhat", "L")
 Q_ALGEBRA_NAMES = ("Der", "Lq", "Lqhat")
@@ -172,6 +190,26 @@ def sample_qgraded(rng: Random, q: QMatrix, alpha, rep: RepHandle,
     return QGradedVec(q, alpha, rep, fibers)
 
 
+def integral_sample(x: AlgElem | QDerElem) -> AlgElem | QDerElem:
+    """x scaled by the lcm of its coefficient denominators, on int coordinates.
+
+    Antisymmetry is bilinear, Jacobi trilinear and the module-axiom residual
+    bilinear in (x, y), and L, Lhat, Lq and Lqhat are subspaces, so scaling a
+    sample by a positive integer changes no verdict of the suites that call
+    this.  It is applied after the sample is drawn, so the RNG draws, and
+    with them every count and report byte, stay as they are.
+    """
+    if isinstance(x, AlgElem):
+        m = lcm(*(c.denominator for u in x.terms.values() for c in u))
+        return AlgElem(x.d, {r: tuple(c.numerator * (m // c.denominator) for c in u)
+                             for r, u in x.terms.items()})
+    m = lcm(*(c.denominator for u in x.outer.values() for c in u),
+            *(c.den for c in x.inner.values()))
+    return QDerElem(x.d, {n: c * m for n, c in x.inner.items()},
+                    {r: tuple(c.numerator * (m // c.denominator) for c in u)
+                     for r, u in x.outer.items()})
+
+
 # ---------------------------------------------------------------------------
 # Lie-algebra suites
 # ---------------------------------------------------------------------------
@@ -185,9 +223,8 @@ def lie_suite_classical(d: int, algebra: str, triples: int, rng: Random,
     member = {"W": lambda x: True, "Lhat": in_Lhat, "L": in_L}[algebra]
     violations = 0
     for _ in range(triples):
-        x = sample_algelem(rng, d, algebra, radius)
-        y = sample_algelem(rng, d, algebra, radius)
-        z = sample_algelem(rng, d, algebra, radius)
+        x, y, z = (integral_sample(sample_algelem(rng, d, algebra, radius))
+                   for _ in range(3))
         if not (member(x) and member(y) and member(z)):
             violations += 1
             continue
@@ -212,9 +249,7 @@ def lie_suite_q(q: QMatrix, algebra: str, triples: int, rng: Random,
     }[algebra]
     violations = 0
     for _ in range(triples):
-        x = sample_qder(rng, q, algebra, radius)
-        y = sample_qder(rng, q, algebra, radius)
-        z = sample_qder(rng, q, algebra, radius)
+        x, y, z = (integral_sample(sample_qder(rng, q, algebra, radius)) for _ in range(3))
         if not (member(q, x) and member(q, y) and member(q, z)):
             violations += 1
             continue
@@ -264,8 +299,6 @@ def d_basis_span_suite(d: int, radius: int = 2) -> dict:
 def lemma_orthg_suite(d: int, count: int, rng: Random) -> dict:
     """The transplanted vector satisfies both orthogonality identities for 5
     distinct scalar substitutions (a degree-2 identity needs 3)."""
-    from .witt import lemma_orthg
-
     violations = 0
     for _ in range(count):
         n = sample_degree(rng, d, 3, nonzero=True)
@@ -300,8 +333,8 @@ def module_suite_classical(params: ModuleParams, algebra: str, pairs: int,
                            rng: Random, radius: int = 2) -> dict:
     violations = 0
     for _ in range(pairs):
-        x = sample_algelem(rng, params.d, algebra, radius)
-        y = sample_algelem(rng, params.d, algebra, radius)
+        x, y = (integral_sample(sample_algelem(rng, params.d, algebra, radius))
+                for _ in range(2))
         v = sample_graded(rng, params, radius)
         if not module_axiom_residual(params, x, y, v).is_zero():
             violations += 1
@@ -339,8 +372,7 @@ def module_suite_q(q: QMatrix, alpha, rep: RepHandle, algebra: str, pairs: int,
     violations = 0
     samples = [_sign_probe(q, alpha, rep)]
     for _ in range(pairs):
-        x = sample_qder(rng, q, algebra, radius)
-        y = sample_qder(rng, q, algebra, radius)
+        x, y = (integral_sample(sample_qder(rng, q, algebra, radius)) for _ in range(2))
         v = sample_qgraded(rng, q, alpha, rep, radius)
         if not v.is_zero() and len(samples) < 25:
             samples.append((x, y, v))
@@ -463,7 +495,6 @@ def qtorus_suite(q: QMatrix, triples: int, rng: Random, radius: int = 3) -> dict
         # t^m t^n = f(m,n) t^n t^m
         lhs = torus_mul(q, a, b)
         rhs = torus_mul(q, b, a)
-        from .qtorus import f_form
         if lhs.coeff != f_form(q, m, n) * rhs.coeff:
             violations += 1
     return {"name": "torus-identities", "q_order": q.N, "checks": 4 * triples,
@@ -501,8 +532,6 @@ def commutator_span_suite(q: QMatrix, radius: int, rng: Random, samples: int) ->
 def equivariance_suite(q: QMatrix, alpha, rep: RepHandle, count: int,
                        rng: Random, radius: int = 2) -> dict:
     """iso_algebra/iso_module intertwine the actions on random samples."""
-    from .qtorus import block_structure
-
     l = block_structure(q)
     violations = 0
     checks = 0

@@ -218,3 +218,16 @@ def test_malformed_list_field_exits_2(tmp_path, capsys, job, field, value, named
     path = write_config(tmp_path, "bad.json", config)
     assert main([job, "--config", path]) == 2
     assert f"error: {named}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra", ["L", "W"])
+def test_verify_module_trivial_rep_integral_alpha_exits_0(tmp_path, capsys, algebra):
+    # under W the trivial rep is not Lambda^d (they differ by the trace), so
+    # the wedge-invariance suite must not judge it; trivial_split does
+    config = {"job": "verify-module", "algebra": algebra, "d": 2, "alpha": ["1", "-2"],
+              "rep": {"kind": "trivial"}}
+    path = write_config(tmp_path, "trivial.json", config)
+    assert main(["verify-module", "--config", path]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert "wedge-invariance" not in [s["name"] for s in details["suites"]]
+    assert details["trivial_split"] == {"irreducible": False, "split_at": [-1, 2]}

@@ -6,6 +6,7 @@ polynomial reduction.
 """
 
 import cmath
+import math
 
 import pytest
 from fractions import Fraction
@@ -158,3 +159,93 @@ def test_cyc_json_roundtrip():
     c = Cyc(6, (Fraction(1, 2), Fraction(-3, 7)))
     assert Cyc.from_json(c.to_json()) == c
     assert c.to_json() == {"order": 6, "coeffs": ["1/2", "-3/7"]}
+
+
+# -- differential check against a plain Fraction polynomial reference ---------
+
+def ref_rem(p, n):
+    """Remainder of a Fraction polynomial (low degree first) modulo Phi_n,
+    padded to phi(n) coefficients."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    p = [Fraction(c) for c in p]
+    for k in range(len(p) - 1, deg - 1, -1):
+        c = p[k]
+        for i, f in enumerate(phi):
+            p[k - deg + i] -= c * f
+    return tuple((p + [Fraction(0)] * deg)[:deg])
+
+
+def ref_lift(c: Cyc, m: int):
+    """c's coefficients at order m: substitute x -> x^(m / order), reduce."""
+    step = m // c.order
+    p = [Fraction(0)] * ((len(c.coeffs) - 1) * step + 1)
+    for j, x in enumerate(c.coeffs):
+        p[j * step] = x
+    return ref_rem(p, m)
+
+
+def ref_mul(a, b, m):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ref_rem(prod, m)
+
+
+def assert_normal(c: Cyc):
+    assert c.den > 0
+    assert all(isinstance(x, int) for x in c.num) and len(c.num) == euler_phi(c.order)
+    assert math.gcd(c.den, *c.num) == 1
+    if c.is_zero():
+        assert c.num == (0,) * euler_phi(c.order) and c.den == 1
+
+
+DIFF_ORDERS = (1, 3, 4, 5, 6, 12)
+wide_rats = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@st.composite
+def diff_cycs(draw):
+    n = draw(st.sampled_from(DIFF_ORDERS))
+    return Cyc(n, draw(st.lists(wide_rats, min_size=euler_phi(n), max_size=euler_phi(n))))
+
+
+@given(diff_cycs(), diff_cycs())
+def test_integer_cyc_matches_fraction_reference(a, b):
+    m = math.lcm(a.order, b.order)
+    ra, rb = ref_lift(a, m), ref_lift(b, m)
+    for c in (a, b):
+        assert_normal(c)
+        assert_normal(c.to_order(m))
+        assert c.to_order(m).coeffs == ref_lift(c, m)
+    expect = {
+        "+": tuple(x + y for x, y in zip(ra, rb)),
+        "-": tuple(x - y for x, y in zip(ra, rb)),
+        "*": ref_mul(ra, rb, m),
+    }
+    for op, got in (("+", a + b), ("-", a - b), ("*", a * b)):
+        assert got.order == m and got.coeffs == expect[op], op
+        assert_normal(got)
+    if not b.is_zero():
+        quo = a / b
+        assert quo.order == m
+        assert_normal(quo)
+        assert ref_mul(quo.coeffs, rb, m) == ra
+
+
+@given(diff_cycs(), wide_rats)
+def test_integer_cyc_rational_fast_paths(a, x):
+    lifted = ref_lift(a, a.order)
+    for got, want in ((a * x, [c * x for c in lifted]), (x * a, [c * x for c in lifted]),
+                      (a + x, [lifted[0] + x] + list(lifted[1:])),
+                      (a - x, [lifted[0] - x] + list(lifted[1:]))):
+        assert got.order == a.order and got.coeffs == tuple(want)
+        assert_normal(got)
+    assert (a == x) == (lifted == (x,) + (Fraction(0),) * (len(lifted) - 1))
+
+
+def test_zeta_is_cached_and_immutable():
+    assert Cyc.zeta(12, 5) is Cyc.zeta(12, 17)
+    with pytest.raises(AttributeError):
+        Cyc.zeta(12, 5).num = (0, 0, 0, 0)
