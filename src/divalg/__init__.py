@@ -7,8 +7,8 @@ All arithmetic is exact: arbitrary-precision rationals and cyclotomic
 numbers, integer lattices, and canonical reduced row-echelon bases.
 """
 
-from .scalars import Cyc, Rat, cyc_arith, cyclotomic_polynomial, root_of_unity
-from .linalg import ExactMatrix, SpanBasis, rref, span_contains, span_extend
+from .scalars import Cyc, Rat, cyclotomic_polynomial, root_of_unity
+from .linalg import SpanBasis, span_contains, span_extend
 from .lattices import hermite_normal_form, smith_kernel_mod, smith_normal_form
 from .reps import (
     RepHandle,
@@ -40,7 +40,7 @@ from .modules import (
     w_fiber_basis,
     w_membership,
 )
-from .closure import Box, ClosureResult, Label, classify, closure
+from .closure import Box, ClosureResult, Label, classify
 from .qtorus import (
     QMatrix,
     QMonomial,
@@ -54,7 +54,6 @@ from .qtorus import (
 )
 from .qder import (
     QDerElem,
-    QGradedVec,
     act_q,
     ad_annihilation_check,
     bracket_qder,

@@ -19,8 +19,8 @@ from random import Random
 
 from . import verify
 from .closure import Box, closure
-from .modules import ModuleParams, graded, trivial_split
-from .qder import closure_q, qgraded, ad_annihilation_check
+from .modules import ModuleParams, _wedge_power, graded, trivial_split
+from .qder import ad_annihilation_check, class_of, closure_q, congruence_classes
 from .qtorus import (
     QMatrix,
     block_normal_q,
@@ -30,8 +30,8 @@ from .qtorus import (
     sigma_exponent,
 )
 from .reps import RepHandle, rep_from_config
-from .scalars import format_rat, parse_rat
-from .witt import DegVec
+from .scalars import Cyc, format_rat, parse_rat
+from .witt import AlgElem, DegVec, bracket_witt, in_L, in_Lhat
 
 
 class ConfigError(ValueError):
@@ -138,8 +138,6 @@ def _deg_str(n: DegVec) -> str:
 
 def _parse_elements(raw, d: int) -> list:
     """Explicit algebra elements as lists of {"u": [...], "r": [...]} terms."""
-    from .witt import AlgElem
-
     if not isinstance(raw, list):
         raise ConfigError("elements: expected a list of element term lists")
     out = []
@@ -182,8 +180,6 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
         suites.append(verify.d_basis_span_suite(d, min(radius, 2)))
         suites.append(verify.lemma_orthg_suite(d, max(20, triples // 10), rng))
         if "elements" in config:
-            from .witt import bracket_witt, in_L, in_Lhat
-
             elems = _parse_elements(config["elements"], d)
             member = {"W": lambda x: True, "Lhat": in_Lhat, "L": in_L}[algebra]
             info = []
@@ -228,8 +224,6 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
         suites.append(verify.module_suite_classical(params, algebra, pairs, rng, radius))
         if d >= 2:
             suites.append(verify.act_crosscheck_suite(params, max(20, pairs // 4), rng, radius))
-        from .modules import _wedge_power
-
         # under W the trivial rep differs from Lambda^d by the trace term, so
         # the wedge-invariance suite's W generators do not apply to it;
         # trivial_split reports that module's structure instead
@@ -297,12 +291,11 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
             raise ConfigError(f"seeds[{k}].coords: expected length {rep.dim}")
         return n, tuple(coords)
 
-    seeds = [parse_seed(k, raw) for k, raw in enumerate(raw_seeds)]
+    params = ModuleParams(d, alpha, rep)
+    seeds = [graded(params, *parse_seed(k, raw)) for k, raw in enumerate(raw_seeds)]
     try:
         if algebra in verify.CLASSICAL_ALGEBRAS:
-            params = ModuleParams(d, alpha, rep)
-            vecs = [graded(params, n, c) for n, c in seeds]
-            result = closure(params, vecs, gen_radius, working, target, max_iters, algebra)
+            result = closure(params, seeds, gen_radius, working, target, max_iters, algebra)
             q = None
         elif algebra in ("Lq", "Lqhat"):
             if "q" not in config:
@@ -310,8 +303,7 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
             q = _parse_q(config["q"])
             if q.d != d:
                 raise ConfigError("q: dimension does not match d")
-            vecs = [qgraded(q, alpha, rep, n, c) for n, c in seeds]
-            result = closure_q(q, alpha, rep, vecs, gen_radius, working, target,
+            result = closure_q(q, alpha, rep, seeds, gen_radius, working, target,
                                max_iters, algebra)
         else:
             raise ConfigError(f"algebra: unknown algebra {algebra!r}")
@@ -332,8 +324,6 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
     if q is not None:
         l = block_structure(q)
         if l is not None:
-            from .qder import class_of
-
             per_class: dict[str, dict] = {}
             for n in sorted(result.fiber_dims):
                 cls = _deg_str(class_of(l, n))
@@ -356,8 +346,6 @@ def _job_qtorus_info(config: dict, rng: Random) -> tuple[str, dict]:
     degs = sorted(Box.radius(q.d, radius).degrees())
     for m in degs[: 4]:
         for n in degs[-4:]:
-            from .scalars import Cyc
-
             samples.append({
                 "m": list(m),
                 "n": list(n),
@@ -375,8 +363,6 @@ def _job_qtorus_info(config: dict, rng: Random) -> tuple[str, dict]:
         "cocycle_samples": samples,
     }
     if l is not None:
-        from .qder import congruence_classes
-
         details["classes"] = [_deg_str(i) for i in congruence_classes(l)]
     return "pass", details
 

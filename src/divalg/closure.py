@@ -35,7 +35,7 @@ from math import gcd, lcm
 from .linalg import SpanBasis, basis_of, empty_basis, same_span, span_extend
 from .modules import GradedVec, ModuleParams, _wedge_power, w_fiber_basis
 from .reps import RepVec, act_matrix
-from .scalars import Cyc
+from .scalars import Cyc, exact_div
 from .witt import DegVec, pair_term
 
 
@@ -102,19 +102,12 @@ class ClosureResult:
 # ---------------------------------------------------------------------------
 
 
-def _exact_div(a, b):
-    """a / b staying in exact scalars (never a float)."""
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
-
-
 def _primitive(vals: list) -> list:
     """Canonical representative of the ray through a nonzero vector: monic
     when it needs cyclotomic entries, else primitive integral with a positive
     leading entry."""
     if any(isinstance(x, Cyc) for x in vals):
-        inv = _exact_div(1, next(x for x in vals if x))
+        inv = exact_div(1, next(x for x in vals if x))
         vals = [inv * x for x in vals]
         vals = [y.rat() if isinstance(y, Cyc) and y.is_rational() else y for y in vals]
         if any(isinstance(y, Cyc) for y in vals):
@@ -173,7 +166,7 @@ def _reduce_into(rows: dict, v: dict) -> dict | None:
             g = gcd(a, c)
             v = _combine(v, row, c // g, a // g)
         else:
-            v = _combine(v, row, 1, _exact_div(a, c))
+            v = _combine(v, row, 1, exact_div(a, c))
     return None
 
 
@@ -400,7 +393,7 @@ def classify(result: ClosureResult, params: ModuleParams) -> Label:
 
 
 # ---------------------------------------------------------------------------
-# classical closure driver
+# generating families and the closure driver
 # ---------------------------------------------------------------------------
 
 ALGEBRAS = ("W", "Lhat", "L")
@@ -456,9 +449,8 @@ def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) ->
     return gens
 
 
-def seeds_to_rows(state: SpanState, seeds) -> list[dict]:
-    """Block rows of graded seeds (classical or quantum), each degree checked
-    against the working box."""
+def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[dict]:
+    """Block rows of graded seeds, each degree checked against the working box."""
     rows = []
     for s in seeds:
         if s.is_zero():
@@ -472,20 +464,21 @@ def seeds_to_rows(state: SpanState, seeds) -> list[dict]:
     return rows
 
 
-def closure(params: ModuleParams, seeds: list[GradedVec], gen_radius: int,
-            working: Box, target: Box, max_iters: int, algebra: str) -> ClosureResult:
-    """Saturate the seeds under the chosen algebra inside the working box and
-    report canonical fiber bases over the target box."""
+def _close(d: int, dim: int, seeds: list[GradedVec], working: Box, target: Box,
+           max_iters: int, generators, classifier) -> ClosureResult:
+    """The closure driver of both sides: saturate the seeds under
+    ``generators()`` inside the working box, extract canonical fiber bases
+    over the target box and, when saturated, label them with
+    ``classifier(result)``."""
     if not seeds:
         raise ValueError("need at least one seed")
-    if working.d != params.d or target.d != params.d:
+    if working.d != d or target.d != d:
         raise ValueError("box dimension mismatch")
     if not working.contains_box(target):
         raise ValueError("target box must lie inside the working box")
-    state = SpanState(working, params.rep.dim)
+    state = SpanState(working, dim)
     rows = seeds_to_rows(state, seeds)
-    gens = classical_generators(params, gen_radius, algebra)
-    iterations, saturated = saturate(state, rows, gens, max_iters)
+    iterations, saturated = saturate(state, rows, generators(), max_iters)
     bases = extract_fibers(state, target)
     result = ClosureResult(
         target_box=target,
@@ -496,5 +489,14 @@ def closure(params: ModuleParams, seeds: list[GradedVec], gen_radius: int,
         saturated=saturated,
     )
     if saturated:
-        result.label = classify(result, params)
+        result.label = classifier(result)
     return result
+
+
+def closure(params: ModuleParams, seeds: list[GradedVec], gen_radius: int,
+            working: Box, target: Box, max_iters: int, algebra: str) -> ClosureResult:
+    """Saturate the seeds under the chosen algebra inside the working box and
+    report canonical fiber bases over the target box."""
+    return _close(params.d, params.rep.dim, seeds, working, target, max_iters,
+                  lambda: classical_generators(params, gen_radius, algebra),
+                  lambda result: classify(result, params))

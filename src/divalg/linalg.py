@@ -9,34 +9,8 @@ results never depend on the order vectors were fed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense row-major matrix of exact scalars."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(rows) -> "ExactMatrix":
-        rows = [tuple(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return ExactMatrix(len(rows), ncols, tuple(x for r in rows for x in r))
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_list(self) -> list[tuple]:
-        return [self.row(i) for i in range(self.rows)]
+from .scalars import exact_div
 
 
 @dataclass(frozen=True)
@@ -74,13 +48,6 @@ def _reduce_against(v: list, rows: list[list], pivots: list[int], dim: int) -> l
     return v
 
 
-def _inv(x):
-    """1 / x staying in exact scalars (never a float)."""
-    if isinstance(x, int):
-        return Fraction(1, x)
-    return 1 / x
-
-
 def _absorb(vectors, rows: list[list], pivots: list[int], dim: int) -> None:
     """Fold ``vectors`` into the RREF state (rows, pivots), in place."""
     for vec in vectors:
@@ -92,7 +59,7 @@ def _absorb(vectors, rows: list[list], pivots: list[int], dim: int) -> None:
         if lead is None:
             continue
         if v[lead] != 1:
-            inv = _inv(v[lead])
+            inv = exact_div(1, v[lead])
             v = [x * inv for x in v]
         for r in rows:
             c = r[lead]
@@ -103,12 +70,6 @@ def _absorb(vectors, rows: list[list], pivots: list[int], dim: int) -> None:
         at = next((k for k, p in enumerate(pivots) if p > lead), len(pivots))
         rows.insert(at, v)
         pivots.insert(at, lead)
-
-
-def rref(m: ExactMatrix) -> tuple[SpanBasis, int]:
-    """Reduced row-echelon form of the row space; rank is exact."""
-    basis = basis_of(m.row_list(), m.cols)
-    return basis, basis.rank
 
 
 def basis_of(vectors, ambient_dim: int) -> SpanBasis:

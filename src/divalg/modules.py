@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import witt
 from .linalg import SpanBasis, basis_of
 from .reps import RepHandle, RepVec, act_matrix
 from .witt import AlgElem, DegVec
@@ -115,29 +116,34 @@ def graded(params: ModuleParams, n, coords) -> GradedVec:
     return GradedVec(params, {tuple(int(x) for x in n): tuple(coords)})
 
 
-def _rank_one(r: DegVec, u) -> list[list]:
-    """The d x d matrix r u^T."""
-    return [[ri * uj for uj in u] for ri in r]
+def _term_image(rep: RepHandle, u, mat, alpha, n, coords) -> tuple:
+    """The fiber of D(u, r) . (v x t^n) for v = coords, without its degree:
+    (u | n + alpha) v + (r u^T) v, where mat = r u^T."""
+    s = sum(ua * (na + aa) for ua, na, aa in zip(u, n, alpha))
+    w = act_matrix(rep, mat, RepVec(rep, coords)).coords
+    return tuple(s * c + wb for c, wb in zip(coords, w))
+
+
+def _accumulate(out: dict, n: DegVec, coords) -> None:
+    """Add ``coords`` into the fiber list ``out[n]``, creating it if absent."""
+    acc = out.get(n)
+    if acc is None:
+        out[n] = list(coords)
+    else:
+        for b, x in enumerate(coords):
+            acc[b] = acc[b] + x
 
 
 def act(params: ModuleParams, x: AlgElem, v: GradedVec) -> GradedVec:
     """Bilinear extension of the defining action over terms and fibers."""
     if x.d != params.d:
         raise ValueError("algebra element dimension mismatch")
-    rep = params.rep
     out: dict[DegVec, list] = {}
     for r, u in x.terms.items():
-        mat = _rank_one(r, u)
+        mat = [[ri * uj for uj in u] for ri in r]
         for n, coords in v.fibers.items():
-            s = sum(ua * (na + aa) for ua, na, aa in zip(u, n, params.alpha))
-            w = act_matrix(rep, mat, RepVec(rep, coords)).coords
-            target = tuple(ni + ri for ni, ri in zip(n, r))
-            acc = out.get(target)
-            if acc is None:
-                acc = [0] * rep.dim
-                out[target] = acc
-            for b in range(rep.dim):
-                acc[b] = acc[b] + s * coords[b] + w[b]
+            _accumulate(out, tuple(ni + ri for ni, ri in zip(n, r)),
+                       _term_image(params.rep, u, mat, params.alpha, n, coords))
     return GradedVec(params, {n: tuple(c) for n, c in out.items()})
 
 
@@ -170,9 +176,7 @@ def act_d_basis(params: ModuleParams, r, i: int, v: GradedVec) -> GradedVec:
 
 def module_axiom_residual(params: ModuleParams, x: AlgElem, y: AlgElem, v: GradedVec) -> GradedVec:
     """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)); must vanish."""
-    from .witt import bracket_witt
-
-    lhs = act(params, bracket_witt(x, y), v)
+    lhs = act(params, witt.bracket_witt(x, y), v)
     rhs = act(params, x, act(params, y, v)) - act(params, y, act(params, x, v))
     return lhs - rhs
 

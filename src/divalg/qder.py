@@ -25,7 +25,6 @@ remaining classes sum to the irreducible complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .closure import (
@@ -33,15 +32,12 @@ from .closure import (
     ClosureResult,
     Generator,
     Label,
-    SpanState,
-    extract_fibers,
+    _close,
     linear_generator,
     pair_basis,
-    saturate,
-    seeds_to_rows,
 )
-from .modules import GradedVec, ModuleParams
-from .reps import RepHandle, RepVec, act_matrix
+from .modules import GradedVec, ModuleParams, _accumulate, _term_image, act, graded
+from .reps import RepHandle
 from .scalars import Cyc
 from .qtorus import QMatrix, block_structure, in_rad, sigma, sigma_exponent
 from .witt import AlgElem, DegVec, pairing
@@ -211,74 +207,15 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
 # ---------------------------------------------------------------------------
 
 
-class QGradedVec:
-    """Finitely supported element of the quantum-torus tensor module."""
-
-    __slots__ = ("q", "alpha", "rep", "fibers")
-
-    def __init__(self, q: QMatrix, alpha, rep: RepHandle, fibers: dict | None = None):
-        self.q = q
-        self.alpha = tuple(Fraction(a) for a in alpha)
-        self.rep = rep
-        if len(self.alpha) != q.d or rep.d != q.d:
-            raise ValueError("dimension mismatch")
-        clean: dict[DegVec, tuple] = {}
-        for n, coords in (fibers or {}).items():
-            coords = tuple(coords)
-            if len(coords) != rep.dim or len(n) != q.d:
-                raise ValueError("fiber shape mismatch")
-            if any(coords):
-                clean[tuple(int(x) for x in n)] = coords
-        self.fibers = clean
-
-    def is_zero(self) -> bool:
-        return not self.fibers
-
-    def __add__(self, other: "QGradedVec") -> "QGradedVec":
-        out = dict(self.fibers)
-        for n, c in other.fibers.items():
-            if n in out:
-                out[n] = tuple(a + b for a, b in zip(out[n], c))
-            else:
-                out[n] = c
-        return QGradedVec(self.q, self.alpha, self.rep, out)
-
-    def __neg__(self) -> "QGradedVec":
-        return QGradedVec(self.q, self.alpha, self.rep,
-                          {n: tuple(-x for x in c) for n, c in self.fibers.items()})
-
-    def __sub__(self, other: "QGradedVec") -> "QGradedVec":
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, QGradedVec):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __repr__(self):
-        bits = [f"{list(c)} @ t^{list(n)}" for n, c in sorted(self.fibers.items())]
-        return "QGradedVec(" + (" + ".join(bits) if bits else "0") + ")"
+def qgraded(q: QMatrix, alpha, rep: RepHandle, n, coords) -> GradedVec:
+    """Single-fiber element coords x t^n of C_q (x) V twisted by alpha."""
+    return graded(ModuleParams(q.d, alpha, rep), n, coords)
 
 
-def qgraded(q: QMatrix, alpha, rep: RepHandle, n, coords) -> QGradedVec:
-    return QGradedVec(q, alpha, rep, {tuple(int(x) for x in n): tuple(coords)})
-
-
-def act_q(q: QMatrix, alpha, rep: RepHandle, x: QDerElem, v: QGradedVec) -> QGradedVec:
+def act_q(q: QMatrix, alpha, rep: RepHandle, x: QDerElem, v: GradedVec) -> GradedVec:
     """The module action, extended bilinearly over terms and fibers."""
     x.validate(q)
-    alpha = tuple(Fraction(a) for a in alpha)
     out: dict[DegVec, list] = {}
-
-    def accumulate(n: DegVec, coords) -> None:
-        acc = out.get(n)
-        if acc is None:
-            out[n] = list(coords)
-        else:
-            for b, x_ in enumerate(coords):
-                acc[b] = acc[b] + x_
 
     for m, cm in x.inner.items():
         for n, coords in v.fibers.items():
@@ -288,26 +225,24 @@ def act_q(q: QMatrix, alpha, rep: RepHandle, x: QDerElem, v: QGradedVec) -> QGra
                 continue
             c = (Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2)) * cm
             target = tuple(a + b for a, b in zip(m, n))
-            accumulate(target, tuple(c * x_ for x_ in coords))
+            _accumulate(out, target, tuple(c * x_ for x_ in coords))
 
     for r, u in x.outer.items():
         mat = [[ri * uj for uj in u] for ri in r]
         for n, coords in v.fibers.items():
-            s = sum(ua * (na + aa) for ua, na, aa in zip(u, n, alpha))
-            w = act_matrix(rep, mat, RepVec(rep, coords)).coords
-            img = tuple(s * c + wb for c, wb in zip(coords, w))
+            img = _term_image(rep, u, mat, alpha, n, coords)
             e = sigma_exponent(q, r, n)
             if e:
                 z = Cyc.zeta(q.N, e)
                 img = tuple(z * x_ for x_ in img)
-            accumulate(tuple(a + b for a, b in zip(r, n)), img)
+            _accumulate(out, tuple(a + b for a, b in zip(r, n)), img)
 
-    return QGradedVec(q, v.alpha, rep, {n: tuple(c) for n, c in out.items()})
+    return GradedVec(v.params, {n: tuple(c) for n, c in out.items()})
 
 
 def module_axiom_residual_q(q: QMatrix, alpha, rep: RepHandle, x: QDerElem,
-                            y: QDerElem, v: QGradedVec,
-                            outer_sign: int = OUTER_SIGN) -> QGradedVec:
+                            y: QDerElem, v: GradedVec,
+                            outer_sign: int = OUTER_SIGN) -> GradedVec:
     """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)); must vanish."""
     lhs = act_q(q, alpha, rep, bracket_qder(q, x, y, outer_sign), v)
     rhs = act_q(q, alpha, rep, x, act_q(q, alpha, rep, y, v)) - \
@@ -381,21 +316,21 @@ def congruence_classes(l: tuple[int, ...]) -> list[DegVec]:
     return sorted(out)
 
 
-def decompose_classes(q: QMatrix, v: QGradedVec) -> dict[DegVec, QGradedVec]:
+def decompose_classes(q: QMatrix, v: GradedVec) -> dict[DegVec, GradedVec]:
     """Split fibers by degree class modulo the radical; parts re-sum to v."""
     l = _require_block(q)
     parts: dict[DegVec, dict] = {}
     for n, coords in v.fibers.items():
         parts.setdefault(class_of(l, n), {})[n] = coords
-    return {i: QGradedVec(q, v.alpha, v.rep, fib) for i, fib in sorted(parts.items())}
+    return {i: GradedVec(v.params, fib) for i, fib in sorted(parts.items())}
 
 
-def g_q_component(q: QMatrix, v: QGradedVec) -> QGradedVec:
+def g_q_component(q: QMatrix, v: GradedVec) -> GradedVec:
     """The part of v supported on nonzero congruence classes."""
     l = _require_block(q)
     zero = (0,) * q.d
     fib = {n: c for n, c in v.fibers.items() if class_of(l, n) != zero}
-    return QGradedVec(q, v.alpha, v.rep, fib)
+    return GradedVec(v.params, fib)
 
 
 def iso_algebra(q: QMatrix, x: QDerElem) -> AlgElem:
@@ -424,7 +359,7 @@ def iso_params(q: QMatrix, alpha, rep: RepHandle, i) -> ModuleParams:
     return ModuleParams(q.d, alpha_i, RepHandle.twisted(rep, l))
 
 
-def iso_module(q: QMatrix, alpha, rep: RepHandle, i, v: QGradedVec) -> GradedVec:
+def iso_module(q: QMatrix, alpha, rep: RepHandle, i, v: GradedVec) -> GradedVec:
     """Class-i fibers mapped onto the classical module: degree n + i with
     n in the radical goes to degree L^{-1} n, identical coordinates."""
     l = _require_block(q)
@@ -440,10 +375,8 @@ def iso_module(q: QMatrix, alpha, rep: RepHandle, i, v: QGradedVec) -> GradedVec
 
 
 def equivariance_residual(q: QMatrix, alpha, rep: RepHandle, i, x: QDerElem,
-                          v: QGradedVec) -> GradedVec:
+                          v: GradedVec) -> GradedVec:
     """iso(x . v) - iso(x) . iso(v); zero iff the isomorphisms intertwine."""
-    from .modules import act
-
     lhs = iso_module(q, alpha, rep, i, act_q(q, alpha, rep, x, v))
     rhs = act(iso_params(q, alpha, rep, i), iso_algebra(q, x),
               iso_module(q, alpha, rep, i, v))
@@ -537,29 +470,10 @@ def classify_q(result: ClosureResult, q: QMatrix, rep: RepHandle) -> Label:
     return Label("Other")
 
 
-def closure_q(q: QMatrix, alpha, rep: RepHandle, seeds: list[QGradedVec],
+def closure_q(q: QMatrix, alpha, rep: RepHandle, seeds: list[GradedVec],
               gen_radius: int, working: Box, target: Box, max_iters: int,
               algebra: str) -> ClosureResult:
     """Saturate seeds under the chosen q-algebra inside the working box."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if working.d != q.d or target.d != q.d:
-        raise ValueError("box dimension mismatch")
-    if not working.contains_box(target):
-        raise ValueError("target box must lie inside the working box")
-    state = SpanState(working, rep.dim)
-    rows = seeds_to_rows(state, seeds)
-    gens = qder_generators(q, alpha, rep, gen_radius, algebra)
-    iterations, saturated = saturate(state, rows, gens, max_iters)
-    bases = extract_fibers(state, target)
-    result = ClosureResult(
-        target_box=target,
-        fiber_bases=bases,
-        fiber_dims={n: b.rank for n, b in bases.items()},
-        label=None,
-        iterations=iterations,
-        saturated=saturated,
-    )
-    if saturated:
-        result.label = classify_q(result, q, rep)
-    return result
+    return _close(q.d, rep.dim, seeds, working, target, max_iters,
+                  lambda: qder_generators(q, alpha, rep, gen_radius, algebra),
+                  lambda result: classify_q(result, q, rep))

@@ -428,14 +428,8 @@ def root_of_unity(n: int, k: int) -> Cyc:
     return Cyc.zeta(n, k)
 
 
-def cyc_arith(a: Cyc, b: Cyc, op: str) -> Cyc:
-    """Field arithmetic dispatcher over {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
+def exact_div(a, b):
+    """a / b staying in exact scalars (a Fraction for two ints, never a float)."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b

@@ -36,7 +36,6 @@ from .modules import (
 from .qder import (
     OUTER_SIGN,
     QDerElem,
-    QGradedVec,
     act_q,
     bracket_qder,
     in_Lq,
@@ -182,12 +181,8 @@ def sample_graded(rng: Random, params: ModuleParams, radius: int = 2,
 
 
 def sample_qgraded(rng: Random, q: QMatrix, alpha, rep: RepHandle,
-                   radius: int = 2, max_fibers: int = 2) -> QGradedVec:
-    fibers = {}
-    for _ in range(rng.randint(1, max_fibers)):
-        n = sample_degree(rng, q.d, radius)
-        fibers[n] = tuple(rng.randint(-3, 3) for _ in range(rep.dim))
-    return QGradedVec(q, alpha, rep, fibers)
+                   radius: int = 2, max_fibers: int = 2) -> GradedVec:
+    return sample_graded(rng, ModuleParams(q.d, alpha, rep), radius, max_fibers)
 
 
 def integral_sample(x: AlgElem | QDerElem) -> AlgElem | QDerElem:
@@ -598,9 +593,9 @@ def degeneration_suite(d: int, count: int, rng: Random, radius: int = 2) -> dict
             violations += 1
         v = sample_qgraded(rng, q, alpha, rep, radius)
         qa = act_q(q, alpha, rep, x, v)
-        ca = act(params, to_alg(x), GradedVec(params, v.fibers))
+        ca = act(params, to_alg(x), v)
         checks += 1
-        if GradedVec(params, qa.fibers) != ca:
+        if qa != ca:
             violations += 1
         m = sample_degree(rng, d, radius)
         n = sample_degree(rng, d, radius)
@@ -616,7 +611,7 @@ def degeneration_suite(d: int, count: int, rng: Random, radius: int = 2) -> dict
                 violations += 1
             checks += 1
             w = iso_module(q, alpha, rep, (0,) * d, v)
-            if w.fibers != GradedVec(params, v.fibers).fibers:
+            if w.fibers != v.fibers:
                 violations += 1
     identity = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     checks += 1

@@ -1,5 +1,6 @@
 """Command-line jobs: exit codes, schema strictness, determinism, rendering."""
 
+import hashlib
 import json
 
 import pytest
@@ -231,3 +232,50 @@ def test_verify_module_trivial_rep_integral_alpha_exits_0(tmp_path, capsys, alge
     details = json.loads(capsys.readouterr().out)["details"]
     assert "wedge-invariance" not in [s["name"] for s in details["suites"]]
     assert details["trivial_split"] == {"irreducible": False, "split_at": [-1, 2]}
+
+
+# sha256 of report_json for fixed configs: a refactor must leave every report
+# byte-identical
+NAT = {"kind": "natural"}
+BOXES = {"schema_version": "1", "gen_radius": 2, "working_box": 3, "target_box": 1,
+         "max_iters": 50}
+GOLDEN = [
+    ("L-W", dict(CLOSURE_W, expect_label="W"),
+     "4aea63db0d94cd840027754fe0bba6a1dc897b6f4eae1ab8087c24065fae8a1a"),
+    ("L-Full", dict(BOXES, job="closure", algebra="L", d=2, alpha=["1/3", "1/5"], rep=NAT,
+                    seeds=[{"n": [0, 0], "coords": ["0", "1"]}]),
+     "e590ef300c4930bde17bdf4cb9ac7ce5f7cfc7811329d569cbf29c9aef0d3d23"),
+    ("L-WPrime", dict(BOXES, job="closure", algebra="L", d=2, alpha=["1", "-2"], rep=NAT,
+                      seeds=[{"n": [-1, 2], "coords": ["2", "3"]}],
+                      working_box={"lo": [-4, -1], "hi": [2, 5]},
+                      target_box={"lo": [-2, 1], "hi": [0, 3]}),
+     "456890cb1f6833e2935abce79ea8e0474656b768c2d099aa2d68332c3d12081b"),
+    ("Lq-22-GqFull", dict(BOXES, job="closure", algebra="Lq", d=2, alpha=["1/2", "1/3"],
+                          rep=NAT, q={"l": [2, 2]}, seeds=[{"n": [1, 0], "coords": ["1", "0"]}]),
+     "8d0c70f3499159ecf54039958280f845496ac135f78e3a7e2f8d9dea81aac61d"),
+    ("Lqhat-22-Class0", dict(BOXES, job="closure", algebra="Lqhat", d=2, alpha=["1/2", "1/3"],
+                             rep=NAT, q={"l": [2, 2]},
+                             seeds=[{"n": [0, 0], "coords": ["1", "0"]}]),
+     "d0877da29f9237563582985140d043009eb9bb3dc9eac760968b785176274f96"),
+    ("Lq-33-GqFull", dict(BOXES, job="closure", algebra="Lq", d=2, alpha=["1/2", "1/3"],
+                          rep=NAT, q={"l": [3, 3]}, gen_radius=3,
+                          seeds=[{"n": [1, 2], "coords": ["1", "-1"]}]),
+     "ff52b3b8b8aa19c0a5d351d7d0866253e55d02bc4136b68784a8b5d51d8328b4"),
+    ("Lhat-seeds-on-two-degrees", dict(BOXES, job="closure", algebra="Lhat", d=2,
+                                       alpha=["1", "-2"], rep=NAT,
+                                       seeds=[{"n": [-1, 2], "coords": ["0", "1"]},
+                                              {"n": [0, 1], "coords": ["1", "1"]}]),
+     "6febc3275c7bd0f4bdaeff61d976d465a53f6f8fbe80d30471651ce0970083a1"),
+    ("readme-verify-module", {"job": "verify-module", "algebra": "Lq", "d": 2,
+                              "alpha": ["1/2", "1/3"], "rep": NAT, "q": {"l": [2, 2]},
+                              "pairs": 200},
+     "55cc9ae3338acc3c0e0b382217c59fe4cd96efbfdc2488850736e3cc2e3226f9"),
+]
+
+
+@pytest.mark.parametrize("config, digest", [(c, h) for _, c, h in GOLDEN],
+                         ids=[name for name, _, _ in GOLDEN])
+def test_report_golden_bytes(config, digest):
+    report, code = run(json.loads(json.dumps(config)), 0)
+    assert code == 0
+    assert hashlib.sha256(report_json(report).encode()).hexdigest() == digest

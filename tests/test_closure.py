@@ -2,15 +2,18 @@
 the non-graded seed path, the pair basis, and a differential check against a
 naive dense fixed point."""
 
+import types
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import divalg
+
 from divalg.closure import Box, ClosureResult, classical_generators, classify, closure, pair_basis
 from divalg.linalg import basis_of, same_span, span_contains
 from divalg.modules import GradedVec, ModuleParams, act, graded, w_fiber_basis
-from divalg.qder import QDerElem, QGradedVec, act_q, classify_q, closure_q, qgraded
+from divalg.qder import QDerElem, act_q, classify_q, closure_q, qgraded
 from divalg.qtorus import block_normal_q, in_rad
 from divalg.reps import RepHandle
 from divalg.witt import AlgElem, pair_term
@@ -120,6 +123,12 @@ def test_closure_input_validation():
         closure(p, [graded(p, (0, 0), (1, 0))], 2, tgt, work, 50, "L")  # target > working
     with pytest.raises(ValueError):
         closure(p, [graded(p, (0, 0), (1, 0))], 2, work, tgt, 50, "nope")
+
+
+def test_package_attribute_closure_is_the_submodule():
+    # the package does not shadow its submodule with the driver function
+    assert isinstance(divalg.closure, types.ModuleType)
+    assert divalg.closure.closure is closure
 
 
 def test_closure_nongraded_seed_exact():
@@ -331,7 +340,8 @@ def test_q_engine_matches_naive_fixed_point(algebra, n, coords):
             xs = [QDerElem.ad(m)]
         for x in xs:
             family.append((m, lambda fib, x=x: act_q(q, alpha, NAT2, x,
-                                                     QGradedVec(q, alpha, NAT2, fib)).fibers))
+                                                     GradedVec(ModuleParams(2, alpha, NAT2),
+                                                               fib)).fibers))
     res = closure_q(q, alpha, NAT2, [qgraded(q, alpha, NAT2, n, coords)], 2, work, tgt, 50,
                     algebra)
     ref = naive_closure(work, tgt, 2, [{n: coords}], family, 50)

@@ -7,9 +7,9 @@ from random import Random
 import pytest
 
 from divalg.closure import Box
+from divalg.modules import GradedVec, ModuleParams
 from divalg.qder import (
     QDerElem,
-    QGradedVec,
     act_q,
     ad_annihilation_check,
     bracket_qder,
@@ -202,8 +202,8 @@ def test_g_q_component():
 def test_decompose_requires_block_normal():
     nb = QMatrix.from_exps(4, (
         (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (-1, 0, 0, 0)))
-    v = QGradedVec(nb, (0, 0, 0, 0), RepHandle.natural(4),
-                   {(0, 0, 0, 0): (1, 0, 0, 0)})
+    v = GradedVec(ModuleParams(4, (0, 0, 0, 0), RepHandle.natural(4)),
+                  {(0, 0, 0, 0): (1, 0, 0, 0)})
     with pytest.raises(ValueError):
         decompose_classes(nb, v)
 
@@ -285,7 +285,7 @@ def test_closure_q_class0_confined():
 def test_closure_q_errors():
     with pytest.raises(ValueError):
         closure_q(Q22, ALPHA, NAT2, [], 2, Box.radius(2, 3), Box.radius(2, 1), 50, "Lq")
-    empty = QGradedVec(Q22, ALPHA, NAT2, {})
+    empty = GradedVec(ModuleParams(2, ALPHA, NAT2), {})
     with pytest.raises(ValueError):
         closure_q(Q22, ALPHA, NAT2, [empty], 2, Box.radius(2, 3), Box.radius(2, 1), 50, "Lq")
 
