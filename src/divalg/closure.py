@@ -15,11 +15,17 @@ every row a single dense block, which is then directly a fiber vector; seeds
 supported on several degrees give rows with several blocks on the same
 footing, and their fibers are found by re-elimination.
 
-Two facts keep the work small without changing any span.  A block holding
-``dim`` single-degree rows is full, so a generator whose image lands only in
-full blocks is skipped before it is applied.  And D(u, r) is linear in u, so
-each degree component of L is represented by one basis of its pair terms
-(:func:`pair_basis`) rather than by all of them.
+Four facts keep the work small without changing any span.  The box's
+degrees are indexed in lexicographic order, so a shift moves an index by a
+fixed offset and a row visits only the generators that keep all of its blocks
+inside the box (:class:`Neighbours`), found by ANDing per-coordinate
+bitmasks.  A block holding ``dim`` single-degree rows is full, so a generator
+whose image lands only in full blocks is skipped before it is applied.  Each
+block keeps rows spanning the annihilator of its single-degree rows, so a
+single-degree image they all annihilate lies in the span and is rejected
+without elimination.  And D(u, r) is linear in u, so each degree component of
+L is represented by one basis of its pair terms (:func:`pair_basis`) rather
+than by all of them.
 
 The per-degree report at the end is canonical (RREF fiber bases), so results
 do not depend on generator scheduling.
@@ -29,8 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import and_, mul
 
 from .linalg import SpanBasis, basis_of, empty_basis, same_span, span_extend
 from .modules import GradedVec, ModuleParams, _wedge_power, w_fiber_basis
@@ -170,12 +178,33 @@ def _reduce_into(rows: dict, v: dict) -> dict | None:
     return None
 
 
+def _orthogonal(ann: list[list], w: list) -> bool:
+    """Whether every row of ``ann`` is orthogonal to ``w``."""
+    for a in ann:
+        if sum(map(mul, a, w)):
+            return False
+    return True
+
+
+def _annihilate(ann: list[list], w: list) -> list[list]:
+    """Rows spanning the vectors of span(``ann``) orthogonal to ``w``, given
+    that some row of ``ann`` is not: with a0 the first such row, every other
+    row a becomes (a0.w) a - (a.w) a0, kept primitive, and a0 is dropped."""
+    dots = [sum(map(mul, a, w)) for a in ann]
+    k = next(t for t, c in enumerate(dots) if c)
+    a0, c0 = ann[k], dots[k]
+    return [_primitive([c0 * x - c * y for x, y in zip(a, a0)]) if c else a
+            for t, (a, c) in enumerate(zip(ann, dots)) if t != k]
+
+
 class SpanState:
     """Echelon basis of block rows over the degrees of a box.
 
-    ``rows`` maps each pivot (degree index, coordinate) to its row, and
-    ``graded_rank[i]`` counts the rows supported on block i alone; block i
-    is full (its whole fiber lies in the span) when that count is ``dim``.
+    ``rows`` maps each pivot (degree index, coordinate) to its row.
+    ``annihilators[i]`` holds rows spanning the vectors orthogonal to every
+    row supported on block i alone, starting from the identity: a row of
+    block i that they all annihilate is in the span without reduction, and
+    block i is full (its whole fiber lies in the span) when none is left.
     """
 
     def __init__(self, box: Box, dim: int):
@@ -184,15 +213,24 @@ class SpanState:
         self.deg_list = sorted(box.degrees())
         self.deg_index = {n: i for i, n in enumerate(self.deg_list)}
         self.rows: dict[tuple[int, int], dict[int, list]] = {}
-        self.graded_rank = [0] * len(self.deg_list)
+        # rows are never changed in place, so every block can share one identity
+        identity = [[int(t == b) for t in range(dim)] for b in range(dim)]
+        self.annihilators = [identity] * len(self.deg_list)
 
     def insert(self, v: dict) -> dict | None:
         """Reduce the block row ``v`` against the basis; store and return it
         if independent."""
-        row = _reduce_into(self.rows, {i: blk for i, blk in v.items() if any(blk)})
+        v = {i: blk for i, blk in v.items() if any(blk)}
+        if len(v) == 1:
+            ((i, w),) = v.items()
+            ann = self.annihilators[i]
+            # the identity (no single-block row yet) annihilates no nonzero w
+            if len(ann) < self.dim and _orthogonal(ann, w):
+                return None
+        row = _reduce_into(self.rows, v)
         if row is not None and len(row) == 1:
-            (i,) = row
-            self.graded_rank[i] += 1
+            ((i, w),) = row.items()
+            self.annihilators[i] = _annihilate(self.annihilators[i], w)
         return row
 
     def rank(self) -> int:
@@ -219,51 +257,32 @@ def linear_generator(rep, alpha, u, r, sigma_factor=None, name: str = "") -> Gen
     """Generator acting like D(u, r): scalar (u | n + alpha) plus the rank-one
     matrix r u^T through the representation, optionally times a degree-dependent
     nonzero cocycle factor (ignored for span purposes)."""
-    d = len(r)
     u = tuple(u)
     mat = [[ri * uj for uj in u] for ri in r]
     cols = [act_matrix(rep, mat, RepVec(rep, tuple(1 if t == b else 0 for t in range(rep.dim)))).coords
             for b in range(rep.dim)]
-    # mat_rows[i][j] = coefficient of basis i in the image of basis j
-    mat_rows = [tuple(cols[j][i] for j in range(rep.dim)) for i in range(rep.dim)]
-    all_int = all(isinstance(x, int) for row in mat_rows for x in row)
+    # (i, j, m): the image of basis j has coefficient m on basis i
+    entries = [(i, j, col[i]) for i in range(rep.dim) for j, col in enumerate(cols) if col[i]]
     ualpha = sum(Fraction(ua) * aa for ua, aa in zip(u, alpha))
-    p_num, q_den = ualpha.numerator, ualpha.denominator
-
-    if all_int:
-        def block_apply(n, w):
-            sq = sum(ua * na for ua, na in zip(u, n)) * q_den + p_num
-            out = []
-            for i in range(len(w)):
-                acc = sq * w[i]
-                row = mat_rows[i]
-                for j in range(len(w)):
-                    m = row[j]
-                    if m:
-                        acc = acc + q_den * m * w[j]
-                out.append(acc)
-            return out if any(out) else None
+    if all(isinstance(m, int) for _, _, m in entries):
+        # integer matrix: apply the denominator of (u | alpha) times the operator
+        scale, offset = ualpha.denominator, ualpha.numerator
+        entries = [(i, j, scale * m) for i, j, m in entries]
     else:
-        def block_apply(n, w):
-            s = sum(ua * na for ua, na in zip(u, n)) + ualpha
-            out = []
-            for i in range(len(w)):
-                acc = s * w[i]
-                row = mat_rows[i]
-                for j in range(len(w)):
-                    m = row[j]
-                    if m:
-                        acc = acc + m * w[j]
-                out.append(acc)
-            return out if any(out) else None
+        scale, offset = 1, ualpha
+
+    def block_apply(n, w):
+        s = sum(map(mul, u, n)) * scale + offset
+        out = [s * x for x in w]
+        for i, j, m in entries:
+            out[i] += m * w[j]
+        return out if any(out) else None
 
     if sigma_factor is None:
         return Generator(tuple(r), block_apply, name)
 
-    base_apply = block_apply
-
     def twisted_apply(n, w):
-        out = base_apply(n, w)
+        out = block_apply(n, w)
         if out is None:
             return None
         c = sigma_factor(n)
@@ -272,6 +291,40 @@ def linear_generator(rep, alpha, u, r, sigma_factor=None, name: str = "") -> Gen
         return [c * x for x in out]
 
     return Generator(tuple(r), twisted_apply, name)
+
+
+class Neighbours:
+    """In-box neighbours of the degrees of a box under a list of shifts.
+
+    The box's degrees are indexed in lexicographic order, so shift s takes
+    index i to ``i + offsets[g]``, s dotted with the box strides, whenever
+    the target stays inside the box.  One bitmask per coordinate value marks
+    the shifts that keep that coordinate inside; a degree's mask is their AND
+    and a row's mask the AND over its blocks.
+    """
+
+    def __init__(self, box: Box, shifts: list[DegVec]):
+        sides = [b - a + 1 for a, b in zip(box.lo, box.hi)]
+        strides = [prod(sides[c + 1:]) for c in range(box.d)]
+        self.offsets = [sum(x * t for x, t in zip(s, strides)) for s in shifts]
+        masks = [[sum(1 << g for g, s in enumerate(shifts) if lo <= v + s[c] <= hi)
+                  for v in range(lo, hi + 1)]
+                 for c, (lo, hi) in enumerate(zip(box.lo, box.hi))]
+        self._deg_masks = [reduce(and_, (m[x - lo] for m, x, lo in zip(masks, n, box.lo)))
+                           for n in box.degrees()]
+        self._lists: dict[int, tuple[int, ...]] = {}
+
+    def of(self, blocks) -> tuple[int, ...]:
+        """Indices, in list order, of the shifts that keep every one of the
+        degree indices ``blocks`` inside the box."""
+        mask = -1
+        for i in blocks:
+            mask &= self._deg_masks[i]
+        found = self._lists.get(mask)
+        if found is None:
+            found = self._lists[mask] = tuple(
+                g for g in range(len(self.offsets)) if mask >> g & 1)
+        return found
 
 
 def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
@@ -284,15 +337,9 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
     whose image would land only in full blocks is skipped unapplied: the
     image lies in the span already.
     """
-    dim = state.dim
-    deg_list, graded_rank = state.deg_list, state.graded_rank
-    shift_tables = []
-    for gen in generators:
-        table = []
-        for n in deg_list:
-            m = tuple(a + s for a, s in zip(n, gen.shift))
-            table.append(state.deg_index.get(m, -1))
-        shift_tables.append(table)
+    deg_list, annihilators = state.deg_list, state.annihilators
+    neighbours = Neighbours(state.box, [gen.shift for gen in generators])
+    offsets = neighbours.offsets
 
     frontier = []
     for v in seeds:
@@ -305,16 +352,16 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
         rounds += 1
         next_frontier = []
         for row in frontier:
-            blocks = list(row.items())
-            for gen, table in zip(generators, shift_tables):
-                dst = [table[i] for i, _ in blocks]
-                if -1 in dst or all(graded_rank[j] == dim for j in dst):
-                    continue
+            for g in neighbours.of(row):
+                off = offsets[g]
+                if not any(annihilators[i + off] for i in row):
+                    continue  # every target block is full
+                block_apply = generators[g].block_apply
                 image = {}
-                for j, (i, coords) in zip(dst, blocks):
-                    out = gen.block_apply(deg_list[i], coords)
+                for i, coords in row.items():
+                    out = block_apply(deg_list[i], coords)
                     if out is not None:
-                        image[j] = out
+                        image[i + off] = out
                 if image:
                     added = state.insert(image)
                     if added is not None:

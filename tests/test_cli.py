@@ -279,3 +279,72 @@ def test_report_golden_bytes(config, digest):
     report, code = run(json.loads(json.dumps(config)), 0)
     assert code == 0
     assert hashlib.sha256(report_json(report).encode()).hexdigest() == digest
+
+
+# machine-independent work of each golden closure: generator applications
+# (block_apply calls), SpanState.insert calls, inserts accepted, saturation
+# rounds and final rank.  A change to the engine that keeps the report bytes
+# must keep these too, or say why the work moved.
+WORK = {
+    "L-W": (792, 759, 49, 3, 49),
+    "L-Full": (123, 124, 98, 4, 98),
+    "L-WPrime": (792, 713, 49, 3, 49),
+    "Lq-22-GqFull": (343, 104, 80, 4, 80),
+    "Lqhat-22-Class0": (269, 30, 18, 4, 18),
+    "Lq-33-GqFull": (521, 157, 80, 4, 80),
+    "Lhat-seeds-on-two-degrees": (183, 170, 98, 3, 98),
+}
+
+
+@pytest.fixture
+def work_counters(monkeypatch):
+    """Count the closure engine's work by wrapping it from outside, the way
+    perfbench/tracing.py does: each generator's block_apply once the family is
+    built, SpanState.insert, and saturate's rounds and final rank."""
+    import divalg.closure as closure_mod
+    import divalg.qder as qder_mod
+
+    counts = {"apply": 0, "insert": 0, "accepted": 0, "rounds": 0, "rank": 0}
+
+    def counted_family(make):
+        def family(*args, **kwargs):
+            gens = make(*args, **kwargs)
+            for gen in gens:
+                def block_apply(n, w, inner=gen.block_apply):
+                    counts["apply"] += 1
+                    return inner(n, w)
+                gen.block_apply = block_apply
+            return gens
+        return family
+
+    insert = closure_mod.SpanState.insert
+
+    def counted_insert(self, v):
+        counts["insert"] += 1
+        row = insert(self, v)
+        counts["accepted"] += row is not None
+        return row
+
+    saturate = closure_mod.saturate
+
+    def counted_saturate(state, *args):
+        rounds, saturated = saturate(state, *args)
+        counts["rounds"] += rounds
+        counts["rank"] += state.rank()
+        return rounds, saturated
+
+    monkeypatch.setattr(closure_mod, "classical_generators",
+                        counted_family(closure_mod.classical_generators))
+    monkeypatch.setattr(qder_mod, "qder_generators", counted_family(qder_mod.qder_generators))
+    monkeypatch.setattr(closure_mod.SpanState, "insert", counted_insert)
+    monkeypatch.setattr(closure_mod, "saturate", counted_saturate)
+    return counts
+
+
+@pytest.mark.parametrize("name", list(WORK))
+def test_golden_closure_work_counters(name, work_counters):
+    config = next(c for n, c, _ in GOLDEN if n == name)
+    _, code = run(json.loads(json.dumps(config)), 0)
+    assert code == 0
+    got = tuple(work_counters[k] for k in ("apply", "insert", "accepted", "rounds", "rank"))
+    assert got == WORK[name]

@@ -5,17 +5,21 @@ naive dense fixed point."""
 import types
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 
 import divalg
 
-from divalg.closure import Box, ClosureResult, classical_generators, classify, closure, pair_basis
+import divalg.closure as closure_mod
+from divalg.closure import (Box, ClosureResult, Neighbours, SpanState, _reduce_into,
+                            classical_generators, classify, closure, pair_basis)
 from divalg.linalg import basis_of, same_span, span_contains
 from divalg.modules import GradedVec, ModuleParams, act, graded, w_fiber_basis
 from divalg.qder import QDerElem, act_q, classify_q, closure_q, qgraded
 from divalg.qtorus import block_normal_q, in_rad
 from divalg.reps import RepHandle
+from divalg.scalars import Cyc, euler_phi
 from divalg.witt import AlgElem, pair_term
 
 F = Fraction
@@ -347,3 +351,148 @@ def test_q_engine_matches_naive_fixed_point(algebra, n, coords):
     ref = naive_closure(work, tgt, 2, [{n: coords}], family, 50)
     label = classify_q(ClosureResult(tgt, ref[0], {}, None, ref[1], True), q, NAT2)
     assert_same_closure(res, ref, label)
+
+
+# ---------------------------------------------------------------------------
+# in-box neighbours: stride arithmetic against tuple sums
+# ---------------------------------------------------------------------------
+
+
+def tuple_sum_neighbours(box, shifts):
+    """Per degree index, the (shift index, target index) pairs of the shifts
+    whose target n + s is a degree of the box, found by tuple sums."""
+    degs = sorted(box.degrees())
+    index = {n: i for i, n in enumerate(degs)}
+    out = []
+    for n in degs:
+        targets = [(g, index.get(tuple(a + b for a, b in zip(n, s)))) for g, s in enumerate(shifts)]
+        out.append([(g, j) for g, j in targets if j is not None])
+    return out
+
+
+def radius_shifts(d, r):
+    return sorted(Box.radius(d, r).degrees())
+
+
+@pytest.mark.parametrize("box, shifts", [
+    (Box.radius(1, 3), radius_shifts(1, 2)),
+    (Box.radius(2, 3), radius_shifts(2, 2)),
+    (Box.radius(3, 2), [g.shift for g in classical_generators(
+        ModuleParams(3, (F(1, 3), F(1, 5), 0), RepHandle.natural(3)), 2, "Lhat")]),
+    (Box.radius(4, 1), radius_shifts(4, 2)),
+    # centred on -alpha for the integral twist alpha = (1, -2, 0)
+    (Box.around((-1, 2, 0), 2), radius_shifts(3, 2)),
+    # unequal sides, one of them a single value
+    (Box((-1, 0, -3), (2, 0, 1)), radius_shifts(3, 1)),
+    (Box((0, -2), (4, 1)), radius_shifts(2, 2)),
+    # shifts wider than the box, repeated shifts and the degree derivations' 0
+    (Box.radius(2, 1), [(0, 0), (3, 0), (-5, 2), (1, 1), (0, 0), (2, -2), (1, 1)]),
+])
+def test_neighbours_match_tuple_sums(box, shifts):
+    nb = Neighbours(box, shifts)
+    ref = tuple_sum_neighbours(box, shifts)
+    for i, pairs in enumerate(ref):
+        assert [(g, i + nb.offsets[g]) for g in nb.of([i])] == pairs
+    # a row on several blocks visits the shifts that keep every block inside
+    inside = [{g for g, _ in pairs} for pairs in ref]
+    rng = Random(7)
+    for _ in range(40):
+        blocks = sorted(rng.sample(range(len(ref)), min(3, len(ref))))
+        kept = [g for g in range(len(shifts)) if all(g in inside[i] for i in blocks)]
+        assert list(nb.of(blocks)) == kept
+
+
+# ---------------------------------------------------------------------------
+# the annihilator pre-check of SpanState.insert against plain elimination
+# ---------------------------------------------------------------------------
+
+
+def scalar(rng, kind):
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "frac":
+        return F(rng.randint(-3, 3), rng.randint(1, 4))
+    return Cyc(kind, [rng.randint(-2, 2) for _ in range(euler_phi(kind))])
+
+
+def insert_sequence(rng, kind, dim, blocks, steps):
+    """Block rows that reject often: each block draws its single-block rows
+    from a fixed proper subspace, later rows are combinations of earlier ones,
+    and pairs of two-block rows with one shared block put vectors into the
+    span of the other block that no single-block row spans."""
+    space = {b: [[scalar(rng, kind) for _ in range(dim)] for _ in range(rng.randint(1, dim - 1))]
+             for b in range(blocks)}
+
+    def in_space(b):
+        out = [0] * dim
+        for vec in space[b]:
+            c = rng.randint(-2, 2)
+            out = [x + c * y for x, y in zip(out, vec)]
+        return out
+
+    def fresh(b):
+        return [scalar(rng, kind) for _ in range(dim)]
+
+    seq = []
+    while len(seq) < steps:
+        pick = rng.randrange(6)
+        if pick == 0:
+            b = rng.randrange(blocks)
+            seq.append({b: in_space(b)})
+        elif pick == 1:
+            b = rng.randrange(blocks)
+            seq.append({b: fresh(b)})
+        elif pick == 2 and seq:
+            # a combination of earlier rows, usually already in the span
+            out: dict = {}
+            for v in rng.sample(seq, min(len(seq), rng.randint(1, 3))):
+                c = scalar(rng, kind)
+                for b, blk in v.items():
+                    old = out.get(b, [0] * dim)
+                    out[b] = [x + c * y for x, y in zip(old, blk)]
+            seq.append(out)
+        elif pick == 3 and blocks > 1:
+            # (x, y) and (x, y'): their difference (0, y - y') is in the span
+            b, c = sorted(rng.sample(range(blocks), 2))
+            x, y, y2 = fresh(b), fresh(c), fresh(c)
+            seq += [{b: x, c: y}, {b: x, c: y2}, {c: [p - q for p, q in zip(y, y2)]}]
+        elif pick == 4 and blocks > 1:
+            # a leading block inside its graded span, a later block outside
+            b, c = sorted(rng.sample(range(blocks), 2))
+            seq.append({b: in_space(b), c: fresh(c)})
+        else:
+            seq.append({b: in_space(b) for b in rng.sample(range(blocks), 2)}
+                       if blocks > 1 else {0: in_space(0)})
+    return seq
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", 3, 4, 12])
+def test_insert_precheck_matches_plain_elimination(kind, monkeypatch):
+    reductions = []
+
+    def counted_reduce(rows, v):
+        reductions.append(1)
+        return _reduce_into(rows, v)
+
+    monkeypatch.setattr(closure_mod, "_reduce_into", counted_reduce)
+    rng = Random(f"precheck-{kind}")
+    prechecked = 0
+    for trial in range(12):
+        dim = rng.choice((2, 3, 4))
+        blocks = rng.choice((1, 2, 3))
+        state = SpanState(Box.radius(1, 1), dim)
+        mirror: dict = {}
+        for v in insert_sequence(rng, kind, dim, blocks, 30):
+            before = len(reductions)
+            got = state.insert(v)
+            want = _reduce_into(mirror, {i: blk for i, blk in v.items() if any(blk)})
+            assert got == want, (trial, v)
+            prechecked += len(reductions) == before and got is None
+            for i in range(blocks):
+                graded = [row[i] for row in state.rows.values() if list(row) == [i]]
+                ann = state.annihilators[i]
+                # rows spanning exactly the vectors orthogonal to the graded rows
+                assert len(ann) == dim - len(graded)
+                assert basis_of(ann, dim).rank == len(ann)
+                assert all(not sum(x * y for x, y in zip(a, w)) for a in ann for w in graded)
+    assert prechecked > 0
