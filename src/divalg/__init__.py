@@ -65,7 +65,6 @@ from .qder import (
     in_Lqhat,
     iso_algebra,
     iso_module,
-    qgraded,
 )
 
 __version__ = "0.1.0"

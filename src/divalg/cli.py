@@ -20,7 +20,7 @@ from random import Random
 from . import verify
 from .closure import Box, closure
 from .modules import ModuleParams, _wedge_power, graded, trivial_split
-from .qder import ad_annihilation_check, class_of, closure_q, congruence_classes
+from .qder import Q_ALGEBRAS, ad_annihilation_check, class_of, closure_q, congruence_classes
 from .qtorus import (
     QMatrix,
     block_normal_q,
@@ -31,7 +31,7 @@ from .qtorus import (
 )
 from .reps import RepHandle, rep_from_config
 from .scalars import Cyc, format_rat, parse_rat
-from .witt import AlgElem, DegVec, bracket_witt, in_L, in_Lhat
+from .witt import AlgElem, DegVec, bracket_witt
 
 
 class ConfigError(ValueError):
@@ -181,7 +181,7 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
         suites.append(verify.lemma_orthg_suite(d, max(20, triples // 10), rng))
         if "elements" in config:
             elems = _parse_elements(config["elements"], d)
-            member = {"W": lambda x: True, "Lhat": in_Lhat, "L": in_L}[algebra]
+            member = verify.CLASSICAL_MEMBER[algebra]
             info = []
             bad = 0
             for i, x in enumerate(elems):
@@ -212,25 +212,22 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
             {"job", "algebra", "d", "alpha", "rep"},
             {"schema_version", "q", "pairs", "degree_radius"})
     d = _int(config["d"], "d", 1)
-    alpha = _parse_alpha(config["alpha"], d)
-    rep = _parse_rep(config["rep"], d)
+    params = ModuleParams(d, _parse_alpha(config["alpha"], d), _parse_rep(config["rep"], d))
     algebra = config["algebra"]
     pairs = _int(config.get("pairs", 200), "pairs", 0)
     radius = _int(config.get("degree_radius", 2), "degree_radius", 0)
     suites = []
     extras: dict = {}
     if algebra in verify.CLASSICAL_ALGEBRAS:
-        params = ModuleParams(d, alpha, rep)
         suites.append(verify.module_suite_classical(params, algebra, pairs, rng, radius))
         if d >= 2:
             suites.append(verify.act_crosscheck_suite(params, max(20, pairs // 4), rng, radius))
         # under W the trivial rep differs from Lambda^d by the trace term, so
         # the wedge-invariance suite's W generators do not apply to it;
         # trivial_split reports that module's structure instead
-        k = _wedge_power(rep)
-        if k is not None and rep.kind != "trivial":
-            suites.append(verify.w_invariance_suite(params, k))
-        if rep.kind == "trivial":
+        if _wedge_power(params.rep) is not None and params.rep.kind != "trivial":
+            suites.append(verify.w_invariance_suite(params))
+        if params.rep.kind == "trivial":
             split = trivial_split(params)
             extras["trivial_split"] = {
                 "irreducible": split.irreducible,
@@ -240,13 +237,15 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
         if "q" not in config:
             raise ConfigError("config: quantum module checks need the field 'q'")
         q = _parse_q(config["q"])
-        m = verify.module_suite_q(q, alpha, rep, algebra, pairs, rng, radius)
+        if q.d != d:
+            raise ConfigError("q: dimension does not match d")
+        m = verify.module_suite_q(q, params, algebra, pairs, rng, radius)
         suites.append(m)
         suites.append(verify.qtorus_suite(q, pairs, rng))
         extras["outer_bracket_sign"] = m["outer_bracket_sign"]
         if block_structure(q) is not None:
-            suites.append(verify.equivariance_suite(q, alpha, rep, max(20, pairs // 2), rng, radius))
-            extras["ad_annihilation"] = ad_annihilation_check(q, alpha, rep)
+            suites.append(verify.equivariance_suite(q, params, max(20, pairs // 2), rng, radius))
+            extras["ad_annihilation"] = ad_annihilation_check(q, params)
             if extras["ad_annihilation"] is False:
                 suites.append({"checks": 1, "violations": 1, "name": "ad-annihilation"})
     else:
@@ -263,8 +262,7 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
             {"schema_version", "q", "gen_radius", "working_box", "target_box",
              "max_iters", "expect_label"})
     d = _int(config["d"], "d", 1)
-    alpha = _parse_alpha(config["alpha"], d)
-    rep = _parse_rep(config["rep"], d)
+    params = ModuleParams(d, _parse_alpha(config["alpha"], d), _parse_rep(config["rep"], d))
     algebra = config["algebra"]
     gen_radius = _int(config.get("gen_radius", 2), "gen_radius", 0)
     working = _parse_box(config.get("working_box", 3), d, "working_box")
@@ -287,24 +285,23 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
                 coords.append(parse_rat(s))
             except (ValueError, ZeroDivisionError) as e:
                 raise ConfigError(f"seeds[{k}].coords[{t}]: {e}") from None
-        if len(coords) != rep.dim:
-            raise ConfigError(f"seeds[{k}].coords: expected length {rep.dim}")
+        if len(coords) != params.rep.dim:
+            raise ConfigError(f"seeds[{k}].coords: expected length {params.rep.dim}")
         return n, tuple(coords)
 
-    params = ModuleParams(d, alpha, rep)
     seeds = [graded(params, *parse_seed(k, raw)) for k, raw in enumerate(raw_seeds)]
     try:
         if algebra in verify.CLASSICAL_ALGEBRAS:
             result = closure(params, seeds, gen_radius, working, target, max_iters, algebra)
             q = None
-        elif algebra in ("Lq", "Lqhat"):
+        elif algebra in Q_ALGEBRAS:
             if "q" not in config:
                 raise ConfigError("config: q-closure needs the field 'q'")
             q = _parse_q(config["q"])
             if q.d != d:
                 raise ConfigError("q: dimension does not match d")
-            result = closure_q(q, alpha, rep, seeds, gen_radius, working, target,
-                               max_iters, algebra)
+            result = closure_q(q, params, seeds, gen_radius, working, target, max_iters,
+                               algebra)
         else:
             raise ConfigError(f"algebra: unknown algebra {algebra!r}")
     except ValueError as e:

@@ -511,7 +511,7 @@ def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[dict]:
     return rows
 
 
-def _close(d: int, dim: int, seeds: list[GradedVec], working: Box, target: Box,
+def _close(params: ModuleParams, seeds: list[GradedVec], working: Box, target: Box,
            max_iters: int, generators, classifier) -> ClosureResult:
     """The closure driver of both sides: saturate the seeds under
     ``generators()`` inside the working box, extract canonical fiber bases
@@ -519,11 +519,11 @@ def _close(d: int, dim: int, seeds: list[GradedVec], working: Box, target: Box,
     ``classifier(result)``."""
     if not seeds:
         raise ValueError("need at least one seed")
-    if working.d != d or target.d != d:
+    if working.d != params.d or target.d != params.d:
         raise ValueError("box dimension mismatch")
     if not working.contains_box(target):
         raise ValueError("target box must lie inside the working box")
-    state = SpanState(working, dim)
+    state = SpanState(working, params.rep.dim)
     rows = seeds_to_rows(state, seeds)
     iterations, saturated = saturate(state, rows, generators(), max_iters)
     bases = extract_fibers(state, target)
@@ -544,6 +544,6 @@ def closure(params: ModuleParams, seeds: list[GradedVec], gen_radius: int,
             working: Box, target: Box, max_iters: int, algebra: str) -> ClosureResult:
     """Saturate the seeds under the chosen algebra inside the working box and
     report canonical fiber bases over the target box."""
-    return _close(params.d, params.rep.dim, seeds, working, target, max_iters,
+    return _close(params, seeds, working, target, max_iters,
                   lambda: classical_generators(params, gen_radius, algebra),
                   lambda result: classify(result, params))

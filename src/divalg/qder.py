@@ -25,8 +25,6 @@ remaining classes sum to the irreducible complement.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .closure import (
     Box,
     ClosureResult,
@@ -139,20 +137,18 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
         raise ValueError("dimension mismatch")
     x.validate(q)
     y.validate(q)
-    out = QDerElem.zero(q.d)
+    inner: dict[DegVec, Cyc] = {}
+    outer: dict[DegVec, list] = {}
 
-    def add_inner(m: DegVec, c) -> None:
-        nonlocal out
-        if isinstance(c, Cyc) and c.is_zero():
-            return
-        if not c:
+    def add_inner(m: DegVec, c: Cyc) -> None:
+        if c.is_zero():
             return
         if in_rad(q, m):
             raise ValueError(
                 f"bracket produced an inner term at radical degree {m}; "
                 "no such basis element exists in the derivation algebra"
             )
-        out = out + QDerElem.ad(m, c)
+        inner[m] = inner[m] + c if m in inner else c
 
     # inner-inner: ad of the monomial commutator
     for m, cm in x.inner.items():
@@ -198,8 +194,8 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
                 z = Cyc.zeta(q.N, e)
                 w = tuple(z * x_ for x_ in w)
             if any(w):
-                out = out + QDerElem.douter(w, target)
-    return out
+                _accumulate(outer, target, w)
+    return QDerElem(q.d, inner, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +203,10 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
 # ---------------------------------------------------------------------------
 
 
-def qgraded(q: QMatrix, alpha, rep: RepHandle, n, coords) -> GradedVec:
-    """Single-fiber element coords x t^n of C_q (x) V twisted by alpha."""
-    return graded(ModuleParams(q.d, alpha, rep), n, coords)
-
-
-def act_q(q: QMatrix, alpha, rep: RepHandle, x: QDerElem, v: GradedVec) -> GradedVec:
-    """The module action, extended bilinearly over terms and fibers."""
+def act_q(q: QMatrix, x: QDerElem, v: GradedVec) -> GradedVec:
+    """The action on v's module, extended bilinearly over terms and fibers."""
     x.validate(q)
+    rep, alpha = v.params.rep, v.params.alpha
     out: dict[DegVec, list] = {}
 
     for m, cm in x.inner.items():
@@ -240,17 +232,15 @@ def act_q(q: QMatrix, alpha, rep: RepHandle, x: QDerElem, v: GradedVec) -> Grade
     return GradedVec(v.params, {n: tuple(c) for n, c in out.items()})
 
 
-def module_axiom_residual_q(q: QMatrix, alpha, rep: RepHandle, x: QDerElem,
-                            y: QDerElem, v: GradedVec,
+def module_axiom_residual_q(q: QMatrix, x: QDerElem, y: QDerElem, v: GradedVec,
                             outer_sign: int = OUTER_SIGN) -> GradedVec:
     """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)); must vanish."""
-    lhs = act_q(q, alpha, rep, bracket_qder(q, x, y, outer_sign), v)
-    rhs = act_q(q, alpha, rep, x, act_q(q, alpha, rep, y, v)) - \
-        act_q(q, alpha, rep, y, act_q(q, alpha, rep, x, v))
+    lhs = act_q(q, bracket_qder(q, x, y, outer_sign), v)
+    rhs = act_q(q, x, act_q(q, y, v)) - act_q(q, y, act_q(q, x, v))
     return lhs - rhs
 
 
-def outer_bracket_sign_oracle(q: QMatrix, alpha, rep: RepHandle, samples) -> int:
+def outer_bracket_sign_oracle(q: QMatrix, samples) -> int:
     """Select the outer-outer bracket sign by requiring the representation
     property on the supplied (x, y, v) samples; returns +1 or -1.
 
@@ -260,7 +250,7 @@ def outer_bracket_sign_oracle(q: QMatrix, alpha, rep: RepHandle, samples) -> int
     for sign in (1, -1):
         ok = True
         for x, y, v in samples:
-            if not module_axiom_residual_q(q, alpha, rep, x, y, v, sign).is_zero():
+            if not module_axiom_residual_q(q, x, y, v, sign).is_zero():
                 ok = False
                 break
         verdict[sign] = ok
@@ -340,50 +330,44 @@ def iso_algebra(q: QMatrix, x: QDerElem) -> AlgElem:
         raise ValueError("iso_algebra is defined on outer terms only")
     l = _require_block(q)
     x.validate(q)
-    out = AlgElem.zero(q.d)
+    terms = {}
     for n, u in x.outer.items():
         if any(ni % li for ni, li in zip(n, l)):
             raise ValueError(f"degree {n} is not in the radical lattice")
-        nu = tuple(li * ui for li, ui in zip(l, u))
-        nn = tuple(ni // li for ni, li in zip(n, l))
-        out = out + AlgElem.term(nu, nn)
-    return out
+        terms[tuple(ni // li for ni, li in zip(n, l))] = tuple(li * ui for li, ui in zip(l, u))
+    return AlgElem(q.d, terms)
 
 
-def iso_params(q: QMatrix, alpha, rep: RepHandle, i) -> ModuleParams:
+def iso_params(q: QMatrix, params: ModuleParams, i) -> ModuleParams:
     """Parameters of the classical target module for class i: twisted rep and
     alpha_i = ((alpha_j + i_j) / l_j)_j."""
     l = _require_block(q)
-    alpha = tuple(Fraction(a) for a in alpha)
-    alpha_i = tuple((a + ii) / li for a, ii, li in zip(alpha, i, l))
-    return ModuleParams(q.d, alpha_i, RepHandle.twisted(rep, l))
+    alpha_i = tuple((a + ii) / li for a, ii, li in zip(params.alpha, i, l))
+    return ModuleParams(q.d, alpha_i, RepHandle.twisted(params.rep, l))
 
 
-def iso_module(q: QMatrix, alpha, rep: RepHandle, i, v: GradedVec) -> GradedVec:
+def iso_module(q: QMatrix, i, v: GradedVec) -> GradedVec:
     """Class-i fibers mapped onto the classical module: degree n + i with
     n in the radical goes to degree L^{-1} n, identical coordinates."""
     l = _require_block(q)
     i = tuple(int(x) for x in i)
-    params = iso_params(q, alpha, rep, i)
     fibers = {}
     for n, coords in v.fibers.items():
         if class_of(l, n) != class_of(l, i):
             raise ValueError(f"fiber at {n} is not in congruence class {i}")
         base = tuple((ni - ii) // li for ni, ii, li in zip(n, i, l))
         fibers[base] = coords
-    return GradedVec(params, fibers)
+    return GradedVec(iso_params(q, v.params, i), fibers)
 
 
-def equivariance_residual(q: QMatrix, alpha, rep: RepHandle, i, x: QDerElem,
-                          v: GradedVec) -> GradedVec:
+def equivariance_residual(q: QMatrix, i, x: QDerElem, v: GradedVec) -> GradedVec:
     """iso(x . v) - iso(x) . iso(v); zero iff the isomorphisms intertwine."""
-    lhs = iso_module(q, alpha, rep, i, act_q(q, alpha, rep, x, v))
-    rhs = act(iso_params(q, alpha, rep, i), iso_algebra(q, x),
-              iso_module(q, alpha, rep, i, v))
+    lhs = iso_module(q, i, act_q(q, x, v))
+    rhs = act(iso_params(q, v.params, i), iso_algebra(q, x), iso_module(q, i, v))
     return lhs - rhs
 
 
-def ad_annihilation_check(q: QMatrix, alpha, rep: RepHandle, radius: int = 2) -> bool:
+def ad_annihilation_check(q: QMatrix, params: ModuleParams, radius: int = 2) -> bool:
     """All inner derivations kill every class-0 fiber: sigma(m, n) = sigma(n, m)
     whenever n is in the radical, checked exactly over a degree box."""
     _require_block(q)
@@ -396,8 +380,8 @@ def ad_annihilation_check(q: QMatrix, alpha, rep: RepHandle, radius: int = 2) ->
             if sigma_exponent(q, m, n) != sigma_exponent(q, n, m):
                 return False
         # spot check through the module action itself
-        w = qgraded(q, alpha, rep, rad_degrees[0], (1,) * rep.dim)
-        if not act_q(q, alpha, rep, QDerElem.ad(m), w).is_zero():
+        w = graded(params, rad_degrees[0], (1,) * params.rep.dim)
+        if not act_q(q, QDerElem.ad(m), w).is_zero():
             return False
     return True
 
@@ -409,7 +393,7 @@ def ad_annihilation_check(q: QMatrix, alpha, rep: RepHandle, radius: int = 2) ->
 Q_ALGEBRAS = ("Lq", "Lqhat")
 
 
-def qder_generators(q: QMatrix, alpha, rep: RepHandle, gen_radius: int,
+def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
                     algebra: str) -> list[Generator]:
     """Inner generators ad t^m off the radical plus divergence-zero outer
     generators at radical degrees, one :func:`pair_basis` per degree (with
@@ -417,7 +401,7 @@ def qder_generators(q: QMatrix, alpha, rep: RepHandle, gen_radius: int,
     if algebra not in Q_ALGEBRAS:
         raise ValueError(f"algebra must be one of {Q_ALGEBRAS}")
     d = q.d
-    alpha = tuple(Fraction(a) for a in alpha)
+    rep, alpha = params.rep, params.alpha
     gens: list[Generator] = []
     zero = (0,) * d
     if algebra == "Lqhat":
@@ -449,12 +433,12 @@ def qder_generators(q: QMatrix, alpha, rep: RepHandle, gen_radius: int,
     return gens
 
 
-def classify_q(result: ClosureResult, q: QMatrix, rep: RepHandle) -> Label:
+def classify_q(result: ClosureResult, q: QMatrix, params: ModuleParams) -> Label:
     """Label the saturated q-closure: Full, the irreducible off-radical
     complement (GqFull), confinement to class 0 (Class0), or Other."""
     if not result.saturated:
         raise ValueError("cannot classify an unsaturated closure")
-    dim = rep.dim
+    dim = params.rep.dim
     dims_rad = {n: b.rank for n, b in result.fiber_bases.items() if in_rad(q, n)}
     dims_off = {n: b.rank for n, b in result.fiber_bases.items() if not in_rad(q, n)}
     if all(r == dim for r in dims_rad.values()) and all(r == dim for r in dims_off.values()):
@@ -470,10 +454,10 @@ def classify_q(result: ClosureResult, q: QMatrix, rep: RepHandle) -> Label:
     return Label("Other")
 
 
-def closure_q(q: QMatrix, alpha, rep: RepHandle, seeds: list[GradedVec],
-              gen_radius: int, working: Box, target: Box, max_iters: int,
-              algebra: str) -> ClosureResult:
-    """Saturate seeds under the chosen q-algebra inside the working box."""
-    return _close(q.d, rep.dim, seeds, working, target, max_iters,
-                  lambda: qder_generators(q, alpha, rep, gen_radius, algebra),
-                  lambda result: classify_q(result, q, rep))
+def closure_q(q: QMatrix, params: ModuleParams, seeds: list[GradedVec], gen_radius: int,
+              working: Box, target: Box, max_iters: int, algebra: str) -> ClosureResult:
+    """Saturate the seeds under the chosen q-algebra inside the working box and
+    report canonical fiber bases over the target box."""
+    return _close(params, seeds, working, target, max_iters,
+                  lambda: qder_generators(q, params, gen_radius, algebra),
+                  lambda result: classify_q(result, q, params))

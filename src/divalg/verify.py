@@ -28,6 +28,7 @@ from .modules import (
     _wedge_power,
     act,
     act_d_basis,
+    graded,
     in_wedge_fiber,
     module_axiom_residual,
     w_fiber_basis,
@@ -45,7 +46,6 @@ from .qder import (
     equivariance_residual,
     module_axiom_residual_q,
     outer_bracket_sign_oracle,
-    qgraded,
 )
 from .qtorus import (
     QMatrix,
@@ -75,7 +75,9 @@ from .witt import (
     pairing,
 )
 
-CLASSICAL_ALGEBRAS = ("W", "Lhat", "L")
+#: membership test of each classical algebra, by name
+CLASSICAL_MEMBER = {"W": lambda x: True, "Lhat": in_Lhat, "L": in_L}
+CLASSICAL_ALGEBRAS = tuple(CLASSICAL_MEMBER)
 Q_ALGEBRA_NAMES = ("Der", "Lq", "Lqhat")
 
 
@@ -95,6 +97,19 @@ def sample_rat(rng: Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
 
 
+def sample_div_zero(rng: Random, r) -> tuple:
+    """A random u with (u|r) = 0: a :func:`sample_rat` multiple of each pair
+    term t^r (r_j d_i - r_i d_j), drawn in i < j order."""
+    d = len(r)
+    u = [Fraction(0)] * d
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            c = sample_rat(rng)
+            if c:
+                u = [a + c * b for a, b in zip(u, pair_term(r, i, j).u)]
+    return tuple(u)
+
+
 def sample_algelem(rng: Random, d: int, algebra: str, radius: int = 3,
                    max_terms: int = 2) -> AlgElem:
     """A random element of W_d, Lhat_d, or L_d with degrees in the box."""
@@ -107,16 +122,9 @@ def sample_algelem(rng: Random, d: int, algebra: str, radius: int = 3,
                 out = out + AlgElem.term(u, r)
             continue
         r = sample_degree(rng, d, radius, nonzero=True)
-        u = [Fraction(0)] * d
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                c = sample_rat(rng)
-                if not c:
-                    continue
-                t = pair_term(r, i, j)
-                u = [a + c * b for a, b in zip(u, t.u)]
+        u = sample_div_zero(rng, r)
         if any(u):
-            out = out + AlgElem.term(tuple(u), r)
+            out = out + AlgElem.term(u, r)
     if algebra == "Lhat" and rng.random() < 0.5:
         u = tuple(sample_rat(rng) for _ in range(d))
         if any(u):
@@ -154,14 +162,7 @@ def sample_qder(rng: Random, q: QMatrix, algebra: str, radius: int = 2,
             elif not any(r):
                 continue
             else:
-                u = [Fraction(0)] * d
-                for i in range(1, d + 1):
-                    for j in range(i + 1, d + 1):
-                        c = sample_rat(rng)
-                        if c:
-                            t = pair_term(r, i, j)
-                            u = [a + c * b for a, b in zip(u, t.u)]
-                u = tuple(u)
+                u = sample_div_zero(rng, r)
             if any(u):
                 out = out + QDerElem.douter(u, r)
     if algebra in ("Der", "Lqhat") and rng.random() < 0.4:
@@ -178,11 +179,6 @@ def sample_graded(rng: Random, params: ModuleParams, radius: int = 2,
         n = sample_degree(rng, params.d, radius)
         fibers[n] = tuple(rng.randint(-3, 3) for _ in range(params.rep.dim))
     return GradedVec(params, fibers)
-
-
-def sample_qgraded(rng: Random, q: QMatrix, alpha, rep: RepHandle,
-                   radius: int = 2, max_fibers: int = 2) -> GradedVec:
-    return sample_graded(rng, ModuleParams(q.d, alpha, rep), radius, max_fibers)
 
 
 def integral_sample(x: AlgElem | QDerElem) -> AlgElem | QDerElem:
@@ -215,7 +211,7 @@ def lie_suite_classical(d: int, algebra: str, triples: int, rng: Random,
     """Antisymmetry, Jacobi, and subalgebra closure, all exact."""
     if algebra not in CLASSICAL_ALGEBRAS:
         raise ValueError(f"unknown classical algebra {algebra!r}")
-    member = {"W": lambda x: True, "Lhat": in_Lhat, "L": in_L}[algebra]
+    member = CLASSICAL_MEMBER[algebra]
     violations = 0
     for _ in range(triples):
         x, y, z = (integral_sample(sample_algelem(rng, d, algebra, radius))
@@ -298,14 +294,7 @@ def lemma_orthg_suite(d: int, count: int, rng: Random) -> dict:
     for _ in range(count):
         n = sample_degree(rng, d, 3, nonzero=True)
         m = sample_degree(rng, d, 3)
-        u = [Fraction(0)] * d
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                c = sample_rat(rng)
-                if c:
-                    t = pair_term(n, i, j)
-                    u = [a + c * b for a, b in zip(u, t.u)]
-        u = tuple(u)
+        u = sample_div_zero(rng, n)
         up = lemma_orthg(m, n, u)
         if pairing(up, m) != 0:
             violations += 1
@@ -343,11 +332,10 @@ def module_suite_classical(params: ModuleParams, algebra: str, pairs: int,
     }
 
 
-def _sign_probe(q: QMatrix, alpha, rep: RepHandle):
+def _sign_probe(q: QMatrix, params: ModuleParams):
     """A (x, y, v) triple whose module-axiom residual distinguishes the two
     outer-outer bracket signs: [D(e_a, 0), D(u, s)] = s_a D(u, s) with the
     validated convention and its negative with the other."""
-    alpha = tuple(Fraction(a) for a in alpha)
     s = tuple(rad_q(q)[0])
     a = next(i for i in range(q.d) if s[i])
     j = (a + 1) % q.d
@@ -356,28 +344,27 @@ def _sign_probe(q: QMatrix, alpha, rep: RepHandle):
     x = QDerElem.douter(tuple(1 if k == a else 0 for k in range(q.d)), (0,) * q.d)
     y = QDerElem.douter(t.u, s)
     for n in Box.radius(q.d, 2).degrees():
-        if sum(ua * (na + aa) for ua, na, aa in zip(t.u, n, alpha)):
-            v = qgraded(q, alpha, rep, n, (1,) * rep.dim)
-            return x, y, v
+        if sum(ua * (na + aa) for ua, na, aa in zip(t.u, n, params.alpha)):
+            return x, y, graded(params, n, (1,) * params.rep.dim)
     raise AssertionError("no probe degree found")
 
 
-def module_suite_q(q: QMatrix, alpha, rep: RepHandle, algebra: str, pairs: int,
+def module_suite_q(q: QMatrix, params: ModuleParams, algebra: str, pairs: int,
                    rng: Random, radius: int = 2) -> dict:
     violations = 0
-    samples = [_sign_probe(q, alpha, rep)]
+    samples = [_sign_probe(q, params)]
     for _ in range(pairs):
         x, y = (integral_sample(sample_qder(rng, q, algebra, radius)) for _ in range(2))
-        v = sample_qgraded(rng, q, alpha, rep, radius)
+        v = sample_graded(rng, params, radius)
         if not v.is_zero() and len(samples) < 25:
             samples.append((x, y, v))
-        if not module_axiom_residual_q(q, alpha, rep, x, y, v).is_zero():
+        if not module_axiom_residual_q(q, x, y, v).is_zero():
             violations += 1
-    sign = outer_bracket_sign_oracle(q, alpha, rep, samples)
+    sign = outer_bracket_sign_oracle(q, samples)
     return {
         "name": "module-axioms",
         "algebra": algebra,
-        "rep": rep.kind,
+        "rep": params.rep.kind,
         "q_order": q.N,
         "checks": pairs,
         "violations": violations,
@@ -402,17 +389,19 @@ def act_crosscheck_suite(params: ModuleParams, count: int, rng: Random,
     return {"name": "basis-action-crosscheck", "checks": count, "violations": violations}
 
 
-def wedge_images(params: ModuleParams, k: int, gen_radius: int = 2, box_radius: int = 2):
+def wedge_images(params: ModuleParams, gen_radius: int = 2, box_radius: int = 2):
     """Every image the wedge-invariance suite checks, in its order, on integers.
 
-    For each wedge basis row at degree n in the box and each D(e_j, r) with r
-    in the generator box and j = 1..d, yields (n, row, r, j, img, w).  img is
-    the fiber at m = n + r of D(e_j, r).(row x t^n), which by the module
-    formula is (alpha + n)_j row + sum_i r_i E_ij row; it is scaled by
+    For each wedge basis row of the rep's exterior power k at degree n in the
+    box and each D(e_j, r) with r in the generator box and j = 1..d, yields
+    (n, row, r, j, img, w).  img is the fiber at m = n + r of
+    D(e_j, r).(row x t^n), which by the module formula is
+    (alpha + n)_j row + sum_i r_i E_ij row; it is scaled by
     D lcm(row denominators), with D = lcm(alpha denominators), and
     w = D (alpha + m), so both are integer.
     """
     d, rep = params.d, params.rep
+    k = _wedge_power(rep)
     D = lcm(*(a.denominator for a in params.alpha))
     gens = list(Box.radius(d, gen_radius).degrees())
     for n in Box.radius(d, box_radius).degrees():
@@ -432,14 +421,14 @@ def wedge_images(params: ModuleParams, k: int, gen_radius: int = 2, box_radius: 
                     yield n, row, r, j, img, w
 
 
-def w_invariance_suite(params: ModuleParams, k: int, gen_radius: int = 2,
+def w_invariance_suite(params: ModuleParams, gen_radius: int = 2,
                        box_radius: int = 2) -> dict:
     """Exhaustive exact check: every algebra generator maps every wedge-fiber
     basis vector back into the wedge fibers (no truncation error; the wedge
     submodule is graded and invariant under the full vector-field algebra).
 
-    The wedge basis rows come from the k-th exterior power and the images are
-    tested in the exterior power of the coefficient representation.  A
+    The wedge basis rows and the membership test both come from the exterior
+    power k of the coefficient representation.  A
     violation report carries ``first_violation``: the first failing degree n,
     basis row, generator degree r and index j of D(e_j, r), which replays as
     ``act(params, AlgElem.term(e_j, r), graded(params, n, row))``.
@@ -451,7 +440,7 @@ def w_invariance_suite(params: ModuleParams, k: int, gen_radius: int = 2,
     violations = 0
     checks = 0
     first = None
-    for n, row, r, j, img, w in wedge_images(params, k, gen_radius, box_radius):
+    for n, row, r, j, img, w in wedge_images(params, gen_radius, box_radius):
         checks += 1
         if not in_wedge_fiber(terms, img, w):
             violations += 1
@@ -524,7 +513,7 @@ def commutator_span_suite(q: QMatrix, radius: int, rng: Random, samples: int) ->
     return {"name": "commutator-span", "checks": samples, "violations": violations}
 
 
-def equivariance_suite(q: QMatrix, alpha, rep: RepHandle, count: int,
+def equivariance_suite(q: QMatrix, params: ModuleParams, count: int,
                        rng: Random, radius: int = 2) -> dict:
     """iso_algebra/iso_module intertwine the actions on random samples."""
     l = block_structure(q)
@@ -534,15 +523,9 @@ def equivariance_suite(q: QMatrix, alpha, rep: RepHandle, count: int,
         # an outer element of Lqhat(q) (iso domain), random class-i vector
         x = QDerElem.zero(q.d)
         r = sample_rad_degree(rng, q, radius, nonzero=True)
-        u = [Fraction(0)] * q.d
-        for i in range(1, q.d + 1):
-            for j in range(i + 1, q.d + 1):
-                c = sample_rat(rng)
-                if c:
-                    t = pair_term(r, i, j)
-                    u = [a + c * b for a, b in zip(u, t.u)]
+        u = sample_div_zero(rng, r)
         if any(u):
-            x = x + QDerElem.douter(tuple(u), r)
+            x = x + QDerElem.douter(u, r)
         if rng.random() < 0.4:
             u0 = tuple(sample_rat(rng) for _ in range(q.d))
             if any(u0):
@@ -552,11 +535,11 @@ def equivariance_suite(q: QMatrix, alpha, rep: RepHandle, count: int,
         i_class = tuple(rng.randrange(li) for li in l)
         base = sample_rad_degree(rng, q, radius)
         n = tuple(b + ii for b, ii in zip(base, i_class))
-        v = qgraded(q, alpha, rep, n, tuple(rng.randint(-3, 3) for _ in range(rep.dim)))
+        v = graded(params, n, tuple(rng.randint(-3, 3) for _ in range(params.rep.dim)))
         if v.is_zero():
             continue
         checks += 1
-        if not equivariance_residual(q, alpha, rep, i_class, x, v).is_zero():
+        if not equivariance_residual(q, i_class, x, v).is_zero():
             violations += 1
     return {"name": "iso-equivariance", "checks": checks, "violations": violations}
 
@@ -570,17 +553,12 @@ def degeneration_suite(d: int, count: int, rng: Random, radius: int = 2) -> dict
     """With the trivial commutation matrix every q-side operation collapses
     to its classical counterpart, exactly."""
     q = block_normal_q((1,) * d)
-    alpha = tuple(sample_rat(rng) for _ in range(d))
-    rep = RepHandle.natural(d)
-    params = ModuleParams(d, alpha, rep)
+    params = ModuleParams(d, tuple(sample_rat(rng) for _ in range(d)), RepHandle.natural(d))
     violations = 0
     checks = 0
 
     def to_alg(x: QDerElem) -> AlgElem:
-        out = AlgElem.zero(d)
-        for r, u in x.outer.items():
-            out = out + AlgElem.term(u, r)
-        return out
+        return AlgElem(d, x.outer)
 
     for _ in range(count):
         x = sample_qder(rng, q, "Lqhat", radius)
@@ -591,8 +569,8 @@ def degeneration_suite(d: int, count: int, rng: Random, radius: int = 2) -> dict
         cb = bracket_witt(to_alg(x), to_alg(y))
         if to_alg(qb) != cb:
             violations += 1
-        v = sample_qgraded(rng, q, alpha, rep, radius)
-        qa = act_q(q, alpha, rep, x, v)
+        v = sample_graded(rng, params, radius)
+        qa = act_q(q, x, v)
         ca = act(params, to_alg(x), v)
         checks += 1
         if qa != ca:
@@ -610,7 +588,7 @@ def degeneration_suite(d: int, count: int, rng: Random, radius: int = 2) -> dict
             if iso_algebra(q, QDerElem.douter(x.outer[r0], r0)) != AlgElem.term(x.outer[r0], r0):
                 violations += 1
             checks += 1
-            w = iso_module(q, alpha, rep, (0,) * d, v)
+            w = iso_module(q, (0,) * d, v)
             if w.fibers != v.fibers:
                 violations += 1
     identity = [[1 if i == j else 0 for j in range(d)] for i in range(d)]

@@ -109,15 +109,17 @@ def bracket_witt(x: AlgElem, y: AlgElem) -> AlgElem:
     """Bilinear extension of [D(u,r), D(v,s)] = D((u|s)v - (v|r)u, r+s)."""
     if x.d != y.d:
         raise ValueError("dimension mismatch in bracket")
-    out = AlgElem.zero(x.d)
+    out: dict[DegVec, tuple] = {}
     for r, u in x.terms.items():
         for s, v in y.terms.items():
             a = pairing(u, s)
             b = pairing(v, r)
             w = tuple(a * vi - b * ui for ui, vi in zip(u, v))
             if any(w):
-                out = out + AlgElem.term(w, tuple(ri + si for ri, si in zip(r, s)))
-    return out
+                t = tuple(ri + si for ri, si in zip(r, s))
+                prev = out.get(t)
+                out[t] = w if prev is None else tuple(p + c for p, c in zip(prev, w))
+    return AlgElem(x.d, out)
 
 
 def d_basis(r, i: int) -> DTerm:

@@ -13,7 +13,7 @@ from divalg.cli import report_json, run
 from divalg.closure import Box, closure
 from divalg.linalg import basis_of, same_span, span_contains
 from divalg.modules import ModuleParams, graded, trivial_split, w_fiber_basis
-from divalg.qder import ad_annihilation_check, closure_q, qgraded
+from divalg.qder import ad_annihilation_check, closure_q
 from divalg.qtorus import QMatrix, block_normal_q, in_rad
 from divalg.reps import RepHandle
 from divalg.verify import (
@@ -71,7 +71,7 @@ def test_criterion_02_representation_property():
             assert out["violations"] == 0, (name, algebra, out)
         q = block_normal_q(l)
         for algebra, pairs in (("Der", 67), ("Lq", 67), ("Lqhat", 66)):
-            out = module_suite_q(q, alpha, rep, algebra, pairs, rng)
+            out = module_suite_q(q, params, algebra, pairs, rng)
             assert out["violations"] == 0, (name, algebra, out)
             assert out["outer_bracket_sign"] == 1
             signs.append(out["outer_bracket_sign"])
@@ -93,7 +93,7 @@ def test_criterion_03_unique_submodule_nonintegral():
         rep = RepHandle.natural(d) if k == 1 else RepHandle.exterior(d, k)
         params = ModuleParams(d, alpha, rep)
         # (a) exact invariance of the wedge fibers under all radius-2 generators
-        inv = w_invariance_suite(params, k, gen_radius=2, box_radius=2 if d == 2 else 1)
+        inv = w_invariance_suite(params, gen_radius=2, box_radius=2 if d == 2 else 1)
         assert inv["violations"] == 0, (d, k)
         # (b) closure from a wedge seed saturates onto the wedge fibers
         wseed_basis = w_fiber_basis(d, k, alpha, (0,) * d)
@@ -186,20 +186,19 @@ def test_criterion_07_quantum_torus_identities():
 def test_criterion_08_block_normal_decomposition():
     rng = Random(SEED + 4)
     q = block_normal_q((2, 2))
-    alpha = (F(1, 2), F(1, 3))
-    rep = RepHandle.natural(2)
-    assert ad_annihilation_check(q, alpha, rep)                       # (a)
-    eq = equivariance_suite(q, alpha, rep, 100, rng)                  # (b)
+    params = ModuleParams(2, (F(1, 2), F(1, 3)), RepHandle.natural(2))
+    assert ad_annihilation_check(q, params)                           # (a)
+    eq = equivariance_suite(q, params, 100, rng)                      # (b)
     assert eq["checks"] >= 100 * 3 // 4 and eq["violations"] == 0
     for cls in ((1, 0), (0, 1), (1, 1)):                              # (c)
-        seed = qgraded(q, alpha, rep, cls, (1, 0))
-        res = closure_q(q, alpha, rep, [seed], 2, Box.radius(2, 3),
+        seed = graded(params, cls, (1, 0))
+        res = closure_q(q, params, [seed], 2, Box.radius(2, 3),
                         Box.radius(2, 1), 60, "Lq")
         assert res.saturated and res.label.kind == "GqFull"
         for n, dim in res.fiber_dims.items():
             assert dim == (0 if in_rad(q, n) else 2)
-    seed0 = qgraded(q, alpha, rep, (0, 0), (1, 0))                    # (d)
-    res0 = closure_q(q, alpha, rep, [seed0], 2, Box.radius(2, 3),
+    seed0 = graded(params, (0, 0), (1, 0))                            # (d)
+    res0 = closure_q(q, params, [seed0], 2, Box.radius(2, 3),
                      Box.radius(2, 1), 60, "Lq")
     assert res0.saturated and res0.label.kind == "Class0"
     _announce(8, "block-normal l=(2,2): inner terms kill class 0, isomorphisms "
@@ -217,7 +216,7 @@ def test_criterion_09_degeneration():
     params = ModuleParams(2, alpha, rep)
     res_c = closure(params, [graded(params, (0, 0), (0, 1))], 2,
                     Box.radius(2, 2), Box.radius(2, 1), 60, "L")
-    res_q = closure_q(ones, alpha, rep, [qgraded(ones, alpha, rep, (0, 0), (0, 1))],
+    res_q = closure_q(ones, params, [graded(params, (0, 0), (0, 1))],
                       2, Box.radius(2, 2), Box.radius(2, 1), 60, "Lq")
     assert res_c.fiber_dims == res_q.fiber_dims
     assert all(same_span(res_c.fiber_bases[n], res_q.fiber_bases[n])

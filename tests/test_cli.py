@@ -209,12 +209,16 @@ def test_malformed_integer_field_exits_2(tmp_path, capsys, field, value, named):
     ("closure", "seeds", [{"n": [0, 0], "coords": 5}], "seeds[0].coords"),
     ("closure", "seeds", [{"n": [0, 0], "coords": "12"}], "seeds[0].coords"),
     ("verify-algebra", "elements", [[{"u": 5, "r": [1, 2]}]], "elements[0][0].u"),
+    # a q of another dimension than d
+    ("verify-module", "q", {"l": [2, 2]}, "q"),
 ])
 def test_malformed_list_field_exits_2(tmp_path, capsys, job, field, value, named):
-    if job == "closure":
-        config = dict(CLOSURE_W)
-    else:
-        config = {"job": "verify-algebra", "algebra": "L", "d": 2, "triples": 10}
+    config = {
+        "closure": dict(CLOSURE_W),
+        "verify-algebra": {"job": "verify-algebra", "algebra": "L", "d": 2, "triples": 10},
+        "verify-module": {"job": "verify-module", "algebra": "Lq", "d": 3,
+                          "alpha": ["1/2", "1/3", "0"], "rep": {"kind": "natural"}},
+    }[job]
     config[field] = value
     path = write_config(tmp_path, "bad.json", config)
     assert main([job, "--config", path]) == 2
@@ -270,6 +274,33 @@ GOLDEN = [
                               "alpha": ["1/2", "1/3"], "rep": NAT, "q": {"l": [2, 2]},
                               "pairs": 200},
      "55cc9ae3338acc3c0e0b382217c59fe4cd96efbfdc2488850736e3cc2e3226f9"),
+    # the verify paths: classical and q Lie suites, the wedge-invariance suite
+    # at k = 2, and the q module suites with the equivariance suite
+    ("verify-algebra-L-d3", {"job": "verify-algebra", "algebra": "L", "d": 3, "triples": 50},
+     "05a9e6abdaeca9799a5b11b2234f435be1bab6195d36ef37cb1d8762f133afca"),
+    ("verify-algebra-Lqhat-33", {"job": "verify-algebra", "algebra": "Lqhat",
+                                 "q": {"l": [3, 3]}, "triples": 50},
+     "9a71ff7a75aa097de8f1aff2bab4ebf51ef5d842dc333ed8c60bc8eb01d85453"),
+    ("verify-module-L-d3-wedge2", {"job": "verify-module", "algebra": "L", "d": 3,
+                                   "alpha": ["1/2", "1/3", "1/5"],
+                                   "rep": {"kind": "exterior", "k": 2}, "pairs": 50},
+     "40b127b16fbb8baf11a24694cc508abb41ea545e9cec7e98fa9cdde9a3276e5f"),
+    ("verify-module-Der-22", {"job": "verify-module", "algebra": "Der", "d": 2,
+                              "alpha": ["1/2", "1/3"], "rep": NAT, "q": {"l": [2, 2]},
+                              "pairs": 50},
+     "8b34783fedbf2146e8727f391d497e4e1e1bf24733911b408abe907af31f9bf6"),
+    ("verify-module-Der-33", {"job": "verify-module", "algebra": "Der", "d": 2,
+                              "alpha": ["1/2", "1/3"], "rep": NAT, "q": {"l": [3, 3]},
+                              "pairs": 50},
+     "c5e978688ba9c57b883ded4ff752bc76e104a9ae0a8ac80aac5c0a4167830028"),
+    ("verify-module-Lqhat-22", {"job": "verify-module", "algebra": "Lqhat", "d": 2,
+                                "alpha": ["1/2", "1/3"], "rep": NAT, "q": {"l": [2, 2]},
+                                "pairs": 50},
+     "6d09928adfd2079cd961da464251e06bee5cd2cefab58eddac03670e568dc83f"),
+    ("verify-module-Lqhat-33", {"job": "verify-module", "algebra": "Lqhat", "d": 2,
+                                "alpha": ["1/2", "1/3"], "rep": NAT, "q": {"l": [3, 3]},
+                                "pairs": 50},
+     "e82926c16b99a19cc8a134524254bdd57fa188d47a45911555bd766db33f3287"),
 ]
 
 

@@ -16,7 +16,7 @@ from divalg.closure import (Box, ClosureResult, Neighbours, SpanState, _reduce_i
                             classical_generators, classify, closure, pair_basis)
 from divalg.linalg import basis_of, same_span, span_contains
 from divalg.modules import GradedVec, ModuleParams, act, graded, w_fiber_basis
-from divalg.qder import QDerElem, act_q, classify_q, closure_q, qgraded
+from divalg.qder import QDerElem, act_q, classify_q, closure_q
 from divalg.qtorus import block_normal_q, in_rad
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc, euler_phi
@@ -332,7 +332,7 @@ def test_engine_matches_naive_fixed_point_d3(coords, max_iters):
 ])
 def test_q_engine_matches_naive_fixed_point(algebra, n, coords):
     q = block_normal_q((2, 2))
-    alpha = (F(1, 5), F(1, 7))
+    params = ModuleParams(2, (F(1, 5), F(1, 7)), NAT2)
     work, tgt = boxes(2, work=2, tgt=1)
     family = []
     for m in Box.radius(2, 2).degrees():
@@ -343,13 +343,10 @@ def test_q_engine_matches_naive_fixed_point(algebra, n, coords):
         else:
             xs = [QDerElem.ad(m)]
         for x in xs:
-            family.append((m, lambda fib, x=x: act_q(q, alpha, NAT2, x,
-                                                     GradedVec(ModuleParams(2, alpha, NAT2),
-                                                               fib)).fibers))
-    res = closure_q(q, alpha, NAT2, [qgraded(q, alpha, NAT2, n, coords)], 2, work, tgt, 50,
-                    algebra)
+            family.append((m, lambda fib, x=x: act_q(q, x, GradedVec(params, fib)).fibers))
+    res = closure_q(q, params, [graded(params, n, coords)], 2, work, tgt, 50, algebra)
     ref = naive_closure(work, tgt, 2, [{n: coords}], family, 50)
-    label = classify_q(ClosureResult(tgt, ref[0], {}, None, ref[1], True), q, NAT2)
+    label = classify_q(ClosureResult(tgt, ref[0], {}, None, ref[1], True), q, params)
     assert_same_closure(res, ref, label)
 
 

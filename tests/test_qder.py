@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from divalg.closure import Box
-from divalg.modules import GradedVec, ModuleParams
+from divalg.modules import GradedVec, ModuleParams, graded
 from divalg.qder import (
     QDerElem,
     act_q,
@@ -25,9 +25,9 @@ from divalg.qder import (
     iso_module,
     module_axiom_residual_q,
     outer_bracket_sign_oracle,
-    qgraded,
 )
-from divalg.qtorus import QMatrix, block_normal_q, in_rad
+import divalg.qder
+from divalg.qtorus import QMatrix, block_normal_q, in_rad, sigma
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
 from divalg.verify import (
@@ -35,15 +35,17 @@ from divalg.verify import (
     equivariance_suite,
     lie_suite_q,
     module_suite_q,
+    sample_algelem,
+    sample_graded,
     sample_qder,
-    sample_qgraded,
 )
-from divalg.witt import AlgElem
+from divalg.witt import AlgElem, bracket_witt, pairing
 
 F = Fraction
 Q22 = block_normal_q((2, 2))
 ALPHA = (F(1, 2), F(1, 3))
 NAT2 = RepHandle.natural(2)
+P22 = ModuleParams(2, ALPHA, NAT2)
 
 
 def test_inner_inner_bracket():
@@ -97,6 +99,81 @@ def test_bracket_jacobi_random():
             assert jac.is_zero()
 
 
+def _plus(m, n):
+    return tuple(a + b for a, b in zip(m, n))
+
+
+def fold_bracket_witt(x, y):
+    """bracket_witt summed one term pair at a time with AlgElem addition."""
+    out = AlgElem.zero(x.d)
+    for r, u in x.terms.items():
+        for s, v in y.terms.items():
+            a, b = pairing(u, s), pairing(v, r)
+            out = out + AlgElem.term(tuple(a * vi - b * ui for ui, vi in zip(u, v)),
+                                     _plus(r, s))
+    return out
+
+
+def fold_bracket_qder(q, x, y):
+    """The three bracket cases of bracket_qder summed one term pair at a time
+    with QDerElem addition."""
+    out = QDerElem.zero(q.d)
+    for m, cm in x.inner.items():
+        for n, cn in y.inner.items():
+            c = (sigma(q, m, n) - sigma(q, n, m)) * cm * cn
+            out = out + QDerElem.ad(_plus(m, n), c)
+    for r, u in x.outer.items():
+        for s, cs in y.inner.items():
+            out = out + QDerElem.ad(_plus(r, s), cs * pairing(u, s) * sigma(q, r, s))
+    for s, cs in x.inner.items():
+        for r, u in y.outer.items():
+            out = out - QDerElem.ad(_plus(r, s), cs * pairing(u, s) * sigma(q, r, s))
+    for r, u in x.outer.items():
+        for s, v in y.outer.items():
+            a, b = pairing(u, s), pairing(v, r)
+            w = tuple(sigma(q, r, s) * (a * vi - b * ui) for ui, vi in zip(u, v))
+            out = out + QDerElem.douter(w, _plus(r, s))
+    return out
+
+
+def test_brackets_equal_term_by_term_fold():
+    # (x, x) and (x, x + y) make the terms of [x, x] cancel inside one call
+    rng = Random(17)
+    cancelling = 0
+    for d in (2, 3):
+        for _ in range(40):
+            x, y = sample_algelem(rng, d, "W"), sample_algelem(rng, d, "Lhat")
+            for a, b in ((x, y), (x, x), (x, x + y)):
+                assert bracket_witt(a, b) == fold_bracket_witt(a, b)
+            cancelling += len(x.terms) > 1 and any(
+                not fold_bracket_witt(AlgElem.term(u, r), x).is_zero()
+                for r, u in x.terms.items())
+    for l in ((2, 2), (3, 3), (2, 2, 1)):
+        q = block_normal_q(l)
+        for _ in range(40):
+            x, y = sample_qder(rng, q, "Der"), sample_qder(rng, q, "Lqhat")
+            for a, b in ((x, y), (x, x), (x, x + y)):
+                assert bracket_qder(q, a, b) == fold_bracket_qder(q, a, b)
+            cancelling += len(x.inner) + len(x.outer) > 1 and any(
+                not fold_bracket_qder(q, QDerElem(q.d, {m: c}), x).is_zero()
+                for m, c in x.inner.items())
+    assert cancelling > 20
+
+
+def test_bracket_rejects_each_inner_term_at_a_radical_degree(monkeypatch):
+    # no valid pair of elements brackets onto one (the commutator vanishes
+    # there), so the check is exercised by declaring (1, 1) radical
+    true_in_rad = divalg.qder.in_rad
+    monkeypatch.setattr(divalg.qder, "in_rad",
+                        lambda q, m: tuple(m) == (1, 1) or true_in_rad(q, m))
+    with pytest.raises(ValueError, match="radical degree"):
+        bracket_qder(Q22, QDerElem.ad((1, 0)), QDerElem.ad((0, 1)))
+    # a cancelling pair of terms is checked too
+    x = QDerElem.ad((1, 0)) + QDerElem.ad((0, 1))
+    with pytest.raises(ValueError, match="radical degree"):
+        bracket_qder(Q22, x, x)
+
+
 @pytest.mark.parametrize("algebra", ("Der", "Lq", "Lqhat"))
 def test_lie_suites_q(algebra):
     assert lie_suite_q(Q22, algebra, 40, Random(3))["violations"] == 0
@@ -114,29 +191,29 @@ def test_membership_examples():
 # -- module action ----------------------------------------------------------------
 
 def test_act_q_inner():
-    v = qgraded(Q22, ALPHA, NAT2, (1, 0), (1, 0))
-    out = act_q(Q22, ALPHA, NAT2, QDerElem.ad((0, 1)), v)
+    v = graded(P22, (1, 0), (1, 0))
+    out = act_q(Q22, QDerElem.ad((0, 1)), v)
     # [t^(0,1), t^(1,0)] = (z2 - 1) t^(1,1) = -2 t^(1,1) at order 2
     assert out.fibers == {(1, 1): (Cyc.from_rat(-2), Cyc.from_rat(0))}
 
 
 def test_act_q_inner_kills_radical_degrees():
-    v = qgraded(Q22, ALPHA, NAT2, (2, -2), (1, 1))
+    v = graded(P22, (2, -2), (1, 1))
     for m in ((1, 0), (0, 1), (1, 1), (-1, 2)):
         if in_rad(Q22, m):
             continue
-        assert act_q(Q22, ALPHA, NAT2, QDerElem.ad(m), v).is_zero()
+        assert act_q(Q22, QDerElem.ad(m), v).is_zero()
 
 
 def test_act_q_cartan():
-    v = qgraded(Q22, ALPHA, NAT2, (1, 2), (0, 1))
-    out = act_q(Q22, ALPHA, NAT2, QDerElem.douter((1, 0), (0, 0)), v)
+    v = graded(P22, (1, 2), (0, 1))
+    out = act_q(Q22, QDerElem.douter((1, 0), (0, 0)), v)
     assert out.fibers == {(1, 2): (0, F(3, 2))}
 
 
 def test_module_axioms_q_and_sign():
     rng = Random(21)
-    out = module_suite_q(Q22, ALPHA, NAT2, "Lq", 60, rng)
+    out = module_suite_q(Q22, P22, "Lq", 60, rng)
     assert out["violations"] == 0
     assert out["outer_bracket_sign"] == 1
 
@@ -147,24 +224,24 @@ def test_sign_oracle_rejects_negative():
     for _ in range(20):
         x = sample_qder(rng, Q22, "Lqhat")
         y = sample_qder(rng, Q22, "Lqhat")
-        v = sample_qgraded(rng, Q22, ALPHA, NAT2)
+        v = sample_graded(rng, P22)
         if not v.is_zero():
             samples.append((x, y, v))
     from divalg.verify import _sign_probe
 
-    samples.append(_sign_probe(Q22, ALPHA, NAT2))
-    assert outer_bracket_sign_oracle(Q22, ALPHA, NAT2, samples) == 1
+    samples.append(_sign_probe(Q22, P22))
+    assert outer_bracket_sign_oracle(Q22, samples) == 1
     x, y, v = samples[-1]
-    assert not module_axiom_residual_q(Q22, ALPHA, NAT2, x, y, v, outer_sign=-1).is_zero()
+    assert not module_axiom_residual_q(Q22, x, y, v, outer_sign=-1).is_zero()
 
 
 # -- classes and isomorphisms -------------------------------------------------------
 
 def test_decompose_classes():
-    v = qgraded(Q22, ALPHA, NAT2, (3, -2), (1, 0))
+    v = graded(P22, (3, -2), (1, 0))
     parts = decompose_classes(Q22, v)
     assert list(parts) == [(1, 0)]
-    w = v + qgraded(Q22, ALPHA, NAT2, (2, 0), (0, 1))
+    w = v + graded(P22, (2, 0), (0, 1))
     parts = decompose_classes(Q22, w)
     assert set(parts) == {(0, 0), (1, 0)}
     total = None
@@ -179,20 +256,20 @@ def test_classes_shift_predictably():
     rng = Random(8)
     for _ in range(25):
         n = (rng.randint(-3, 3), rng.randint(-3, 3))
-        v = qgraded(Q22, ALPHA, NAT2, n, (rng.randint(-2, 2), rng.randint(1, 2)))
-        out = act_q(Q22, ALPHA, NAT2, QDerElem.douter((1, -1), (2, 2)), v)
+        v = graded(P22, n, (rng.randint(-2, 2), rng.randint(1, 2)))
+        out = act_q(Q22, QDerElem.douter((1, -1), (2, 2)), v)
         for m in out.fibers:
             assert class_of((2, 2), m) == class_of((2, 2), n)
         inner_deg = (1, 0) if rng.random() < 0.5 else (1, 1)
-        out2 = act_q(Q22, ALPHA, NAT2, QDerElem.ad(inner_deg), v)
+        out2 = act_q(Q22, QDerElem.ad(inner_deg), v)
         expect = class_of((2, 2), tuple(a + b for a, b in zip(n, inner_deg)))
         for m in out2.fibers:
             assert class_of((2, 2), m) == expect
 
 
 def test_g_q_component():
-    on_rad = qgraded(Q22, ALPHA, NAT2, (2, 0), (1, 1))
-    off_rad = qgraded(Q22, ALPHA, NAT2, (1, 0), (1, 1))
+    on_rad = graded(P22, (2, 0), (1, 1))
+    off_rad = graded(P22, (1, 0), (1, 1))
     assert g_q_component(Q22, on_rad).is_zero()
     assert g_q_component(Q22, off_rad) == off_rad
     mixed = on_rad + off_rad
@@ -228,31 +305,31 @@ def test_iso_algebra_examples():
 
 def test_iso_module_example():
     # l=(2,2), class i=(1,0): fiber at (3,-2) -> (1,-1), alpha_i as stated
-    v = qgraded(Q22, ALPHA, NAT2, (3, -2), (2, 5))
-    out = iso_module(Q22, ALPHA, NAT2, (1, 0), v)
+    v = graded(P22, (3, -2), (2, 5))
+    out = iso_module(Q22, (1, 0), v)
     assert out.fibers == {(1, -1): (2, 5)}
     assert out.params.alpha == (F(3, 4), F(1, 6))
     assert out.params.rep.kind == "twisted"
     with pytest.raises(ValueError):
-        iso_module(Q22, ALPHA, NAT2, (0, 0), v)
+        iso_module(Q22, (0, 0), v)
 
 
 def test_equivariance():
-    assert equivariance_suite(Q22, ALPHA, NAT2, 60, Random(4))["violations"] == 0
+    assert equivariance_suite(Q22, P22, 60, Random(4))["violations"] == 0
     # Cartan case explicitly
-    v = qgraded(Q22, ALPHA, NAT2, (1, 0), (2, 3))
+    v = graded(P22, (1, 0), (2, 3))
     x = QDerElem.douter((4, 7), (0, 0))
-    assert equivariance_residual(Q22, ALPHA, NAT2, (1, 0), x, v).is_zero()
+    assert equivariance_residual(Q22, (1, 0), x, v).is_zero()
 
 
 def test_ad_annihilation():
-    assert ad_annihilation_check(Q22, ALPHA, NAT2)
+    assert ad_annihilation_check(Q22, P22)
     ones = block_normal_q((1, 1))
-    assert ad_annihilation_check(ones, (0, 0), NAT2)  # vacuous: no inner terms
+    assert ad_annihilation_check(ones, ModuleParams(2, (0, 0), NAT2))  # vacuous: no inner terms
     # complement: some ad t^m moves a nonzero-class vector
-    v = qgraded(Q22, ALPHA, NAT2, (1, 0), (1, 0))
+    v = graded(P22, (1, 0), (1, 0))
     moved = any(
-        not act_q(Q22, ALPHA, NAT2, QDerElem.ad(m), v).is_zero()
+        not act_q(Q22, QDerElem.ad(m), v).is_zero()
         for m in Box.radius(2, 2).degrees()
         if any(m) and not in_rad(Q22, m)
     )
@@ -263,8 +340,8 @@ def test_ad_annihilation():
 
 def test_closure_q_gq_full():
     for cls in ((1, 0), (0, 1), (1, 1)):
-        seed = qgraded(Q22, ALPHA, NAT2, cls, (1, 0))
-        res = closure_q(Q22, ALPHA, NAT2, [seed], 2, Box.radius(2, 3),
+        seed = graded(P22, cls, (1, 0))
+        res = closure_q(Q22, P22, [seed], 2, Box.radius(2, 3),
                         Box.radius(2, 1), 60, "Lq")
         assert res.saturated
         assert res.label.kind == "GqFull"
@@ -273,8 +350,8 @@ def test_closure_q_gq_full():
 
 
 def test_closure_q_class0_confined():
-    seed = qgraded(Q22, ALPHA, NAT2, (0, 0), (1, 0))
-    res = closure_q(Q22, ALPHA, NAT2, [seed], 2, Box.radius(2, 3),
+    seed = graded(P22, (0, 0), (1, 0))
+    res = closure_q(Q22, P22, [seed], 2, Box.radius(2, 3),
                     Box.radius(2, 1), 60, "Lq")
     assert res.label.kind == "Class0"
     for n, dim in res.fiber_dims.items():
@@ -284,10 +361,10 @@ def test_closure_q_class0_confined():
 
 def test_closure_q_errors():
     with pytest.raises(ValueError):
-        closure_q(Q22, ALPHA, NAT2, [], 2, Box.radius(2, 3), Box.radius(2, 1), 50, "Lq")
-    empty = GradedVec(ModuleParams(2, ALPHA, NAT2), {})
+        closure_q(Q22, P22, [], 2, Box.radius(2, 3), Box.radius(2, 1), 50, "Lq")
+    empty = GradedVec(P22, {})
     with pytest.raises(ValueError):
-        closure_q(Q22, ALPHA, NAT2, [empty], 2, Box.radius(2, 3), Box.radius(2, 1), 50, "Lq")
+        closure_q(Q22, P22, [empty], 2, Box.radius(2, 3), Box.radius(2, 1), 50, "Lq")
 
 
 def test_degeneration():

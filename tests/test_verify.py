@@ -24,7 +24,6 @@ from divalg.verify import (
     sample_algelem,
     sample_graded,
     sample_qder,
-    sample_qgraded,
 )
 from divalg.witt import AlgElem, in_L, in_Lhat, jacobi_residual, pairing
 
@@ -76,13 +75,13 @@ def naive_module_classical(params, algebra, pairs, rng, radius=2):
     return pairs, violations
 
 
-def naive_module_q(q, alpha, rep, algebra, pairs, rng, radius=2):
+def naive_module_q(q, params, algebra, pairs, rng, radius=2):
     violations = 0
     for _ in range(pairs):
         x = sample_qder(rng, q, algebra, radius)
         y = sample_qder(rng, q, algebra, radius)
-        v = sample_qgraded(rng, q, alpha, rep, radius)
-        violations += not module_axiom_residual_q(q, alpha, rep, x, y, v).is_zero()
+        v = sample_graded(rng, params, radius)
+        violations += not module_axiom_residual_q(q, x, y, v).is_zero()
     return pairs, violations
 
 
@@ -154,9 +153,9 @@ def test_module_suite_classical_matches_naive(brackets, rep, algebra):
 
 @pytest.mark.parametrize("algebra", ["Der", "Lq", "Lqhat"])
 def test_module_suite_q_matches_naive(brackets, algebra):
-    q, rep, alpha = block_normal_q((2, 2)), RepHandle.natural(2), (F(1, 5), F(2, 7))
-    got = suite_counts(module_suite_q(q, alpha, rep, algebra, 30, Random(14)))
-    want = naive_module_q(q, alpha, rep, algebra, 30, Random(14))
+    q, params = block_normal_q((2, 2)), ModuleParams(2, (F(1, 5), F(2, 7)), RepHandle.natural(2))
+    got = suite_counts(module_suite_q(q, params, algebra, 30, Random(14)))
+    want = naive_module_q(q, params, algebra, 30, Random(14))
     assert got == want
     assert (want[1] > 0) == (brackets == "flipped")
 
