@@ -77,32 +77,68 @@ def _ints(raw, context: str) -> tuple[int, ...]:
     return tuple(_int(x, f"{context}[{k}]") for k, x in enumerate(raw))
 
 
-def _parse_alpha(raw, d: int) -> tuple:
-    if not isinstance(raw, list) or len(raw) != d:
-        raise ConfigError(f"alpha: expected a list of {d} rationals")
+def _rats(raw, context: str) -> tuple:
+    """A list of rationals, each a "p/q" string or an integer."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{context}: expected a list of rationals")
     out = []
     for k, s in enumerate(raw):
         try:
             out.append(parse_rat(s))
         except (ValueError, ZeroDivisionError) as e:
-            raise ConfigError(f"alpha[{k}]: {e}") from None
+            raise ConfigError(f"{context}[{k}]: {e}") from None
     return tuple(out)
 
 
+def _parse_alpha(raw, d: int) -> tuple:
+    if not isinstance(raw, list) or len(raw) != d:
+        raise ConfigError(f"alpha: expected a list of {d} rationals")
+    return _rats(raw, "alpha")
+
+
 def _parse_q(raw) -> QMatrix:
+    """A commutation matrix from its order vector l or from N and exps; its
+    order N may not exceed the cap on cyclotomic orders."""
     if not isinstance(raw, dict):
         raise ConfigError("q: expected an object")
     if "l" in raw:
         _strict(raw, "q", {"l"}, set())
+        field = "q.l"
+        if not isinstance(raw["l"], list):
+            raise ConfigError("q.l: expected a list of positive integers")
         try:
-            return block_normal_q(raw["l"])
-        except ValueError as e:
+            q = block_normal_q(raw["l"])
+        except (ValueError, TypeError) as e:
             raise ConfigError(f"q.l: {e}") from None
-    _strict(raw, "q", {"N", "exps"}, set())
-    try:
-        return QMatrix.from_exps(_int(raw["N"], "q.N"), raw["exps"])
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"q: {e}") from None
+    else:
+        _strict(raw, "q", {"N", "exps"}, set())
+        field = "q.N"
+        try:
+            q = QMatrix.from_exps(_int(raw["N"], "q.N"), raw["exps"])
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"q: {e}") from None
+    if q.N > Cyc.ORDER_CAP:
+        raise ConfigError(f"{field}: root-of-unity order {q.N} exceeds the cap "
+                          f"{Cyc.ORDER_CAP}")
+    return q
+
+
+def _config_q(config: dict, d: int | None = None) -> QMatrix:
+    """The q of a quantum-algebra config, of dimension d when d is given."""
+    if "q" not in config:
+        raise ConfigError(f"config: quantum algebra {config['algebra']!r} needs the field 'q'")
+    q = _parse_q(config["q"])
+    if d is not None and q.d != d:
+        raise ConfigError("q: dimension does not match d")
+    return q
+
+
+def _reject(config: dict, fields: tuple[str, ...]) -> None:
+    """A ConfigError for the first of ``fields`` that the config sets; they
+    do not apply to its algebra."""
+    for field in fields:
+        if field in config:
+            raise ConfigError(f"{field}: does not apply to algebra {config['algebra']!r}")
 
 
 def _parse_box(raw, d: int, context: str) -> Box:
@@ -147,18 +183,11 @@ def _parse_elements(raw, d: int) -> list:
         elem = AlgElem.zero(d)
         for t, term in enumerate(terms):
             _strict(term, f"elements[{k}][{t}]", {"u", "r"}, set())
-            if not isinstance(term["u"], list):
-                raise ConfigError(f"elements[{k}][{t}].u: expected a list of rationals")
-            u = []
-            for s in term["u"]:
-                try:
-                    u.append(parse_rat(s))
-                except (ValueError, ZeroDivisionError) as e:
-                    raise ConfigError(f"elements[{k}][{t}].u: {e}") from None
+            u = _rats(term["u"], f"elements[{k}][{t}].u")
             r = _ints(term["r"], f"elements[{k}][{t}].r")
             if len(u) != d or len(r) != d:
                 raise ConfigError(f"elements[{k}][{t}]: u and r must have length {d}")
-            elem = elem + AlgElem.term(tuple(u), r)
+            elem = elem + AlgElem.term(u, r)
         out.append(elem)
     return out
 
@@ -172,6 +201,7 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
     suites = []
     extras: dict = {}
     if algebra in verify.CLASSICAL_ALGEBRAS:
+        _reject(config, ("q",))
         if "d" not in config:
             raise ConfigError("config: classical algebras need the field 'd'")
         d = _int(config["d"], "d", 1)
@@ -194,9 +224,8 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
             suites.append({"name": "explicit-elements", "checks": len(elems),
                            "violations": bad})
     elif algebra in verify.Q_ALGEBRA_NAMES:
-        if "q" not in config:
-            raise ConfigError("config: quantum algebras need the field 'q'")
-        q = _parse_q(config["q"])
+        _reject(config, ("d", "elements"))
+        q = _config_q(config)
         radius = _int(config.get("degree_radius", 2), "degree_radius", 0)
         suites.append(verify.lie_suite_q(q, algebra, triples, rng, radius))
     else:
@@ -219,6 +248,7 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
     suites = []
     extras: dict = {}
     if algebra in verify.CLASSICAL_ALGEBRAS:
+        _reject(config, ("q",))
         suites.append(verify.module_suite_classical(params, algebra, pairs, rng, radius))
         if d >= 2:
             suites.append(verify.act_crosscheck_suite(params, max(20, pairs // 4), rng, radius))
@@ -234,11 +264,7 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
                 "split_at": None if split.split_at is None else list(split.split_at),
             }
     elif algebra in verify.Q_ALGEBRA_NAMES:
-        if "q" not in config:
-            raise ConfigError("config: quantum module checks need the field 'q'")
-        q = _parse_q(config["q"])
-        if q.d != d:
-            raise ConfigError("q: dimension does not match d")
+        q = _config_q(config, d)
         m = verify.module_suite_q(q, params, algebra, pairs, rng, radius)
         suites.append(m)
         suites.append(verify.qtorus_suite(q, pairs, rng))
@@ -268,6 +294,13 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
     working = _parse_box(config.get("working_box", 3), d, "working_box")
     target = _parse_box(config.get("target_box", 1), d, "target_box")
     max_iters = _int(config.get("max_iters", 50), "max_iters", 1)
+    if algebra in verify.CLASSICAL_ALGEBRAS:
+        _reject(config, ("q",))
+        q = None
+    elif algebra in Q_ALGEBRAS:
+        q = _config_q(config, d)
+    else:
+        raise ConfigError(f"algebra: unknown algebra {algebra!r}")
     raw_seeds = config["seeds"]
     if not isinstance(raw_seeds, list) or not raw_seeds:
         raise ConfigError("seeds: expected a nonempty list")
@@ -277,33 +310,18 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
         n = _ints(raw["n"], f"seeds[{k}].n")
         if len(n) != d:
             raise ConfigError(f"seeds[{k}].n: expected length {d}")
-        if not isinstance(raw["coords"], list):
-            raise ConfigError(f"seeds[{k}].coords: expected a list of rationals")
-        coords = []
-        for t, s in enumerate(raw["coords"]):
-            try:
-                coords.append(parse_rat(s))
-            except (ValueError, ZeroDivisionError) as e:
-                raise ConfigError(f"seeds[{k}].coords[{t}]: {e}") from None
+        coords = _rats(raw["coords"], f"seeds[{k}].coords")
         if len(coords) != params.rep.dim:
             raise ConfigError(f"seeds[{k}].coords: expected length {params.rep.dim}")
-        return n, tuple(coords)
+        return n, coords
 
     seeds = [graded(params, *parse_seed(k, raw)) for k, raw in enumerate(raw_seeds)]
     try:
-        if algebra in verify.CLASSICAL_ALGEBRAS:
+        if q is None:
             result = closure(params, seeds, gen_radius, working, target, max_iters, algebra)
-            q = None
-        elif algebra in Q_ALGEBRAS:
-            if "q" not in config:
-                raise ConfigError("config: q-closure needs the field 'q'")
-            q = _parse_q(config["q"])
-            if q.d != d:
-                raise ConfigError("q: dimension does not match d")
+        else:
             result = closure_q(q, params, seeds, gen_radius, working, target, max_iters,
                                algebra)
-        else:
-            raise ConfigError(f"algebra: unknown algebra {algebra!r}")
     except ValueError as e:
         raise ConfigError(f"closure: {e}") from None
 

@@ -84,10 +84,7 @@ class GradedVec:
     def __add__(self, other: "GradedVec") -> "GradedVec":
         out = dict(self.fibers)
         for n, c in other.fibers.items():
-            if n in out:
-                out[n] = tuple(a + b for a, b in zip(out[n], c))
-            else:
-                out[n] = c
+            witt.add_term(out, n, c)
         return GradedVec(self.params, out)
 
     def __neg__(self) -> "GradedVec":
@@ -134,17 +131,24 @@ def _accumulate(out: dict, n: DegVec, coords) -> None:
             acc[b] = acc[b] + x
 
 
-def act(params: ModuleParams, x: AlgElem, v: GradedVec) -> GradedVec:
-    """Bilinear extension of the defining action over terms and fibers."""
+def act(params: ModuleParams, x: AlgElem, v: GradedVec, cocycle=None) -> GradedVec:
+    """Bilinear extension of the defining action over terms and fibers.
+
+    With ``cocycle``, the image of D(u, r) on the fiber at n is scaled by
+    ``cocycle(r, n)``: the quantum torus action of outer derivations, with
+    sigma as the cocycle.
+    """
     if x.d != params.d:
         raise ValueError("algebra element dimension mismatch")
     out: dict[DegVec, list] = {}
     for r, u in x.terms.items():
         mat = [[ri * uj for uj in u] for ri in r]
         for n, coords in v.fibers.items():
-            _accumulate(out, tuple(ni + ri for ni, ri in zip(n, r)),
-                       _term_image(params.rep, u, mat, params.alpha, n, coords))
-    return GradedVec(params, {n: tuple(c) for n, c in out.items()})
+            img = _term_image(params.rep, u, mat, params.alpha, n, coords)
+            if cocycle is not None and (c := cocycle(r, n)) != 1:
+                img = tuple(c * x_ for x_ in img)
+            _accumulate(out, tuple(ni + ri for ni, ri in zip(n, r)), img)
+    return GradedVec(params, out)
 
 
 def act_d_basis(params: ModuleParams, r, i: int, v: GradedVec) -> GradedVec:

@@ -18,9 +18,12 @@ The module on C_q tensor V acts by
     (c ad t^m) . (t^n x v) = c [t^m, t^n] x v
     D(u, r) . (t^n x v)    = sigma(r, n) t^{r+n} x ((u | n + alpha) + r u^T) v
 
-and for block-normal q the congruence classes of degrees modulo the radical
-decompose the module; class 0 is annihilated by all inner terms and the
-remaining classes sum to the irreducible complement.
+The outer-outer bracket and the outer action are the classical ones of
+:mod:`divalg.witt` and :mod:`divalg.modules` with sigma as their cocycle;
+this module adds the inner terms.  For block-normal q the congruence
+classes of degrees modulo the radical decompose the module; class 0 is
+annihilated by all inner terms and the remaining classes sum to the
+irreducible complement.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from .closure import (
     linear_generator,
     pair_basis,
 )
-from .modules import GradedVec, ModuleParams, _accumulate, _term_image, act, graded
+from .modules import GradedVec, ModuleParams, _accumulate, act, graded
 from .reps import RepHandle
 from .scalars import Cyc
-from .qtorus import QMatrix, block_structure, in_rad, sigma, sigma_exponent
-from .witt import AlgElem, DegVec, pairing
+from .qtorus import QMatrix, block_structure, cocycle, commutator_coeff, in_rad, sigma_exponent
+from .witt import AlgElem, DegVec, bracket_witt, in_L, in_Lhat, pairing
 
 #: Global sign of the outer-outer bracket; +1 is the convention validated by
 #: the representation oracle (and the only one degenerating to the classical
@@ -48,21 +51,22 @@ OUTER_SIGN = 1
 
 class QDerElem:
     """Finite sum of inner terms (degree outside Rad_q) and outer terms
-    (degree inside Rad_q)."""
+    (degree inside Rad_q); the outer part is a classical :class:`AlgElem`."""
 
     __slots__ = ("d", "inner", "outer")
 
-    def __init__(self, d: int, inner: dict | None = None, outer: dict | None = None):
+    def __init__(self, d: int, inner: dict | None = None, outer: AlgElem | dict | None = None):
         self.d = d
         self.inner: dict[DegVec, Cyc] = {}
         for m, c in (inner or {}).items():
             c = c if isinstance(c, Cyc) else Cyc.from_rat(c)
             if not c.is_zero():
                 self.inner[tuple(int(x) for x in m)] = c
-        self.outer: dict[DegVec, tuple] = {}
-        for r, u in (outer or {}).items():
-            if any(u):
-                self.outer[tuple(int(x) for x in r)] = tuple(u)
+        if not isinstance(outer, AlgElem):
+            outer = AlgElem(d, outer)
+        elif outer.d != d:
+            raise ValueError("dimension mismatch")
+        self.outer = outer
 
     @staticmethod
     def ad(m, coeff=1) -> "QDerElem":
@@ -70,7 +74,7 @@ class QDerElem:
 
     @staticmethod
     def douter(u, r) -> "QDerElem":
-        return QDerElem(len(r), outer={tuple(r): tuple(u)})
+        return QDerElem(len(r), outer=AlgElem.term(u, r))
 
     @staticmethod
     def zero(d: int) -> "QDerElem":
@@ -80,12 +84,12 @@ class QDerElem:
         for m in self.inner:
             if in_rad(q, m):
                 raise ValueError(f"inner degree {m} lies in the radical")
-        for r in self.outer:
+        for r in self.outer.terms:
             if not in_rad(q, r):
                 raise ValueError(f"outer degree {r} lies outside the radical")
 
     def is_zero(self) -> bool:
-        return not self.inner and not self.outer
+        return not self.inner and self.outer.is_zero()
 
     def __add__(self, other: "QDerElem") -> "QDerElem":
         if other.d != self.d:
@@ -93,30 +97,16 @@ class QDerElem:
         inner = dict(self.inner)
         for m, c in other.inner.items():
             inner[m] = inner[m] + c if m in inner else c
-        outer = dict(self.outer)
-        for r, u in other.outer.items():
-            if r in outer:
-                outer[r] = tuple(a + b for a, b in zip(outer[r], u))
-            else:
-                outer[r] = u
-        return QDerElem(self.d, inner, outer)
+        return QDerElem(self.d, inner, self.outer + other.outer)
 
     def __neg__(self) -> "QDerElem":
-        return QDerElem(
-            self.d,
-            {m: -c for m, c in self.inner.items()},
-            {r: tuple(-x for x in u) for r, u in self.outer.items()},
-        )
+        return QDerElem(self.d, {m: -c for m, c in self.inner.items()}, -self.outer)
 
     def __sub__(self, other: "QDerElem") -> "QDerElem":
         return self + (-other)
 
     def scale(self, c) -> "QDerElem":
-        return QDerElem(
-            self.d,
-            {m: x * c for m, x in self.inner.items()},
-            {r: tuple(c * x for x in u) for r, u in self.outer.items()},
-        )
+        return QDerElem(self.d, {m: x * c for m, x in self.inner.items()}, self.outer.scale(c))
 
     def __eq__(self, other):
         if not isinstance(other, QDerElem):
@@ -127,18 +117,20 @@ class QDerElem:
 
     def __repr__(self):
         bits = [f"{c!r}*ad t^{list(m)}" for m, c in sorted(self.inner.items())]
-        bits += [f"D({list(u)}, {list(r)})" for r, u in sorted(self.outer.items())]
+        if self.outer.terms:
+            bits.append(repr(self.outer))
         return " + ".join(bits) if bits else "QDerElem(0)"
 
 
 def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_SIGN) -> QDerElem:
-    """Bilinear extension of the three bracket cases."""
+    """Bilinear extension of the three bracket cases; the outer-outer case is
+    the classical bracket with sigma as its cocycle."""
     if x.d != y.d or x.d != q.d:
         raise ValueError("dimension mismatch")
     x.validate(q)
     y.validate(q)
+    sig = cocycle(q)
     inner: dict[DegVec, Cyc] = {}
-    outer: dict[DegVec, list] = {}
 
     def add_inner(m: DegVec, c: Cyc) -> None:
         if c.is_zero():
@@ -153,49 +145,23 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
     # inner-inner: ad of the monomial commutator
     for m, cm in x.inner.items():
         for n, cn in y.inner.items():
-            e1 = sigma_exponent(q, m, n)
-            e2 = sigma_exponent(q, n, m)
-            if e1 == e2:
-                continue
-            c = (Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2)) * (cm * cn)
-            add_inner(tuple(a + b for a, b in zip(m, n)), c)
+            c = commutator_coeff(q, m, n)
+            if c is not None:
+                add_inner(tuple(a + b for a, b in zip(m, n)), c * (cm * cn))
 
-    # outer-inner and inner-outer
-    for r, u in x.outer.items():
-        for s, cs in y.inner.items():
-            coeff = pairing(u, s)
-            if coeff:
-                c = cs * coeff
-                e = sigma_exponent(q, r, s)
-                if e:
-                    c = c * Cyc.zeta(q.N, e)
-                add_inner(tuple(a + b for a, b in zip(r, s)), c)
-    for s, cs in x.inner.items():
-        for r, u in y.outer.items():
-            coeff = pairing(u, s)
-            if coeff:
-                c = cs * coeff
-                e = sigma_exponent(q, r, s)
-                if e:
-                    c = c * Cyc.zeta(q.N, e)
-                add_inner(tuple(a + b for a, b in zip(r, s)), -c)
+    # outer-inner, and inner-outer by antisymmetry
+    for alg, ads, sign in ((x.outer, y.inner, 1), (y.outer, x.inner, -1)):
+        for r, u in alg.terms.items():
+            for s, cs in ads.items():
+                coeff = pairing(u, s)
+                if coeff:
+                    c = cs * (sign * coeff)
+                    if (z := sig(r, s)) != 1:
+                        c = c * z
+                    add_inner(tuple(a + b for a, b in zip(r, s)), c)
 
-    # outer-outer
-    for r, u in x.outer.items():
-        for s, v in y.outer.items():
-            a = pairing(u, s)
-            b = pairing(v, r)
-            if not a and not b:
-                continue
-            e = sigma_exponent(q, r, s)
-            target = tuple(ri + si for ri, si in zip(r, s))
-            w = tuple(outer_sign * (a * vi - b * ui) for ui, vi in zip(u, v))
-            if e:
-                z = Cyc.zeta(q.N, e)
-                w = tuple(z * x_ for x_ in w)
-            if any(w):
-                _accumulate(outer, target, w)
-    return QDerElem(q.d, inner, outer)
+    outer = bracket_witt(x.outer, y.outer, sig)
+    return QDerElem(q.d, inner, outer if outer_sign == 1 else -outer)
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +170,18 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
 
 
 def act_q(q: QMatrix, x: QDerElem, v: GradedVec) -> GradedVec:
-    """The action on v's module, extended bilinearly over terms and fibers."""
+    """The action on v's module, extended bilinearly over terms and fibers;
+    the outer terms act classically with sigma as the cocycle."""
     x.validate(q)
-    rep, alpha = v.params.rep, v.params.alpha
     out: dict[DegVec, list] = {}
-
     for m, cm in x.inner.items():
         for n, coords in v.fibers.items():
-            e1 = sigma_exponent(q, m, n)
-            e2 = sigma_exponent(q, n, m)
-            if e1 == e2:
-                continue
-            c = (Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2)) * cm
-            target = tuple(a + b for a, b in zip(m, n))
-            _accumulate(out, target, tuple(c * x_ for x_ in coords))
-
-    for r, u in x.outer.items():
-        mat = [[ri * uj for uj in u] for ri in r]
-        for n, coords in v.fibers.items():
-            img = _term_image(rep, u, mat, alpha, n, coords)
-            e = sigma_exponent(q, r, n)
-            if e:
-                z = Cyc.zeta(q.N, e)
-                img = tuple(z * x_ for x_ in img)
-            _accumulate(out, tuple(a + b for a, b in zip(r, n)), img)
-
-    return GradedVec(v.params, {n: tuple(c) for n, c in out.items()})
+            c = commutator_coeff(q, m, n)
+            if c is not None:
+                c = c * cm
+                _accumulate(out, tuple(a + b for a, b in zip(m, n)),
+                            tuple(c * x_ for x_ in coords))
+    return GradedVec(v.params, out) + act(v.params, x.outer, v, cocycle(q))
 
 
 def module_axiom_residual_q(q: QMatrix, x: QDerElem, y: QDerElem, v: GradedVec,
@@ -262,23 +214,13 @@ def outer_bracket_sign_oracle(q: QMatrix, samples) -> int:
 def in_Lq(q: QMatrix, x: QDerElem) -> bool:
     """Inner terms free; outer terms divergence-zero with no degree-0 part."""
     x.validate(q)
-    zero = (0,) * q.d
-    for r, u in x.outer.items():
-        if r == zero:
-            return False
-        if pairing(u, r) != 0:
-            return False
-    return True
+    return in_L(x.outer)
 
 
 def in_Lqhat(q: QMatrix, x: QDerElem) -> bool:
     """Like in_Lq but the degree-0 outer part is unrestricted."""
     x.validate(q)
-    zero = (0,) * q.d
-    for r, u in x.outer.items():
-        if r != zero and pairing(u, r) != 0:
-            return False
-    return True
+    return in_Lhat(x.outer)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +273,7 @@ def iso_algebra(q: QMatrix, x: QDerElem) -> AlgElem:
     l = _require_block(q)
     x.validate(q)
     terms = {}
-    for n, u in x.outer.items():
+    for n, u in x.outer.terms.items():
         if any(ni % li for ni, li in zip(n, l)):
             raise ValueError(f"degree {n} is not in the radical lattice")
         terms[tuple(ni // li for ni, li in zip(n, l))] = tuple(li * ui for li, ui in zip(l, u))
@@ -409,14 +351,12 @@ def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
             u = tuple(1 if t == i else 0 for t in range(d))
             gens.append(linear_generator(rep, alpha, u, zero, name=f"del_{i + 1}"))
 
+    sig = cocycle(q)
+
     def inner_gen(m: DegVec) -> Generator:
         def block_apply(n, w):
-            e1 = sigma_exponent(q, m, n)
-            e2 = sigma_exponent(q, n, m)
-            if e1 == e2:
-                return None
-            c = Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2)
-            return [c * x for x in w]
+            c = commutator_coeff(q, m, n)
+            return None if c is None else [c * x for x in w]
         return Generator(m, block_apply, name=f"ad t^{m}")
 
     for m in sorted(Box.radius(d, gen_radius).degrees()):
@@ -426,7 +366,7 @@ def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
             for i, j, u in pair_basis(m):
                 gens.append(linear_generator(
                     rep, alpha, u, m,
-                    sigma_factor=lambda n, r=m: sigma(q, r, n),
+                    sigma_factor=lambda n, r=m: sig(r, n),
                     name=f"d({m},{i},{j})"))
         else:
             gens.append(inner_gen(m))

@@ -47,13 +47,6 @@ class QMatrix:
         exps = tuple(tuple(int(x) for x in row) for row in exps)
         return QMatrix(len(exps), n, exps)
 
-    def q_entry(self, i: int, j: int) -> Cyc:
-        """q_ij as a cyclotomic number (1-based indices)."""
-        return Cyc.zeta(self.N, self.exps[i - 1][j - 1])
-
-    def is_classical(self) -> bool:
-        return all(x % self.N == 0 for row in self.exps for x in row)
-
 
 @dataclass(frozen=True)
 class QMonomial:
@@ -111,6 +104,26 @@ def sigma(q: QMatrix, m, n) -> Cyc:
     return Cyc.zeta(q.N, sigma_exponent(q, m, n))
 
 
+def cocycle(q: QMatrix):
+    """sigma as a callable (m, n) -> scalar, the ``cocycle`` argument of
+    :func:`~divalg.witt.bracket_witt` and :func:`~divalg.modules.act`; it
+    gives the int 1 at exponent 0, so those skip the multiplication."""
+    def sig(m, n):
+        e = sigma_exponent(q, m, n)
+        return Cyc.zeta(q.N, e) if e else 1
+    return sig
+
+
+def commutator_coeff(q: QMatrix, m, n) -> Cyc | None:
+    """sigma(m, n) - sigma(n, m), so that [t^m, t^n] = c t^{m+n}; None when
+    it is zero, that is when the two exponents agree mod N."""
+    e1 = sigma_exponent(q, m, n)
+    e2 = sigma_exponent(q, n, m)
+    if e1 == e2:
+        return None
+    return Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2)
+
+
 def f_form(q: QMatrix, m, n) -> Cyc:
     """The commutation form: t^m t^n = f(m, n) t^n t^m."""
     return Cyc.zeta(q.N, f_exponent(q, m, n))
@@ -127,12 +140,8 @@ def torus_mul(q: QMatrix, a: QMonomial, b: QMonomial) -> QMonomial:
 
 def torus_commutator(q: QMatrix, m, n) -> QMonomial:
     """[t^m, t^n] = (sigma(m,n) - sigma(n,m)) t^{m+n}; may be zero."""
-    e1 = sigma_exponent(q, m, n)
-    e2 = sigma_exponent(q, n, m)
-    if e1 == e2:
-        return zero_monomial(q.d)
-    c = Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2)
-    if c.is_zero():
+    c = commutator_coeff(q, m, n)
+    if c is None:
         return zero_monomial(q.d)
     return QMonomial(c, tuple(x + y for x, y in zip(m, n)))
 
@@ -229,6 +238,8 @@ __all__ = [
     "zero_monomial",
     "monomial",
     "sigma",
+    "cocycle",
+    "commutator_coeff",
     "f_form",
     "sigma_exponent",
     "f_exponent",

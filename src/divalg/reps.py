@@ -344,6 +344,9 @@ def rep_from_config(d: int, obj: dict) -> RepHandle:
     extra = set(obj) - known[kind]
     if extra:
         raise ValueError(f"unknown rep config fields {sorted(extra)}")
+    missing = known[kind] - set(obj)
+    if missing:
+        raise ValueError(f"missing rep config fields {sorted(missing)}")
     if kind == "natural":
         return RepHandle.natural(d)
     if kind == "exterior":

@@ -35,9 +35,11 @@ class CycDivisionError(ZeroDivisionError):
 
 
 def parse_rat(s: str | int) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
+    """Parse "p/q" or "p", or take an integer, as an exact rational."""
     if isinstance(s, int):
         return Fraction(s)
+    if not isinstance(s, str):
+        raise ValueError(f"expected a rational as a \"p/q\" string or an integer, got {s!r}")
     text = s.strip()
     if "/" in text:
         num, den = text.split("/", 1)

@@ -211,16 +211,49 @@ def test_malformed_integer_field_exits_2(tmp_path, capsys, field, value, named):
     ("verify-algebra", "elements", [[{"u": 5, "r": [1, 2]}]], "elements[0][0].u"),
     # a q of another dimension than d
     ("verify-module", "q", {"l": [2, 2]}, "q"),
+    # JSON floats are not exact rationals
+    ("closure", "alpha", [0.5, 0], "alpha[0]"),
+    ("closure", "seeds", [{"n": [0, 0], "coords": [0.5, 0]}], "seeds[0].coords[0]"),
+    ("verify-algebra", "elements", [[{"u": [0.5, 0], "r": [1, 2]}]], "elements[0][0].u[0]"),
+    # a rep kind without its own field
+    ("closure", "rep", {"kind": "exterior"}, "rep"),
+    ("closure", "rep", {"kind": "twisted", "l": [1, 1]}, "rep"),
+    ("verify-module", "q", {"l": None}, "q.l"),
+    # fields that the chosen algebra does not read
+    ("verify-algebra", "algebra", "Lq", "d"),
+    ("verify-algebra", "q", {"l": [2, 2]}, "q"),
+    ("verify-module", "algebra", "L", "q"),
+    ("closure", "q", {"l": [2, 2]}, "q"),
 ])
 def test_malformed_list_field_exits_2(tmp_path, capsys, job, field, value, named):
     config = {
         "closure": dict(CLOSURE_W),
         "verify-algebra": {"job": "verify-algebra", "algebra": "L", "d": 2, "triples": 10},
         "verify-module": {"job": "verify-module", "algebra": "Lq", "d": 3,
-                          "alpha": ["1/2", "1/3", "0"], "rep": {"kind": "natural"}},
+                          "alpha": ["1/2", "1/3", "0"], "rep": {"kind": "natural"},
+                          "q": {"l": [2, 2, 1]}},
     }[job]
     config[field] = value
     path = write_config(tmp_path, "bad.json", config)
+    assert main([job, "--config", path]) == 2
+    assert f"error: {named}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q, named", [
+    ({"N": 401, "exps": [[0, 1], [-1, 0]]}, "q.N"),
+    ({"l": [361, 361]}, "q.l"),
+])
+@pytest.mark.parametrize("job", ["verify-algebra", "verify-module", "closure", "qtorus-info"])
+def test_q_order_above_cap_exits_2_for_every_job(tmp_path, capsys, job, q, named):
+    module = {"d": 2, "alpha": ["1/2", "1/3"], "rep": {"kind": "natural"}}
+    config = {
+        "verify-algebra": {"algebra": "Lq"},
+        "verify-module": {"algebra": "Lq", **module},
+        "closure": {"algebra": "Lq", **module, "seeds": [{"n": [1, 0], "coords": ["1", "0"]}]},
+        "qtorus-info": {},
+    }[job]
+    config.update(job=job, q=q)
+    path = write_config(tmp_path, "cap.json", config)
     assert main([job, "--config", path]) == 2
     assert f"error: {named}:" in capsys.readouterr().err
 

@@ -173,5 +173,5 @@ def test_integral_sample_is_a_positive_integer_multiple():
             assert k > 0 and k.denominator == 1 and ix == x.scale(k)
         y = sample_qder(rng, q, "Der")
         iy = integral_sample(y)
-        assert all(type(c) is int for u in iy.outer.values() for c in u)
+        assert all(type(c) is int for u in iy.outer.terms.values() for c in u)
         assert all(c.den == 1 for c in iy.inner.values())
