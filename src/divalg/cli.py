@@ -59,15 +59,14 @@ def _strict(obj: dict, context: str, required: set[str], optional: set[str]) -> 
 
 
 def _int(raw, context: str, minimum: int | None = None) -> int:
-    """An integer config field, at least ``minimum`` when one is given; any
-    other value is a ConfigError naming the field."""
-    try:
-        value = int(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{context}: expected an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{context}: must be at least {minimum}, got {value}")
-    return value
+    """A JSON integer config field, at least ``minimum`` when one is given;
+    any other value (a float, a string, a boolean) is a ConfigError naming
+    the field."""
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise ConfigError(f"{context}: expected an integer, got {raw!r}")
+    if minimum is not None and raw < minimum:
+        raise ConfigError(f"{context}: must be at least {minimum}, got {raw}")
+    return raw
 
 
 def _ints(raw, context: str) -> tuple[int, ...]:
@@ -104,18 +103,21 @@ def _parse_q(raw) -> QMatrix:
     if "l" in raw:
         _strict(raw, "q", {"l"}, set())
         field = "q.l"
-        if not isinstance(raw["l"], list):
-            raise ConfigError("q.l: expected a list of positive integers")
+        l = _ints(raw["l"], field)
         try:
-            q = block_normal_q(raw["l"])
-        except (ValueError, TypeError) as e:
+            q = block_normal_q(l)
+        except ValueError as e:
             raise ConfigError(f"q.l: {e}") from None
     else:
         _strict(raw, "q", {"N", "exps"}, set())
         field = "q.N"
+        n = _int(raw["N"], field)
+        if not isinstance(raw["exps"], list):
+            raise ConfigError("q.exps: expected a list of integer rows")
+        exps = [_ints(row, f"q.exps[{k}]") for k, row in enumerate(raw["exps"])]
         try:
-            q = QMatrix.from_exps(_int(raw["N"], "q.N"), raw["exps"])
-        except (ValueError, TypeError) as e:
+            q = QMatrix.from_exps(n, exps)
+        except ValueError as e:
             raise ConfigError(f"q: {e}") from None
     if q.N > Cyc.ORDER_CAP:
         raise ConfigError(f"{field}: root-of-unity order {q.N} exceeds the cap "
@@ -294,6 +296,9 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
     working = _parse_box(config.get("working_box", 3), d, "working_box")
     target = _parse_box(config.get("target_box", 1), d, "target_box")
     max_iters = _int(config.get("max_iters", 50), "max_iters", 1)
+    expect = config.get("expect_label")
+    if expect is not None and not isinstance(expect, str):
+        raise ConfigError(f"expect_label: expected a string, got {expect!r}")
     if algebra in verify.CLASSICAL_ALGEBRAS:
         _reject(config, ("q",))
         q = None
@@ -345,7 +350,6 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
                 per_class.setdefault(cls, {})[_deg_str(n)] = result.fiber_dims[n]
             details["class_dims"] = per_class
     outcome = "pass" if result.saturated else "violation"
-    expect = config.get("expect_label")
     if expect is not None:
         details["expect_label"] = expect
         if details["label"] != expect:

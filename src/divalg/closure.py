@@ -7,10 +7,13 @@ both endpoints lie inside the working box, so the computed space is always a
 subspace of the true submodule's restriction to the box.
 
 The span is an echelon basis of block rows ``{degree index: dense
-coordinates}``.  A row's pivot is the first nonzero coordinate of its lowest
-degree block; every inserted row is reduced against the existing rows and,
-when it survives, rescaled to a primitive integer (or monic cyclotomic) row.
-Rescaling is harmless because only the span is tracked.  Graded seeds keep
+coordinates}``, kept by the package's one elimination routine,
+:func:`divalg.linalg._reduce_into`.  A row's pivot is the first nonzero
+coordinate of its lowest degree block; every inserted row is reduced against
+the existing rows and, when it survives, rescaled to a primitive integer (or
+monic cyclotomic) row.  Rescaling is harmless because only the span is
+tracked.  Every generator is the fiber map of a D(u, r)
+(:func:`divalg.modules.term_map`) or an ``ad t^m``.  Graded seeds keep
 every row a single dense block, which is then directly a fiber vector; seeds
 supported on several degrees give rows with several blocks on the same
 footing, and their fibers are found by re-elimination.
@@ -34,16 +37,13 @@ do not depend on generator scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import gcd, lcm, prod
+from math import prod
 from operator import and_, mul
 
-from .linalg import SpanBasis, basis_of, empty_basis, same_span, span_extend
-from .modules import GradedVec, ModuleParams, _wedge_power, w_fiber_basis
-from .reps import RepVec, act_matrix
-from .scalars import Cyc, exact_div
+from .linalg import SpanBasis, _primitive, _reduce_into, basis_of, same_span
+from .modules import GradedVec, ModuleParams, _wedge_power, term_map, w_fiber_basis
 from .witt import DegVec, pair_term
 
 
@@ -108,74 +108,6 @@ class ClosureResult:
 # ---------------------------------------------------------------------------
 # block-row echelon state
 # ---------------------------------------------------------------------------
-
-
-def _primitive(vals: list) -> list:
-    """Canonical representative of the ray through a nonzero vector: monic
-    when it needs cyclotomic entries, else primitive integral with a positive
-    leading entry."""
-    if any(isinstance(x, Cyc) for x in vals):
-        inv = exact_div(1, next(x for x in vals if x))
-        vals = [inv * x for x in vals]
-        vals = [y.rat() if isinstance(y, Cyc) and y.is_rational() else y for y in vals]
-        if any(isinstance(y, Cyc) for y in vals):
-            return vals
-    if any(isinstance(x, Fraction) for x in vals):
-        mult = lcm(*(x.denominator for x in vals if isinstance(x, Fraction)))
-        vals = [int(x * mult) for x in vals]
-    g = gcd(*vals)
-    if next(x for x in vals if x) < 0:
-        g = -g
-    return vals if g == 1 else [x // g for x in vals]
-
-
-def _normalize_row(v: dict) -> dict:
-    """The nonzero block row ``v`` as a primitive row with sorted blocks."""
-    keys = sorted(v)
-    flat = _primitive([x for i in keys for x in v[i]])
-    w = len(flat) // len(keys)
-    return {i: flat[k * w:(k + 1) * w] for k, i in enumerate(keys)}
-
-
-def _combine(v: dict, row: dict, ca, cb) -> dict:
-    """ca * v - cb * row over block rows, dropping blocks that vanish."""
-    out = {}
-    for j, vb in v.items():
-        rb = row.get(j)
-        if rb is None:
-            blk = vb if ca == 1 else [ca * x for x in vb]
-        elif ca == 1:
-            blk = [x - cb * y if y else x for x, y in zip(vb, rb)]
-        else:
-            blk = [ca * x - cb * y for x, y in zip(vb, rb)]
-        if any(blk):
-            out[j] = blk
-    for j, rb in row.items():
-        if j not in v:
-            out[j] = [-cb * y for y in rb]
-    return out
-
-
-def _reduce_into(rows: dict, v: dict) -> dict | None:
-    """Reduce the block row ``v`` (nonzero blocks only) against the echelon
-    ``rows``, keyed by (block, coordinate) pivots; store and return its
-    primitive form if it is independent, else return None."""
-    while v:
-        i = min(v)
-        block = v[i]
-        b = next(t for t, x in enumerate(block) if x)
-        row = rows.get((i, b))
-        if row is None:
-            row = _normalize_row(v)
-            rows[i, b] = row
-            return row
-        a, c = block[b], row[i][b]
-        if isinstance(a, int) and isinstance(c, int):
-            g = gcd(a, c)
-            v = _combine(v, row, c // g, a // g)
-        else:
-            v = _combine(v, row, 1, exact_div(a, c))
-    return None
 
 
 def _orthogonal(ann: list[list], w: list) -> bool:
@@ -245,52 +177,11 @@ class Generator:
     when the image vanishes identically.
     """
 
-    __slots__ = ("shift", "block_apply", "name")
+    __slots__ = ("shift", "block_apply")
 
-    def __init__(self, shift: DegVec, block_apply, name: str = ""):
+    def __init__(self, shift: DegVec, block_apply):
         self.shift = shift
         self.block_apply = block_apply
-        self.name = name
-
-
-def linear_generator(rep, alpha, u, r, sigma_factor=None, name: str = "") -> Generator:
-    """Generator acting like D(u, r): scalar (u | n + alpha) plus the rank-one
-    matrix r u^T through the representation, optionally times a degree-dependent
-    nonzero cocycle factor (ignored for span purposes)."""
-    u = tuple(u)
-    mat = [[ri * uj for uj in u] for ri in r]
-    cols = [act_matrix(rep, mat, RepVec(rep, tuple(1 if t == b else 0 for t in range(rep.dim)))).coords
-            for b in range(rep.dim)]
-    # (i, j, m): the image of basis j has coefficient m on basis i
-    entries = [(i, j, col[i]) for i in range(rep.dim) for j, col in enumerate(cols) if col[i]]
-    ualpha = sum(Fraction(ua) * aa for ua, aa in zip(u, alpha))
-    if all(isinstance(m, int) for _, _, m in entries):
-        # integer matrix: apply the denominator of (u | alpha) times the operator
-        scale, offset = ualpha.denominator, ualpha.numerator
-        entries = [(i, j, scale * m) for i, j, m in entries]
-    else:
-        scale, offset = 1, ualpha
-
-    def block_apply(n, w):
-        s = sum(map(mul, u, n)) * scale + offset
-        out = [s * x for x in w]
-        for i, j, m in entries:
-            out[i] += m * w[j]
-        return out if any(out) else None
-
-    if sigma_factor is None:
-        return Generator(tuple(r), block_apply, name)
-
-    def twisted_apply(n, w):
-        out = block_apply(n, w)
-        if out is None:
-            return None
-        c = sigma_factor(n)
-        if c == 1:
-            return out
-        return [c * x for x in out]
-
-    return Generator(tuple(r), twisted_apply, name)
 
 
 class Neighbours:
@@ -453,46 +344,50 @@ def pair_basis(r: DegVec) -> list[tuple[int, int, tuple]]:
     The d - 1 kept terms span the whole divergence-zero component
     {u : (u|r) = 0}, which the C(d, 2) pair terms span with repeats.
     """
-    span = empty_basis(len(r))
+    echelon: dict = {}
     out = []
     for i in range(1, len(r) + 1):
         for j in range(i + 1, len(r) + 1):
             u = pair_term(r, i, j).u
-            span, grew = span_extend(span, [u])
-            if grew:
+            if any(u) and _reduce_into(echelon, {0: list(u)}) is not None:
                 out.append((i, j, u))
     return out
+
+
+def unit_generators(params: ModuleParams, r: DegVec) -> list[Generator]:
+    """D(e_j, r) for j = 1..d: the W generators at degree r, and at r = 0
+    the degree derivations of Lhat and Lqhat."""
+    d = params.d
+    return [Generator(r, term_map(params, tuple(int(t == j) for t in range(d)), r,
+                                  integral=True))
+            for j in range(d)]
+
+
+def pair_generators(params: ModuleParams, r: DegVec, cocycle=None) -> list[Generator]:
+    """D(u, r) for the u of :func:`pair_basis` at a degree r != 0, a basis of
+    the degree-r component of L, twisted by ``cocycle`` when one is given."""
+    return [Generator(r, term_map(params, u, r, cocycle, integral=True))
+            for _, _, u in pair_basis(r)]
 
 
 def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) -> list[Generator]:
     """Homogeneous generating family of the chosen algebra up to the radius.
 
     L: at every nonzero degree r in the radius box, the d - 1 pair elements
-    t^r (r_j d_i - r_i d_j) of :func:`pair_basis`, a basis of the degree-r
-    component; D(u, r) is linear in u, so the remaining pair elements add no
-    image outside their span.  Lhat additionally has the degree derivations.
-    W: D(e_j, r) for every j and every degree (u is free by linearity).
+    of :func:`pair_generators`, a basis of the degree-r component; D(u, r)
+    is linear in u, so the remaining pair elements add no image outside their
+    span.  Lhat additionally has the degree derivations.  W: D(e_j, r) for
+    every j and every degree (u is free by linearity).
     """
     if algebra not in ALGEBRAS:
         raise ValueError(f"algebra must be one of {ALGEBRAS}")
-    d = params.d
-    gens: list[Generator] = []
-    zero = (0,) * d
-    if algebra == "Lhat":
-        for i in range(d):
-            u = tuple(1 if t == i else 0 for t in range(d))
-            gens.append(linear_generator(params.rep, params.alpha, u, zero,
-                                         name=f"del_{i + 1}"))
-    for r in sorted(Box.radius(d, gen_radius).degrees()):
+    zero = (0,) * params.d
+    gens = unit_generators(params, zero) if algebra == "Lhat" else []
+    for r in sorted(Box.radius(params.d, gen_radius).degrees()):
         if algebra == "W":
-            for j in range(d):
-                u = tuple(1 if t == j else 0 for t in range(d))
-                gens.append(linear_generator(params.rep, params.alpha, u, r,
-                                             name=f"D(e{j + 1},{r})"))
+            gens += unit_generators(params, r)
         elif r != zero:
-            for i, j, u in pair_basis(r):
-                gens.append(linear_generator(params.rep, params.alpha, u, r,
-                                             name=f"d({r},{i},{j})"))
+            gens += pair_generators(params, r)
     return gens
 
 

@@ -1,16 +1,22 @@
 """Exact dense linear algebra over Rat or Cyc scalars.
 
 Everything here is generic over any exact field scalar supporting +, -, *,
-/ and truthiness (Fraction, Cyc, and plain ints mixed in).  Bases are kept
-in reduced row-echelon form, which is canonical for a given row space, so
-results never depend on the order vectors were fed in.
+/ and truthiness (Fraction, Cyc, and plain ints mixed in).  There is one
+elimination routine, :func:`_reduce_into`: it folds a block row ``{block:
+dense coordinates}`` into a fraction-free echelon of primitive integer (or
+monic cyclotomic) rows, and the closure engine keeps its span in exactly that
+form.  Bases of a single space are that echelon on one block, brought by one
+back-substitution pass to reduced row-echelon form, which is canonical for a
+given row space, so results never depend on the order vectors were fed in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
-from .scalars import exact_div
+from .scalars import Cyc, exact_div
 
 
 @dataclass(frozen=True)
@@ -33,51 +39,97 @@ def empty_basis(ambient_dim: int) -> SpanBasis:
     return SpanBasis(ambient_dim, (), ())
 
 
-def _reduce_against(v: list, rows: list[list], pivots: list[int], dim: int) -> list:
-    """Eliminate all pivot coordinates of ``v`` in place; returns ``v``.
+def _primitive(vals: list) -> list:
+    """Canonical representative of the ray through a nonzero vector: monic
+    when it needs cyclotomic entries, else primitive integral with a positive
+    leading entry."""
+    if any(isinstance(x, Cyc) for x in vals):
+        inv = exact_div(1, next(x for x in vals if x))
+        vals = [inv * x for x in vals]
+        vals = [y.rat() if isinstance(y, Cyc) and y.is_rational() else y for y in vals]
+        if any(isinstance(y, Cyc) for y in vals):
+            return vals
+    if any(isinstance(x, Fraction) for x in vals):
+        mult = lcm(*(x.denominator for x in vals if isinstance(x, Fraction)))
+        vals = [int(x * mult) for x in vals]
+    g = gcd(*vals)
+    if next(x for x in vals if x) < 0:
+        g = -g
+    return vals if g == 1 else [x // g for x in vals]
 
-    Rows carry 1 at their own pivot and 0 at every other pivot column, so a
-    single pass suffices.
-    """
-    for r, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            for j in range(dim):
-                if r[j]:
-                    v[j] = v[j] - c * r[j]
-    return v
+
+def _normalize_row(v: dict) -> dict:
+    """The nonzero block row ``v`` as a primitive row with sorted blocks."""
+    keys = sorted(v)
+    flat = _primitive([x for i in keys for x in v[i]])
+    w = len(flat) // len(keys)
+    return {i: flat[k * w:(k + 1) * w] for k, i in enumerate(keys)}
 
 
-def _absorb(vectors, rows: list[list], pivots: list[int], dim: int) -> None:
-    """Fold ``vectors`` into the RREF state (rows, pivots), in place."""
-    for vec in vectors:
-        v = list(vec)
-        if len(v) != dim:
-            raise ValueError(f"vector length {len(v)} != ambient dim {dim}")
-        _reduce_against(v, rows, pivots, dim)
-        lead = next((j for j in range(dim) if v[j]), None)
-        if lead is None:
-            continue
-        if v[lead] != 1:
-            inv = exact_div(1, v[lead])
-            v = [x * inv for x in v]
-        for r in rows:
-            c = r[lead]
-            if c:
-                for j in range(dim):
-                    if v[j]:
-                        r[j] = r[j] - c * v[j]
-        at = next((k for k, p in enumerate(pivots) if p > lead), len(pivots))
-        rows.insert(at, v)
-        pivots.insert(at, lead)
+def _combine(v: dict, row: dict, ca, cb) -> dict:
+    """ca * v - cb * row over block rows, dropping blocks that vanish."""
+    out = {}
+    for j, vb in v.items():
+        rb = row.get(j)
+        if rb is None:
+            blk = vb if ca == 1 else [ca * x for x in vb]
+        elif ca == 1:
+            blk = [x - cb * y if y else x for x, y in zip(vb, rb)]
+        else:
+            blk = [ca * x - cb * y for x, y in zip(vb, rb)]
+        if any(blk):
+            out[j] = blk
+    for j, rb in row.items():
+        if j not in v:
+            out[j] = [-cb * y for y in rb]
+    return out
+
+
+def _reduce_into(rows: dict, v: dict) -> dict | None:
+    """Reduce the block row ``v`` (nonzero blocks only) against the echelon
+    ``rows``, keyed by (block, coordinate) pivots; store and return its
+    primitive form if it is independent, else return None."""
+    while v:
+        i = min(v)
+        block = v[i]
+        b = next(t for t, x in enumerate(block) if x)
+        row = rows.get((i, b))
+        if row is None:
+            row = _normalize_row(v)
+            rows[i, b] = row
+            return row
+        a, c = block[b], row[i][b]
+        if isinstance(a, int) and isinstance(c, int):
+            g = gcd(a, c)
+            v = _combine(v, row, c // g, a // g)
+        else:
+            v = _combine(v, row, 1, exact_div(a, c))
+    return None
 
 
 def basis_of(vectors, ambient_dim: int) -> SpanBasis:
     """RREF basis of the span of ``vectors``."""
-    rows: list[list] = []
-    pivots: list[int] = []
-    _absorb(vectors, rows, pivots, ambient_dim)
-    return SpanBasis(ambient_dim, tuple(tuple(r) for r in rows), tuple(pivots))
+    echelon: dict = {}
+    for vec in vectors:
+        v = list(vec)
+        if len(v) != ambient_dim:
+            raise ValueError(f"vector length {len(v)} != ambient dim {ambient_dim}")
+        if any(v):
+            _reduce_into(echelon, {0: v})
+    pivots = sorted(b for _, b in echelon)
+    rows = [echelon[0, p][0] for p in pivots]
+    # back-substitution: bottom up, scale each pivot to 1 and clear its column
+    # from the rows above
+    for k in range(len(rows) - 1, -1, -1):
+        p, row = pivots[k], rows[k]
+        if row[p] != 1:
+            inv = exact_div(1, row[p])
+            row = rows[k] = [inv * x for x in row]
+        for t in range(k):
+            c = rows[t][p]
+            if c:
+                rows[t] = [x - c * y if y else x for x, y in zip(rows[t], row)]
+    return SpanBasis(ambient_dim, tuple(map(tuple, rows)), tuple(pivots))
 
 
 def span_contains(b: SpanBasis, v) -> bool:
@@ -85,22 +137,19 @@ def span_contains(b: SpanBasis, v) -> bool:
     v = list(v)
     if len(v) != b.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    _reduce_against(v, list(b.rows), list(b.pivot_cols), b.ambient_dim)
-    return all(not x for x in v)
+    for row, p in zip(b.rows, b.pivot_cols):
+        c = v[p]
+        if c:
+            v = [x - c * y if y else x for x, y in zip(v, row)]
+    return not any(v)
 
 
 def span_extend(b: SpanBasis, vs) -> tuple[SpanBasis, bool]:
     """RREF basis of span(b, vs); ``grew`` reports a strict rank increase."""
-    rows = [list(r) for r in b.rows]
-    pivots = list(b.pivot_cols)
-    old_rank = len(rows)
-    _absorb(vs, rows, pivots, b.ambient_dim)
-    out = SpanBasis(b.ambient_dim, tuple(tuple(r) for r in rows), tuple(pivots))
-    return out, out.rank > old_rank
+    out = basis_of(list(b.rows) + list(vs), b.ambient_dim)
+    return out, out.rank > b.rank
 
 
 def same_span(a: SpanBasis, b: SpanBasis) -> bool:
-    """Exact subspace equality via mutual containment."""
-    if a.ambient_dim != b.ambient_dim or a.rank != b.rank:
-        return False
-    return all(span_contains(a, r) for r in b.rows)
+    """Exact subspace equality: RREF is canonical, so the rows agree."""
+    return a.ambient_dim == b.ambient_dim and a.rows == b.rows

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import witt
 from .linalg import SpanBasis, basis_of
@@ -27,6 +28,7 @@ __all__ = [
     "ModuleParams",
     "GradedVec",
     "graded",
+    "term_map",
     "act",
     "act_d_basis",
     "module_axiom_residual",
@@ -113,12 +115,52 @@ def graded(params: ModuleParams, n, coords) -> GradedVec:
     return GradedVec(params, {tuple(int(x) for x in n): tuple(coords)})
 
 
-def _term_image(rep: RepHandle, u, mat, alpha, n, coords) -> tuple:
-    """The fiber of D(u, r) . (v x t^n) for v = coords, without its degree:
-    (u | n + alpha) v + (r u^T) v, where mat = r u^T."""
-    s = sum(ua * (na + aa) for ua, na, aa in zip(u, n, alpha))
-    w = act_matrix(rep, mat, RepVec(rep, coords)).coords
-    return tuple(s * c + wb for c, wb in zip(coords, w))
+def term_map(params: ModuleParams, u, r, cocycle=None, integral: bool = False):
+    """The fiber map of D(u, r): ``(n, w) -> image``, the coordinates of
+    D(u, r) . (w x t^n) = ((u | n + alpha) w + (r u^T) w) x t^{n + r} as a
+    list, or None when they vanish.
+
+    With ``cocycle`` the image at n is scaled by ``cocycle(r, n)`` (the
+    quantum action, with sigma).  With ``integral``, when r u^T acts by an
+    integer matrix the map is scaled by the denominator of (u | alpha), so
+    integer coordinates give integer images; only the closure engine, which
+    tracks spans, asks for that.
+    """
+    u, r = tuple(u), tuple(r)
+    acc: dict = {}
+    for a, ra in enumerate(r, 1):
+        for b, ub in enumerate(u, 1):
+            if ra and ub:
+                c = ra * ub
+                for src, terms in params.rep._e_structure(a, b).items():
+                    for dst, m in terms:
+                        acc[dst, src] = acc.get((dst, src), 0) + c * m
+    # (i, j, m): r u^T takes basis vector j to m times basis vector i, plus others
+    entries = [(i, j, m) for (i, j), m in sorted(acc.items()) if m]
+    ualpha = sum(map(mul, u, params.alpha))
+    if integral and all(isinstance(m, int) for _, _, m in entries):
+        scale = ualpha.denominator
+        u, ualpha = tuple(scale * x for x in u), ualpha.numerator
+        entries = [(i, j, scale * m) for i, j, m in entries]
+
+    def apply(n, w):
+        s = sum(map(mul, u, n)) + ualpha
+        out = [s * x for x in w]
+        for i, j, m in entries:
+            out[i] += m * w[j]
+        return out if any(out) else None
+
+    if cocycle is None:
+        return apply
+
+    def twisted(n, w):
+        out = apply(n, w)
+        if out is None:
+            return None
+        c = cocycle(r, n)
+        return out if c == 1 else [c * x for x in out]
+
+    return twisted
 
 
 def _accumulate(out: dict, n: DegVec, coords) -> None:
@@ -132,7 +174,8 @@ def _accumulate(out: dict, n: DegVec, coords) -> None:
 
 
 def act(params: ModuleParams, x: AlgElem, v: GradedVec, cocycle=None) -> GradedVec:
-    """Bilinear extension of the defining action over terms and fibers.
+    """Bilinear extension of the defining action: the :func:`term_map` of
+    each term D(u, r), built once, applied to every fiber.
 
     With ``cocycle``, the image of D(u, r) on the fiber at n is scaled by
     ``cocycle(r, n)``: the quantum torus action of outer derivations, with
@@ -142,12 +185,11 @@ def act(params: ModuleParams, x: AlgElem, v: GradedVec, cocycle=None) -> GradedV
         raise ValueError("algebra element dimension mismatch")
     out: dict[DegVec, list] = {}
     for r, u in x.terms.items():
-        mat = [[ri * uj for uj in u] for ri in r]
+        apply = term_map(params, u, r, cocycle)
         for n, coords in v.fibers.items():
-            img = _term_image(params.rep, u, mat, params.alpha, n, coords)
-            if cocycle is not None and (c := cocycle(r, n)) != 1:
-                img = tuple(c * x_ for x_ in img)
-            _accumulate(out, tuple(ni + ri for ni, ri in zip(n, r)), img)
+            img = apply(n, coords)
+            if img is not None:
+                _accumulate(out, tuple(ni + ri for ni, ri in zip(n, r)), img)
     return GradedVec(params, out)
 
 

@@ -34,8 +34,8 @@ from .closure import (
     Generator,
     Label,
     _close,
-    linear_generator,
-    pair_basis,
+    pair_generators,
+    unit_generators,
 )
 from .modules import GradedVec, ModuleParams, _accumulate, act, graded
 from .reps import RepHandle
@@ -338,36 +338,25 @@ Q_ALGEBRAS = ("Lq", "Lqhat")
 def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
                     algebra: str) -> list[Generator]:
     """Inner generators ad t^m off the radical plus divergence-zero outer
-    generators at radical degrees, one :func:`pair_basis` per degree (with
-    the degree derivations for Lqhat)."""
+    generators at radical degrees, the classical pair generators twisted by
+    sigma (with the degree derivations for Lqhat)."""
     if algebra not in Q_ALGEBRAS:
         raise ValueError(f"algebra must be one of {Q_ALGEBRAS}")
-    d = q.d
-    rep, alpha = params.rep, params.alpha
-    gens: list[Generator] = []
-    zero = (0,) * d
-    if algebra == "Lqhat":
-        for i in range(d):
-            u = tuple(1 if t == i else 0 for t in range(d))
-            gens.append(linear_generator(rep, alpha, u, zero, name=f"del_{i + 1}"))
-
+    zero = (0,) * q.d
+    gens = unit_generators(params, zero) if algebra == "Lqhat" else []
     sig = cocycle(q)
 
     def inner_gen(m: DegVec) -> Generator:
         def block_apply(n, w):
             c = commutator_coeff(q, m, n)
             return None if c is None else [c * x for x in w]
-        return Generator(m, block_apply, name=f"ad t^{m}")
+        return Generator(m, block_apply)
 
-    for m in sorted(Box.radius(d, gen_radius).degrees()):
+    for m in sorted(Box.radius(q.d, gen_radius).degrees()):
         if m == zero:
             continue
         if in_rad(q, m):
-            for i, j, u in pair_basis(m):
-                gens.append(linear_generator(
-                    rep, alpha, u, m,
-                    sigma_factor=lambda n, r=m: sig(r, n),
-                    name=f"d({m},{i},{j})"))
+            gens += pair_generators(params, m, sig)
         else:
             gens.append(inner_gen(m))
     return gens

@@ -350,11 +350,20 @@ def rep_from_config(d: int, obj: dict) -> RepHandle:
     if kind == "natural":
         return RepHandle.natural(d)
     if kind == "exterior":
-        return RepHandle.exterior(d, int(obj["k"]))
+        return RepHandle.exterior(d, _json_int(obj["k"], "k"))
     if kind == "symmetric":
-        return RepHandle.symmetric(d, int(obj["m"]))
+        return RepHandle.symmetric(d, _json_int(obj["m"], "m"))
     if kind == "trivial":
         return RepHandle.trivial(d)
     if kind == "tensor":
         return RepHandle.tensor([rep_from_config(d, f) for f in obj["factors"]])
-    return RepHandle.twisted(rep_from_config(d, obj["inner"]), obj["l"])
+    l = [_json_int(x, f"l[{t}]") for t, x in enumerate(obj["l"])]
+    return RepHandle.twisted(rep_from_config(d, obj["inner"]), l)
+
+
+def _json_int(raw, field: str) -> int:
+    """An integer field of a rep config: a JSON integer, not a float or a
+    boolean."""
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise ValueError(f"{field}: expected an integer, got {raw!r}")
+    return raw

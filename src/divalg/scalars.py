@@ -36,7 +36,7 @@ class CycDivisionError(ZeroDivisionError):
 
 def parse_rat(s: str | int) -> Fraction:
     """Parse "p/q" or "p", or take an integer, as an exact rational."""
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected a rational as a \"p/q\" string or an integer, got {s!r}")

@@ -193,6 +193,13 @@ def test_report_json_stable_key_order():
     ("working_box", {"lo": "ab", "hi": [1, 1]}, "working_box.lo"),
     ("gen_radius", -1, "gen_radius"),
     ("max_iters", 0, "max_iters"),
+    # integer fields are JSON integers: no floats, no booleans
+    ("gen_radius", 1.9, "gen_radius"),
+    ("seeds", [{"n": [0.4, 0], "coords": ["1/2", "0"]}], "seeds[0].n[0]"),
+    ("working_box", True, "working_box"),
+    ("working_box", {"lo": [-1, -1], "hi": [1.0, 1]}, "working_box.hi[0]"),
+    ("d", True, "d"),
+    ("triples", 10.0, "triples"),
 ])
 def test_malformed_integer_field_exits_2(tmp_path, capsys, field, value, named):
     if field in ("triples", "d"):
@@ -224,6 +231,21 @@ def test_malformed_integer_field_exits_2(tmp_path, capsys, field, value, named):
     ("verify-algebra", "q", {"l": [2, 2]}, "q"),
     ("verify-module", "algebra", "L", "q"),
     ("closure", "q", {"l": [2, 2]}, "q"),
+    # booleans are not rationals or integers
+    ("closure", "alpha", [True, 0], "alpha[0]"),
+    ("closure", "seeds", [{"n": [0, 0], "coords": [True, 0]}], "seeds[0].coords[0]"),
+    ("verify-algebra", "elements", [[{"u": [True, 0], "r": [1, 2]}]], "elements[0][0].u[0]"),
+    ("closure", "rep", {"kind": "exterior", "k": 1.5}, "rep: k"),
+    ("closure", "rep", {"kind": "exterior", "k": True}, "rep: k"),
+    ("closure", "rep", {"kind": "symmetric", "m": 2.0}, "rep: m"),
+    ("closure", "rep", {"kind": "twisted", "l": [1, 1.5], "inner": {"kind": "natural"}},
+     "rep: l[1]"),
+    ("closure", "expect_label", 5, "expect_label"),
+    # q.N is named once, not wrapped in another "q:" prefix
+    ("verify-module", "q", {"N": "x", "exps": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}, "q.N"),
+    ("verify-module", "q", {"l": [2, 2.0, 1]}, "q.l[1]"),
+    ("verify-module", "q", {"N": 2, "exps": [[0, 1, 0], [-1, 0, 0], [0, 0, True]]},
+     "q.exps[2][2]"),
 ])
 def test_malformed_list_field_exits_2(tmp_path, capsys, job, field, value, named):
     config = {

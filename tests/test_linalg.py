@@ -1,11 +1,14 @@
-"""Exact RREF, span membership, and incremental span extension."""
+"""Exact RREF, span membership, and incremental span extension, with a
+differential check against plain Gauss-Jordan over int, Fraction and Cyc rows."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from divalg.linalg import basis_of, empty_basis, same_span, span_contains, span_extend
+from divalg.scalars import Cyc, euler_phi
 
 
 def test_rref_proportional_rows():
@@ -94,3 +97,75 @@ def test_rref_canonical_under_permutation(rows):
     b2 = basis_of(list(reversed(rows)), 3)
     assert b1.rows == b2.rows
     assert same_span(b1, b2)
+
+
+# ---------------------------------------------------------------------------
+# differential check against a plain Gauss-Jordan elimination
+# ---------------------------------------------------------------------------
+
+
+def gauss_jordan(vectors, dim):
+    """(rows, pivots) of the RREF of ``vectors`` by textbook Gauss-Jordan."""
+    rows = [[Fraction(x) if isinstance(x, int) else x for x in v] for v in vectors]
+    pivots = []
+    for col in range(dim):
+        top = len(pivots)
+        k = next((k for k in range(top, len(rows)) if rows[k][col]), None)
+        if k is None:
+            continue
+        rows[top], rows[k] = rows[k], rows[top]
+        lead = rows[top][col]
+        rows[top] = [x / lead for x in rows[top]]
+        for t in range(len(rows)):
+            if t != top and rows[t][col]:
+                c = rows[t][col]
+                rows[t] = [x - c * y for x, y in zip(rows[t], rows[top])]
+        pivots.append(col)
+    return [tuple(r) for r in rows[:len(pivots)]], pivots
+
+
+def draw(rng, kind):
+    if kind == "int":
+        return rng.randint(-4, 4)
+    if kind == "frac":
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    return Cyc(kind, [rng.randint(-2, 2) for _ in range(euler_phi(kind))])
+
+
+def vector_family(rng, kind, dim):
+    """Random rows plus a zero row, a repeated row, a proportional row and a
+    combination of two rows, in random order."""
+    base = [[draw(rng, kind) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+    c = draw(rng, kind) or 3
+    extra = [[0] * dim, list(base[0]), [c * x for x in base[-1]],
+             [x + c * y for x, y in zip(base[0], base[-1])]]
+    vectors = base + extra
+    rng.shuffle(vectors)
+    return vectors
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", 3, 4, 12])
+def test_linalg_matches_gauss_jordan(kind):
+    rng = Random(f"gauss-jordan-{kind}")
+    for _ in range(25):
+        dim = rng.randint(2, 5)
+        vectors = vector_family(rng, kind, dim)
+        b = basis_of(vectors, dim)
+        rows, pivots = gauss_jordan(vectors, dim)
+        assert b.rows == tuple(rows) and b.pivot_cols == tuple(pivots)
+        rank = len(rows)
+
+        probes = [[draw(rng, kind) for _ in range(dim)], list(vectors[0]),
+                  [x - y for x, y in zip(vectors[0], vectors[-1])]]
+        for v in probes:
+            assert span_contains(b, v) == (len(gauss_jordan(vectors + [v], dim)[0]) == rank)
+
+        more = [[draw(rng, kind) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
+        grown, grew = span_extend(b, more)
+        ref_rows, ref_pivots = gauss_jordan(vectors + more, dim)
+        assert grown.rows == tuple(ref_rows) and grown.pivot_cols == tuple(ref_pivots)
+        assert grew == (len(ref_rows) > rank)
+
+        shuffled = list(reversed(vectors))
+        assert same_span(b, basis_of(shuffled, dim))
+        assert same_span(b, grown) == (len(ref_rows) == rank)

@@ -15,11 +15,13 @@ from divalg.modules import (
     act_d_basis,
     graded,
     module_axiom_residual,
+    term_map,
     trivial_split,
     w_fiber_basis,
     w_membership,
 )
-from divalg.reps import RepHandle
+from divalg.qtorus import block_normal_q, cocycle
+from divalg.reps import RepHandle, RepVec, act_matrix, basis_vector
 from divalg.verify import (
     act_crosscheck_suite,
     module_suite_classical,
@@ -262,3 +264,80 @@ def test_trivial_split_examples():
     assert not s0.irreducible and s0.split_at == (0, 0)
     with pytest.raises(ValueError):
         trivial_split(ModuleParams(2, (0, 0), RepHandle.natural(2)))
+
+
+# ---------------------------------------------------------------------------
+# differential check of the fiber map against the module formula
+# ---------------------------------------------------------------------------
+
+
+def term_map_reps():
+    nat = RepHandle.natural(3)
+    tensor = RepHandle.tensor([nat, RepHandle.exterior(3, 2)])
+    return [
+        nat,
+        RepHandle.exterior(3, 2),
+        RepHandle.symmetric(3, 2),
+        tensor,
+        RepHandle.cyclic(RepHandle.tensor([nat, nat]), [0, 1, 0, -1, 0, 0, 0, 0, 0]),
+        RepHandle.twisted(RepHandle.exterior(3, 2), (2, 3, 1)),
+    ]
+
+
+def module_formula(params, u, r, n, w):
+    """(u | n + alpha) w + (r u^T) w, with r u^T applied by act_matrix."""
+    rep = params.rep
+    mat = [[ri * uj for uj in u] for ri in r]
+    rw = act_matrix(rep, mat, RepVec(rep, tuple(w))).coords
+    s = sum(ua * (na + aa) for ua, na, aa in zip(u, n, params.alpha))
+    return [s * x + y for x, y in zip(w, rw)]
+
+
+def integer_matrix(rep, u, r) -> bool:
+    """Whether u is integral and r u^T acts on the rep by an integer matrix."""
+    mat = [[ri * uj for uj in u] for ri in r]
+    return all(isinstance(x, int) for x in u) and all(
+        isinstance(x, int) for b in range(rep.dim)
+        for x in act_matrix(rep, mat, basis_vector(rep, b)).coords)
+
+
+@pytest.mark.parametrize("rep", term_map_reps(), ids=lambda rep: rep.kind)
+def test_term_map_matches_module_formula(rep):
+    rng = Random(f"term-map-{rep.kind}")
+    sig = cocycle(block_normal_q((2, 2, 1)))
+    seen = {"zero": 0, "integral": 0, "exact": 0}
+    for trial in range(40):
+        alpha = tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3))
+        params = ModuleParams(3, alpha, rep)
+        n = tuple(rng.randint(-3, 3) for _ in range(3))
+        w = [rng.randint(-3, 3) for _ in range(rep.dim)]
+        if trial % 4 == 0:
+            # degree 0 with u orthogonal to n + alpha: the image vanishes
+            r, x = (0, 0, 0), [ni + ai for ni, ai in zip(n, alpha)]
+            u = (x[1], -x[0], 0)
+        else:
+            r = tuple(rng.randint(-2, 2) for _ in range(3))
+            if trial % 2:
+                u = tuple(rng.randint(-3, 3) for _ in range(3))
+            else:
+                u = tuple(F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3))
+        exact = module_formula(params, u, r, n, w)
+        zero = not any(exact)
+        seen["zero"] += zero
+
+        got = term_map(params, u, r)(n, w)
+        assert got is None if zero else got == exact
+
+        scaled = term_map(params, u, r, integral=True)(n, w)
+        if integer_matrix(rep, u, r):
+            seen["integral"] += 1
+            den = F(sum(ua * aa for ua, aa in zip(u, alpha))).denominator
+            assert scaled is None if zero else (
+                all(isinstance(x, int) for x in scaled) and scaled == [den * x for x in exact])
+        elif all(isinstance(x, int) for x in u):
+            seen["exact"] += 1
+            assert scaled is None if zero else scaled == exact
+
+        twisted = term_map(params, u, r, sig)(n, w)
+        assert twisted is None if zero else twisted == [sig(r, n) * x for x in exact]
+    assert seen["zero"] and (seen["integral"] or seen["exact"])
