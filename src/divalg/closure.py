@@ -18,12 +18,15 @@ every row a single dense block, which is then directly a fiber vector; seeds
 supported on several degrees give rows with several blocks on the same
 footing, and their fibers are found by re-elimination.
 
-Four facts keep the work small without changing any span.  The box's
+Five facts keep the work small without changing any span.  The box's
 degrees are indexed in lexicographic order, so a shift moves an index by a
 fixed offset and a row visits only the generators that keep all of its blocks
 inside the box (:class:`Neighbours`), found by ANDing per-coordinate
-bitmasks.  A block holding ``dim`` single-degree rows is full, so a generator
-whose image lands only in full blocks is skipped before it is applied.  Each
+bitmasks.  A block whose single-degree rows reach the fiber's upper bound is
+full, so a generator whose image lands only in full blocks is skipped before
+it is applied.  That bound is ``dim``, or the fiber dimension of the wedge
+submodule W when every seed lies in W (:func:`w_bound`): W is invariant under
+the whole Witt algebra, so the closure of such seeds never leaves it.  Each
 block keeps rows spanning the annihilator of its single-degree rows, so a
 single-degree image they all annihilate lies in the span and is rejected
 without elimination.  And D(u, r) is linear in u, so each degree component of
@@ -39,11 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from math import prod
+from math import comb, prod
 from operator import and_, mul
 
 from .linalg import SpanBasis, _primitive, _reduce_into, basis_of, same_span
-from .modules import GradedVec, ModuleParams, _wedge_power, term_map, w_fiber_basis
+from .modules import (GradedVec, ModuleParams, _wedge_power, term_map, w_fiber_basis,
+                      w_membership)
 from .witt import DegVec, pair_term
 
 
@@ -135,19 +139,23 @@ class SpanState:
     ``rows`` maps each pivot (degree index, coordinate) to its row.
     ``annihilators[i]`` holds rows spanning the vectors orthogonal to every
     row supported on block i alone, starting from the identity: a row of
-    block i that they all annihilate is in the span without reduction, and
-    block i is full (its whole fiber lies in the span) when none is left.
+    block i that they all annihilate is in the span without reduction.
+    ``bound(n)`` is an upper bound on the dimension at degree n of the
+    submodule being spanned, ``dim`` when none is given.  Block i is full
+    (every image landing in it lies in the span) once its single-block rank
+    meets the bound, and its annihilator is then emptied.
     """
 
-    def __init__(self, box: Box, dim: int):
+    def __init__(self, box: Box, dim: int, bound=None):
         self.box = box
         self.dim = dim
         self.deg_list = sorted(box.degrees())
         self.deg_index = {n: i for i, n in enumerate(self.deg_list)}
         self.rows: dict[tuple[int, int], dict[int, list]] = {}
+        self.bound = [dim if bound is None else bound(n) for n in self.deg_list]
         # rows are never changed in place, so every block can share one identity
         identity = [[int(t == b) for t in range(dim)] for b in range(dim)]
-        self.annihilators = [identity] * len(self.deg_list)
+        self.annihilators = [identity if b else [] for b in self.bound]
 
     def insert(self, v: dict) -> dict | None:
         """Reduce the block row ``v`` against the basis; store and return it
@@ -162,7 +170,8 @@ class SpanState:
         row = _reduce_into(self.rows, v)
         if row is not None and len(row) == 1:
             ((i, w),) = row.items()
-            self.annihilators[i] = _annihilate(self.annihilators[i], w)
+            ann = _annihilate(self.annihilators[i], w)
+            self.annihilators[i] = ann if self.dim - len(ann) < self.bound[i] else []
         return row
 
     def rank(self) -> int:
@@ -243,10 +252,15 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
         rounds += 1
         next_frontier = []
         for row in frontier:
-            for g in neighbours.of(row):
+            gens = neighbours.of(row)
+            if len(row) == 1:
+                (i,) = row
+                # one pass drops the full targets, most of them in a bounded closure
+                gens = [g for g in gens if annihilators[i + offsets[g]]]
+            for g in gens:
                 off = offsets[g]
                 if not any(annihilators[i + off] for i in row):
-                    continue  # every target block is full
+                    continue  # every target block is full, or has filled since
                 block_apply = generators[g].block_apply
                 image = {}
                 for i, coords in row.items():
@@ -407,18 +421,19 @@ def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[dict]:
 
 
 def _close(params: ModuleParams, seeds: list[GradedVec], working: Box, target: Box,
-           max_iters: int, generators, classifier) -> ClosureResult:
+           max_iters: int, generators, classifier, bound=None) -> ClosureResult:
     """The closure driver of both sides: saturate the seeds under
     ``generators()`` inside the working box, extract canonical fiber bases
     over the target box and, when saturated, label them with
-    ``classifier(result)``."""
+    ``classifier(result)``.  ``bound`` is the per-degree upper bound of
+    :class:`SpanState`; it must hold for the closure of the seeds."""
     if not seeds:
         raise ValueError("need at least one seed")
     if working.d != params.d or target.d != params.d:
         raise ValueError("box dimension mismatch")
     if not working.contains_box(target):
         raise ValueError("target box must lie inside the working box")
-    state = SpanState(working, params.rep.dim)
+    state = SpanState(working, params.rep.dim, bound)
     rows = seeds_to_rows(state, seeds)
     iterations, saturated = saturate(state, rows, generators(), max_iters)
     bases = extract_fibers(state, target)
@@ -435,10 +450,26 @@ def _close(params: ModuleParams, seeds: list[GradedVec], working: Box, target: B
     return result
 
 
+def w_bound(params: ModuleParams, seeds: list[GradedVec]):
+    """The fiber dimension of the wedge submodule W at each degree,
+    C(d-1, k-1) where alpha + n != 0 and 0 where alpha + n = 0, when every
+    seed lies in W; None otherwise.
+
+    W is invariant under the whole Witt algebra, so it bounds the closure of
+    such seeds under W, Lhat and L.  Only the natural and exterior reps
+    qualify: on the trivial rep the Witt algebra acts through the trace, and
+    W is not a submodule there.
+    """
+    if params.rep.kind not in ("natural", "exterior") or not all(map(w_membership, seeds)):
+        return None
+    rank = comb(params.d - 1, _wedge_power(params.rep) - 1)
+    return lambda n: rank if any(a + x for a, x in zip(params.alpha, n)) else 0
+
+
 def closure(params: ModuleParams, seeds: list[GradedVec], gen_radius: int,
             working: Box, target: Box, max_iters: int, algebra: str) -> ClosureResult:
     """Saturate the seeds under the chosen algebra inside the working box and
     report canonical fiber bases over the target box."""
     return _close(params, seeds, working, target, max_iters,
                   lambda: classical_generators(params, gen_radius, algebra),
-                  lambda result: classify(result, params))
+                  lambda result: classify(result, params), w_bound(params, seeds))

@@ -31,6 +31,8 @@ class QMatrix:
     exps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("dimension must be positive")
         if self.N < 1:
             raise ValueError("order must be positive")
         if len(self.exps) != self.d or any(len(r) != self.d for r in self.exps):

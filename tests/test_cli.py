@@ -246,6 +246,8 @@ def test_malformed_integer_field_exits_2(tmp_path, capsys, field, value, named):
     ("verify-module", "q", {"l": [2, 2.0, 1]}, "q.l[1]"),
     ("verify-module", "q", {"N": 2, "exps": [[0, 1, 0], [-1, 0, 0], [0, 0, True]]},
      "q.exps[2][2]"),
+    # a torus of dimension 0
+    ("qtorus-info", "q", {"N": 2, "exps": []}, "q"),
 ])
 def test_malformed_list_field_exits_2(tmp_path, capsys, job, field, value, named):
     config = {
@@ -254,6 +256,7 @@ def test_malformed_list_field_exits_2(tmp_path, capsys, job, field, value, named
         "verify-module": {"job": "verify-module", "algebra": "Lq", "d": 3,
                           "alpha": ["1/2", "1/3", "0"], "rep": {"kind": "natural"},
                           "q": {"l": [2, 2, 1]}},
+        "qtorus-info": {"job": "qtorus-info", "q": {"l": [2, 2]}},
     }[job]
     config[field] = value
     path = write_config(tmp_path, "bad.json", config)
@@ -370,9 +373,13 @@ def test_report_golden_bytes(config, digest):
 # machine-independent work of each golden closure: generator applications
 # (block_apply calls), SpanState.insert calls, inserts accepted, saturation
 # rounds and final rank.  A change to the engine that keeps the report bytes
-# must keep these too, or say why the work moved.
+# must keep these too, or say why the work moved.  L-W's seed lies in the
+# wedge submodule W, so each fiber is full once it holds its W fiber and no
+# generator is applied into it afterwards; "-unbounded" runs a closure with
+# that bound off (closure.w_bound returns None), the plain path.
 WORK = {
-    "L-W": (792, 759, 49, 3, 49),
+    "L-W": (52, 49, 49, 3, 49),
+    "L-W-unbounded": (792, 759, 49, 3, 49),
     "L-Full": (123, 124, 98, 4, 98),
     "L-WPrime": (792, 713, 49, 3, 49),
     "Lq-22-GqFull": (343, 104, 80, 4, 80),
@@ -428,8 +435,12 @@ def work_counters(monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(WORK))
-def test_golden_closure_work_counters(name, work_counters):
-    config = next(c for n, c, _ in GOLDEN if n == name)
+def test_golden_closure_work_counters(name, work_counters, monkeypatch):
+    golden = name.removesuffix("-unbounded")
+    if golden != name:
+        import divalg.closure as closure_mod
+        monkeypatch.setattr(closure_mod, "w_bound", lambda params, seeds: None)
+    config = next(c for n, c, _ in GOLDEN if n == golden)
     _, code = run(json.loads(json.dumps(config)), 0)
     assert code == 0
     got = tuple(work_counters[k] for k in ("apply", "insert", "accepted", "rounds", "rank"))

@@ -15,7 +15,7 @@ import divalg.closure as closure_mod
 from divalg.closure import (Box, ClosureResult, Neighbours, SpanState, _reduce_into,
                             classical_generators, classify, closure, pair_basis)
 from divalg.linalg import basis_of, same_span, span_contains
-from divalg.modules import GradedVec, ModuleParams, act, graded, w_fiber_basis
+from divalg.modules import GradedVec, ModuleParams, act, graded, w_fiber_basis, w_membership
 from divalg.qder import QDerElem, act_q, classify_q, closure_q
 from divalg.qtorus import block_normal_q, in_rad
 from divalg.reps import RepHandle
@@ -493,3 +493,76 @@ def test_insert_precheck_matches_plain_elimination(kind, monkeypatch):
                 assert basis_of(ann, dim).rank == len(ann)
                 assert all(not sum(x * y for x, y in zip(a, w)) for a in ann for w in graded)
     assert prechecked > 0
+
+
+
+# ---------------------------------------------------------------------------
+# the wedge bound of W-seeded closures against the unbounded path
+# ---------------------------------------------------------------------------
+
+
+W_BOUND_ALPHAS = {"generic": (F(1, 2), F(1, 3), F(1, 5)), "integral": (1, -1, 0),
+                  "zero": (0, 0, 0)}
+
+
+def w_vector(rng, p, k, n):
+    """A random integer combination of the wedge fiber basis at n."""
+    out = [F(0)] * p.rep.dim
+    for row in w_fiber_basis(p.d, k, p.alpha, n).rows:
+        c = rng.choice((-2, -1, 1, 2, 3))
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("alpha_kind", list(W_BOUND_ALPHAS))
+@pytest.mark.parametrize("d, k, kind", [(2, 1, "natural"), (2, 1, "exterior"),
+                                        (2, 2, "exterior"), (3, 1, "natural"),
+                                        (3, 1, "exterior"), (3, 2, "exterior"),
+                                        (3, 3, "exterior")])
+def test_w_bound_matches_unbounded_closure(d, k, kind, alpha_kind, monkeypatch):
+    """With and without the wedge bound, every closure gives the same result
+    (label, rounds, saturation and every fiber basis, all the report prints):
+    seeds on W at one degree and on two degrees, and a W seed next to one off
+    W, under each algebra."""
+    alpha = W_BOUND_ALPHAS[alpha_kind][:d]
+    rep = RepHandle.natural(d) if kind == "natural" else RepHandle.exterior(d, k)
+    p = ModuleParams(d, alpha, rep)
+    rng = Random(f"w-bound-{d}-{k}-{kind}-{alpha_kind}")
+    work = Box.radius(d, 2 if d == 2 else 1)
+    # alpha + n != 0 at n0 and n1 for every alpha here, and -alpha is in the box
+    n0, n1 = (1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2)
+    off_at = n1 if alpha_kind == "generic" else tuple(-int(a) for a in alpha)
+    off = [F(1)] + [F(rng.randint(-2, 2)) for _ in range(rep.dim - 1)]
+    seed_sets = {
+        "W-one": [GradedVec(p, {n0: w_vector(rng, p, k, n0)})],
+        "W-two": [GradedVec(p, {n0: w_vector(rng, p, k, n0), n1: w_vector(rng, p, k, n1)})],
+        "off-W": [GradedVec(p, {n0: w_vector(rng, p, k, n0)}), GradedVec(p, {off_at: off})],
+    }
+    # the off-W vector lies in W after all where W's fiber is all of V: k = d, generic alpha
+    off_in_w = k == d and alpha_kind == "generic"
+    for algebra in closure_mod.ALGEBRAS:
+        for name, seeds in seed_sets.items():
+            bounded = closure_mod.w_bound(p, seeds) is not None
+            assert bounded == (name != "off-W" or off_in_w)
+            got = closure(p, seeds, 1, work, work, 50, algebra)
+            with monkeypatch.context() as m:
+                m.setattr(closure_mod, "w_bound", lambda params, seeds: None)
+                want = closure(p, seeds, 1, work, work, 50, algebra)
+            assert got == want, (algebra, name)
+            assert got.saturated
+
+
+def test_w_bound_only_for_w_seeds_on_natural_or_exterior_reps():
+    # off W: at n = 0 the wedge fiber of alpha = (1, -1) is spanned by (1, -1)
+    p = ModuleParams(2, (1, -1), RepHandle.natural(2))
+    assert closure_mod.w_bound(p, [graded(p, (0, 0), (0, 1))]) is None
+    assert closure_mod.w_bound(p, [graded(p, (0, 0), (1, -1))]) is not None
+    # on the trivial rep the Witt algebra acts through the trace, so a seed
+    # in Lambda^d's W still reaches the -alpha fiber, which W leaves empty
+    t = ModuleParams(2, (1, -1), RepHandle.trivial(2))
+    seed = graded(t, (0, 0), (1,))
+    assert w_membership(seed)
+    assert closure_mod.w_bound(t, [seed]) is None
+    work, tgt = boxes(2, 2, 1)
+    res = closure(t, [seed], 1, work, tgt, 50, "W")
+    assert res.fiber_dims[(-1, 1)] == 1 and res.label.kind == "Full"
