@@ -121,10 +121,12 @@ def term_map(params: ModuleParams, u, r, cocycle=None, integral: bool = False):
     list, or None when they vanish.
 
     With ``cocycle`` the image at n is scaled by ``cocycle(r, n)`` (the
-    quantum action, with sigma).  With ``integral``, when r u^T acts by an
-    integer matrix the map is scaled by the denominator of (u | alpha), so
-    integer coordinates give integer images; only the closure engine, which
-    tracks spans, asks for that.
+    quantum action, with sigma).  An integral (u | alpha) is kept as an int,
+    so integer u and w give integer images when r u^T acts by an integer
+    matrix.  With ``integral``, when r u^T acts by an integer matrix the map
+    is scaled by the denominator of (u | alpha), so integer coordinates give
+    integer images; only the closure engine, which tracks spans, asks for
+    that.
     """
     u, r = tuple(u), tuple(r)
     acc: dict = {}
@@ -138,6 +140,7 @@ def term_map(params: ModuleParams, u, r, cocycle=None, integral: bool = False):
     # (i, j, m): r u^T takes basis vector j to m times basis vector i, plus others
     entries = [(i, j, m) for (i, j), m in sorted(acc.items()) if m]
     ualpha = sum(map(mul, u, params.alpha))
+    ualpha = ualpha.numerator if ualpha.denominator == 1 else ualpha
     if integral and all(isinstance(m, int) for _, _, m in entries):
         scale = ualpha.denominator
         u, ualpha = tuple(scale * x for x in u), ualpha.numerator

@@ -15,6 +15,7 @@ via Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 
 from .lattices import in_lattice, smith_kernel_mod
@@ -149,9 +150,15 @@ def torus_commutator(q: QMatrix, m, n) -> QMonomial:
 
 
 def rad_q(q: QMatrix) -> list[list[int]]:
-    """HNF basis of Rad_q = {n : f(n, m) = 1 for all m} = ker(k^T mod N)."""
+    """HNF basis of Rad_q = {n : f(n, m) = 1 for all m} = ker(k^T mod N),
+    as fresh lists; the basis is computed once per matrix."""
+    return [list(row) for row in _rad_basis(q)]
+
+
+@lru_cache(maxsize=256)
+def _rad_basis(q: QMatrix) -> tuple[tuple[int, ...], ...]:
     kt = [[q.exps[j][i] for j in range(q.d)] for i in range(q.d)]
-    return smith_kernel_mod(kt, q.N)
+    return tuple(map(tuple, smith_kernel_mod(kt, q.N)))
 
 
 def in_rad(q: QMatrix, n) -> bool:

@@ -6,11 +6,13 @@ relevant exact residual checks, and returns a JSON-able summary dict with
 wraps these into reports; the acceptance tests call them directly.  With a
 fixed seed every suite is fully deterministic.
 
-The Lie and module suites check each sampled algebra element through
-:func:`integral_sample`, a positive integer multiple with integer
-coordinates: their checks are multilinear in the elements and membership is
-in subspaces, so the multiple changes no verdict, and the brackets and
-actions then run on Python integers instead of Fractions.
+The algebra samplers return 6 times a random element with coefficients
+a / b (|a| <= 6, 1 <= b <= 3), so every coordinate is a Python integer, and
+the module suites scale each sampled element by D, the lcm of the
+denominators of alpha, so that (u | alpha) is an integer for every term of
+the element and of its brackets.  Each check is multilinear in its algebra
+elements and membership is in subspaces, so neither multiple changes a
+verdict, and the brackets and actions run on integers instead of Fractions.
 """
 
 from __future__ import annotations
@@ -98,14 +100,20 @@ def sample_rat(rng: Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
 
 
+def sample_rat6(rng: Random) -> int:
+    """6 times :func:`sample_rat`, from the same draws, as an integer."""
+    a = rng.randint(-6, 6)
+    return a * (6 // rng.randint(1, 3))
+
+
 def sample_div_zero(rng: Random, r) -> tuple:
-    """A random u with (u|r) = 0: a :func:`sample_rat` multiple of each pair
-    term t^r (r_j d_i - r_i d_j), drawn in i < j order."""
+    """A random integer u with (u|r) = 0: a :func:`sample_rat6` multiple of
+    each pair term t^r (r_j d_i - r_i d_j), drawn in i < j order."""
     d = len(r)
-    u = [Fraction(0)] * d
+    u = [0] * d
     for i in range(d):
         for j in range(i + 1, d):
-            c = sample_rat(rng)
+            c = sample_rat6(rng)
             if c:
                 u[i] += c * r[j]
                 u[j] -= c * r[i]
@@ -114,17 +122,18 @@ def sample_div_zero(rng: Random, r) -> tuple:
 
 def sample_algelem(rng: Random, d: int, algebra: str, radius: int = 3,
                    max_terms: int = 2) -> AlgElem:
-    """A random element of W_d, Lhat_d, or L_d with degrees in the box."""
+    """A random element of W_d, Lhat_d, or L_d with degrees in the box, on
+    integer coordinates (6 times a rational sample)."""
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         if algebra == "W":
             r = sample_degree(rng, d, radius)
-            add_term(terms, r, tuple(sample_rat(rng) for _ in range(d)))
+            add_term(terms, r, tuple(sample_rat6(rng) for _ in range(d)))
             continue
         r = sample_degree(rng, d, radius, nonzero=True)
         add_term(terms, r, sample_div_zero(rng, r))
     if algebra == "Lhat" and rng.random() < 0.5:
-        add_term(terms, (0,) * d, tuple(sample_rat(rng) for _ in range(d)))
+        add_term(terms, (0,) * d, tuple(sample_rat6(rng) for _ in range(d)))
     return AlgElem(d, terms)
 
 
@@ -141,7 +150,8 @@ def sample_rad_degree(rng: Random, q: QMatrix, radius: int, nonzero: bool = Fals
 
 def sample_qder(rng: Random, q: QMatrix, algebra: str, radius: int = 2,
                 max_terms: int = 2) -> QDerElem:
-    """A random element of Der(C_q), L(q), or Lhat(q)."""
+    """A random element of Der(C_q), L(q), or Lhat(q), on integer
+    coordinates (6 times a rational sample)."""
     d = q.d
     inner: dict = {}
     outer: dict = {}
@@ -150,19 +160,19 @@ def sample_qder(rng: Random, q: QMatrix, algebra: str, radius: int = 2,
             m = sample_degree(rng, d, radius, nonzero=True)
             if in_rad(q, m):
                 continue
-            c = Cyc.zeta(q.N, rng.randrange(q.N)) * rng.randint(1, 3)
+            c = Cyc.zeta(q.N, rng.randrange(q.N)) * (6 * rng.randint(1, 3))
             inner[m] = inner[m] + c if m in inner else c
         else:
             r = sample_rad_degree(rng, q, radius, nonzero=(algebra != "Der"))
             if algebra == "Der":
-                u = tuple(sample_rat(rng) for _ in range(d))
+                u = tuple(sample_rat6(rng) for _ in range(d))
             elif not any(r):
                 continue
             else:
                 u = sample_div_zero(rng, r)
             add_term(outer, r, u)
     if algebra in ("Der", "Lqhat") and rng.random() < 0.4:
-        add_term(outer, (0,) * d, tuple(sample_rat(rng) for _ in range(d)))
+        add_term(outer, (0,) * d, tuple(sample_rat6(rng) for _ in range(d)))
     return QDerElem(d, inner, outer)
 
 
@@ -173,24 +183,6 @@ def sample_graded(rng: Random, params: ModuleParams, radius: int = 2,
         n = sample_degree(rng, params.d, radius)
         fibers[n] = tuple(rng.randint(-3, 3) for _ in range(params.rep.dim))
     return GradedVec(params, fibers)
-
-
-def integral_sample(x: AlgElem | QDerElem) -> AlgElem | QDerElem:
-    """x scaled by the lcm of its coefficient denominators, on int coordinates.
-
-    Antisymmetry is bilinear, Jacobi trilinear and the module-axiom residual
-    bilinear in (x, y), and L, Lhat, Lq and Lqhat are subspaces, so scaling a
-    sample by a positive integer changes no verdict of the suites that call
-    this.  It is applied after the sample is drawn, so the RNG draws, and
-    with them every count and report byte, stay as they are.
-    """
-    quantum = isinstance(x, QDerElem)
-    alg, inner = (x.outer, x.inner) if quantum else (x, {})
-    m = lcm(*(c.denominator for u in alg.terms.values() for c in u),
-            *(c.den for c in inner.values()))
-    alg = AlgElem(x.d, {r: tuple(c.numerator * (m // c.denominator) for c in u)
-                        for r, u in alg.terms.items()})
-    return QDerElem(x.d, {n: c * m for n, c in inner.items()}, alg) if quantum else alg
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +198,7 @@ def lie_suite_classical(d: int, algebra: str, triples: int, rng: Random,
     member = CLASSICAL_MEMBER[algebra]
     violations = 0
     for _ in range(triples):
-        x, y, z = (integral_sample(sample_algelem(rng, d, algebra, radius))
-                   for _ in range(3))
+        x, y, z = (sample_algelem(rng, d, algebra, radius) for _ in range(3))
         if not (member(x) and member(y) and member(z)):
             violations += 1
             continue
@@ -232,7 +223,7 @@ def lie_suite_q(q: QMatrix, algebra: str, triples: int, rng: Random,
     }[algebra]
     violations = 0
     for _ in range(triples):
-        x, y, z = (integral_sample(sample_qder(rng, q, algebra, radius)) for _ in range(3))
+        x, y, z = (sample_qder(rng, q, algebra, radius) for _ in range(3))
         if not (member(q, x) and member(q, y) and member(q, z)):
             violations += 1
             continue
@@ -300,12 +291,18 @@ def lemma_orthg_suite(d: int, count: int, rng: Random) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _alpha_denominator(params: ModuleParams) -> int:
+    """D = lcm of the denominators of alpha: D u has an integer (D u | alpha)
+    for every integer u."""
+    return lcm(*(a.denominator for a in params.alpha))
+
+
 def module_suite_classical(params: ModuleParams, algebra: str, pairs: int,
                            rng: Random, radius: int = 2) -> dict:
     violations = 0
+    D = _alpha_denominator(params)
     for _ in range(pairs):
-        x, y = (integral_sample(sample_algelem(rng, params.d, algebra, radius))
-                for _ in range(2))
+        x, y = (sample_algelem(rng, params.d, algebra, radius).scale(D) for _ in range(2))
         v = sample_graded(rng, params, radius)
         if not module_axiom_residual(params, x, y, v).is_zero():
             violations += 1
@@ -340,8 +337,9 @@ def module_suite_q(q: QMatrix, params: ModuleParams, algebra: str, pairs: int,
                    rng: Random, radius: int = 2) -> dict:
     violations = 0
     samples = [_sign_probe(q, params)]
+    D = _alpha_denominator(params)
     for _ in range(pairs):
-        x, y = (integral_sample(sample_qder(rng, q, algebra, radius)) for _ in range(2))
+        x, y = (sample_qder(rng, q, algebra, radius).scale(D) for _ in range(2))
         v = sample_graded(rng, params, radius)
         if not v.is_zero() and len(samples) < 25:
             samples.append((x, y, v))
@@ -389,7 +387,7 @@ def wedge_images(params: ModuleParams, gen_radius: int = 2, box_radius: int = 2)
     """
     d, rep = params.d, params.rep
     k = _wedge_power(rep)
-    D = lcm(*(a.denominator for a in params.alpha))
+    D = _alpha_denominator(params)
     gens = list(Box.radius(d, gen_radius).degrees())
     for n in Box.radius(d, box_radius).degrees():
         wn = tuple(int(D * (a + ni)) for a, ni in zip(params.alpha, n))
@@ -502,8 +500,14 @@ def commutator_span_suite(q: QMatrix, radius: int, rng: Random, samples: int) ->
 
 def equivariance_suite(q: QMatrix, params: ModuleParams, count: int,
                        rng: Random, radius: int = 2) -> dict:
-    """iso_algebra/iso_module intertwine the actions on random samples."""
+    """iso_algebra/iso_module intertwine the actions on random samples.
+
+    Each element is scaled by D = lcm(alpha denominators); that also clears
+    the classical side, where iso_algebra's L u pairs with alpha_i to
+    (L u | alpha_i) = (u | alpha + i).
+    """
     l = block_structure(q)
+    D = _alpha_denominator(params)
     violations = 0
     checks = 0
     for _ in range(count):
@@ -511,8 +515,8 @@ def equivariance_suite(q: QMatrix, params: ModuleParams, count: int,
         r = sample_rad_degree(rng, q, radius, nonzero=True)
         terms = {r: sample_div_zero(rng, r)}
         if rng.random() < 0.4:
-            terms[(0,) * q.d] = tuple(sample_rat(rng) for _ in range(q.d))
-        x = QDerElem(q.d, outer=terms)
+            terms[(0,) * q.d] = tuple(sample_rat6(rng) for _ in range(q.d))
+        x = QDerElem(q.d, outer=terms).scale(D)
         if x.is_zero():
             continue
         i_class = tuple(rng.randrange(li) for li in l)

@@ -67,6 +67,16 @@ class AlgElem:
                 clean[_as_deg(r)] = tuple(u)
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, d: int, terms: dict[DegVec, tuple]) -> "AlgElem":
+        """An element from ``terms`` whose keys are already int tuples and
+        whose values are tuples, both of length d; only zero vectors are
+        dropped."""
+        x = object.__new__(cls)
+        x.d = d
+        x.terms = {r: u for r, u in terms.items() if any(u)}
+        return x
+
     @staticmethod
     def zero(d: int) -> "AlgElem":
         return AlgElem(d)
@@ -85,16 +95,17 @@ class AlgElem:
         out = dict(self.terms)
         for r, u in other.terms.items():
             add_term(out, r, u)
-        return AlgElem(self.d, out)
+        return AlgElem._trusted(self.d, out)
 
     def __neg__(self) -> "AlgElem":
-        return AlgElem(self.d, {r: tuple(-c for c in u) for r, u in self.terms.items()})
+        return AlgElem._trusted(self.d, {r: tuple(-c for c in u) for r, u in self.terms.items()})
 
     def __sub__(self, other: "AlgElem") -> "AlgElem":
         return self + (-other)
 
     def scale(self, c) -> "AlgElem":
-        return AlgElem(self.d, {r: tuple(c * x for x in u) for r, u in self.terms.items()})
+        return AlgElem._trusted(self.d, {r: tuple(c * x for x in u)
+                                         for r, u in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, AlgElem):
@@ -128,7 +139,7 @@ def bracket_witt(x: AlgElem, y: AlgElem, cocycle=None) -> AlgElem:
                 if cocycle is not None and (c := cocycle(r, s)) != 1:
                     w = tuple(c * wi for wi in w)
                 add_term(out, tuple(ri + si for ri, si in zip(r, s)), w)
-    return AlgElem(x.d, out)
+    return AlgElem._trusted(x.d, out)
 
 
 def d_basis(r, i: int) -> DTerm:

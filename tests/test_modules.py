@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import divalg.verify
 from divalg.closure import Box
 from divalg.linalg import span_contains
 from divalg.modules import (
@@ -28,7 +29,7 @@ from divalg.verify import (
     w_invariance_suite,
     wedge_images,
 )
-from divalg.witt import AlgElem
+from divalg.witt import AlgElem, bracket_witt
 
 
 F = Fraction
@@ -341,3 +342,50 @@ def test_term_map_matches_module_formula(rep):
         twisted = term_map(params, u, r, sig)(n, w)
         assert twisted is None if zero else twisted == [sig(r, n) * x for x in exact]
     assert seen["zero"] and (seen["integral"] or seen["exact"])
+
+
+@pytest.mark.parametrize("rep", [RepHandle.natural(3), RepHandle.exterior(3, 2)],
+                         ids=["natural", "exterior2"])
+def test_term_map_integral_pairing_gives_int_images(rep):
+    """With an integral (u | alpha), integer u and w give int images equal to
+    the Fraction images of the module formula."""
+    rng = Random(f"term-map-int-{rep.dim}")
+    nonzero = 0
+    for _ in range(60):
+        alpha = tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3))
+        params = ModuleParams(3, alpha, rep)
+        D = lcm(*(a.denominator for a in alpha))
+        u = tuple(D * rng.randint(-3, 3) for _ in range(3))
+        r = tuple(rng.randint(-2, 2) for _ in range(3))
+        n = tuple(rng.randint(-3, 3) for _ in range(3))
+        w = [rng.randint(-3, 3) for _ in range(rep.dim)]
+        exact = module_formula(params, u, r, n, w)
+        got = term_map(params, u, r)(n, w)
+        if not any(exact):
+            assert got is None
+            continue
+        nonzero += 1
+        assert all(type(x) is int for x in got) and got == exact
+    assert nonzero > 40
+
+
+@pytest.mark.parametrize("rep", [RepHandle.natural(3), RepHandle.exterior(3, 2)],
+                         ids=["natural", "exterior2"])
+def test_module_suite_classical_acts_on_integers(monkeypatch, rep):
+    """The suite scales its samples by the lcm of alpha's denominators, so
+    every action in each module-axiom residual has int coordinates."""
+    params = ModuleParams(3, (F(1, 3), F(-1, 5), 0), rep)
+    true_residual = divalg.verify.module_axiom_residual
+    coords = []
+
+    def checked(params, x, y, v):
+        res = true_residual(params, x, y, v)
+        for part in (act(params, bracket_witt(x, y), v), act(params, x, act(params, y, v)),
+                     act(params, y, act(params, x, v)), res):
+            coords.extend(c for f in part.fibers.values() for c in f)
+        return res
+
+    monkeypatch.setattr(divalg.verify, "module_axiom_residual", checked)
+    for algebra in ("W", "Lhat", "L"):
+        assert module_suite_classical(params, algebra, 20, Random(algebra))["violations"] == 0
+    assert coords and all(type(c) is int for c in coords)

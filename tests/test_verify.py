@@ -1,7 +1,8 @@
-"""The Lie and module suites, which check integral multiples of their
-samples, against plain references written here that check the samples as
-drawn: the same seed must give the same check and violation counts, with
-the true brackets and with a bracket that has one term's sign flipped."""
+"""The Lie and module suites, which check integer multiples of rational
+samples, against plain references written here: the same seed must give the
+same check and violation counts, with the true brackets and with a bracket
+that has one term's sign flipped.  The integer samplers are checked against
+the rational reference samplers written here."""
 
 from fractions import Fraction
 from random import Random
@@ -13,19 +14,21 @@ import divalg.verify
 import divalg.witt
 from divalg.modules import ModuleParams, module_axiom_residual
 from divalg.qder import QDerElem, in_Lq, in_Lqhat, module_axiom_residual_q
-from divalg.qtorus import block_normal_q
+from divalg.qtorus import block_normal_q, in_rad
 from divalg.reps import RepHandle
+from divalg.scalars import Cyc
 from divalg.verify import (
-    integral_sample,
     lie_suite_classical,
     lie_suite_q,
     module_suite_classical,
     module_suite_q,
     sample_algelem,
+    sample_degree,
     sample_graded,
     sample_qder,
+    sample_rad_degree,
 )
-from divalg.witt import AlgElem, in_L, in_Lhat, jacobi_residual, pairing
+from divalg.witt import AlgElem, add_term, in_L, in_Lhat, jacobi_residual, pairing
 
 F = Fraction
 TRUE_BRACKET_QDER = divalg.qder.bracket_qder
@@ -160,18 +163,82 @@ def test_module_suite_q_matches_naive(brackets, algebra):
     assert (want[1] > 0) == (brackets == "flipped")
 
 
-def test_integral_sample_is_a_positive_integer_multiple():
-    rng = Random(15)
-    q = block_normal_q((2, 2))
-    for _ in range(50):
-        x = sample_algelem(rng, 3, "Lhat")
-        ix = integral_sample(x)
-        assert all(type(c) is int for u in ix.terms.values() for c in u)
-        if not x.is_zero():
-            r, u = next(iter(x.terms.items()))
-            k = next(F(a) / b for a, b in zip(ix.terms[r], u) if b)
-            assert k > 0 and k.denominator == 1 and ix == x.scale(k)
-        y = sample_qder(rng, q, "Der")
-        iy = integral_sample(y)
-        assert all(type(c) is int for u in iy.outer.terms.values() for c in u)
-        assert all(c.den == 1 for c in iy.inner.values())
+def ref_sample_rat(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 3))
+
+
+def ref_sample_div_zero(rng, r):
+    d = len(r)
+    u = [F(0)] * d
+    for i in range(d):
+        for j in range(i + 1, d):
+            c = ref_sample_rat(rng)
+            if c:
+                u[i] += c * r[j]
+                u[j] -= c * r[i]
+    return tuple(u)
+
+
+def ref_sample_algelem(rng, d, algebra, radius=3, max_terms=2):
+    """The rational sampler that sample_algelem scales by 6."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        if algebra == "W":
+            r = sample_degree(rng, d, radius)
+            add_term(terms, r, tuple(ref_sample_rat(rng) for _ in range(d)))
+            continue
+        r = sample_degree(rng, d, radius, nonzero=True)
+        add_term(terms, r, ref_sample_div_zero(rng, r))
+    if algebra == "Lhat" and rng.random() < 0.5:
+        add_term(terms, (0,) * d, tuple(ref_sample_rat(rng) for _ in range(d)))
+    return AlgElem(d, terms)
+
+
+def ref_sample_qder(rng, q, algebra, radius=2, max_terms=2):
+    """The rational sampler that sample_qder scales by 6."""
+    d = q.d
+    inner, outer = {}, {}
+    for _ in range(rng.randint(1, max_terms)):
+        if rng.random() < 0.5:
+            m = sample_degree(rng, d, radius, nonzero=True)
+            if in_rad(q, m):
+                continue
+            c = Cyc.zeta(q.N, rng.randrange(q.N)) * rng.randint(1, 3)
+            inner[m] = inner[m] + c if m in inner else c
+        else:
+            r = sample_rad_degree(rng, q, radius, nonzero=(algebra != "Der"))
+            if algebra == "Der":
+                u = tuple(ref_sample_rat(rng) for _ in range(d))
+            elif not any(r):
+                continue
+            else:
+                u = ref_sample_div_zero(rng, r)
+            add_term(outer, r, u)
+    if algebra in ("Der", "Lqhat") and rng.random() < 0.4:
+        add_term(outer, (0,) * d, tuple(ref_sample_rat(rng) for _ in range(d)))
+    return QDerElem(d, inner, outer)
+
+
+def int_coords(x: AlgElem) -> bool:
+    return all(type(c) is int for u in x.terms.values() for c in u)
+
+
+@pytest.mark.parametrize("algebra", ["W", "Lhat", "L"])
+def test_sample_algelem_is_six_times_the_rational_sample(algebra):
+    rng, ref = Random(15), Random(15)
+    for _ in range(200):
+        x = sample_algelem(rng, 3, algebra)
+        assert x == ref_sample_algelem(ref, 3, algebra).scale(6)
+        assert int_coords(x)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("algebra", ["Der", "Lq", "Lqhat"])
+def test_sample_qder_is_six_times_the_rational_sample(algebra):
+    q = block_normal_q((2, 2, 1))
+    rng, ref = Random(16), Random(16)
+    for _ in range(200):
+        x = sample_qder(rng, q, algebra)
+        assert x == ref_sample_qder(ref, q, algebra).scale(6)
+        assert int_coords(x.outer) and all(c.den == 1 for c in x.inner.values())
+        assert rng.getstate() == ref.getstate()
