@@ -96,12 +96,8 @@ def sample_degree(rng: Random, d: int, radius: int, nonzero: bool = False) -> tu
             return n
 
 
-def sample_rat(rng: Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-
-
 def sample_rat6(rng: Random) -> int:
-    """6 times :func:`sample_rat`, from the same draws, as an integer."""
+    """6 times a random a / b (|a| <= 6, 1 <= b <= 3), as an integer."""
     a = rng.randint(-6, 6)
     return a * (6 // rng.randint(1, 3))
 
@@ -540,7 +536,8 @@ def degeneration_suite(d: int, count: int, rng: Random, radius: int = 2) -> dict
     """With the trivial commutation matrix every q-side operation collapses
     to its classical counterpart, exactly."""
     q = block_normal_q((1,) * d)
-    params = ModuleParams(d, tuple(sample_rat(rng) for _ in range(d)), RepHandle.natural(d))
+    alpha = tuple(Fraction(sample_rat6(rng), 6) for _ in range(d))
+    params = ModuleParams(d, alpha, RepHandle.natural(d))
     violations = 0
     checks = 0
     for _ in range(count):

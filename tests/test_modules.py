@@ -29,7 +29,7 @@ from divalg.verify import (
     w_invariance_suite,
     wedge_images,
 )
-from divalg.witt import AlgElem, bracket_witt
+from divalg.witt import AlgElem, bracket_witt, pairing
 
 
 F = Fraction
@@ -306,7 +306,7 @@ def integer_matrix(rep, u, r) -> bool:
 def test_term_map_matches_module_formula(rep):
     rng = Random(f"term-map-{rep.kind}")
     sig = cocycle(block_normal_q((2, 2, 1)))
-    seen = {"zero": 0, "integral": 0, "exact": 0}
+    seen = {"zero": 0, "integral": 0, "exact": 0, "int": 0}
     for trial in range(40):
         alpha = tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3))
         params = ModuleParams(3, alpha, rep)
@@ -318,7 +318,11 @@ def test_term_map_matches_module_formula(rep):
             u = (x[1], -x[0], 0)
         else:
             r = tuple(rng.randint(-2, 2) for _ in range(3))
-            if trial % 2:
+            if trial % 4 == 3:
+                # (u | alpha) integral
+                D = lcm(*(a.denominator for a in alpha))
+                u = tuple(D * rng.randint(-3, 3) for _ in range(3))
+            elif trial % 2:
                 u = tuple(rng.randint(-3, 3) for _ in range(3))
             else:
                 u = tuple(F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3))
@@ -328,6 +332,10 @@ def test_term_map_matches_module_formula(rep):
 
         got = term_map(params, u, r)(n, w)
         assert got is None if zero else got == exact
+        if not zero and integer_matrix(rep, u, r) and F(pairing(u, alpha)).denominator == 1:
+            # integer u and w with an integral (u | alpha): the images are ints
+            seen["int"] += 1
+            assert all(type(x) is int for x in got)
 
         scaled = term_map(params, u, r, integral=True)(n, w)
         if integer_matrix(rep, u, r):
@@ -342,31 +350,7 @@ def test_term_map_matches_module_formula(rep):
         twisted = term_map(params, u, r, sig)(n, w)
         assert twisted is None if zero else twisted == [sig(r, n) * x for x in exact]
     assert seen["zero"] and (seen["integral"] or seen["exact"])
-
-
-@pytest.mark.parametrize("rep", [RepHandle.natural(3), RepHandle.exterior(3, 2)],
-                         ids=["natural", "exterior2"])
-def test_term_map_integral_pairing_gives_int_images(rep):
-    """With an integral (u | alpha), integer u and w give int images equal to
-    the Fraction images of the module formula."""
-    rng = Random(f"term-map-int-{rep.dim}")
-    nonzero = 0
-    for _ in range(60):
-        alpha = tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3))
-        params = ModuleParams(3, alpha, rep)
-        D = lcm(*(a.denominator for a in alpha))
-        u = tuple(D * rng.randint(-3, 3) for _ in range(3))
-        r = tuple(rng.randint(-2, 2) for _ in range(3))
-        n = tuple(rng.randint(-3, 3) for _ in range(3))
-        w = [rng.randint(-3, 3) for _ in range(rep.dim)]
-        exact = module_formula(params, u, r, n, w)
-        got = term_map(params, u, r)(n, w)
-        if not any(exact):
-            assert got is None
-            continue
-        nonzero += 1
-        assert all(type(x) is int for x in got) and got == exact
-    assert nonzero > 40
+    assert seen["int"] or not seen["integral"]
 
 
 @pytest.mark.parametrize("rep", [RepHandle.natural(3), RepHandle.exterior(3, 2)],

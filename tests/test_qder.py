@@ -48,6 +48,16 @@ NAT2 = RepHandle.natural(2)
 P22 = ModuleParams(2, ALPHA, NAT2)
 
 
+def rational_algelem(rng, d, algebra):
+    """The rational sample that sample_algelem scales by 6, on Fraction coordinates."""
+    return sample_algelem(rng, d, algebra).scale(F(1, 6))
+
+
+def rational_qder(rng, q, algebra):
+    """The rational sample that sample_qder scales by 6, on Fraction coordinates."""
+    return sample_qder(rng, q, algebra).scale(F(1, 6))
+
+
 def test_inner_inner_bracket():
     x = QDerElem.ad((1, 0))
     y = QDerElem.ad((0, 1))
@@ -88,9 +98,9 @@ def test_bracket_jacobi_random():
     for l in ((2, 2), (3, 3), (2, 2, 1)):
         q = block_normal_q(l)
         for _ in range(40):
-            x = sample_qder(rng, q, "Lqhat")
-            y = sample_qder(rng, q, "Lqhat")
-            z = sample_qder(rng, q, "Der")
+            x = rational_qder(rng, q, "Lqhat")
+            y = rational_qder(rng, q, "Lqhat")
+            z = rational_qder(rng, q, "Der")
             jac = (
                 bracket_qder(q, x, bracket_qder(q, y, z))
                 + bracket_qder(q, y, bracket_qder(q, z, x))
@@ -142,7 +152,7 @@ def test_brackets_equal_term_by_term_fold():
     cancelling = 0
     for d in (2, 3):
         for _ in range(40):
-            x, y = sample_algelem(rng, d, "W"), sample_algelem(rng, d, "Lhat")
+            x, y = rational_algelem(rng, d, "W"), rational_algelem(rng, d, "Lhat")
             for a, b in ((x, y), (x, x), (x, x + y)):
                 assert bracket_witt(a, b) == fold_bracket_witt(a, b)
             cancelling += len(x.terms) > 1 and any(
@@ -151,7 +161,7 @@ def test_brackets_equal_term_by_term_fold():
     for l in ((2, 2), (3, 3), (2, 2, 1)):
         q = block_normal_q(l)
         for _ in range(40):
-            x, y = sample_qder(rng, q, "Der"), sample_qder(rng, q, "Lqhat")
+            x, y = rational_qder(rng, q, "Der"), rational_qder(rng, q, "Lqhat")
             for a, b in ((x, y), (x, x), (x, x + y)):
                 assert bracket_qder(q, a, b) == fold_bracket_qder(q, a, b)
             cancelling += len(x.inner) + len(x.outer.terms) > 1 and any(
@@ -222,8 +232,8 @@ def test_sign_oracle_rejects_negative():
     rng = Random(2)
     samples = []
     for _ in range(20):
-        x = sample_qder(rng, Q22, "Lqhat")
-        y = sample_qder(rng, Q22, "Lqhat")
+        x = rational_qder(rng, Q22, "Lqhat")
+        y = rational_qder(rng, Q22, "Lqhat")
         v = sample_graded(rng, P22)
         if not v.is_zero():
             samples.append((x, y, v))

@@ -1,8 +1,9 @@
-"""The Lie and module suites, which check integer multiples of rational
-samples, against plain references written here: the same seed must give the
-same check and violation counts, with the true brackets and with a bracket
-that has one term's sign flipped.  The integer samplers are checked against
-the rational reference samplers written here."""
+"""The Lie and module suites, which check integer multiples of their
+samples, against plain references written here that check the samples as
+drawn: the same seed must give the same check and violation counts, with
+the true brackets and with a bracket that has one term's sign flipped.  The
+references draw with the rational samplers written here, which the integer
+samplers must match draw for draw."""
 
 from fractions import Fraction
 from random import Random
@@ -36,12 +37,68 @@ CLASSICAL_MEMBER = {"W": lambda x: True, "Lhat": in_Lhat, "L": in_L}
 Q_MEMBER = {"Der": lambda q, x: True, "Lq": in_Lq, "Lqhat": in_Lqhat}
 
 
+def ref_sample_rat(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 3))
+
+
+def ref_sample_div_zero(rng, r):
+    d = len(r)
+    u = [F(0)] * d
+    for i in range(d):
+        for j in range(i + 1, d):
+            c = ref_sample_rat(rng)
+            if c:
+                u[i] += c * r[j]
+                u[j] -= c * r[i]
+    return tuple(u)
+
+
+def ref_sample_algelem(rng, d, algebra, radius=3, max_terms=2):
+    """The rational sampler that sample_algelem scales by 6."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        if algebra == "W":
+            r = sample_degree(rng, d, radius)
+            add_term(terms, r, tuple(ref_sample_rat(rng) for _ in range(d)))
+            continue
+        r = sample_degree(rng, d, radius, nonzero=True)
+        add_term(terms, r, ref_sample_div_zero(rng, r))
+    if algebra == "Lhat" and rng.random() < 0.5:
+        add_term(terms, (0,) * d, tuple(ref_sample_rat(rng) for _ in range(d)))
+    return AlgElem(d, terms)
+
+
+def ref_sample_qder(rng, q, algebra, radius=2, max_terms=2):
+    """The rational sampler that sample_qder scales by 6."""
+    d = q.d
+    inner, outer = {}, {}
+    for _ in range(rng.randint(1, max_terms)):
+        if rng.random() < 0.5:
+            m = sample_degree(rng, d, radius, nonzero=True)
+            if in_rad(q, m):
+                continue
+            c = Cyc.zeta(q.N, rng.randrange(q.N)) * rng.randint(1, 3)
+            inner[m] = inner[m] + c if m in inner else c
+        else:
+            r = sample_rad_degree(rng, q, radius, nonzero=(algebra != "Der"))
+            if algebra == "Der":
+                u = tuple(ref_sample_rat(rng) for _ in range(d))
+            elif not any(r):
+                continue
+            else:
+                u = ref_sample_div_zero(rng, r)
+            add_term(outer, r, u)
+    if algebra in ("Der", "Lqhat") and rng.random() < 0.4:
+        add_term(outer, (0,) * d, tuple(ref_sample_rat(rng) for _ in range(d)))
+    return QDerElem(d, inner, outer)
+
+
 def naive_lie_classical(d, algebra, triples, rng, radius=3):
     bracket = divalg.witt.bracket_witt
     member = CLASSICAL_MEMBER[algebra]
     violations = 0
     for _ in range(triples):
-        x, y, z = (sample_algelem(rng, d, algebra, radius) for _ in range(3))
+        x, y, z = (ref_sample_algelem(rng, d, algebra, radius) for _ in range(3))
         if not (member(x) and member(y) and member(z)):
             violations += 1
             continue
@@ -56,7 +113,7 @@ def naive_lie_q(q, algebra, triples, rng, radius=2):
     member = Q_MEMBER[algebra]
     violations = 0
     for _ in range(triples):
-        x, y, z = (sample_qder(rng, q, algebra, radius) for _ in range(3))
+        x, y, z = (ref_sample_qder(rng, q, algebra, radius) for _ in range(3))
         if not (member(q, x) and member(q, y) and member(q, z)):
             violations += 1
             continue
@@ -71,8 +128,8 @@ def naive_lie_q(q, algebra, triples, rng, radius=2):
 def naive_module_classical(params, algebra, pairs, rng, radius=2):
     violations = 0
     for _ in range(pairs):
-        x = sample_algelem(rng, params.d, algebra, radius)
-        y = sample_algelem(rng, params.d, algebra, radius)
+        x = ref_sample_algelem(rng, params.d, algebra, radius)
+        y = ref_sample_algelem(rng, params.d, algebra, radius)
         v = sample_graded(rng, params, radius)
         violations += not module_axiom_residual(params, x, y, v).is_zero()
     return pairs, violations
@@ -81,8 +138,8 @@ def naive_module_classical(params, algebra, pairs, rng, radius=2):
 def naive_module_q(q, params, algebra, pairs, rng, radius=2):
     violations = 0
     for _ in range(pairs):
-        x = sample_qder(rng, q, algebra, radius)
-        y = sample_qder(rng, q, algebra, radius)
+        x = ref_sample_qder(rng, q, algebra, radius)
+        y = ref_sample_qder(rng, q, algebra, radius)
         v = sample_graded(rng, params, radius)
         violations += not module_axiom_residual_q(q, x, y, v).is_zero()
     return pairs, violations
@@ -161,62 +218,6 @@ def test_module_suite_q_matches_naive(brackets, algebra):
     want = naive_module_q(q, params, algebra, 30, Random(14))
     assert got == want
     assert (want[1] > 0) == (brackets == "flipped")
-
-
-def ref_sample_rat(rng):
-    return F(rng.randint(-6, 6), rng.randint(1, 3))
-
-
-def ref_sample_div_zero(rng, r):
-    d = len(r)
-    u = [F(0)] * d
-    for i in range(d):
-        for j in range(i + 1, d):
-            c = ref_sample_rat(rng)
-            if c:
-                u[i] += c * r[j]
-                u[j] -= c * r[i]
-    return tuple(u)
-
-
-def ref_sample_algelem(rng, d, algebra, radius=3, max_terms=2):
-    """The rational sampler that sample_algelem scales by 6."""
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        if algebra == "W":
-            r = sample_degree(rng, d, radius)
-            add_term(terms, r, tuple(ref_sample_rat(rng) for _ in range(d)))
-            continue
-        r = sample_degree(rng, d, radius, nonzero=True)
-        add_term(terms, r, ref_sample_div_zero(rng, r))
-    if algebra == "Lhat" and rng.random() < 0.5:
-        add_term(terms, (0,) * d, tuple(ref_sample_rat(rng) for _ in range(d)))
-    return AlgElem(d, terms)
-
-
-def ref_sample_qder(rng, q, algebra, radius=2, max_terms=2):
-    """The rational sampler that sample_qder scales by 6."""
-    d = q.d
-    inner, outer = {}, {}
-    for _ in range(rng.randint(1, max_terms)):
-        if rng.random() < 0.5:
-            m = sample_degree(rng, d, radius, nonzero=True)
-            if in_rad(q, m):
-                continue
-            c = Cyc.zeta(q.N, rng.randrange(q.N)) * rng.randint(1, 3)
-            inner[m] = inner[m] + c if m in inner else c
-        else:
-            r = sample_rad_degree(rng, q, radius, nonzero=(algebra != "Der"))
-            if algebra == "Der":
-                u = tuple(ref_sample_rat(rng) for _ in range(d))
-            elif not any(r):
-                continue
-            else:
-                u = ref_sample_div_zero(rng, r)
-            add_term(outer, r, u)
-    if algebra in ("Der", "Lqhat") and rng.random() < 0.4:
-        add_term(outer, (0,) * d, tuple(ref_sample_rat(rng) for _ in range(d)))
-    return QDerElem(d, inner, outer)
 
 
 def int_coords(x: AlgElem) -> bool:

@@ -24,6 +24,11 @@ def D(u, r):
     return AlgElem.term(u, r)
 
 
+def rational_sample(rng, d, algebra):
+    """The rational sample that sample_algelem scales by 6, on Fraction coordinates."""
+    return sample_algelem(rng, d, algebra).scale(Fraction(1, 6))
+
+
 def test_bracket_example():
     x = D((1, 0), (0, 1))
     y = D((0, 1), (1, 0))
@@ -77,8 +82,8 @@ def test_subalgebra_closed_under_bracket():
     rng = Random(17)
     for algebra, member in (("L", in_L), ("Lhat", in_Lhat)):
         for _ in range(50):
-            x = sample_algelem(rng, 3, algebra)
-            y = sample_algelem(rng, 3, algebra)
+            x = rational_sample(rng, 3, algebra)
+            y = rational_sample(rng, 3, algebra)
             assert member(x) and member(y)
             assert member(bracket_witt(x, y))
 
@@ -145,9 +150,9 @@ def test_jacobi_trivial_and_specific():
 def test_jacobi_random(d):
     rng = Random(d)
     for _ in range(60):
-        x = sample_algelem(rng, d, "W")
-        y = sample_algelem(rng, d, "W")
-        z = sample_algelem(rng, d, "W")
+        x = rational_sample(rng, d, "W")
+        y = rational_sample(rng, d, "W")
+        z = rational_sample(rng, d, "W")
         assert jacobi_residual(x, y, z).is_zero()
 
 
