@@ -14,10 +14,11 @@ lies in the fiber at n iff v ^ (alpha + n) = 0 (v = 0 where alpha + n = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from math import lcm
+from operator import add, mul
 
 from . import witt
 from .linalg import SpanBasis, basis_of
@@ -29,6 +30,8 @@ __all__ = [
     "GradedVec",
     "graded",
     "term_map",
+    "operator",
+    "apply_operator",
     "act",
     "act_d_basis",
     "module_axiom_residual",
@@ -43,18 +46,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModuleParams:
-    """d, the rational twist alpha, and the coefficient representation."""
+    """d, the rational twist alpha, and the coefficient representation.
+
+    ``alpha_den`` is D, the lcm of alpha's denominators, and ``alpha_num``
+    the integers D alpha, so that (u | alpha) of an integer u is an integer
+    over D.
+    """
 
     d: int
     alpha: tuple
     rep: RepHandle
+    alpha_den: int = field(init=False, repr=False, compare=False)
+    alpha_num: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(Fraction(a) for a in self.alpha))
+        alpha = tuple(Fraction(a) for a in self.alpha)
+        object.__setattr__(self, "alpha", alpha)
         if len(self.alpha) != self.d:
             raise ValueError("alpha length must equal d")
         if self.rep.d != self.d:
             raise ValueError("representation d does not match module d")
+        den = lcm(*(a.denominator for a in alpha))
+        object.__setattr__(self, "alpha_den", den)
+        object.__setattr__(self, "alpha_num",
+                           tuple(a.numerator * (den // a.denominator) for a in alpha))
 
     def alpha_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.alpha)
@@ -77,6 +92,16 @@ class GradedVec:
                 clean[tuple(int(x) for x in n)] = coords
         self.fibers = clean
 
+    @classmethod
+    def _trusted(cls, params: ModuleParams, fibers: dict) -> "GradedVec":
+        """A vector from ``fibers`` whose keys are already int tuples of
+        length d and whose coordinate sequences have length dim; only zero
+        fibers are dropped, and the coordinates are stored as tuples."""
+        v = object.__new__(cls)
+        v.params = params
+        v.fibers = {n: tuple(c) for n, c in fibers.items() if any(c)}
+        return v
+
     def is_zero(self) -> bool:
         return not self.fibers
 
@@ -87,16 +112,18 @@ class GradedVec:
         out = dict(self.fibers)
         for n, c in other.fibers.items():
             witt.add_term(out, n, c)
-        return GradedVec(self.params, out)
+        return GradedVec._trusted(self.params, out)
 
     def __neg__(self) -> "GradedVec":
-        return GradedVec(self.params, {n: tuple(-x for x in c) for n, c in self.fibers.items()})
+        return GradedVec._trusted(self.params,
+                                  {n: tuple(-x for x in c) for n, c in self.fibers.items()})
 
     def __sub__(self, other: "GradedVec") -> "GradedVec":
         return self + (-other)
 
     def scale(self, c) -> "GradedVec":
-        return GradedVec(self.params, {n: tuple(c * x for x in f) for n, f in self.fibers.items()})
+        return GradedVec._trusted(self.params,
+                                  {n: tuple(c * x for x in f) for n, f in self.fibers.items()})
 
     def __eq__(self, other):
         if not isinstance(other, GradedVec):
@@ -121,12 +148,13 @@ def term_map(params: ModuleParams, u, r, cocycle=None, integral: bool = False):
     list, or None when they vanish.
 
     With ``cocycle`` the image at n is scaled by ``cocycle(r, n)`` (the
-    quantum action, with sigma).  An integral (u | alpha) is kept as an int,
-    so integer u and w give integer images when r u^T acts by an integer
-    matrix.  With ``integral``, when r u^T acts by an integer matrix the map
-    is scaled by the denominator of (u | alpha), so integer coordinates give
-    integer images; only the closure engine, which tracks spans, asks for
-    that.
+    quantum action, with sigma).  (u | alpha) is paired from alpha's
+    integer numerators over D, so an integer u builds at most one Fraction,
+    and an integral (u | alpha) is kept as an int: integer u and w give
+    integer images when r u^T acts by an integer matrix.  With
+    ``integral``, when r u^T acts by an integer matrix the map is scaled by
+    the denominator of (u | alpha), so integer coordinates give integer
+    images; only the closure engine, which tracks spans, asks for that.
     """
     u, r = tuple(u), tuple(r)
     acc: dict = {}
@@ -139,8 +167,8 @@ def term_map(params: ModuleParams, u, r, cocycle=None, integral: bool = False):
                         acc[dst, src] = acc.get((dst, src), 0) + c * m
     # (i, j, m): r u^T takes basis vector j to m times basis vector i, plus others
     entries = [(i, j, m) for (i, j), m in sorted(acc.items()) if m]
-    ualpha = sum(map(mul, u, params.alpha))
-    ualpha = ualpha.numerator if ualpha.denominator == 1 else ualpha
+    num, den = sum(map(mul, u, params.alpha_num)), params.alpha_den
+    ualpha = num // den if not num % den else Fraction(num, den)
     if integral and all(isinstance(m, int) for _, _, m in entries):
         scale = ualpha.denominator
         u, ualpha = tuple(scale * x for x in u), ualpha.numerator
@@ -176,24 +204,36 @@ def _accumulate(out: dict, n: DegVec, coords) -> None:
             acc[b] = acc[b] + x
 
 
+def operator(params: ModuleParams, x: AlgElem, cocycle=None) -> list:
+    """x as an operator on the module: the (shift r, :func:`term_map`) pair
+    of each term D(u, r), built once to be applied to any number of vectors
+    by :func:`apply_operator`."""
+    if x.d != params.d:
+        raise ValueError("algebra element dimension mismatch")
+    return [(r, term_map(params, u, r, cocycle)) for r, u in x.terms.items()]
+
+
+def apply_operator(params: ModuleParams, op: list, v: GradedVec) -> GradedVec:
+    """The image of v under an operator, a list of (shift, fiber map) pairs
+    as :func:`operator` builds: each map applied to every fiber."""
+    out: dict[DegVec, list] = {}
+    for r, apply in op:
+        for n, coords in v.fibers.items():
+            img = apply(n, coords)
+            if img is not None:
+                _accumulate(out, tuple(map(add, n, r)), img)
+    return GradedVec._trusted(params, out)
+
+
 def act(params: ModuleParams, x: AlgElem, v: GradedVec, cocycle=None) -> GradedVec:
-    """Bilinear extension of the defining action: the :func:`term_map` of
-    each term D(u, r), built once, applied to every fiber.
+    """Bilinear extension of the defining action: x's :func:`operator`
+    applied to v.
 
     With ``cocycle``, the image of D(u, r) on the fiber at n is scaled by
     ``cocycle(r, n)``: the quantum torus action of outer derivations, with
     sigma as the cocycle.
     """
-    if x.d != params.d:
-        raise ValueError("algebra element dimension mismatch")
-    out: dict[DegVec, list] = {}
-    for r, u in x.terms.items():
-        apply = term_map(params, u, r, cocycle)
-        for n, coords in v.fibers.items():
-            img = apply(n, coords)
-            if img is not None:
-                _accumulate(out, tuple(ni + ri for ni, ri in zip(n, r)), img)
-    return GradedVec(params, out)
+    return apply_operator(params, operator(params, x, cocycle), v)
 
 
 def act_d_basis(params: ModuleParams, r, i: int, v: GradedVec) -> GradedVec:
@@ -224,9 +264,12 @@ def act_d_basis(params: ModuleParams, r, i: int, v: GradedVec) -> GradedVec:
 
 
 def module_axiom_residual(params: ModuleParams, x: AlgElem, y: AlgElem, v: GradedVec) -> GradedVec:
-    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)); must vanish."""
+    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)); must vanish.
+    The operators of x and y are built once and each applied twice."""
+    ox, oy = operator(params, x), operator(params, y)
     lhs = act(params, witt.bracket_witt(x, y), v)
-    rhs = act(params, x, act(params, y, v)) - act(params, y, act(params, x, v))
+    rhs = (apply_operator(params, ox, apply_operator(params, oy, v))
+           - apply_operator(params, oy, apply_operator(params, ox, v)))
     return lhs - rhs
 
 

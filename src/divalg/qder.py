@@ -28,6 +28,8 @@ irreducible complement.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .closure import (
     Box,
     ClosureResult,
@@ -37,7 +39,7 @@ from .closure import (
     pair_generators,
     unit_generators,
 )
-from .modules import GradedVec, ModuleParams, _accumulate, act, graded
+from .modules import GradedVec, ModuleParams, act, apply_operator, graded, operator
 from .reps import RepHandle
 from .scalars import Cyc
 from .qtorus import QMatrix, block_structure, cocycle, commutator_coeff, in_rad, sigma_exponent
@@ -169,26 +171,42 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
 # ---------------------------------------------------------------------------
 
 
+def _inner_map(q: QMatrix, m: DegVec, cm: Cyc):
+    """The fiber map ``(n, w) -> image | None`` of cm ad t^m."""
+    def apply(n, w):
+        c = commutator_coeff(q, m, n)
+        if c is None:
+            return None
+        c = c * cm
+        return [c * x for x in w]
+    return apply
+
+
+def operator_q(q: QMatrix, params: ModuleParams, x: QDerElem) -> list:
+    """x, validated once, as an operator on params' module for
+    :func:`~divalg.modules.apply_operator`: the fiber maps of its inner
+    terms, then the :func:`~divalg.modules.operator` of its outer part with
+    sigma as the cocycle."""
+    x.validate(q)
+    return ([(m, _inner_map(q, m, cm)) for m, cm in x.inner.items()]
+            + operator(params, x.outer, cocycle(q)))
+
+
 def act_q(q: QMatrix, x: QDerElem, v: GradedVec) -> GradedVec:
     """The action on v's module, extended bilinearly over terms and fibers;
     the outer terms act classically with sigma as the cocycle."""
-    x.validate(q)
-    out: dict[DegVec, list] = {}
-    for m, cm in x.inner.items():
-        for n, coords in v.fibers.items():
-            c = commutator_coeff(q, m, n)
-            if c is not None:
-                c = c * cm
-                _accumulate(out, tuple(a + b for a, b in zip(m, n)),
-                            tuple(c * x_ for x_ in coords))
-    return GradedVec(v.params, out) + act(v.params, x.outer, v, cocycle(q))
+    return apply_operator(v.params, operator_q(q, v.params, x), v)
 
 
 def module_axiom_residual_q(q: QMatrix, x: QDerElem, y: QDerElem, v: GradedVec,
                             outer_sign: int = OUTER_SIGN) -> GradedVec:
-    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)); must vanish."""
+    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)); must vanish.
+    The operators of x and y are built once and each applied twice."""
+    params = v.params
+    ox, oy = operator_q(q, params, x), operator_q(q, params, y)
     lhs = act_q(q, bracket_qder(q, x, y, outer_sign), v)
-    rhs = act_q(q, x, act_q(q, y, v)) - act_q(q, y, act_q(q, x, v))
+    rhs = (apply_operator(params, ox, apply_operator(params, oy, v))
+           - apply_operator(params, oy, apply_operator(params, ox, v)))
     return lhs - rhs
 
 
@@ -282,7 +300,12 @@ def iso_algebra(q: QMatrix, x: QDerElem) -> AlgElem:
 
 def iso_params(q: QMatrix, params: ModuleParams, i) -> ModuleParams:
     """Parameters of the classical target module for class i: twisted rep and
-    alpha_i = ((alpha_j + i_j) / l_j)_j."""
+    alpha_i = ((alpha_j + i_j) / l_j)_j, built once per (q, params, i)."""
+    return _iso_params(q, params, tuple(int(x) for x in i))
+
+
+@lru_cache(maxsize=64)
+def _iso_params(q: QMatrix, params: ModuleParams, i: DegVec) -> ModuleParams:
     l = _require_block(q)
     alpha_i = tuple((a + ii) / li for a, ii, li in zip(params.alpha, i, l))
     return ModuleParams(q.d, alpha_i, RepHandle.twisted(params.rep, l))

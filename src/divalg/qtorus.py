@@ -23,9 +23,18 @@ from .scalars import Cyc
 from .witt import DegVec
 
 
+#: Most degrees whose radical membership one matrix remembers
+RAD_MEMO_SIZE = 4096
+
+
 @dataclass(frozen=True)
 class QMatrix:
-    """Commutation matrix q_ij = zeta_N^{exps[i][j]}."""
+    """Commutation matrix q_ij = zeta_N^{exps[i][j]}.
+
+    Each instance keeps, outside the fields (so equality and hashing ignore
+    them), the nonzero exponents k_ji (i < j) that :func:`sigma_exponent`
+    sums and a bounded memo of :func:`in_rad` answers.
+    """
 
     d: int
     N: int
@@ -44,6 +53,10 @@ class QMatrix:
             for j in range(self.d):
                 if (self.exps[i][j] + self.exps[j][i]) % self.N:
                     raise ValueError("exponent matrix must be skew modulo N")
+        object.__setattr__(self, "_sigma_terms", tuple(
+            (i, j, self.exps[j][i]) for i in range(self.d) for j in range(i + 1, self.d)
+            if self.exps[j][i]))
+        object.__setattr__(self, "_rad_memo", {})
 
     @staticmethod
     def from_exps(n: int, exps) -> "QMatrix":
@@ -78,11 +91,8 @@ def sigma_exponent(q: QMatrix, m, n) -> int:
     if len(m) != q.d or len(n) != q.d:
         raise ValueError("degree dimension mismatch")
     e = 0
-    for i in range(q.d):
-        for j in range(i + 1, q.d):
-            kji = q.exps[j][i]
-            if kji:
-                e += kji * m[j] * n[i]
+    for i, j, kji in q._sigma_terms:
+        e += kji * m[j] * n[i]
     return e % q.N
 
 
@@ -110,10 +120,15 @@ def sigma(q: QMatrix, m, n) -> Cyc:
 def cocycle(q: QMatrix):
     """sigma as a callable (m, n) -> scalar, the ``cocycle`` argument of
     :func:`~divalg.witt.bracket_witt` and :func:`~divalg.modules.act`; it
-    gives the int 1 at exponent 0, so those skip the multiplication."""
+    gives the int 1 at exponent 0, so those skip the multiplication, and
+    the int -1 where zeta_N^e = -1 (2e = N), so they multiply by an int."""
+    N = q.N
+
     def sig(m, n):
         e = sigma_exponent(q, m, n)
-        return Cyc.zeta(q.N, e) if e else 1
+        if not e:
+            return 1
+        return -1 if 2 * e == N else Cyc.zeta(N, e)
     return sig
 
 
@@ -162,12 +177,18 @@ def _rad_basis(q: QMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def in_rad(q: QMatrix, n) -> bool:
-    """Membership in Rad_q, directly via f(n, e_i) = 1 for all i."""
-    for i in range(q.d):
-        e = sum(q.exps[j][i] * n[j] for j in range(q.d))
-        if e % q.N:
-            return False
-    return True
+    """Membership in Rad_q, directly via f(n, e_i) = 1 for all i; the
+    answer is remembered per matrix, for at most RAD_MEMO_SIZE degrees."""
+    n = tuple(n)
+    memo = q._rad_memo
+    hit = memo.get(n)
+    if hit is None:
+        hit = not any(sum(q.exps[j][i] * n[j] for j in range(q.d)) % q.N
+                      for i in range(q.d))
+        if len(memo) >= RAD_MEMO_SIZE:
+            memo.clear()
+        memo[n] = hit
+    return hit
 
 
 def block_normal_q(l) -> QMatrix:

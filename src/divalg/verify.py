@@ -72,7 +72,6 @@ from .witt import (
     d_basis,
     in_L,
     in_Lhat,
-    jacobi_residual,
     lemma_orthg,
     pair_term,
     pairing,
@@ -188,7 +187,8 @@ def sample_graded(rng: Random, params: ModuleParams, radius: int = 2,
 
 def lie_suite_classical(d: int, algebra: str, triples: int, rng: Random,
                         radius: int = 3) -> dict:
-    """Antisymmetry, Jacobi, and subalgebra closure, all exact."""
+    """Antisymmetry, Jacobi, and subalgebra closure, all exact; [x, y] is
+    computed once per triple and shared by the three checks."""
     if algebra not in CLASSICAL_ALGEBRAS:
         raise ValueError(f"unknown classical algebra {algebra!r}")
     member = CLASSICAL_MEMBER[algebra]
@@ -198,11 +198,13 @@ def lie_suite_classical(d: int, algebra: str, triples: int, rng: Random,
         if not (member(x) and member(y) and member(z)):
             violations += 1
             continue
-        if not (bracket_witt(x, y) + bracket_witt(y, x)).is_zero():
+        xy = bracket_witt(x, y)
+        if not (xy + bracket_witt(y, x)).is_zero():
             violations += 1
-        if not jacobi_residual(x, y, z).is_zero():
+        if not (bracket_witt(x, bracket_witt(y, z)) + bracket_witt(y, bracket_witt(z, x))
+                + bracket_witt(z, xy)).is_zero():
             violations += 1
-        if not member(bracket_witt(x, y)):
+        if not member(xy):
             violations += 1
     return {"name": "lie-axioms", "algebra": algebra, "d": d, "checks": 3 * triples,
             "violations": violations}
@@ -223,11 +225,14 @@ def lie_suite_q(q: QMatrix, algebra: str, triples: int, rng: Random,
         if not (member(q, x) and member(q, y) and member(q, z)):
             violations += 1
             continue
-        if not (bracket_qder(q, x, y) + bracket_qder(q, y, x)).is_zero():
+        xy = bracket_qder(q, x, y)
+        if not (xy + bracket_qder(q, y, x)).is_zero():
             violations += 1
-        if not jacobi_residual(x, y, z, lambda a, b: bracket_qder(q, a, b)).is_zero():
+        if not (bracket_qder(q, x, bracket_qder(q, y, z))
+                + bracket_qder(q, y, bracket_qder(q, z, x))
+                + bracket_qder(q, z, xy)).is_zero():
             violations += 1
-        if not member(q, bracket_qder(q, x, y)):
+        if not member(q, xy):
             violations += 1
     return {"name": "lie-axioms", "algebra": algebra, "q_order": q.N, "checks": 3 * triples,
             "violations": violations}
@@ -290,7 +295,7 @@ def lemma_orthg_suite(d: int, count: int, rng: Random) -> dict:
 def _alpha_denominator(params: ModuleParams) -> int:
     """D = lcm of the denominators of alpha: D u has an integer (D u | alpha)
     for every integer u."""
-    return lcm(*(a.denominator for a in params.alpha))
+    return params.alpha_den
 
 
 def module_suite_classical(params: ModuleParams, algebra: str, pairs: int,

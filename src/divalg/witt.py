@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 DegVec = tuple[int, ...]
 
@@ -132,13 +133,13 @@ def bracket_witt(x: AlgElem, y: AlgElem, cocycle=None) -> AlgElem:
     out: dict[DegVec, tuple] = {}
     for r, u in x.terms.items():
         for s, v in y.terms.items():
-            a = pairing(u, s)
-            b = pairing(v, r)
+            a = sum(map(mul, u, s))
+            b = sum(map(mul, v, r))
             w = tuple(a * vi - b * ui for ui, vi in zip(u, v))
             if any(w):
                 if cocycle is not None and (c := cocycle(r, s)) != 1:
                     w = tuple(c * wi for wi in w)
-                add_term(out, tuple(ri + si for ri, si in zip(r, s)), w)
+                add_term(out, tuple(map(add, r, s)), w)
     return AlgElem._trusted(x.d, out)
 
 

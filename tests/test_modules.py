@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import divalg.modules
 import divalg.verify
 from divalg.closure import Box
 from divalg.linalg import span_contains
@@ -89,6 +90,36 @@ def test_module_axiom_residual_random(rep, d):
     rng = Random(d)
     for algebra in ("W", "Lhat", "L"):
         assert module_suite_classical(p, algebra, 30, rng)["violations"] == 0
+
+
+def test_trusted_matches_validating_constructor():
+    p = ModuleParams(3, (F(1, 2), 0, F(-1, 3)), RepHandle.exterior(3, 2))
+    fibers = {(0, 0, 0): [1, 0, F(1, 2)], (1, -1, 2): (0, 0, 0), (2, 0, 0): [0, 0, 0],
+              (0, 1, 0): (0, -3, 0)}
+    trusted = GradedVec._trusted(p, fibers)
+    plain = GradedVec(p, fibers)
+    assert trusted.fibers == plain.fibers
+    assert set(trusted.fibers) == {(0, 0, 0), (0, 1, 0)}
+    assert all(type(c) is tuple for c in trusted.fibers.values())
+    assert trusted == plain and trusted.params is p
+
+
+@pytest.mark.parametrize("algebra", ["W", "Lhat", "L"])
+def test_residual_builds_one_term_map_per_term(monkeypatch, algebra):
+    """One residual builds |x| + |y| + |[x, y]| term maps: the operators of
+    x and y are each applied twice but built once."""
+    p = ModuleParams(3, (F(1, 2), F(-2, 3), 0), RepHandle.exterior(3, 2))
+    rng = Random(f"count-{algebra}")
+    built = []
+    true_term_map = divalg.modules.term_map
+    monkeypatch.setattr(divalg.modules, "term_map",
+                        lambda *args: built.append(1) or true_term_map(*args))
+    for _ in range(20):
+        x, y = (divalg.verify.sample_algelem(rng, 3, algebra, 2).scale(6) for _ in range(2))
+        v = divalg.verify.sample_graded(rng, p)
+        del built[:]
+        assert module_axiom_residual(p, x, y, v).is_zero()
+        assert len(built) == len(x.terms) + len(y.terms) + len(bracket_witt(x, y).terms)
 
 
 def test_module_axiom_x_equals_y():
@@ -302,13 +333,40 @@ def integer_matrix(rep, u, r) -> bool:
         for x in act_matrix(rep, mat, basis_vector(rep, b)).coords)
 
 
+# alphas with negative entries, zero entries and mixed denominators
+FIXED_ALPHAS = [
+    (F(-1, 2), 0, F(2, 3)),
+    (0, 0, 0),
+    (F(-5, 6), F(-3, 4), F(7, 10)),
+    (F(-1, 3), F(-1, 3), -2),
+    (0, F(-7, 9), F(1, 6)),
+]
+
+
+@pytest.mark.parametrize("alpha", FIXED_ALPHAS)
+def test_alpha_numerators_over_lcm(alpha):
+    params = ModuleParams(3, alpha, RepHandle.natural(3))
+    D = lcm(*(F(a).denominator for a in alpha))
+    assert params.alpha_den == D
+    assert all(type(x) is int for x in params.alpha_num)
+    assert tuple(F(x, D) for x in params.alpha_num) == params.alpha
+    # the derived fields take no part in equality
+    assert params == ModuleParams(3, tuple(F(a) for a in alpha), params.rep)
+
+
 @pytest.mark.parametrize("rep", term_map_reps(), ids=lambda rep: rep.kind)
 def test_term_map_matches_module_formula(rep):
+    """term_map pairs u with alpha's integer numerators over D; the images
+    must equal the module formula, which pairs u with alpha as Fractions,
+    on random alphas and on the fixed ones."""
     rng = Random(f"term-map-{rep.kind}")
     sig = cocycle(block_normal_q((2, 2, 1)))
     seen = {"zero": 0, "integral": 0, "exact": 0, "int": 0}
-    for trial in range(40):
-        alpha = tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3))
+    for trial in range(40 + len(FIXED_ALPHAS)):
+        if trial < 40:
+            alpha = tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3))
+        else:
+            alpha = tuple(F(a) for a in FIXED_ALPHAS[trial - 40])
         params = ModuleParams(3, alpha, rep)
         n = tuple(rng.randint(-3, 3) for _ in range(3))
         w = [rng.randint(-3, 3) for _ in range(rep.dim)]

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from divalg.closure import Box
-from divalg.modules import GradedVec, ModuleParams, graded
+from divalg.modules import GradedVec, ModuleParams, act, graded
 from divalg.qder import (
     QDerElem,
     act_q,
@@ -23,6 +23,7 @@ from divalg.qder import (
     in_Lqhat,
     iso_algebra,
     iso_module,
+    iso_params,
     module_axiom_residual_q,
     outer_bracket_sign_oracle,
 )
@@ -322,6 +323,34 @@ def test_iso_module_example():
     assert out.params.rep.kind == "twisted"
     with pytest.raises(ValueError):
         iso_module(Q22, (0, 0), v)
+
+
+def test_iso_params_built_once_per_class():
+    """Every call for one (q, params, i) returns the same params, equal to a
+    fresh build: the same alpha_i, a twist of the same rep by l, acting alike."""
+    rng = Random(19)
+    for i in congruence_classes((2, 2)):
+        got = iso_params(Q22, P22, i)
+        assert iso_params(Q22, P22, list(i)) is got
+        fresh = divalg.qder._iso_params.__wrapped__(Q22, P22, i)
+        assert got is not fresh and got.alpha == fresh.alpha
+        assert (got.alpha_den, got.alpha_num) == (fresh.alpha_den, fresh.alpha_num)
+        assert got.rep.kind == fresh.rep.kind == "twisted"
+        assert got.rep.params == fresh.rep.params == {"parent": NAT2, "l": (2, 2)}
+        for _ in range(10):
+            x = sample_algelem(rng, 2, "Lhat", 2)
+            v = sample_graded(rng, got)
+            assert act(got, x, v).fibers == act(fresh, x, GradedVec(fresh, v.fibers)).fibers
+
+
+def test_iso_params_entries_are_per_alpha():
+    other = ModuleParams(2, (F(1, 5), F(1, 3)), NAT2)
+    a, b = iso_params(Q22, P22, (1, 0)), iso_params(Q22, other, (1, 0))
+    assert a is not b
+    assert a.alpha == (F(3, 4), F(1, 6)) and b.alpha == (F(3, 5), F(1, 6))
+    # the same alpha on another rep object is another module too
+    c = iso_params(Q22, ModuleParams(2, ALPHA, RepHandle.natural(2)), (1, 0))
+    assert c is not a and c.rep.params["parent"] is not NAT2
 
 
 def test_equivariance():

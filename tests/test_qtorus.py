@@ -10,10 +10,12 @@ from random import Random
 
 import pytest
 
+import divalg.qtorus
 from divalg.qtorus import (
     QMatrix,
     block_normal_q,
     block_structure,
+    cocycle,
     cocycle_identities_residual,
     f_form,
     in_rad,
@@ -120,6 +122,51 @@ def test_rad_matches_f_characterization():
                 for i in range(q.d)
             )
             assert direct == in_rad(q, n) == in_lattice(basis, n)
+
+
+# not block-normal: q_12, q_13 and q_23 are all nontrivial
+Q_MIXED = QMatrix.from_exps(4, [[0, 1, 2], [3, 0, 1], [2, 3, 0]])
+
+
+def f_formula_in_rad(q, n) -> bool:
+    """n is radical iff f(n, e_i) = 1 for every i."""
+    return all(f_form(q, n, tuple(int(t == i) for t in range(q.d))) == 1 for i in range(q.d))
+
+
+@pytest.mark.parametrize("q", [block_normal_q((2, 2, 1)), block_normal_q((3, 3)), Q_MIXED],
+                         ids=["221", "33", "mixed"])
+def test_in_rad_matches_f_formula(monkeypatch, q):
+    """The remembered answers equal the f(n, e_i) formula, also once the
+    memo has filled and been cleared (a small bound forces that)."""
+    assert block_structure(Q_MIXED) is None
+    monkeypatch.setattr(divalg.qtorus, "RAD_MEMO_SIZE", 7)
+    box = list(product(range(-4, 5), repeat=q.d))
+    for _ in range(2):
+        for n in box:
+            assert in_rad(q, n) == in_rad(q, list(n)) == f_formula_in_rad(q, n)
+            assert len(q._rad_memo) <= 7
+    assert any(in_rad(q, n) for n in box if any(n))
+    # equality and hashing ignore the memo
+    assert q == QMatrix(q.d, q.N, q.exps) and hash(q) == hash(QMatrix(q.d, q.N, q.exps))
+
+
+@pytest.mark.parametrize("q", [block_normal_q((2, 2)), block_normal_q((2, 2, 1)),
+                               block_normal_q((3, 3)), Q_MIXED], ids=["22", "221", "33", "mixed"])
+def test_cocycle_is_sigma_with_int_signs(q):
+    """cocycle(q) equals sigma, as the int 1 at exponent 0, the int -1 where
+    zeta_N^e = -1, and a Cyc elsewhere."""
+    sig = cocycle(q)
+    seen = set()
+    for m in product(range(-2, 3), repeat=q.d):
+        for n in product(range(-2, 3), repeat=q.d):
+            c, e = sig(m, n), sigma_exponent(q, m, n)
+            assert c == sigma(q, m, n)
+            kind = 1 if e == 0 else -1 if 2 * e == q.N else "cyc"
+            assert (type(c) is int and c == kind) if kind != "cyc" else isinstance(c, Cyc)
+            seen.add(kind)
+    assert seen == ({1, -1} if q.N == 2 else {1, "cyc"} if q.N % 2 else {1, -1, "cyc"})
+    # sigma itself stays a Cyc
+    assert isinstance(sigma(q, (1,) * q.d, (0, 1) + (0,) * (q.d - 2)), Cyc)
 
 
 def test_block_normal_examples():

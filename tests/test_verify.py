@@ -10,11 +10,12 @@ from random import Random
 
 import pytest
 
+import divalg.modules
 import divalg.qder
 import divalg.verify
 import divalg.witt
-from divalg.modules import ModuleParams, module_axiom_residual
-from divalg.qder import QDerElem, in_Lq, in_Lqhat, module_axiom_residual_q
+from divalg.modules import ModuleParams, act, module_axiom_residual
+from divalg.qder import QDerElem, act_q, in_Lq, in_Lqhat, module_axiom_residual_q
 from divalg.qtorus import block_normal_q, in_rad
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
@@ -243,3 +244,108 @@ def test_sample_qder_is_six_times_the_rational_sample(algebra):
         assert x == ref_sample_qder(ref, q, algebra).scale(6)
         assert int_coords(x.outer) and all(c.den == 1 for c in x.inner.values())
         assert rng.getstate() == ref.getstate()
+
+
+# ---------------------------------------------------------------------------
+# residuals from reused operators against the plain action, and the counts
+# ---------------------------------------------------------------------------
+
+
+def plain_residual(params, x, y, v):
+    """The module-axiom residual assembled from plain act calls."""
+    xy = divalg.witt.bracket_witt(x, y)
+    return (act(params, xy, v) - act(params, x, act(params, y, v))
+            + act(params, y, act(params, x, v)))
+
+
+def plain_residual_q(q, x, y, v):
+    """The q residual assembled from plain act_q calls."""
+    xy = divalg.qder.bracket_qder(q, x, y)
+    return act_q(q, xy, v) - act_q(q, x, act_q(q, y, v)) + act_q(q, y, act_q(q, x, v))
+
+
+CLASSICAL_CASES = [
+    (2, RepHandle.natural(2), "W"),
+    (2, RepHandle.twisted(RepHandle.natural(2), (3, 3)), "L"),
+    (3, RepHandle.natural(3), "Lhat"),
+    (3, RepHandle.exterior(3, 2), "L"),
+    (3, RepHandle.twisted(RepHandle.exterior(3, 2), (2, 2, 1)), "W"),
+]
+
+
+@pytest.mark.parametrize("d, rep, algebra", CLASSICAL_CASES,
+                         ids=lambda c: getattr(c, "kind", str(c)))
+def test_residual_from_operators_matches_plain_act(brackets, d, rep, algebra):
+    """With the true bracket both residuals vanish; with the flipped one
+    they must agree term for term while not vanishing."""
+    params = ModuleParams(d, (F(1, 2), F(-2, 3), F(0))[:d], rep)
+    rng = Random(f"reuse-{d}-{rep.kind}-{algebra}")
+    nonzero = 0
+    for _ in range(30):
+        x, y = (ref_sample_algelem(rng, d, algebra, 2) for _ in range(2))
+        v = sample_graded(rng, params)
+        got = module_axiom_residual(params, x, y, v)
+        assert got.fibers == plain_residual(params, x, y, v).fibers
+        nonzero += not got.is_zero()
+    assert (nonzero > 0) == (brackets == "flipped")
+
+
+Q_CASES = [
+    ((2, 2), RepHandle.natural(2), "Der"),
+    ((3, 3), RepHandle.natural(2), "Lqhat"),
+    ((3, 3), RepHandle.twisted(RepHandle.natural(2), (3, 3)), "Lq"),
+    ((2, 2, 1), RepHandle.exterior(3, 2), "Lq"),
+    ((2, 2, 1), RepHandle.twisted(RepHandle.exterior(3, 2), (2, 2, 1)), "Lqhat"),
+]
+
+
+@pytest.mark.parametrize("l, rep, algebra", Q_CASES, ids=lambda c: getattr(c, "kind", str(c)))
+def test_residual_q_from_operators_matches_plain_act_q(brackets, l, rep, algebra):
+    q = block_normal_q(l)
+    params = ModuleParams(len(l), (F(1, 5), F(-2, 7), F(1, 2))[:len(l)], rep)
+    rng = Random(f"reuse-q-{l}-{rep.kind}-{algebra}")
+    nonzero = 0
+    for _ in range(30):
+        x, y = (ref_sample_qder(rng, q, algebra) for _ in range(2))
+        v = sample_graded(rng, params)
+        got = module_axiom_residual_q(q, x, y, v)
+        assert got.fibers == plain_residual_q(q, x, y, v).fibers
+        nonzero += not got.is_zero()
+    assert (nonzero > 0) == (brackets == "flipped")
+
+
+def counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that counts its calls."""
+    calls = []
+    true = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or true(*args))
+    return calls
+
+
+@pytest.mark.parametrize("l, rep, algebra", Q_CASES[2:], ids=lambda c: getattr(c, "kind", str(c)))
+def test_residual_q_builds_one_term_map_per_outer_term(monkeypatch, l, rep, algebra):
+    q = block_normal_q(l)
+    params = ModuleParams(len(l), (F(1, 5), F(-2, 7), F(1, 2))[:len(l)], rep)
+    rng = Random(f"count-q-{l}-{algebra}")
+    built = counting(monkeypatch, divalg.modules, "term_map")
+    for _ in range(20):
+        x, y = (sample_qder(rng, q, algebra).scale(70) for _ in range(2))
+        v = sample_graded(rng, params)
+        xy = divalg.qder.bracket_qder(q, x, y)
+        del built[:]
+        assert module_axiom_residual_q(q, x, y, v).is_zero()
+        assert len(built) == len(x.outer.terms) + len(y.outer.terms) + len(xy.outer.terms)
+
+
+@pytest.mark.parametrize("d, algebra", [(2, "W"), (3, "Lhat"), (3, "L")])
+def test_lie_triple_makes_seven_brackets(monkeypatch, d, algebra):
+    calls = counting(monkeypatch, divalg.verify, "bracket_witt")
+    out = lie_suite_classical(d, algebra, 25, Random(17))
+    assert out["violations"] == 0 and len(calls) == 7 * 25
+
+
+@pytest.mark.parametrize("l, algebra", [((2, 2), "Der"), ((3, 3), "Lqhat"), ((2, 2, 1), "Lq")])
+def test_lie_triple_q_makes_seven_brackets(monkeypatch, l, algebra):
+    calls = counting(monkeypatch, divalg.verify, "bracket_qder")
+    out = lie_suite_q(block_normal_q(l), algebra, 25, Random(18))
+    assert out["violations"] == 0 and len(calls) == 7 * 25
