@@ -35,10 +35,6 @@ class SpanBasis:
         return iter(self.rows)
 
 
-def empty_basis(ambient_dim: int) -> SpanBasis:
-    return SpanBasis(ambient_dim, (), ())
-
-
 def _primitive(vals: list) -> list:
     """Canonical representative of the ray through a nonzero vector: monic
     when it needs cyclotomic entries, else primitive integral with a positive

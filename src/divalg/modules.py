@@ -25,24 +25,6 @@ from .linalg import SpanBasis, basis_of
 from .reps import RepHandle, RepVec, act_matrix
 from .witt import AlgElem, DegVec
 
-__all__ = [
-    "ModuleParams",
-    "GradedVec",
-    "graded",
-    "term_map",
-    "operator",
-    "apply_operator",
-    "act",
-    "act_d_basis",
-    "module_axiom_residual",
-    "w_fiber_basis",
-    "w_membership",
-    "wedge_terms",
-    "in_wedge_fiber",
-    "TrivialSplit",
-    "trivial_split",
-]
-
 
 @dataclass(frozen=True)
 class ModuleParams:
@@ -104,9 +86,6 @@ class GradedVec:
 
     def is_zero(self) -> bool:
         return not self.fibers
-
-    def support(self) -> list[DegVec]:
-        return sorted(self.fibers)
 
     def __add__(self, other: "GradedVec") -> "GradedVec":
         out = dict(self.fibers)

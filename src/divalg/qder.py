@@ -266,15 +266,6 @@ def congruence_classes(l: tuple[int, ...]) -> list[DegVec]:
     return sorted(out)
 
 
-def decompose_classes(q: QMatrix, v: GradedVec) -> dict[DegVec, GradedVec]:
-    """Split fibers by degree class modulo the radical; parts re-sum to v."""
-    l = _require_block(q)
-    parts: dict[DegVec, dict] = {}
-    for n, coords in v.fibers.items():
-        parts.setdefault(class_of(l, n), {})[n] = coords
-    return {i: GradedVec(v.params, fib) for i, fib in sorted(parts.items())}
-
-
 def g_q_component(q: QMatrix, v: GradedVec) -> GradedVec:
     """The part of v supported on nonzero congruence classes."""
     l = _require_block(q)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .lattices import in_lattice, smith_kernel_mod
+from .lattices import smith_kernel_mod
 from .scalars import Cyc
 from .witt import DegVec
 
@@ -260,26 +260,3 @@ def sigma_cocycle_residual(q: QMatrix, m, n, r) -> Cyc:
     mn = tuple(x + y for x, y in zip(m, n))
     nr = tuple(x + y for x, y in zip(n, r))
     return sigma(q, m, n) * sigma(q, mn, r) - sigma(q, n, r) * sigma(q, m, nr)
-
-
-__all__ = [
-    "QMatrix",
-    "QMonomial",
-    "zero_monomial",
-    "monomial",
-    "sigma",
-    "cocycle",
-    "commutator_coeff",
-    "f_form",
-    "sigma_exponent",
-    "f_exponent",
-    "torus_mul",
-    "torus_commutator",
-    "rad_q",
-    "in_rad",
-    "block_normal_q",
-    "block_structure",
-    "cocycle_identities_residual",
-    "sigma_cocycle_residual",
-    "in_lattice",
-]

@@ -1,10 +1,9 @@
 """Finite-dimensional gl_d / sl_d representations with exact actions.
 
 Supported constructions: the natural module C^d, exterior powers (highest
-weight the k-th fundamental weight), symmetric powers, tensor products,
-cyclic submodules generated by a seed vector, the one-dimensional trivial
-module, and the diagonal twist v -> (L B L^{-1}) v by a positive integer
-vector l.
+weight the k-th fundamental weight), symmetric powers, tensor products, the
+one-dimensional trivial module, and the diagonal twist v -> (L B L^{-1}) v
+by a positive integer vector l.
 
 Basis labels are canonical: sorted index tuples for exterior powers (a
 strictly increasing wedge is positive), nondecreasing tuples for symmetric
@@ -18,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-
-from .linalg import SpanBasis, basis_of, span_extend
 
 
 class RepHandle:
@@ -37,7 +34,7 @@ class RepHandle:
         self._e_cache: dict[tuple[int, int], dict[int, list[tuple[int, object]]]] = {}
 
     def __repr__(self):
-        extra = {k: v for k, v in self.params.items() if k not in ("parent", "basis")}
+        extra = {k: v for k, v in self.params.items() if k != "parent"}
         return f"RepHandle(d={self.d}, kind={self.kind}, dim={self.dim}, {extra})"
 
     # -- constructors --------------------------------------------------------
@@ -74,17 +71,6 @@ class RepHandle:
             raise ValueError("tensor factors must share d")
         labels = tuple(product(*(f.basis_labels for f in factors)))
         return RepHandle(d, "tensor", labels, factors=factors)
-
-    @staticmethod
-    def cyclic(parent: "RepHandle", seed) -> "RepHandle":
-        seed = tuple(seed)
-        if len(seed) != parent.dim:
-            raise ValueError("seed length does not match parent dimension")
-        if all(not c for c in seed):
-            raise ValueError("cyclic submodule needs a nonzero seed")
-        basis = cyclic_closure(parent, seed)
-        labels = tuple((i,) for i in range(basis.rank))
-        return RepHandle(parent.d, "cyclic", labels, parent=parent, basis=basis, seed=seed)
 
     @staticmethod
     def twisted(parent: "RepHandle", l) -> "RepHandle":
@@ -154,17 +140,6 @@ class RepHandle:
             scale = Fraction(l[i - 1], l[j - 1])
             for src, terms in parent._e_structure(i, j).items():
                 out[src] = [(dst, coeff * scale) for dst, coeff in terms]
-        elif self.kind == "cyclic":
-            parent = self.params["parent"]
-            basis: SpanBasis = self.params["basis"]
-            for src, row in enumerate(basis.rows):
-                img = act_E(parent, i, j, RepVec(parent, row)).coords
-                terms = []
-                for t, p in enumerate(basis.pivot_cols):
-                    if img[p]:
-                        terms.append((t, img[p]))
-                if terms:
-                    out[src] = terms
         else:
             raise ValueError(f"unknown rep kind {self.kind!r}")
         self._e_cache[key] = out
@@ -199,29 +174,6 @@ class RepVec:
         return RepVec(self.rep, tuple(c * x for x in self.coords))
 
 
-def basis_vector(rep: RepHandle, idx: int) -> RepVec:
-    coords = [0] * rep.dim
-    coords[idx] = 1
-    return RepVec(rep, tuple(coords))
-
-
-def act_E(rep: RepHandle, i: int, j: int, v: RepVec) -> RepVec:
-    """Exact image of v under the matrix unit E_{ij}."""
-    if not (1 <= i <= rep.d and 1 <= j <= rep.d):
-        raise IndexError(f"matrix-unit indices must be in 1..{rep.d}")
-    out = [0] * rep.dim
-    struct = rep._e_structure(i, j)
-    for src, c in enumerate(v.coords):
-        if not c:
-            continue
-        terms = struct.get(src)
-        if not terms:
-            continue
-        for dst, coeff in terms:
-            out[dst] = out[dst] + c * coeff
-    return RepVec(rep, tuple(out))
-
-
 def act_matrix(rep: RepHandle, b, v: RepVec) -> RepVec:
     """Action of a d x d scalar matrix, decomposed over matrix units."""
     d = rep.d
@@ -243,87 +195,6 @@ def act_matrix(rep: RepHandle, b, v: RepVec) -> RepVec:
                 for dst, sc in terms:
                     out[dst] = out[dst] + coeff * c * sc
     return RepVec(rep, tuple(out))
-
-
-def weight(rep: RepHandle, basis_index: int):
-    """Vector of E_{ii}-eigenvalues of the indexed basis vector."""
-    if not 0 <= basis_index < rep.dim:
-        raise IndexError("basis index out of range")
-    d = rep.d
-    kind = rep.kind
-    if kind == "natural":
-        lab = rep.basis_labels[basis_index]
-        return tuple(1 if i == lab[0] else 0 for i in range(1, d + 1))
-    if kind == "exterior":
-        lab = rep.basis_labels[basis_index]
-        return tuple(1 if i in lab else 0 for i in range(1, d + 1))
-    if kind == "symmetric":
-        lab = rep.basis_labels[basis_index]
-        return tuple(lab.count(i) for i in range(1, d + 1))
-    if kind == "trivial":
-        return (0,) * d
-    if kind == "tensor":
-        lab = rep.basis_labels[basis_index]
-        factors = rep.params["factors"]
-        parts = [weight(f, f._index[lab[p]]) for p, f in enumerate(factors)]
-        return tuple(sum(col) for col in zip(*parts))
-    if kind == "twisted":
-        parent = rep.params["parent"]
-        return weight(parent, basis_index)
-    if kind == "cyclic":
-        v = basis_vector(rep, basis_index)
-        mu = []
-        for i in range(1, d + 1):
-            img = act_E(rep, i, i, v)
-            lead = next((t for t, c in enumerate(v.coords) if c), None)
-            lam = img.coords[lead] / v.coords[lead] if v.coords[lead] != 1 else img.coords[lead]
-            if img.coords != tuple(lam * c for c in v.coords):
-                raise ValueError("cyclic basis vector is not a weight vector")
-            mu.append(lam)
-        return tuple(mu)
-    raise ValueError(f"unknown rep kind {kind!r}")
-
-
-def highest_weight_vector(rep: RepHandle) -> RepVec:
-    """The vector killed by all raising operators E_{i,i+1}, up to scale."""
-    if rep.kind == "natural":
-        return basis_vector(rep, 0)
-    if rep.kind == "exterior":
-        k = rep.params["k"]
-        return basis_vector(rep, rep._index[tuple(range(1, k + 1))])
-    if rep.kind == "symmetric":
-        m = rep.params["m"]
-        return basis_vector(rep, rep._index[(1,) * m])
-    if rep.kind == "trivial":
-        return basis_vector(rep, 0)
-    raise ValueError(f"no canonical highest weight vector for kind {rep.kind!r}")
-
-
-def cyclic_closure(rep: RepHandle, seed) -> SpanBasis:
-    """Smallest subspace containing ``seed`` stable under all E_{ij}, i != j."""
-    seed = tuple(seed)
-    if all(not c for c in seed):
-        raise ValueError("cyclic closure needs a nonzero seed")
-    basis = basis_of([seed], rep.dim)
-    frontier = list(basis.rows)
-    while frontier:
-        images = []
-        for w in frontier:
-            v = RepVec(rep, tuple(w))
-            for i in range(1, rep.d + 1):
-                for j in range(1, rep.d + 1):
-                    if i == j:
-                        continue
-                    img = act_E(rep, i, j, v)
-                    if not img.is_zero():
-                        images.append(img.coords)
-        new_basis, grew = span_extend(basis, images)
-        if not grew:
-            break
-        old_rows = set(basis.rows)
-        frontier = [r for r in new_basis.rows if r not in old_rows]
-        basis = new_basis
-    return basis
 
 
 def rep_from_config(d: int, obj: dict) -> RepHandle:
@@ -356,8 +227,9 @@ def rep_from_config(d: int, obj: dict) -> RepHandle:
     if kind == "trivial":
         return RepHandle.trivial(d)
     if kind == "tensor":
-        return RepHandle.tensor([rep_from_config(d, f) for f in obj["factors"]])
-    l = [_json_int(x, f"l[{t}]") for t, x in enumerate(obj["l"])]
+        return RepHandle.tensor([rep_from_config(d, f)
+                                 for f in _json_list(obj["factors"], "factors", "rep configs")])
+    l = [_json_int(x, f"l[{t}]") for t, x in enumerate(_json_list(obj["l"], "l", "integers"))]
     return RepHandle.twisted(rep_from_config(d, obj["inner"]), l)
 
 
@@ -366,4 +238,11 @@ def _json_int(raw, field: str) -> int:
     boolean."""
     if not isinstance(raw, int) or isinstance(raw, bool):
         raise ValueError(f"{field}: expected an integer, got {raw!r}")
+    return raw
+
+
+def _json_list(raw, field: str, what: str) -> list:
+    """A list field of a rep config: a JSON list, not a number or a string."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{field}: expected a list of {what}")
     return raw

@@ -414,20 +414,11 @@ class Cyc:
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [format_rat(c) for c in self.coeffs]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Cyc":
-        return Cyc(obj["order"], [parse_rat(c) for c in obj["coeffs"]])
-
 
 @lru_cache(maxsize=None)
 def _zeta(order: int, k: int) -> Cyc:
     """zeta_order**k for 0 <= k < order; shared, which is safe as Cyc is immutable."""
     return _raw(order, _powers(order)[k], 1)
-
-
-def root_of_unity(n: int, k: int) -> Cyc:
-    """zeta_n**k in canonical form; root_of_unity(n, 0) == 1."""
-    return Cyc.zeta(n, k)
 
 
 def exact_div(a, b):

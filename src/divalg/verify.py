@@ -17,7 +17,6 @@ verdict, and the brackets and actions run on integers instead of Fractions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 from random import Random
@@ -39,31 +38,25 @@ from .modules import (
 from .qder import (
     OUTER_SIGN,
     QDerElem,
-    act_q,
     bracket_qder,
     in_Lq,
     in_Lqhat,
-    iso_algebra,
-    iso_module,
     equivariance_residual,
     module_axiom_residual_q,
     outer_bracket_sign_oracle,
 )
 from .qtorus import (
     QMatrix,
-    block_normal_q,
     block_structure,
     cocycle_identities_residual,
     f_form,
     in_rad,
     monomial,
     rad_q,
-    sigma,
     sigma_cocycle_residual,
-    torus_commutator,
     torus_mul,
 )
-from .reps import RepHandle, RepVec, act_E
+from .reps import RepVec, act_matrix
 from .scalars import Cyc, format_rat
 from .witt import (
     AlgElem,
@@ -390,15 +383,18 @@ def wedge_images(params: ModuleParams, gen_radius: int = 2, box_radius: int = 2)
     k = _wedge_power(rep)
     D = _alpha_denominator(params)
     gens = list(Box.radius(d, gen_radius).degrees())
+    # units[i - 1][j - 1]: the matrix unit E_ij, acting through act_matrix
+    units = [[[[int(a == i and b == j) for b in range(d)] for a in range(d)]
+              for j in range(d)] for i in range(d)]
     for n in Box.radius(d, box_radius).degrees():
         wn = tuple(int(D * (a + ni)) for a, ni in zip(params.alpha, n))
         for row in w_fiber_basis(d, k, params.alpha, n).rows:
             c = lcm(*(x.denominator for x in row))
             src = RepVec(rep, tuple(int(c * x) for x in row))
             # cols[j - 1][b]: the coefficients D (E_ij row)_b over i = 1..d
-            cols = [list(zip(*(tuple(D * x for x in act_E(rep, i, j, src).coords)
-                               for i in range(1, d + 1))))
-                    for j in range(1, d + 1)]
+            cols = [list(zip(*(tuple(D * x for x in act_matrix(rep, units[i][j], src).coords)
+                               for i in range(d))))
+                    for j in range(d)]
             for r in gens:
                 w = tuple(a + D * ri for a, ri in zip(wn, r))
                 for j in range(1, d + 1):
@@ -471,34 +467,6 @@ def qtorus_suite(q: QMatrix, triples: int, rng: Random, radius: int = 3) -> dict
             "violations": violations}
 
 
-def rad_diag_suite(ls: list) -> dict:
-    """rad_q of a block-normal matrix is exactly the diagonal lattice."""
-    violations = 0
-    for l in ls:
-        q = block_normal_q(l)
-        expect = [[l[i] if i == j else 0 for j in range(len(l))] for i in range(len(l))]
-        if rad_q(q) != expect:
-            violations += 1
-    return {"name": "radical-diagonal", "checks": len(ls), "violations": violations}
-
-
-def commutator_span_suite(q: QMatrix, radius: int, rng: Random, samples: int) -> dict:
-    """Degrees carry a nonzero commutator iff they sit outside the radical:
-    torus_commutator(m, n - m) is nonzero for some m exactly when n is not
-    in Rad_q (sampled over a box)."""
-    violations = 0
-    probes = [sample_degree(rng, q.d, radius) for _ in range(samples)]
-    box_ms = list(Box.radius(q.d, radius + 1).degrees())
-    for n in probes:
-        hit = any(
-            not torus_commutator(q, m, tuple(a - b for a, b in zip(n, m))).is_zero()
-            for m in box_ms
-        )
-        if hit == in_rad(q, n):
-            violations += 1
-    return {"name": "commutator-span", "checks": samples, "violations": violations}
-
-
 def equivariance_suite(q: QMatrix, params: ModuleParams, count: int,
                        rng: Random, radius: int = 2) -> dict:
     """iso_algebra/iso_module intertwine the actions on random samples.
@@ -530,52 +498,3 @@ def equivariance_suite(q: QMatrix, params: ModuleParams, count: int,
         if not equivariance_residual(q, i_class, x, v).is_zero():
             violations += 1
     return {"name": "iso-equivariance", "checks": checks, "violations": violations}
-
-
-# ---------------------------------------------------------------------------
-# degeneration: l = (1, ..., 1) must agree with the classical side
-# ---------------------------------------------------------------------------
-
-
-def degeneration_suite(d: int, count: int, rng: Random, radius: int = 2) -> dict:
-    """With the trivial commutation matrix every q-side operation collapses
-    to its classical counterpart, exactly."""
-    q = block_normal_q((1,) * d)
-    alpha = tuple(Fraction(sample_rat6(rng), 6) for _ in range(d))
-    params = ModuleParams(d, alpha, RepHandle.natural(d))
-    violations = 0
-    checks = 0
-    for _ in range(count):
-        x = sample_qder(rng, q, "Lqhat", radius)
-        y = sample_qder(rng, q, "Lqhat", radius)
-        assert not x.inner and not y.inner  # no inner degrees exist at l = 1
-        checks += 1
-        if bracket_qder(q, x, y).outer != bracket_witt(x.outer, y.outer):
-            violations += 1
-        v = sample_graded(rng, params, radius)
-        qa = act_q(q, x, v)
-        ca = act(params, x.outer, v)
-        checks += 1
-        if qa != ca:
-            violations += 1
-        m = sample_degree(rng, d, radius)
-        n = sample_degree(rng, d, radius)
-        checks += 1
-        if sigma(q, m, n) != 1 or torus_mul(q, monomial(q, m), monomial(q, n)).n != tuple(
-            a + b for a, b in zip(m, n)
-        ):
-            violations += 1
-        if x.outer.terms:
-            r0, u0 = next(iter(x.outer.terms.items()))
-            checks += 1
-            if iso_algebra(q, QDerElem.douter(u0, r0)) != AlgElem.term(u0, r0):
-                violations += 1
-            checks += 1
-            w = iso_module(q, (0,) * d, v)
-            if w.fibers != v.fibers:
-                violations += 1
-    identity = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    checks += 1
-    if rad_q(q) != identity:
-        violations += 1
-    return {"name": "classical-degeneration", "d": d, "checks": checks, "violations": violations}

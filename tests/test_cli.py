@@ -248,6 +248,11 @@ def test_malformed_integer_field_exits_2(tmp_path, capsys, field, value, named):
      "q.exps[2][2]"),
     # a torus of dimension 0
     ("qtorus-info", "q", {"N": 2, "exps": []}, "q"),
+    # list fields of a rep are JSON lists, not numbers or strings
+    ("closure", "rep", {"kind": "tensor", "factors": 5}, "rep: factors"),
+    ("closure", "rep", {"kind": "tensor", "factors": "nn"}, "rep: factors"),
+    ("closure", "rep", {"kind": "twisted", "l": 5, "inner": {"kind": "natural"}}, "rep: l"),
+    ("closure", "rep", {"kind": "twisted", "l": "11", "inner": {"kind": "natural"}}, "rep: l"),
 ])
 def test_malformed_list_field_exits_2(tmp_path, capsys, job, field, value, named):
     config = {

@@ -149,21 +149,6 @@ def test_closure_nongraded_seed_exact():
     assert res.label.kind == "Full"
 
 
-def test_closure_cyclic_tensor_component_smoke():
-    # dim-8 cyclic component of Lambda^2 C^3 (x) C^3; small boxes keep it fast
-    t = RepHandle.tensor([RepHandle.exterior(3, 2), RepHandle.natural(3)])
-    seed_coords = [0] * t.dim
-    seed_coords[t._index[((1, 2), (1,))]] = 1
-    c = RepHandle.cyclic(t, seed_coords)
-    assert c.dim == 8
-    p = ModuleParams(3, (F(1, 3), F(1, 5), 0), c)
-    work = Box.radius(3, 2)
-    tgt = Box.radius(3, 1)
-    res = closure(p, [graded(p, (0, 0, 0), (1,) + (0,) * 7)], 1, work, tgt, 60, "L")
-    assert res.saturated
-    assert res.label.kind == "Full"  # highest weight w1+w2 is not fundamental
-
-
 # ---------------------------------------------------------------------------
 # the pair basis of a degree component
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from divalg.linalg import basis_of, empty_basis, same_span, span_contains, span_extend
+from divalg.linalg import SpanBasis, basis_of, same_span, span_contains, span_extend
 from divalg.scalars import Cyc, euler_phi
 
 
@@ -57,7 +57,7 @@ def test_span_extend_examples():
     assert grew and b2.rank == 2
     b3, grew = span_extend(b, [(5, 0)])
     assert not grew and b3.rank == 1
-    b4, _ = span_extend(empty_basis(2), [(1, 2), (2, 4), (0, 1)])
+    b4, _ = span_extend(SpanBasis(2, (), ()), [(1, 2), (2, 4), (0, 1)])
     assert b4.rank == 2
 
 

@@ -23,7 +23,7 @@ from divalg.modules import (
     w_membership,
 )
 from divalg.qtorus import block_normal_q, cocycle
-from divalg.reps import RepHandle, RepVec, act_matrix, basis_vector
+from divalg.reps import RepHandle, RepVec, act_matrix
 from divalg.verify import (
     act_crosscheck_suite,
     module_suite_classical,
@@ -311,7 +311,6 @@ def term_map_reps():
         RepHandle.exterior(3, 2),
         RepHandle.symmetric(3, 2),
         tensor,
-        RepHandle.cyclic(RepHandle.tensor([nat, nat]), [0, 1, 0, -1, 0, 0, 0, 0, 0]),
         RepHandle.twisted(RepHandle.exterior(3, 2), (2, 3, 1)),
     ]
 
@@ -330,7 +329,8 @@ def integer_matrix(rep, u, r) -> bool:
     mat = [[ri * uj for uj in u] for ri in r]
     return all(isinstance(x, int) for x in u) and all(
         isinstance(x, int) for b in range(rep.dim)
-        for x in act_matrix(rep, mat, basis_vector(rep, b)).coords)
+        for x in act_matrix(rep, mat,
+                            RepVec(rep, tuple(int(t == b) for t in range(rep.dim)))).coords)
 
 
 # alphas with negative entries, zero entries and mixed denominators

@@ -16,7 +16,6 @@ from divalg.qder import (
     class_of,
     closure_q,
     congruence_classes,
-    decompose_classes,
     equivariance_residual,
     g_q_component,
     in_Lq,
@@ -32,7 +31,6 @@ from divalg.qtorus import QMatrix, block_normal_q, in_rad, sigma
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
 from divalg.verify import (
-    degeneration_suite,
     equivariance_suite,
     lie_suite_q,
     module_suite_q,
@@ -248,19 +246,6 @@ def test_sign_oracle_rejects_negative():
 
 # -- classes and isomorphisms -------------------------------------------------------
 
-def test_decompose_classes():
-    v = graded(P22, (3, -2), (1, 0))
-    parts = decompose_classes(Q22, v)
-    assert list(parts) == [(1, 0)]
-    w = v + graded(P22, (2, 0), (0, 1))
-    parts = decompose_classes(Q22, w)
-    assert set(parts) == {(0, 0), (1, 0)}
-    total = None
-    for p in parts.values():
-        total = p if total is None else total + p
-    assert total == w
-
-
 def test_classes_shift_predictably():
     # outer terms with radical degrees preserve each class; ad t^m shifts
     # class i to i + m mod the lattice
@@ -293,7 +278,7 @@ def test_decompose_requires_block_normal():
     v = GradedVec(ModuleParams(4, (0, 0, 0, 0), RepHandle.natural(4)),
                   {(0, 0, 0, 0): (1, 0, 0, 0)})
     with pytest.raises(ValueError):
-        decompose_classes(nb, v)
+        g_q_component(nb, v)
 
 
 def test_congruence_classes():
@@ -404,8 +389,3 @@ def test_closure_q_errors():
     empty = GradedVec(P22, {})
     with pytest.raises(ValueError):
         closure_q(Q22, P22, [empty], 2, Box.radius(2, 3), Box.radius(2, 1), 50, "Lq")
-
-
-def test_degeneration():
-    out = degeneration_suite(2, 50, Random(6))
-    assert out["violations"] == 0

@@ -1,22 +1,13 @@
-"""Matrix-unit actions on natural, exterior, symmetric, tensor, cyclic, and
-twisted representations."""
+"""Matrix-unit actions on natural, exterior, symmetric, tensor, trivial, and
+twisted representations, and the config parser."""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from divalg.reps import (
-    RepHandle,
-    RepVec,
-    act_E,
-    act_matrix,
-    basis_vector,
-    cyclic_closure,
-    highest_weight_vector,
-    rep_from_config,
-    weight,
-)
+from divalg.linalg import basis_of, span_extend
+from divalg.reps import RepHandle, RepVec, act_matrix, rep_from_config
 
 
 def vec(rep, coords):
@@ -25,6 +16,33 @@ def vec(rep, coords):
 
 def identity(d):
     return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+
+
+def basis_vector(rep, idx):
+    return vec(rep, [int(t == idx) for t in range(rep.dim)])
+
+
+def act_E(rep, i, j, v):
+    """The matrix unit E_ij (1-based) through act_matrix."""
+    return act_matrix(rep, [[int((a, b) == (i, j)) for b in range(1, rep.d + 1)]
+                            for a in range(1, rep.d + 1)], v)
+
+
+def weight(rep, idx):
+    """The E_ii-eigenvalues of a basis vector of a natural, exterior,
+    symmetric or trivial rep: how often each index occurs in its label."""
+    return tuple(rep.basis_labels[idx].count(i) for i in range(1, rep.d + 1))
+
+
+def cyclic_closure(rep, seed):
+    """The smallest subspace containing ``seed`` and stable under every
+    E_ij with i != j."""
+    basis, grew = basis_of([seed], rep.dim), True
+    while grew:
+        basis, grew = span_extend(basis, [
+            act_E(rep, i, j, vec(rep, w)).coords for w in basis.rows
+            for i in range(1, rep.d + 1) for j in range(1, rep.d + 1) if i != j])
+    return basis
 
 
 # -- matrix-unit examples ------------------------------------------------------
@@ -66,24 +84,28 @@ def test_symmetric_multiplicity():
 
 
 def test_index_bounds():
+    # act_matrix takes a d x d matrix and nothing else
     r = RepHandle.natural(2)
-    with pytest.raises(IndexError):
-        act_E(r, 0, 1, basis_vector(r, 0))
-    with pytest.raises(IndexError):
-        act_E(r, 1, 3, basis_vector(r, 0))
+    with pytest.raises(ValueError):
+        act_matrix(r, identity(3), basis_vector(r, 0))
+    with pytest.raises(ValueError):
+        act_matrix(r, [[1, 0], [0]], basis_vector(r, 0))
 
 
 # -- weights -------------------------------------------------------------------
 
 def test_weights():
+    # every basis vector is an E_ii-eigenvector with the eigenvalues of its
+    # label: e1 ^ e3 has weight (1, 0, 1), e1 e1 e2 has (2, 1)
     r = RepHandle.exterior(3, 2)
     assert weight(r, r._index[(1, 3)]) == (1, 0, 1)
-    n = RepHandle.natural(4)
-    assert weight(n, 0) == (1, 0, 0, 0)
-    t = RepHandle.trivial(3)
-    assert weight(t, 0) == (0, 0, 0)
     s = RepHandle.symmetric(2, 3)
     assert weight(s, s._index[(1, 1, 2)]) == (2, 1)
+    for rep in (r, s, RepHandle.natural(4), RepHandle.trivial(3)):
+        for b in range(rep.dim):
+            v = basis_vector(rep, b)
+            for i, mu in enumerate(weight(rep, b), 1):
+                assert act_E(rep, i, i, v).coords == v.scale(mu).coords
 
 
 def test_weight_additivity():
@@ -108,18 +130,15 @@ def test_weight_additivity():
 # -- highest weight vectors ----------------------------------------------------
 
 def test_highest_weight_vectors():
-    assert highest_weight_vector(RepHandle.natural(3)).coords == (1, 0, 0)
-    r = RepHandle.exterior(3, 2)
-    hwv = highest_weight_vector(r)
-    assert hwv.coords[r._index[(1, 2)]] == 1
-    s = RepHandle.symmetric(2, 2)
-    assert highest_weight_vector(s).coords[s._index[(1, 1)]] == 1
-    for rep in (r, s):
-        v = highest_weight_vector(rep)
+    # e1, e1 ^ e2 and e1 e1 are killed by every raising operator E_{i,i+1};
+    # e2 is not
+    for rep, label in ((RepHandle.natural(3), (1,)), (RepHandle.exterior(3, 2), (1, 2)),
+                       (RepHandle.symmetric(2, 2), (1, 1))):
+        v = basis_vector(rep, rep._index[label])
         for i in range(1, rep.d):
             assert act_E(rep, i, i + 1, v).is_zero()
-    with pytest.raises(ValueError):
-        highest_weight_vector(RepHandle.tensor([RepHandle.natural(2)] * 2))
+    r = RepHandle.natural(3)
+    assert not act_E(r, 1, 2, basis_vector(r, 1)).is_zero()
 
 
 # -- representation property ----------------------------------------------------
@@ -178,7 +197,7 @@ def test_top_exterior_power_is_trivial_as_sl():
     assert act_matrix(r, identity(3), v).coords == (3,)
 
 
-# -- cyclic closures -------------------------------------------------------------
+# -- irreducibility: the cyclic span of any seed -----------------------------------
 
 @pytest.mark.parametrize("rep,seed,expect", [
     (RepHandle.exterior(3, 2), (1, 1, 0), 3),
@@ -190,26 +209,15 @@ def test_cyclic_closure_irreducible(rep, seed, expect):
     assert cyclic_closure(rep, seed).rank == expect
 
 
-def test_cyclic_closure_zero_seed():
-    with pytest.raises(ValueError):
-        cyclic_closure(RepHandle.natural(2), (0, 0))
-
-
 def test_cyclic_rep_tensor_component():
     # Lambda^2 C^3 (x) C^3 = V(w1 + w2) + V(w3); the cyclic hull of the
     # highest weight line is the 8-dimensional component
     t = RepHandle.tensor([RepHandle.exterior(3, 2), RepHandle.natural(3)])
-    seed = [0] * t.dim
-    seed[t._index[((1, 2), (1,))]] = 1
-    c = RepHandle.cyclic(t, seed)
-    assert c.dim == 8
-    # still a representation: spot-check the commutator relation
-    rng = Random(2)
-    for _ in range(10):
-        v = vec(c, [rng.randint(-2, 2) for _ in range(c.dim)])
-        lhs = act_E(c, 1, 2, act_E(c, 2, 1, v)) - act_E(c, 2, 1, act_E(c, 1, 2, v))
-        rhs = act_E(c, 1, 1, v) - act_E(c, 2, 2, v)
-        assert lhs.coords == rhs.coords
+    seed = basis_vector(t, t._index[((1, 2), (1,))]).coords
+    assert cyclic_closure(t, seed).rank == 8
+    # the lowest weight vector e2 ^ e3 (x) e3 of V(w1 + w2) reaches it too
+    low = basis_vector(t, t._index[((2, 3), (3,))]).coords
+    assert cyclic_closure(t, low).rank == 8
 
 
 # -- config parsing ---------------------------------------------------------------

@@ -20,7 +20,6 @@ from divalg.scalars import (
     euler_phi,
     format_rat,
     parse_rat,
-    root_of_unity,
 )
 
 
@@ -59,32 +58,32 @@ def test_phi_monic_degree_and_root(n):
 # -- roots of unity -----------------------------------------------------------
 
 def test_root_of_unity_examples():
-    assert root_of_unity(2, 1) == -1
-    assert root_of_unity(6, 3) == -1          # x^3 mod Phi_6 reduces to -1
-    assert root_of_unity(3, 4) == root_of_unity(3, 1)
-    assert root_of_unity(5, 0) == 1
+    assert Cyc.zeta(2, 1) == -1
+    assert Cyc.zeta(6, 3) == -1          # x^3 mod Phi_6 reduces to -1
+    assert Cyc.zeta(3, 4) == Cyc.zeta(3, 1)
+    assert Cyc.zeta(5, 0) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_root_of_unity_power_identity(n):
     for k in range(n):
-        assert root_of_unity(n, k) ** n == 1
-        assert_numeric(root_of_unity(n, k), cmath.exp(2j * cmath.pi * k / n))
+        assert Cyc.zeta(n, k) ** n == 1
+        assert_numeric(Cyc.zeta(n, k), cmath.exp(2j * cmath.pi * k / n))
 
 
 # -- arithmetic ---------------------------------------------------------------
 
 def test_arith_examples():
-    z4 = root_of_unity(4, 1)
+    z4 = Cyc.zeta(4, 1)
     assert z4 * z4 == -1
-    z3 = root_of_unity(3, 1)
+    z3 = Cyc.zeta(3, 1)
     assert z3 + z3 * z3 == -1     # 1 + z + z^2 = 0
     c = Cyc(6, (Fraction(1, 2), Fraction(-3, 7)))
     assert c * Cyc.from_rat(1, 6) == c
 
 
 def test_division():
-    z3 = root_of_unity(3, 1)
+    z3 = Cyc.zeta(3, 1)
     assert z3 / z3 == 1
     assert (1 / z3) * z3 == 1
     with pytest.raises(CycDivisionError):
@@ -156,8 +155,9 @@ def test_rat_wire_format():
 
 def test_cyc_json_roundtrip():
     c = Cyc(6, (Fraction(1, 2), Fraction(-3, 7)))
-    assert Cyc.from_json(c.to_json()) == c
-    assert c.to_json() == {"order": 6, "coeffs": ["1/2", "-3/7"]}
+    j = c.to_json()
+    assert j == {"order": 6, "coeffs": ["1/2", "-3/7"]}
+    assert Cyc(j["order"], [parse_rat(x) for x in j["coeffs"]]) == c
 
 
 # -- differential check against a plain Fraction polynomial reference ---------
