@@ -513,6 +513,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         print(f"error: config is not valid JSON: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: config is nested too deeply to read", file=sys.stderr)
+        return 2
 
     if not isinstance(config, dict):
         print("error: config must be a JSON object", file=sys.stderr)

@@ -127,13 +127,16 @@ def term_map(params: ModuleParams, u, r, cocycle=None, integral: bool = False):
     list, or None when they vanish.
 
     With ``cocycle`` the image at n is scaled by ``cocycle(r, n)`` (the
-    quantum action, with sigma).  (u | alpha) is paired from alpha's
-    integer numerators over D, so an integer u builds at most one Fraction,
-    and an integral (u | alpha) is kept as an int: integer u and w give
-    integer images when r u^T acts by an integer matrix.  With
-    ``integral``, when r u^T acts by an integer matrix the map is scaled by
-    the denominator of (u | alpha), so integer coordinates give integer
-    images; only the closure engine, which tracks spans, asks for that.
+    quantum action, with sigma).  The cocycle is bimultiplicative, so
+    cocycle(r, n) = prod_i cocycle(r, e_i)^{n_i}: when each cocycle(r, e_i)
+    is 1, as for every radical r of a block-normal q, the map drops it.
+    (u | alpha) is paired from alpha's integer numerators over D, so an
+    integer u builds at most one Fraction, and an integral (u | alpha) is
+    kept as an int: integer u and w give integer images when r u^T acts by
+    an integer matrix.  With ``integral``, when r u^T acts by an integer
+    matrix the map is scaled by the denominator of (u | alpha), so integer
+    coordinates give integer images; only the closure engine, which tracks
+    spans, asks for that.
     """
     u, r = tuple(u), tuple(r)
     acc: dict = {}
@@ -161,6 +164,9 @@ def term_map(params: ModuleParams, u, r, cocycle=None, integral: bool = False):
         return out if any(out) else None
 
     if cocycle is None:
+        return apply
+    d = len(r)
+    if all(cocycle(r, tuple(int(t == i) for t in range(d))) == 1 for i in range(d)):
         return apply
 
     def twisted(n, w):
@@ -302,6 +308,12 @@ def wedge_terms(d: int, k: int) -> tuple:
     )
 
 
+def wedge(terms: tuple, coords, w):
+    """The coordinates of coords ^ w, lazily, over the (k+1)-subsets of
+    1..d; ``terms`` is :func:`wedge_terms` of the power k of ``coords``."""
+    return (sum(sign * coords[s] * w[t] for s, t, sign in T) for T in terms)
+
+
 def in_wedge_fiber(terms: tuple, coords, w) -> bool:
     """True iff ``coords`` lies in the wedge fiber of w = alpha + m, given at
     any nonzero scale; ``terms`` is :func:`wedge_terms` of its power k.
@@ -312,7 +324,7 @@ def in_wedge_fiber(terms: tuple, coords, w) -> bool:
     """
     if not any(w):
         return not any(coords)
-    return all(not sum(sign * coords[s] * w[t] for s, t, sign in T) for T in terms)
+    return not any(wedge(terms, coords, w))
 
 
 def w_membership(v: GradedVec) -> bool:

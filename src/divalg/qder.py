@@ -70,6 +70,17 @@ class QDerElem:
             raise ValueError("dimension mismatch")
         self.outer = outer
 
+    @classmethod
+    def _trusted(cls, d: int, inner: dict[DegVec, Cyc], outer: AlgElem) -> "QDerElem":
+        """An element from ``inner``, whose keys are already int tuples of
+        length d and whose values are Cyc, and the AlgElem ``outer``; only
+        zero inner coefficients are dropped."""
+        x = object.__new__(cls)
+        x.d = d
+        x.inner = {m: c for m, c in inner.items() if not c.is_zero()}
+        x.outer = outer
+        return x
+
     @staticmethod
     def ad(m, coeff=1) -> "QDerElem":
         return QDerElem(len(m), inner={tuple(m): coeff})
@@ -99,16 +110,17 @@ class QDerElem:
         inner = dict(self.inner)
         for m, c in other.inner.items():
             inner[m] = inner[m] + c if m in inner else c
-        return QDerElem(self.d, inner, self.outer + other.outer)
+        return QDerElem._trusted(self.d, inner, self.outer + other.outer)
 
     def __neg__(self) -> "QDerElem":
-        return QDerElem(self.d, {m: -c for m, c in self.inner.items()}, -self.outer)
+        return QDerElem._trusted(self.d, {m: -c for m, c in self.inner.items()}, -self.outer)
 
     def __sub__(self, other: "QDerElem") -> "QDerElem":
         return self + (-other)
 
     def scale(self, c) -> "QDerElem":
-        return QDerElem(self.d, {m: x * c for m, x in self.inner.items()}, self.outer.scale(c))
+        return QDerElem._trusted(self.d, {m: x * c for m, x in self.inner.items()},
+                                 self.outer.scale(c))
 
     def __eq__(self, other):
         if not isinstance(other, QDerElem):
@@ -163,7 +175,7 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
                     add_inner(tuple(a + b for a, b in zip(r, s)), c)
 
     outer = bracket_witt(x.outer, y.outer, sig)
-    return QDerElem(q.d, inner, outer if outer_sign == 1 else -outer)
+    return QDerElem._trusted(q.d, inner, outer if outer_sign == 1 else -outer)
 
 
 # ---------------------------------------------------------------------------

@@ -197,10 +197,25 @@ def act_matrix(rep: RepHandle, b, v: RepVec) -> RepVec:
     return RepVec(rep, tuple(out))
 
 
-def rep_from_config(d: int, obj: dict) -> RepHandle:
-    """Build a representation from its JSON description."""
+#: Most levels of tensor factors and twisted inner reps that a rep config
+#: may nest, so that building and acting on a rep recurse a bounded depth
+MAX_REP_DEPTH = 32
+
+
+def rep_from_config(d: int, obj: dict, path: str = "", depth: int = 1) -> RepHandle:
+    """Build a representation from its JSON description.
+
+    A nested rep, a tensor factor or a twisted inner rep, is read at
+    ``path`` (such as ``factors[1]`` or ``inner``), and its errors name
+    their field by that path: ``factors[1].k``.  Reps may nest at most
+    MAX_REP_DEPTH levels deep.
+    """
+    at = f"{path}." if path else ""
+    where = f"{path}: " if path else ""
+    if depth > MAX_REP_DEPTH:
+        raise ValueError(f"reps nested more than {MAX_REP_DEPTH} levels deep")
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("rep config must be an object with a 'kind' field")
+        raise ValueError(f"{where}rep config must be an object with a 'kind' field")
     kind = obj["kind"]
     known = {
         "natural": {"kind"},
@@ -211,26 +226,34 @@ def rep_from_config(d: int, obj: dict) -> RepHandle:
         "twisted": {"kind", "l", "inner"},
     }
     if kind not in known:
-        raise ValueError(f"unknown rep kind {kind!r}")
+        raise ValueError(f"{where}unknown rep kind {kind!r}")
     extra = set(obj) - known[kind]
     if extra:
-        raise ValueError(f"unknown rep config fields {sorted(extra)}")
+        raise ValueError(f"{where}unknown rep config fields {sorted(extra)}")
     missing = known[kind] - set(obj)
     if missing:
-        raise ValueError(f"missing rep config fields {sorted(missing)}")
+        raise ValueError(f"{where}missing rep config fields {sorted(missing)}")
     if kind == "natural":
-        return RepHandle.natural(d)
-    if kind == "exterior":
-        return RepHandle.exterior(d, _json_int(obj["k"], "k"))
-    if kind == "symmetric":
-        return RepHandle.symmetric(d, _json_int(obj["m"], "m"))
-    if kind == "trivial":
-        return RepHandle.trivial(d)
-    if kind == "tensor":
-        return RepHandle.tensor([rep_from_config(d, f)
-                                 for f in _json_list(obj["factors"], "factors", "rep configs")])
-    l = [_json_int(x, f"l[{t}]") for t, x in enumerate(_json_list(obj["l"], "l", "integers"))]
-    return RepHandle.twisted(rep_from_config(d, obj["inner"]), l)
+        build, args = RepHandle.natural, (d,)
+    elif kind == "exterior":
+        build, args = RepHandle.exterior, (d, _json_int(obj["k"], f"{at}k"))
+    elif kind == "symmetric":
+        build, args = RepHandle.symmetric, (d, _json_int(obj["m"], f"{at}m"))
+    elif kind == "trivial":
+        build, args = RepHandle.trivial, (d,)
+    elif kind == "tensor":
+        factors = _json_list(obj["factors"], f"{at}factors", "rep configs")
+        build, args = RepHandle.tensor, ([rep_from_config(d, f, f"{at}factors[{t}]", depth + 1)
+                                          for t, f in enumerate(factors)],)
+    else:
+        l = [_json_int(x, f"{at}l[{t}]")
+             for t, x in enumerate(_json_list(obj["l"], f"{at}l", "integers"))]
+        build, args = RepHandle.twisted, (rep_from_config(d, obj["inner"], f"{at}inner",
+                                                          depth + 1), l)
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise ValueError(f"{where}{e}") from None
 
 
 def _json_int(raw, field: str) -> int:

@@ -269,6 +269,40 @@ def test_malformed_list_field_exits_2(tmp_path, capsys, job, field, value, named
     assert f"error: {named}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rep, named", [
+    ({"kind": "tensor", "factors": [{"kind": "natural"}, {"kind": "exterior", "k": 1.5}]},
+     "rep: factors[1].k"),
+    ({"kind": "tensor", "factors": [{"kind": "natural"}, {"kind": "cyclic"}]},
+     "rep: factors[1]"),
+    ({"kind": "twisted", "l": [1, 2], "inner": {"kind": "symmetric", "m": "2"}},
+     "rep: inner.m"),
+    ({"kind": "twisted", "l": [1, 2],
+      "inner": {"kind": "twisted", "l": [1, True], "inner": {"kind": "natural"}}},
+     "rep: inner.l[1]"),
+    ({"kind": "twisted", "l": [1, 2], "inner": {"kind": "exterior", "k": 3}}, "rep: inner"),
+])
+def test_nested_rep_error_names_its_path(tmp_path, capsys, rep, named):
+    path = write_config(tmp_path, "nested.json", dict(CLOSURE_W, rep=rep))
+    assert main(["closure", "--config", path]) == 2
+    assert f"error: {named}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [33, 1500])
+def test_deeply_nested_rep_exits_2(tmp_path, capsys, depth):
+    # 33 levels parse but exceed the rep depth cap; 1,500 exceed the
+    # interpreter's recursion limit while the JSON is read
+    rep = '{"kind": "natural"}'
+    for _ in range(depth):
+        rep = '{"kind": "twisted", "l": [1, 1], "inner": %s}' % rep
+    config = json.dumps(dict(CLOSURE_W, rep=None)).replace("null", rep)
+    path = tmp_path / "deep.json"
+    path.write_text(config)
+    assert main(["closure", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("q, named", [
     ({"N": 401, "exps": [[0, 1], [-1, 0]]}, "q.N"),
     ({"l": [361, 361]}, "q.l"),

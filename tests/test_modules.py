@@ -8,6 +8,7 @@ import pytest
 
 import divalg.modules
 import divalg.verify
+from divalg.cli import run
 from divalg.closure import Box
 from divalg.linalg import span_contains
 from divalg.modules import (
@@ -22,7 +23,7 @@ from divalg.modules import (
     w_fiber_basis,
     w_membership,
 )
-from divalg.qtorus import block_normal_q, cocycle
+from divalg.qtorus import QMatrix, block_normal_q, block_structure, cocycle, in_rad
 from divalg.reps import RepHandle, RepVec, act_matrix
 from divalg.verify import (
     act_crosscheck_suite,
@@ -411,6 +412,43 @@ def test_term_map_matches_module_formula(rep):
     assert seen["int"] or not seen["integral"]
 
 
+@pytest.mark.parametrize("q", [
+    block_normal_q((2, 2)),
+    block_normal_q((3, 3)),
+    block_normal_q((2, 2, 1)),
+    # every pair of coordinates anticommutes: the radical is n1 = n2 = n3 mod 2,
+    # and sigma((1, 1, 1), e_2) = -1
+    QMatrix.from_exps(2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+], ids=["l22", "l33", "l221", "not-block-normal"])
+def test_term_map_drops_a_trivial_cocycle(q):
+    """A map of a radical r drops sigma when each sigma(r, e_i) is 1, and
+    gives the images of the map that keeps it, over a radius-2 box."""
+    d = q.d
+    sig = cocycle(q)
+    calls = []
+
+    def counted(m, n):
+        calls.append(1)
+        return sig(m, n)
+
+    params = ModuleParams(d, (F(1, 2), F(-1, 3)) + (0,) * (d - 2), RepHandle.natural(d))
+    box = list(Box.radius(d, 2).degrees())
+    radical = [r for r in box if in_rad(q, r)]
+    trivial = 0
+    for r in radical:
+        dropped = all(sig(r, n) == 1 for n in box)
+        trivial += dropped
+        for u in (_unit(d, 1), tuple(range(1, d + 1))):
+            plain, twisted = term_map(params, u, r), term_map(params, u, r, counted)
+            built = len(calls)
+            for n in box:
+                w = [n[0] + 2, 1 - n[-1]] + [1] * (d - 2)
+                img = plain(n, w)
+                assert twisted(n, w) == (None if img is None else [sig(r, n) * x for x in img])
+            assert (len(calls) == built) == dropped
+    assert trivial == len(radical) if block_structure(q) else 0 < trivial < len(radical)
+
+
 @pytest.mark.parametrize("rep", [RepHandle.natural(3), RepHandle.exterior(3, 2)],
                          ids=["natural", "exterior2"])
 def test_module_suite_classical_acts_on_integers(monkeypatch, rep):
@@ -431,3 +469,59 @@ def test_module_suite_classical_acts_on_integers(monkeypatch, rep):
     for algebra in ("W", "Lhat", "L"):
         assert module_suite_classical(params, algebra, 20, Random(algebra))["violations"] == 0
     assert coords and all(type(c) is int for c in coords)
+
+
+# ---------------------------------------------------------------------------
+# the per-row wedge certificate against the check-by-check suite
+# ---------------------------------------------------------------------------
+
+
+def _wedge_rep_cases():
+    """Natural and exterior reps for d = 2, 3, 4 and every k < d, each at
+    an integral alpha, where the generator box holds the r with
+    alpha + n + r = 0 for some n, and at a non-integral one."""
+    for d in (2, 3, 4):
+        for k in range(1, d):
+            reps = [RepHandle.exterior(d, k)] + [RepHandle.natural(d)] * (k == 1)
+            for rep in reps:
+                for name, alpha in (("integral", (1, -1) + (0,) * (d - 2)),
+                                    ("rational", (F(1, 2), F(-2, 3)) + (0,) * (d - 2))):
+                    yield pytest.param(rep, k, alpha, id=f"{rep.kind}-d{d}-k{k}-{name}")
+
+
+@pytest.mark.parametrize("rep, k, alpha", _wedge_rep_cases())
+def test_w_invariance_certificate_matches_naive(rep, k, alpha):
+    d = rep.d
+    p = ModuleParams(d, alpha, rep)
+    box_radius = 1 if d < 4 else 0
+    out = w_invariance_suite(p, gen_radius=1, box_radius=box_radius)
+    checks, violations, first = _naive_w_invariance(p, k, 1, box_radius)
+    assert (out["checks"], out["violations"], first) == (checks, 0, None)
+    assert "first_violation" not in out
+
+
+def test_w_invariance_falls_back_on_a_perturbed_rep():
+    # E_12 e_2 = 2 e_1: no longer a representation, so wedge rows fail their
+    # certificate and the check-by-check loop reports the violations
+    rep = RepHandle.natural(3)
+    rep._e_cache[1, 2] = {1: [(0, 2)]}
+    p = ModuleParams(3, (F(1, 3), F(-1, 5), 0), rep)
+    out = w_invariance_suite(p, gen_radius=1, box_radius=1)
+    checks, violations, (n, row, r, j) = _naive_w_invariance(p, 1, 1, 1)
+    assert (out["checks"], out["violations"]) == (checks, violations)
+    assert 0 < violations < checks
+    assert out["first_violation"] == {
+        "n": list(n), "row": [str(F(x)) for x in row], "r": list(r), "j": j}
+
+
+def test_module_job_certifies_every_wedge_row(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the check-by-check loop ran")
+
+    monkeypatch.setattr(divalg.verify, "in_wedge_fiber", refuse)
+    report, code = run({"job": "verify-module", "algebra": "L", "d": 3,
+                        "alpha": ["1/3", "-1/5", "0"], "rep": {"kind": "natural"},
+                        "pairs": 20}, 1)
+    assert code == 0
+    assert report["details"]["suites"][-1] == {
+        "name": "wedge-invariance", "checks": 5 ** 3 * 5 ** 3 * 3, "violations": 0}

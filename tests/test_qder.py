@@ -169,6 +169,32 @@ def test_brackets_equal_term_by_term_fold():
     assert cancelling > 20
 
 
+def test_trusted_results_equal_validated_construction(monkeypatch):
+    """bracket_qder, +, - and scale build their results unvalidated; each
+    equals the validating constructor's element on the same dicts."""
+    built = []
+    trusted = QDerElem._trusted.__func__
+
+    def recording(cls, d, inner, outer):
+        x = trusted(cls, d, inner, outer)
+        built.append((x, QDerElem(d, inner, outer), any(c.is_zero() for c in inner.values())))
+        return x
+
+    monkeypatch.setattr(QDerElem, "_trusted", classmethod(recording))
+    rng = Random(23)
+    for l in ((2, 2), (3, 3), (2, 2, 1)):
+        q = block_normal_q(l)
+        for _ in range(20):
+            x, y = sample_qder(rng, q, "Der"), sample_qder(rng, q, "Lqhat")
+            for z in (x + y, x - x, -y, x.scale(3), bracket_qder(q, x, y),
+                      bracket_qder(q, x, x + y)):
+                assert z.d == q.d
+    for got, want, _ in built:
+        assert got.d == want.d and got.inner == want.inner
+        assert got.outer.terms == want.outer.terms
+    assert len(built) > 300 and sum(zero for _, _, zero in built) > 20
+
+
 def test_bracket_rejects_each_inner_term_at_a_radical_degree(monkeypatch):
     # no valid pair of elements brackets onto one (the commutator vanishes
     # there), so the check is exercised by declaring (1, 1) radical
