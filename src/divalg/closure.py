@@ -370,17 +370,21 @@ def pair_basis(r: DegVec) -> list[tuple[int, int, tuple]]:
 
 def unit_generators(params: ModuleParams, r: DegVec) -> list[Generator]:
     """D(e_j, r) for j = 1..d: the W generators at degree r, and at r = 0
-    the degree derivations of Lhat and Lqhat."""
-    d = params.d
-    return [Generator(r, term_map(params, tuple(int(t == j) for t in range(d)), r,
-                                  integral=True))
+    the degree derivations of Lhat and Lqhat.  Each map is built at D u,
+    D = ``params.alpha_den``, so it is D times that of D(u, r), which the
+    closure may use as it tracks only spans: (D u | alpha) is an integer,
+    and integer rows give integer images on an integer matrix."""
+    d, D = params.d, params.alpha_den
+    return [Generator(r, term_map(params, tuple(D * (t == j) for t in range(d)), r))
             for j in range(d)]
 
 
 def pair_generators(params: ModuleParams, r: DegVec, cocycle=None) -> list[Generator]:
     """D(u, r) for the u of :func:`pair_basis` at a degree r != 0, a basis of
-    the degree-r component of L, twisted by ``cocycle`` when one is given."""
-    return [Generator(r, term_map(params, u, r, cocycle, integral=True))
+    the degree-r component of L, at D u as in :func:`unit_generators`, and
+    twisted by ``cocycle`` when one is given."""
+    D = params.alpha_den
+    return [Generator(r, term_map(params, [D * x for x in u], r, cocycle))
             for _, _, u in pair_basis(r)]
 
 

@@ -1,101 +1,11 @@
-"""Integer lattice utilities: Smith and Hermite normal forms, kernels mod N.
+"""Integer lattice utilities: the Hermite normal form and kernels mod N.
 
 Matrices are lists of lists of Python ints.  Sizes here are tiny (d <= 4ish),
-so the plain pivoting algorithms are more than enough.
+so the plain pivoting algorithm is more than enough.  The kernel of a matrix
+mod N is read off one HNF, so no Smith normal form is needed.
 """
 
 from __future__ import annotations
-
-from math import gcd
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (d, u, v) with u @ a @ v == d diagonal and u, v unimodular.
-
-    Diagonal entries are nonnegative and each divides the next.
-    """
-    d = [list(row) for row in a]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    u = _identity(m)
-    v = _identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        for k in range(n):
-            d[dst][k] += c * d[src][k]
-        for k in range(m):
-            u[dst][k] += c * u[src][k]
-
-    def add_col(dst, src, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot of minimal absolute value
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, m):
-            if d[i][t]:
-                q = d[i][t] // d[t][t]
-                add_row(i, t, -q)
-                if d[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if d[t][j]:
-                q = d[t][j] // d[t][t]
-                add_col(j, t, -q)
-                if d[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce divisibility of the remaining block by the pivot
-        p = d[t][t]
-        culprit = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % p:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            add_row(t, culprit, 1)
-            continue
-        if p < 0:
-            negate_row(t)
-        t += 1
-    return d, u, v
 
 
 def hermite_normal_form(rows) -> list[list[int]]:
@@ -140,19 +50,17 @@ def hermite_normal_form(rows) -> list[list[int]]:
 def smith_kernel_mod(a, n: int) -> list[list[int]]:
     """HNF basis of the full-rank lattice {x in Z^d : a @ x == 0 (mod n)}.
 
-    With u a v = s in Smith form, write x = v y; the congruence becomes
-    s_i y_i == 0 (mod n), i.e. y_i a multiple of n / gcd(s_i, n).
+    The rows (a e_j | e_j) and (n e_i | 0) span the pairs (a x + n y | x);
+    the HNF rows of that lattice with a zero first part span the pairs
+    (0 | x) with a x == 0 (mod n), and their x-parts are already in HNF.
     """
     if n < 1:
         raise ValueError("modulus must be a positive integer")
-    ncols = len(a[0]) if a else 0
-    s, _, v = smith_normal_form(a)
-    gens = []
-    for i in range(ncols):
-        s_i = s[i][i] if i < len(s) and i < len(s[i]) else 0
-        mult = n // gcd(s_i, n)
-        gens.append([mult * v[j][i] for j in range(ncols)])
-    return hermite_normal_form(gens)
+    m = len(a)
+    d = len(a[0]) if a else 0
+    gens = [[a[i][j] for i in range(m)] + [int(k == j) for k in range(d)] for j in range(d)]
+    gens += [[n * (k == i) for k in range(m + d)] for i in range(m)]
+    return [row[m:] for row in hermite_normal_form(gens) if not any(row[:m])]
 
 
 def in_lattice(basis: list[list[int]], x) -> bool:

@@ -121,22 +121,17 @@ def graded(params: ModuleParams, n, coords) -> GradedVec:
     return GradedVec(params, {tuple(int(x) for x in n): tuple(coords)})
 
 
-def term_map(params: ModuleParams, u, r, cocycle=None, integral: bool = False):
+def term_map(params: ModuleParams, u, r, cocycle=None):
     """The fiber map of D(u, r): ``(n, w) -> image``, the coordinates of
     D(u, r) . (w x t^n) = ((u | n + alpha) w + (r u^T) w) x t^{n + r} as a
     list, or None when they vanish.
 
     With ``cocycle`` the image at n is scaled by ``cocycle(r, n)`` (the
-    quantum action, with sigma).  The cocycle is bimultiplicative, so
-    cocycle(r, n) = prod_i cocycle(r, e_i)^{n_i}: when each cocycle(r, e_i)
-    is 1, as for every radical r of a block-normal q, the map drops it.
-    (u | alpha) is paired from alpha's integer numerators over D, so an
-    integer u builds at most one Fraction, and an integral (u | alpha) is
-    kept as an int: integer u and w give integer images when r u^T acts by
-    an integer matrix.  With ``integral``, when r u^T acts by an integer
-    matrix the map is scaled by the denominator of (u | alpha), so integer
-    coordinates give integer images; only the closure engine, which tracks
-    spans, asks for that.
+    quantum action, with sigma).  (u | alpha) is paired from alpha's integer
+    numerators over D, so an integer u builds at most one Fraction, and an
+    integral (u | alpha) is kept as an int: integer u and w give integer
+    images when r u^T acts by an integer matrix.  For D u in place of u,
+    (D u | alpha) is always an integer.
     """
     u, r = tuple(u), tuple(r)
     acc: dict = {}
@@ -151,10 +146,6 @@ def term_map(params: ModuleParams, u, r, cocycle=None, integral: bool = False):
     entries = [(i, j, m) for (i, j), m in sorted(acc.items()) if m]
     num, den = sum(map(mul, u, params.alpha_num)), params.alpha_den
     ualpha = num // den if not num % den else Fraction(num, den)
-    if integral and all(isinstance(m, int) for _, _, m in entries):
-        scale = ualpha.denominator
-        u, ualpha = tuple(scale * x for x in u), ualpha.numerator
-        entries = [(i, j, scale * m) for i, j, m in entries]
 
     def apply(n, w):
         s = sum(map(mul, u, n)) + ualpha
@@ -164,9 +155,6 @@ def term_map(params: ModuleParams, u, r, cocycle=None, integral: bool = False):
         return out if any(out) else None
 
     if cocycle is None:
-        return apply
-    d = len(r)
-    if all(cocycle(r, tuple(int(t == i) for t in range(d))) == 1 for i in range(d)):
         return apply
 
     def twisted(n, w):
@@ -210,15 +198,10 @@ def apply_operator(params: ModuleParams, op: list, v: GradedVec) -> GradedVec:
     return GradedVec._trusted(params, out)
 
 
-def act(params: ModuleParams, x: AlgElem, v: GradedVec, cocycle=None) -> GradedVec:
+def act(params: ModuleParams, x: AlgElem, v: GradedVec) -> GradedVec:
     """Bilinear extension of the defining action: x's :func:`operator`
-    applied to v.
-
-    With ``cocycle``, the image of D(u, r) on the fiber at n is scaled by
-    ``cocycle(r, n)``: the quantum torus action of outer derivations, with
-    sigma as the cocycle.
-    """
-    return apply_operator(params, operator(params, x, cocycle), v)
+    applied to v."""
+    return apply_operator(params, operator(params, x), v)
 
 
 def act_d_basis(params: ModuleParams, r, i: int, v: GradedVec) -> GradedVec:

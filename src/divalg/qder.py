@@ -170,7 +170,7 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
                 coeff = pairing(u, s)
                 if coeff:
                     c = cs * (sign * coeff)
-                    if (z := sig(r, s)) != 1:
+                    if sig is not None and (z := sig(r, s)) != 1:
                         c = c * z
                     add_inner(tuple(a + b for a, b in zip(r, s)), c)
 
@@ -183,13 +183,16 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
 # ---------------------------------------------------------------------------
 
 
-def _inner_map(q: QMatrix, m: DegVec, cm: Cyc):
+def _inner_map(q: QMatrix, m: DegVec, cm):
     """The fiber map ``(n, w) -> image | None`` of cm ad t^m."""
+    scaled = cm != 1
+
     def apply(n, w):
         c = commutator_coeff(q, m, n)
         if c is None:
             return None
-        c = c * cm
+        if scaled:
+            c = c * cm
         return [c * x for x in w]
     return apply
 
@@ -371,20 +374,13 @@ def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
     zero = (0,) * q.d
     gens = unit_generators(params, zero) if algebra == "Lqhat" else []
     sig = cocycle(q)
-
-    def inner_gen(m: DegVec) -> Generator:
-        def block_apply(n, w):
-            c = commutator_coeff(q, m, n)
-            return None if c is None else [c * x for x in w]
-        return Generator(m, block_apply)
-
     for m in sorted(Box.radius(q.d, gen_radius).degrees()):
         if m == zero:
             continue
         if in_rad(q, m):
             gens += pair_generators(params, m, sig)
         else:
-            gens.append(inner_gen(m))
+            gens.append(Generator(m, _inner_map(q, m, 1)))
     return gens
 
 

@@ -9,13 +9,13 @@ k_ij + k_ji = 0 (mod N) so that q_ij = q_ji^{-1}.  Monomials multiply by
 and the commutation form f(m, n) = sigma(m, n) / sigma(n, m) has exponent
 sum_{i,j} k_ji m_j n_i = m^T k n.  The radical is the sublattice of degrees
 whose monomials commute with everything, computed as an integer kernel mod N
-via Smith normal form.
+by one Hermite normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .lattices import smith_kernel_mod
@@ -33,7 +33,8 @@ class QMatrix:
 
     Each instance keeps, outside the fields (so equality and hashing ignore
     them), the nonzero exponents k_ji (i < j) that :func:`sigma_exponent`
-    sums and a bounded memo of :func:`in_rad` answers.
+    sums, a bounded memo of :func:`in_rad` answers and, once
+    :func:`cocycle` asks, whether sigma is 1 on Rad_q x Z^d.
     """
 
     d: int
@@ -57,6 +58,12 @@ class QMatrix:
             (i, j, self.exps[j][i]) for i in range(self.d) for j in range(i + 1, self.d)
             if self.exps[j][i]))
         object.__setattr__(self, "_rad_memo", {})
+
+    @cached_property
+    def _sigma_trivial(self) -> bool:
+        """sigma(b, e_i) = 1 for every radical basis row b and every i."""
+        units = [tuple(int(t == i) for t in range(self.d)) for i in range(self.d)]
+        return not any(sigma_exponent(self, b, e) for b in _rad_basis(self) for e in units)
 
     @staticmethod
     def from_exps(n: int, exps) -> "QMatrix":
@@ -118,10 +125,18 @@ def sigma(q: QMatrix, m, n) -> Cyc:
 
 
 def cocycle(q: QMatrix):
-    """sigma as a callable (m, n) -> scalar, the ``cocycle`` argument of
-    :func:`~divalg.witt.bracket_witt` and :func:`~divalg.modules.act`; it
-    gives the int 1 at exponent 0, so those skip the multiplication, and
-    the int -1 where zeta_N^e = -1 (2e = N), so they multiply by an int."""
+    """sigma as a callable (m, n) -> scalar for a radical m, the ``cocycle``
+    argument of :func:`~divalg.witt.bracket_witt` and
+    :func:`~divalg.modules.operator`; it gives the int 1 at exponent 0, so
+    those skip the multiplication, and the int -1 where zeta_N^e = -1
+    (2e = N), so they multiply by an int.
+
+    None when sigma(b, e_i) = 1 for every radical basis row b and every i,
+    as for every block-normal q: sigma is bimultiplicative, so it is then 1
+    on all of Rad_q x Z^d.  That is decided once per matrix.
+    """
+    if q._sigma_trivial:
+        return None
     N = q.N
 
     def sig(m, n):

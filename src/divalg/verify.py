@@ -286,16 +286,10 @@ def lemma_orthg_suite(d: int, count: int, rng: Random) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _alpha_denominator(params: ModuleParams) -> int:
-    """D = lcm of the denominators of alpha: D u has an integer (D u | alpha)
-    for every integer u."""
-    return params.alpha_den
-
-
 def module_suite_classical(params: ModuleParams, algebra: str, pairs: int,
                            rng: Random, radius: int = 2) -> dict:
     violations = 0
-    D = _alpha_denominator(params)
+    D = params.alpha_den
     for _ in range(pairs):
         x, y = (sample_algelem(rng, params.d, algebra, radius).scale(D) for _ in range(2))
         v = sample_graded(rng, params, radius)
@@ -332,7 +326,7 @@ def module_suite_q(q: QMatrix, params: ModuleParams, algebra: str, pairs: int,
                    rng: Random, radius: int = 2) -> dict:
     violations = 0
     samples = [_sign_probe(q, params)]
-    D = _alpha_denominator(params)
+    D = params.alpha_den
     for _ in range(pairs):
         x, y = (sample_qder(rng, q, algebra, radius).scale(D) for _ in range(2))
         v = sample_graded(rng, params, radius)
@@ -379,7 +373,7 @@ def _wedge_rows(params: ModuleParams, box_radius: int):
     wn_j src + sum_i r_i D E_ij src (:func:`_row_images`)."""
     d, rep = params.d, params.rep
     k = _wedge_power(rep)
-    D = _alpha_denominator(params)
+    D = params.alpha_den
     # units[i - 1][j - 1]: the matrix unit E_ij, acting through act_matrix
     units = [[[[int(a == i and b == j) for b in range(d)] for a in range(d)]
               for j in range(d)] for i in range(d)]
@@ -445,7 +439,7 @@ def wedge_images(params: ModuleParams, gen_radius: int = 2, box_radius: int = 2)
     D lcm(row denominators), with D = lcm(alpha denominators), and
     w = D (alpha + m), so both are integer.
     """
-    D = _alpha_denominator(params)
+    D = params.alpha_den
     gens = list(Box.radius(params.d, gen_radius).degrees())
     for n, row, wn, src, cols in _wedge_rows(params, box_radius):
         for r, j, img, w in _row_images(wn, src, cols, D, gens):
@@ -471,7 +465,7 @@ def w_invariance_suite(params: ModuleParams, gen_radius: int = 2,
     if power is None:
         raise ValueError("wedge membership is defined for exterior-power reps only")
     terms = wedge_terms(params.d, power)
-    D = _alpha_denominator(params)
+    D = params.alpha_den
     box = Box.radius(params.d, gen_radius)
     gens = list(box.degrees())
     violations = 0
@@ -535,7 +529,7 @@ def equivariance_suite(q: QMatrix, params: ModuleParams, count: int,
     (L u | alpha_i) = (u | alpha + i).
     """
     l = block_structure(q)
-    D = _alpha_denominator(params)
+    D = params.alpha_den
     violations = 0
     checks = 0
     for _ in range(count):

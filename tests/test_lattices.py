@@ -1,7 +1,7 @@
-"""Smith/Hermite normal forms and integer kernels mod N.
+"""Hermite normal forms and integer kernels mod N.
 
 The kernel-mod-N computation is checked against brute-force enumeration of
-small lattice points, which is independent of the Smith machinery.
+small lattice points, which is independent of the Hermite machinery.
 """
 
 from itertools import product
@@ -9,58 +9,7 @@ from random import Random
 
 import pytest
 
-from divalg.lattices import (
-    hermite_normal_form,
-    in_lattice,
-    smith_kernel_mod,
-    smith_normal_form,
-)
-
-
-def mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def det(m):
-    if len(m) == 1:
-        return m[0][0]
-    return sum(
-        (-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
-        for j in range(len(m))
-    )
-
-
-@pytest.mark.parametrize("a", [
-    [[0, -1], [1, 0]],
-    [[2, 4], [6, 8]],
-    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
-    [[0, 0], [0, 0]],
-    [[6]],
-])
-def test_snf_properties(a):
-    d, u, v = smith_normal_form(a)
-    assert mat_mul(mat_mul(u, a), v) == d
-    assert abs(det(u)) == 1 and abs(det(v)) == 1
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    for i in range(len(d)):
-        for j in range(len(d[0])):
-            if i != j:
-                assert d[i][j] == 0
-    for x, y in zip(diag, diag[1:]):
-        assert x >= 0
-        if x:
-            assert y % x == 0
-
-
-def test_snf_random():
-    rng = Random(11)
-    for _ in range(25):
-        rows = rng.randint(1, 3)
-        cols = rng.randint(1, 3)
-        a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        d, u, v = smith_normal_form(a)
-        assert mat_mul(mat_mul(u, a), v) == d
+from divalg.lattices import hermite_normal_form, in_lattice, smith_kernel_mod
 
 
 def test_hnf_examples():
@@ -93,14 +42,33 @@ def brute_kernel_points(a, n, radius):
     return out
 
 
+def _random_kernel_cases(count):
+    rng = Random(11)
+    cases = []
+    for _ in range(count):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        cases.append((a, rng.randint(1, 6)))
+    return cases
+
+
 @pytest.mark.parametrize("a,n", [
     ([[0, -1], [1, 0]], 3),
     ([[0, 1], [-1, 0]], 2),
     ([[1, 2], [2, 4]], 6),
     ([[0, 2, 0], [-2, 0, 0], [0, 0, 0]], 4),
-])
+    # non-square: more columns than rows, and more rows than columns
+    ([[1, 2, 3]], 4),
+    ([[2, 0, 4], [0, 3, 3]], 6),
+    ([[1], [2], [3]], 5),
+    ([[2, 4], [4, 2], [6, 0]], 4),
+] + _random_kernel_cases(50))
 def test_kernel_matches_bruteforce(a, n):
+    """The basis spans exactly the kernel points of a small box, is full rank
+    and is its own HNF."""
     basis = smith_kernel_mod(a, n)
+    assert basis == hermite_normal_form(basis)
+    assert len(basis) == len(a[0])
     pts = brute_kernel_points(a, n, 2 * n)
     for p in pts:
         assert in_lattice(basis, p), f"{p} missed by basis {basis}"

@@ -9,7 +9,7 @@ import pytest
 import divalg.modules
 import divalg.verify
 from divalg.cli import run
-from divalg.closure import Box
+from divalg.closure import Box, pair_basis, pair_generators, unit_generators
 from divalg.linalg import span_contains
 from divalg.modules import (
     GradedVec,
@@ -23,7 +23,7 @@ from divalg.modules import (
     w_fiber_basis,
     w_membership,
 )
-from divalg.qtorus import QMatrix, block_normal_q, block_structure, cocycle, in_rad
+from divalg.qtorus import QMatrix, block_normal_q, block_structure, cocycle, in_rad, sigma
 from divalg.reps import RepHandle, RepVec, act_matrix
 from divalg.verify import (
     act_crosscheck_suite,
@@ -355,14 +355,19 @@ def test_alpha_numerators_over_lcm(alpha):
     assert params == ModuleParams(3, tuple(F(a) for a in alpha), params.rep)
 
 
+# every pair of coordinates anticommutes: the radical is n1 = n2 = n3 mod 2,
+# and sigma((1, 1, 1), e_2) = -1, so sigma is not 1 on the radical
+ANTICOMMUTING = QMatrix.from_exps(2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
 @pytest.mark.parametrize("rep", term_map_reps(), ids=lambda rep: rep.kind)
 def test_term_map_matches_module_formula(rep):
     """term_map pairs u with alpha's integer numerators over D; the images
     must equal the module formula, which pairs u with alpha as Fractions,
     on random alphas and on the fixed ones."""
     rng = Random(f"term-map-{rep.kind}")
-    sig = cocycle(block_normal_q((2, 2, 1)))
-    seen = {"zero": 0, "integral": 0, "exact": 0, "int": 0}
+    sig = cocycle(ANTICOMMUTING)
+    seen = {"zero": 0, "integer": 0, "int": 0}
     for trial in range(40 + len(FIXED_ALPHAS)):
         if trial < 40:
             alpha = tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3))
@@ -391,62 +396,76 @@ def test_term_map_matches_module_formula(rep):
 
         got = term_map(params, u, r)(n, w)
         assert got is None if zero else got == exact
-        if not zero and integer_matrix(rep, u, r) and F(pairing(u, alpha)).denominator == 1:
-            # integer u and w with an integral (u | alpha): the images are ints
-            seen["int"] += 1
-            assert all(type(x) is int for x in got)
-
-        scaled = term_map(params, u, r, integral=True)(n, w)
-        if integer_matrix(rep, u, r):
-            seen["integral"] += 1
-            den = F(sum(ua * aa for ua, aa in zip(u, alpha))).denominator
-            assert scaled is None if zero else (
-                all(isinstance(x, int) for x in scaled) and scaled == [den * x for x in exact])
-        elif all(isinstance(x, int) for x in u):
-            seen["exact"] += 1
-            assert scaled is None if zero else scaled == exact
+        if not zero and integer_matrix(rep, u, r):
+            seen["integer"] += 1
+            if F(pairing(u, alpha)).denominator == 1:
+                # integer u and w with an integral (u | alpha): the images are ints
+                seen["int"] += 1
+                assert all(type(x) is int for x in got)
 
         twisted = term_map(params, u, r, sig)(n, w)
         assert twisted is None if zero else twisted == [sig(r, n) * x for x in exact]
-    assert seen["zero"] and (seen["integral"] or seen["exact"])
-    assert seen["int"] or not seen["integral"]
+    assert seen["zero"]
+    assert seen["int"] or not seen["integer"]
 
 
 @pytest.mark.parametrize("q", [
     block_normal_q((2, 2)),
     block_normal_q((3, 3)),
     block_normal_q((2, 2, 1)),
-    # every pair of coordinates anticommutes: the radical is n1 = n2 = n3 mod 2,
-    # and sigma((1, 1, 1), e_2) = -1
-    QMatrix.from_exps(2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
-], ids=["l22", "l33", "l221", "not-block-normal"])
+    ANTICOMMUTING,
+    # the closure-q workload's matrix, the (3, 3) block at the other root
+    QMatrix.from_exps(3, [[0, -1], [1, 0]]),
+], ids=["l22", "l33", "l221", "not-block-normal", "workload-n3"])
 def test_term_map_drops_a_trivial_cocycle(q):
-    """A map of a radical r drops sigma when each sigma(r, e_i) is 1, and
-    gives the images of the map that keeps it, over a radius-2 box."""
+    """cocycle(q) is None when sigma is 1 on Rad_q x Z^d, as for every
+    block-normal q, so the maps of the outer terms are the plain ones;
+    otherwise it is sigma on every radical r and box degree n, as the int
+    1 or -1 at N = 2, and a twisted map is sigma(r, n) times the plain map."""
     d = q.d
     sig = cocycle(q)
-    calls = []
-
-    def counted(m, n):
-        calls.append(1)
-        return sig(m, n)
-
     params = ModuleParams(d, (F(1, 2), F(-1, 3)) + (0,) * (d - 2), RepHandle.natural(d))
     box = list(Box.radius(d, 2).degrees())
     radical = [r for r in box if in_rad(q, r)]
-    trivial = 0
+    if block_structure(q) is not None:
+        assert sig is None
+        assert all(sigma(q, r, n) == 1 for r in radical for n in box)
+        return
+    values = {sig(r, n) for r in radical for n in box}
+    assert values == {1, -1} and all(type(c) is int for c in values)
     for r in radical:
-        dropped = all(sig(r, n) == 1 for n in box)
-        trivial += dropped
         for u in (_unit(d, 1), tuple(range(1, d + 1))):
-            plain, twisted = term_map(params, u, r), term_map(params, u, r, counted)
-            built = len(calls)
+            plain, twisted = term_map(params, u, r), term_map(params, u, r, sig)
             for n in box:
+                assert sig(r, n) == sigma(q, r, n)
                 w = [n[0] + 2, 1 - n[-1]] + [1] * (d - 2)
                 img = plain(n, w)
                 assert twisted(n, w) == (None if img is None else [sig(r, n) * x for x in img])
-            assert (len(calls) == built) == dropped
-    assert trivial == len(radical) if block_structure(q) else 0 < trivial < len(radical)
+
+
+@pytest.mark.parametrize("rep", term_map_reps(), ids=lambda rep: rep.kind)
+def test_closure_generators_are_D_times_act(rep):
+    """Every unit and pair generator maps (n, w) to D times the fiber at
+    n + r of the exact act image, D the lcm of alpha's denominators."""
+    rng = Random(f"generators-{rep.kind}")
+    params = ModuleParams(3, (F(1, 2), F(-2, 3), F(1, 5)), rep)
+    D = params.alpha_den
+    assert D == 30
+    for r in Box.radius(3, 1).degrees():
+        terms, gens = [_unit(3, j) for j in (1, 2, 3)], unit_generators(params, r)
+        if any(r):
+            terms += [u for _, _, u in pair_basis(r)]
+            gens += pair_generators(params, r)
+        assert len(terms) == len(gens)
+        for u, gen in zip(terms, gens):
+            assert gen.shift == r
+            for _ in range(3):
+                n = tuple(rng.randint(-2, 2) for _ in range(3))
+                w = [rng.randint(-3, 3) for _ in range(rep.dim)]
+                exact = act(params, AlgElem.term(u, r), graded(params, n, w)).fibers.get(
+                    tuple(a + b for a, b in zip(n, r)))
+                img = gen.block_apply(n, w)
+                assert img is None if exact is None else img == [D * x for x in exact]
 
 
 @pytest.mark.parametrize("rep", [RepHandle.natural(3), RepHandle.exterior(3, 2)],

@@ -112,7 +112,7 @@ def test_rad_examples():
 
 
 def test_rad_matches_f_characterization():
-    # lattice computed via Smith form == the direct f(n, e_i) = 1 test
+    # lattice read off one HNF == the direct f(n, e_i) = 1 test
     from divalg.lattices import in_lattice
 
     for q in (Q3, block_normal_q((2, 2)), block_normal_q((3, 3, 1))):
@@ -127,6 +127,8 @@ def test_rad_matches_f_characterization():
 
 # not block-normal: q_12, q_13 and q_23 are all nontrivial
 Q_MIXED = QMatrix.from_exps(4, [[0, 1, 2], [3, 0, 1], [2, 3, 0]])
+# every pair of coordinates anticommutes
+Q_ANTICOMMUTING = QMatrix.from_exps(2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
 def f_formula_in_rad(q, n) -> bool:
@@ -152,22 +154,32 @@ def test_in_rad_matches_f_formula(monkeypatch, q):
 
 
 @pytest.mark.parametrize("q", [block_normal_q((2, 2)), block_normal_q((2, 2, 1)),
-                               block_normal_q((3, 3)), Q_MIXED], ids=["22", "221", "33", "mixed"])
+                               block_normal_q((3, 3)), Q_MIXED, Q_ANTICOMMUTING],
+                         ids=["22", "221", "33", "mixed", "anticommuting"])
 def test_cocycle_is_sigma_with_int_signs(q):
-    """cocycle(q) equals sigma, as the int 1 at exponent 0, the int -1 where
+    """cocycle(q) stands for sigma on Rad_q x Z^d, where its callers call it.
+    It is None when sigma is 1 there, as for every block-normal q, and else
+    equals sigma everywhere: the int 1 at exponent 0, the int -1 where
     zeta_N^e = -1, and a Cyc elsewhere."""
+    # sigma itself stays a Cyc
+    assert isinstance(sigma(q, (1,) * q.d, (0, 1) + (0,) * (q.d - 2)), Cyc)
     sig = cocycle(q)
+    box = list(product(range(-2, 3), repeat=q.d))
+    if block_structure(q) is not None:
+        assert sig is None
+        assert not any(sigma_exponent(q, r, n) for r in box if in_rad(q, r) for n in box)
+        return
     seen = set()
-    for m in product(range(-2, 3), repeat=q.d):
-        for n in product(range(-2, 3), repeat=q.d):
+    for m in box:
+        for n in box:
             c, e = sig(m, n), sigma_exponent(q, m, n)
             assert c == sigma(q, m, n)
             kind = 1 if e == 0 else -1 if 2 * e == q.N else "cyc"
             assert (type(c) is int and c == kind) if kind != "cyc" else isinstance(c, Cyc)
             seen.add(kind)
     assert seen == ({1, -1} if q.N == 2 else {1, "cyc"} if q.N % 2 else {1, -1, "cyc"})
-    # sigma itself stays a Cyc
-    assert isinstance(sigma(q, (1,) * q.d, (0, 1) + (0,) * (q.d - 2)), Cyc)
+    # sigma is not 1 on the radical, so the cocycle is kept
+    assert any(sig(r, n) != 1 for r in box if in_rad(q, r) for n in box)
 
 
 def test_block_normal_examples():
