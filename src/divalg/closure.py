@@ -13,10 +13,16 @@ coordinate of its lowest degree block; every inserted row is reduced against
 the existing rows and, when it survives, rescaled to a primitive integer (or
 monic cyclotomic) row.  Rescaling is harmless because only the span is
 tracked.  Every generator is the fiber map of a D(u, r)
-(:func:`divalg.modules.term_map`) or an ``ad t^m``.  Graded seeds keep
-every row a single dense block, which is then directly a fiber vector; seeds
-supported on several degrees give rows with several blocks on the same
-footing, and their fibers are found by re-elimination.
+(:func:`divalg.modules.term_map`) or an ``ad t^m``, given as a plain map
+and, on the q side, a per-degree scalar: ``commutator_coeff(q, m, n)`` for
+``ad t^m``, which is the scalar times the identity, and sigma(r, n) for a
+twisted D(u, r).  Graded seeds keep every row a single dense block, which is
+then directly a fiber vector; seeds supported on several degrees give rows
+with several blocks on the same footing, and their fibers are found by
+re-elimination.  A single-block image is the scalar times the plain image,
+the same line, so the scalar is applied only to images with two or more
+blocks, where it can differ from block to block; graded q-closures thus run
+on the same integer rows as the classical ones.
 
 Five facts keep the work small without changing any span.  The box's
 degrees are indexed in lexicographic order, so a shift moves an index by a
@@ -181,16 +187,22 @@ class SpanState:
 class Generator:
     """A homogeneous operator: fiber at n maps into the fiber at n + shift.
 
-    ``block_apply(n, coords)`` returns the image coordinates (any nonzero
-    scalar multiple is acceptable, spans being all that is tracked), or None
-    when the image vanishes identically.
+    The operator acts on the fiber at n as ``scalar(n)`` times the plain map
+    ``block_apply``; no ``scalar`` means the scalar 1.  ``block_apply(n,
+    coords)`` returns the plain image coordinates (any nonzero multiple is
+    acceptable), or None when the image vanishes identically, and
+    ``scalar(n)`` is asked only where it did not.  A row with a single block
+    has a single-block image, the scalar times a plain image, which spans
+    the same line, so :func:`saturate` applies the scalar only to images
+    with two or more blocks, whose blocks it may scale by different factors.
     """
 
-    __slots__ = ("shift", "block_apply")
+    __slots__ = ("shift", "block_apply", "scalar")
 
-    def __init__(self, shift: DegVec, block_apply):
+    def __init__(self, shift: DegVec, block_apply, scalar=None):
         self.shift = shift
         self.block_apply = block_apply
+        self.scalar = scalar
 
 
 class Neighbours:
@@ -235,7 +247,8 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
     once with every generator that keeps all of its blocks inside the box;
     linearity makes this equivalent to sweeping whole fibers.  A generator
     whose image would land only in full blocks is skipped unapplied: the
-    image lies in the span already.
+    image lies in the span already.  A generator's scalar multiplies the
+    blocks of images that have two or more of them.
     """
     deg_list, annihilators = state.deg_list, state.annihilators
     neighbours = Neighbours(state.box, [gen.shift for gen in generators])
@@ -261,12 +274,18 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
                 off = offsets[g]
                 if not any(annihilators[i + off] for i in row):
                     continue  # every target block is full, or has filled since
-                block_apply = generators[g].block_apply
+                gen = generators[g]
+                block_apply = gen.block_apply
                 image = {}
                 for i, coords in row.items():
                     out = block_apply(deg_list[i], coords)
                     if out is not None:
                         image[i + off] = out
+                if gen.scalar is not None and len(image) > 1:
+                    for j, w in image.items():
+                        c = gen.scalar(deg_list[j - off])
+                        if c != 1:
+                            image[j] = [c * x for x in w]
                 if image:
                     added = state.insert(image)
                     if added is not None:
@@ -382,9 +401,11 @@ def unit_generators(params: ModuleParams, r: DegVec) -> list[Generator]:
 def pair_generators(params: ModuleParams, r: DegVec, cocycle=None) -> list[Generator]:
     """D(u, r) for the u of :func:`pair_basis` at a degree r != 0, a basis of
     the degree-r component of L, at D u as in :func:`unit_generators`, and
-    twisted by ``cocycle`` when one is given."""
+    twisted by ``cocycle`` when one is given: the plain map with the scalar
+    ``cocycle(r, n)``."""
     D = params.alpha_den
-    return [Generator(r, term_map(params, [D * x for x in u], r, cocycle))
+    scalar = None if cocycle is None else lambda n: cocycle(r, n)
+    return [Generator(r, term_map(params, [D * x for x in u], r), scalar)
             for _, _, u in pair_basis(r)]
 
 

@@ -8,6 +8,11 @@ monic cyclotomic) rows, and the closure engine keeps its span in exactly that
 form.  Bases of a single space are that echelon on one block, brought by one
 back-substitution pass to reduced row-echelon form, which is canonical for a
 given row space, so results never depend on the order vectors were fed in.
+
+Cyclotomic rows reach :func:`_reduce_into` and :func:`_primitive` only from
+q-closures of seeds supported on several degrees, which no CLI config makes
+(every config seed sits at one degree): the closure drops the q scalar of
+single-block images, so graded q-closures eliminate over integer rows.
 """
 
 from __future__ import annotations

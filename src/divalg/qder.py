@@ -364,11 +364,29 @@ def ad_annihilation_check(q: QMatrix, params: ModuleParams, radius: int = 2) -> 
 Q_ALGEBRAS = ("Lq", "Lqhat")
 
 
+def _inner_generator(q: QMatrix, m: DegVec) -> Generator:
+    """ad t^m as a closure generator: on the fiber at n it is the scalar
+    ``commutator_coeff(q, m, n)`` times the identity.  The plain map returns
+    w where that scalar is nonzero and None where it is zero; whether it is
+    zero depends only on n mod N, so it is decided once per residue, from
+    the two exponents of sigma and without building the scalar."""
+    N, nonzero = q.N, {}
+
+    def block_apply(n, w):
+        key = tuple(x % N for x in n)
+        hit = nonzero.get(key)
+        if hit is None:
+            hit = nonzero[key] = sigma_exponent(q, m, n) != sigma_exponent(q, n, m)
+        return w if hit else None
+    return Generator(m, block_apply, lambda n: commutator_coeff(q, m, n))
+
+
 def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
                     algebra: str) -> list[Generator]:
-    """Inner generators ad t^m off the radical plus divergence-zero outer
-    generators at radical degrees, the classical pair generators twisted by
-    sigma (with the degree derivations for Lqhat)."""
+    """Inner generators ad t^m off the radical (:func:`_inner_generator`)
+    plus divergence-zero outer generators at radical degrees, the classical
+    pair generators with sigma as their scalar (with the degree derivations
+    for Lqhat)."""
     if algebra not in Q_ALGEBRAS:
         raise ValueError(f"algebra must be one of {Q_ALGEBRAS}")
     zero = (0,) * q.d
@@ -380,7 +398,7 @@ def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
         if in_rad(q, m):
             gens += pair_generators(params, m, sig)
         else:
-            gens.append(Generator(m, _inner_map(q, m, 1)))
+            gens.append(_inner_generator(q, m))
     return gens
 
 

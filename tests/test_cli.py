@@ -367,6 +367,15 @@ GOLDEN = [
                                        seeds=[{"n": [-1, 2], "coords": ["0", "1"]},
                                               {"n": [0, 1], "coords": ["1", "1"]}]),
      "6febc3275c7bd0f4bdaeff61d976d465a53f6f8fbe80d30471651ce0970083a1"),
+    # a q whose coordinates all anticommute: sigma is not 1 on its radical,
+    # so the outer generators act through sigma-twisted fiber maps
+    ("Lq-anticommuting-GqFull", {"job": "closure", "algebra": "Lq", "d": 3,
+                                 "alpha": ["1/2", "1/3", "0"], "rep": NAT,
+                                 "q": {"N": 2, "exps": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+                                 "seeds": [{"n": [1, 0, 0], "coords": ["1", "0", "0"]}],
+                                 "gen_radius": 1, "working_box": 2, "target_box": 1,
+                                 "expect_label": "GqFull"},
+     "74c5f70096c180a3f9e6bed78eab9cc429b511a9c7b801c9c3adbafc17db4ae1"),
     ("readme-verify-module", {"job": "verify-module", "algebra": "Lq", "d": 2,
                               "alpha": ["1/2", "1/3"], "rep": NAT, "q": {"l": [2, 2]},
                               "pairs": 200},
@@ -425,6 +434,7 @@ WORK = {
     "Lqhat-22-Class0": (269, 30, 18, 4, 18),
     "Lq-33-GqFull": (521, 157, 80, 4, 80),
     "Lhat-seeds-on-two-degrees": (183, 170, 98, 3, 98),
+    "Lq-anticommuting-GqFull": (1858, 671, 270, 5, 270),
 }
 
 
@@ -484,3 +494,28 @@ def test_golden_closure_work_counters(name, work_counters, monkeypatch):
     assert code == 0
     got = tuple(work_counters[k] for k in ("apply", "insert", "accepted", "rounds", "rank"))
     assert got == WORK[name]
+
+
+@pytest.mark.parametrize("name", ["Lq-22-GqFull", "Lq-33-GqFull", "Lq-anticommuting-GqFull"])
+def test_graded_q_closures_stay_on_integer_rows(name, monkeypatch):
+    # every q generator acts on a fiber as a scalar times a plain map; on
+    # the single-block rows of graded seeds the engine leaves the scalar out,
+    # so neither an image nor an accepted row holds a cyclotomic entry
+    import divalg.closure as closure_mod
+    from divalg.scalars import Cyc
+    insert = closure_mod.SpanState.insert
+    inserted, accepted = [], []
+
+    def recorded_insert(self, v):
+        inserted.append(v)
+        row = insert(self, v)
+        if row is not None:
+            accepted.append(row)
+        return row
+
+    monkeypatch.setattr(closure_mod.SpanState, "insert", recorded_insert)
+    config = next(c for n, c, _ in GOLDEN if n == name)
+    _, code = run(json.loads(json.dumps(config)), 0)
+    assert code == 0 and accepted
+    for rows in (inserted, accepted):
+        assert not any(isinstance(x, Cyc) for row in rows for blk in row.values() for x in blk)

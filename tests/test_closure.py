@@ -16,8 +16,8 @@ from divalg.closure import (Box, ClosureResult, Neighbours, SpanState, _reduce_i
                             classical_generators, classify, closure, pair_basis)
 from divalg.linalg import basis_of, same_span, span_contains
 from divalg.modules import GradedVec, ModuleParams, act, graded, w_fiber_basis, w_membership
-from divalg.qder import QDerElem, act_q, classify_q, closure_q
-from divalg.qtorus import block_normal_q, in_rad
+from divalg.qder import QDerElem, act_q, classify_q, closure_q, qder_generators
+from divalg.qtorus import QMatrix, block_normal_q, in_rad
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc, euler_phi
 from divalg.witt import AlgElem, pair_term
@@ -310,6 +310,25 @@ def test_engine_matches_naive_fixed_point_d3(coords, max_iters):
     assert_same_closure(res, ref, label)
 
 
+def q_family(q, params, gen_radius, algebra):
+    """Every ad t^m off the radical, every pair term at every nonzero radical
+    degree and, for Lqhat, the degree derivations, applied through
+    ``act_q``."""
+    d = q.d
+    family = []
+    for m in Box.radius(d, gen_radius).degrees():
+        if not any(m):
+            xs = [QDerElem.douter(unit(d, j), m) for j in range(d)] if algebra == "Lqhat" else []
+        elif in_rad(q, m):
+            xs = [QDerElem.douter(pair_term(m, i, j).u, m)
+                  for i, j in combinations(range(1, d + 1), 2)]
+        else:
+            xs = [QDerElem.ad(m)]
+        for x in xs:
+            family.append((m, lambda fib, x=x: act_q(q, x, GradedVec(params, fib)).fibers))
+    return family
+
+
 @pytest.mark.parametrize("algebra, n, coords", [
     ("Lq", (1, 0), (1, 0)),
     ("Lq", (0, 0), (0, 1)),
@@ -319,19 +338,59 @@ def test_q_engine_matches_naive_fixed_point(algebra, n, coords):
     q = block_normal_q((2, 2))
     params = ModuleParams(2, (F(1, 5), F(1, 7)), NAT2)
     work, tgt = boxes(2, work=2, tgt=1)
-    family = []
-    for m in Box.radius(2, 2).degrees():
-        if not any(m):
-            xs = [QDerElem.douter(unit(2, j), m) for j in range(2)] if algebra == "Lqhat" else []
-        elif in_rad(q, m):
-            xs = [QDerElem.douter(pair_term(m, 1, 2).u, m)]
-        else:
-            xs = [QDerElem.ad(m)]
-        for x in xs:
-            family.append((m, lambda fib, x=x: act_q(q, x, GradedVec(params, fib)).fibers))
     res = closure_q(q, params, [graded(params, n, coords)], 2, work, tgt, 50, algebra)
-    ref = naive_closure(work, tgt, 2, [{n: coords}], family, 50)
+    ref = naive_closure(work, tgt, 2, [{n: coords}], q_family(q, params, 2, algebra), 50)
     label = classify_q(ClosureResult(tgt, ref[0], {}, None, ref[1], True), q, params)
+    assert_same_closure(res, ref, label)
+
+
+ANTICOMMUTING = QMatrix.from_exps(2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+ANTI_PARAMS = ModuleParams(3, (F(1, 2), F(1, 3), 0), RepHandle.natural(3))
+# three degrees off the radical; sigma(r, n) = (-1)^(n_2) at every radical
+# degree r of radius 1, so the outer generators scale the blocks differently
+ANTI_FIBERS = {(1, 0, 0): (1, 0, 0), (0, 1, 1): (0, 1, 0), (1, 0, 1): (0, 0, 1)}
+
+
+@pytest.mark.parametrize("q, params, fibers, rank", [
+    # dropping the scalar on every image gives another rank-8 space here,
+    # whose sum with this one has rank 11
+    (block_normal_q((2, 2)), ModuleParams(2, NONINT, NAT2), {(1, 0): (1, 0), (0, 1): (1, 0)}, 8),
+    (ANTICOMMUTING, ANTI_PARAMS, ANTI_FIBERS, 35),
+], ids=["l22", "anticommuting"])
+def test_q_engine_scales_multi_block_images(q, params, fibers, rank):
+    # q generators act on each fiber as a scalar times a plain map, and the
+    # engine drops the scalar on single-block images only.  One round from a
+    # seed on several degrees must span exactly the seed and its act_q
+    # images under every generator that keeps the seed inside the box.
+    d, dim = q.d, params.rep.dim
+    state = SpanState(Box.radius(d, 2), dim)
+    closure_mod.saturate(state, [{state.deg_index[n]: list(c) for n, c in fibers.items()}],
+                         qder_generators(q, params, 1, "Lq"), max_rounds=1)
+    width = len(state.deg_list) * dim
+
+    def flat(blocks):
+        v = [0] * width
+        for i, coords in blocks.items():
+            v[dim * i:dim * (i + 1)] = coords
+        return v
+
+    engine = [flat(row) for row in state.rows.values()]
+    ref = [flat({state.deg_index[n]: c for n, c in fibers.items()})]
+    for m, apply in q_family(q, params, 1, "Lq"):
+        if all(state.box.contains(tuple(a + b for a, b in zip(n, m))) for n in fibers):
+            image = apply(fibers)
+            ref.append(flat({state.deg_index[n]: c for n, c in image.items()}))
+    assert basis_of(engine + ref, width).rank == basis_of(ref, width).rank == rank
+
+
+def test_q_engine_matches_naive_fixed_point_multi_block_sigma_twisted():
+    work, tgt = boxes(3, work=1, tgt=1)
+    res = closure_q(ANTICOMMUTING, ANTI_PARAMS, [GradedVec(ANTI_PARAMS, ANTI_FIBERS)], 1,
+                    work, tgt, 50, "Lq")
+    ref = naive_closure(work, tgt, 3, [ANTI_FIBERS],
+                        q_family(ANTICOMMUTING, ANTI_PARAMS, 1, "Lq"), 50)
+    label = classify_q(ClosureResult(tgt, ref[0], {}, None, ref[1], True),
+                       ANTICOMMUTING, ANTI_PARAMS)
     assert_same_closure(res, ref, label)
 
 
