@@ -26,11 +26,14 @@ on the same integer rows as the classical ones.
 
 Five facts keep the work small without changing any span.  The box's
 degrees are indexed in lexicographic order, so a shift moves an index by a
-fixed offset and a row visits only the generators that keep all of its blocks
+fixed offset and a row visits only the shifts that keep all of its blocks
 inside the box (:class:`Neighbours`), found by ANDing per-coordinate
 bitmasks.  A block whose single-degree rows reach the fiber's upper bound is
 full, so a generator whose image lands only in full blocks is skipped before
-it is applied.  That bound is ``dim``, or the fiber dimension of the wedge
+it is applied; the generators of one shift are consecutive in the family, so
+a single-block row checks its target block once per shift, and again only
+after one of that shift's images is accepted, the one event that can fill a
+block.  That bound is ``dim``, or the fiber dimension of the wedge
 submodule W when every seed lies in W (:func:`w_bound`): W is invariant under
 the whole Witt algebra, so the closure of such seeds never leaves it.  Each
 block keeps rows spanning the annihilator of its single-degree rows, so a
@@ -208,11 +211,11 @@ class Generator:
 class Neighbours:
     """In-box neighbours of the degrees of a box under a list of shifts.
 
-    The box's degrees are indexed in lexicographic order, so shift s takes
-    index i to ``i + offsets[g]``, s dotted with the box strides, whenever
-    the target stays inside the box.  One bitmask per coordinate value marks
-    the shifts that keep that coordinate inside; a degree's mask is their AND
-    and a row's mask the AND over its blocks.
+    The box's degrees are indexed in lexicographic order, so the shift at
+    position s takes index i to ``i + offsets[s]``, the shift dotted with
+    the box strides, whenever the target stays inside the box.  One bitmask
+    per coordinate value marks the shifts that keep that coordinate inside;
+    a degree's mask is their AND and a row's mask the AND over its blocks.
     """
 
     def __init__(self, box: Box, shifts: list[DegVec]):
@@ -249,9 +252,22 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
     whose image would land only in full blocks is skipped unapplied: the
     image lies in the span already.  A generator's scalar multiplies the
     blocks of images that have two or more of them.
+
+    Consecutive generators with one shift form a group, applied in list
+    order.  A single-block row checks its target block once per group, and
+    again only after an image is accepted, the one event that can fill a
+    block; a multi-block row, whose targets under different shifts may
+    overlap, checks them before every generator.
     """
     deg_list, annihilators = state.deg_list, state.annihilators
-    neighbours = Neighbours(state.box, [gen.shift for gen in generators])
+    shifts, groups = [], []
+    for gen in generators:
+        if shifts and shifts[-1] == gen.shift:
+            groups[-1].append(gen)
+        else:
+            shifts.append(gen.shift)
+            groups.append([gen])
+    neighbours = Neighbours(state.box, shifts)
     offsets = neighbours.offsets
 
     frontier = []
@@ -265,31 +281,42 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
         rounds += 1
         next_frontier = []
         for row in frontier:
-            gens = neighbours.of(row)
             if len(row) == 1:
-                (i,) = row
-                # one pass drops the full targets, most of them in a bounded closure
-                gens = [g for g in gens if annihilators[i + offsets[g]]]
-            for g in gens:
-                off = offsets[g]
-                if not any(annihilators[i + off] for i in row):
-                    continue  # every target block is full, or has filled since
-                gen = generators[g]
-                block_apply = gen.block_apply
-                image = {}
-                for i, coords in row.items():
-                    out = block_apply(deg_list[i], coords)
-                    if out is not None:
-                        image[i + off] = out
-                if gen.scalar is not None and len(image) > 1:
-                    for j, w in image.items():
-                        c = gen.scalar(deg_list[j - off])
-                        if c != 1:
-                            image[j] = [c * x for x in w]
-                if image:
-                    added = state.insert(image)
-                    if added is not None:
-                        next_frontier.append(added)
+                ((i, coords),) = row.items()
+                n = deg_list[i]
+                for s in neighbours.of(row):
+                    j = i + offsets[s]
+                    if not annihilators[j]:
+                        continue  # the target block is full
+                    for gen in groups[s]:
+                        out = gen.block_apply(n, coords)
+                        if out is not None:
+                            added = state.insert({j: out})
+                            if added is not None:
+                                next_frontier.append(added)
+                                if not annihilators[j]:
+                                    break  # this image filled the target block
+                continue
+            for s in neighbours.of(row):
+                off = offsets[s]
+                for gen in groups[s]:
+                    if not any(annihilators[i + off] for i in row):
+                        break  # every target block is full, or has filled since
+                    block_apply = gen.block_apply
+                    image = {}
+                    for i, coords in row.items():
+                        out = block_apply(deg_list[i], coords)
+                        if out is not None:
+                            image[i + off] = out
+                    if gen.scalar is not None and len(image) > 1:
+                        for j, w in image.items():
+                            c = gen.scalar(deg_list[j - off])
+                            if c != 1:
+                                image[j] = [c * x for x in w]
+                    if image:
+                        added = state.insert(image)
+                        if added is not None:
+                            next_frontier.append(added)
         frontier = next_frontier
     return rounds, not frontier
 
@@ -375,16 +402,20 @@ def pair_basis(r: DegVec) -> list[tuple[int, int, tuple]]:
     t^r (r_j d_i - r_i d_j) at a degree r != 0.
 
     The d - 1 kept terms span the whole divergence-zero component
-    {u : (u|r) = 0}, which the C(d, 2) pair terms span with repeats.
+    {u : (u|r) = 0}, which the C(d, 2) pair terms span with repeats.  With p
+    the first index where r_p != 0, the greedy pass keeps exactly (i, p) for
+    i < p, then (p, j) for j > p: a pair of indices below p has u = 0; (i, p)
+    gives r_p e_i, a new coordinate vector, and every later (i, j) gives
+    r_j e_i, a multiple of it; (p, j) is the first term to involve e_j, with
+    the coefficient -r_p; and the d - 1 terms kept by then span the
+    component, so no pair after them is independent.
     """
-    echelon: dict = {}
-    out = []
-    for i in range(1, len(r) + 1):
-        for j in range(i + 1, len(r) + 1):
-            u = pair_term(r, i, j).u
-            if any(u) and _reduce_into(echelon, {0: list(u)}) is not None:
-                out.append((i, j, u))
-    return out
+    d = len(r)
+    p = next((t for t, x in enumerate(r, 1) if x), None)
+    if p is None:
+        return []  # every pair term vanishes at r = 0
+    pairs = [(i, p) for i in range(1, p)] + [(p, j) for j in range(p + 1, d + 1)]
+    return [(i, j, pair_term(r, i, j).u) for i, j in pairs]
 
 
 def unit_generators(params: ModuleParams, r: DegVec) -> list[Generator]:

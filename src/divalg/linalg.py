@@ -5,9 +5,14 @@ Everything here is generic over any exact field scalar supporting +, -, *,
 elimination routine, :func:`_reduce_into`: it folds a block row ``{block:
 dense coordinates}`` into a fraction-free echelon of primitive integer (or
 monic cyclotomic) rows, and the closure engine keeps its span in exactly that
-form.  Bases of a single space are that echelon on one block, brought by one
-back-substitution pass to reduced row-echelon form, which is canonical for a
-given row space, so results never depend on the order vectors were fed in.
+form.  A single-block row reduced by a single-block pivot row is one list
+combine (a gcd of the two pivots on ints, an exact quotient otherwise), and a
+new single-block row is its primitive block; only rows over several blocks go
+through the block-row helpers.  :func:`_primitive` reads an all-int vector
+without looking for Fraction or Cyc entries.  Bases of a single space are
+that echelon on one block, brought by one back-substitution pass to reduced
+row-echelon form, which is canonical for a given row space, so results never
+depend on the order vectors were fed in.
 
 Cyclotomic rows reach :func:`_reduce_into` and :func:`_primitive` only from
 q-closures of seeds supported on several degrees, which no CLI config makes
@@ -44,15 +49,16 @@ def _primitive(vals: list) -> list:
     """Canonical representative of the ray through a nonzero vector: monic
     when it needs cyclotomic entries, else primitive integral with a positive
     leading entry."""
-    if any(isinstance(x, Cyc) for x in vals):
-        inv = exact_div(1, next(x for x in vals if x))
-        vals = [inv * x for x in vals]
-        vals = [y.rat() if isinstance(y, Cyc) and y.is_rational() else y for y in vals]
-        if any(isinstance(y, Cyc) for y in vals):
-            return vals
-    if any(isinstance(x, Fraction) for x in vals):
-        mult = lcm(*(x.denominator for x in vals if isinstance(x, Fraction)))
-        vals = [int(x * mult) for x in vals]
+    if not all(isinstance(x, int) for x in vals):
+        if any(isinstance(x, Cyc) for x in vals):
+            inv = exact_div(1, next(x for x in vals if x))
+            vals = [inv * x for x in vals]
+            vals = [y.rat() if isinstance(y, Cyc) and y.is_rational() else y for y in vals]
+            if any(isinstance(y, Cyc) for y in vals):
+                return vals
+        if any(isinstance(x, Fraction) for x in vals):
+            mult = lcm(*(x.denominator for x in vals if isinstance(x, Fraction)))
+            vals = [int(x * mult) for x in vals]
     g = gcd(*vals)
     if next(x for x in vals if x) < 0:
         g = -g
@@ -89,22 +95,32 @@ def _combine(v: dict, row: dict, ca, cb) -> dict:
 def _reduce_into(rows: dict, v: dict) -> dict | None:
     """Reduce the block row ``v`` (nonzero blocks only) against the echelon
     ``rows``, keyed by (block, coordinate) pivots; store and return its
-    primitive form if it is independent, else return None."""
+    primitive form if it is independent, else return None.
+
+    A single-block ``v`` reduced by a single-block row stays one block, so
+    that case is one list combine, without the block-row bookkeeping."""
     while v:
         i = min(v)
         block = v[i]
         b = next(t for t, x in enumerate(block) if x)
         row = rows.get((i, b))
         if row is None:
-            row = _normalize_row(v)
-            rows[i, b] = row
+            row = rows[i, b] = {i: _primitive(block)} if len(v) == 1 else _normalize_row(v)
             return row
         a, c = block[b], row[i][b]
         if isinstance(a, int) and isinstance(c, int):
             g = gcd(a, c)
-            v = _combine(v, row, c // g, a // g)
+            ca, cb = c // g, a // g
         else:
-            v = _combine(v, row, 1, exact_div(a, c))
+            ca, cb = 1, exact_div(a, c)
+        if len(v) == 1 and len(row) == 1:
+            if ca == 1:
+                block = [x - cb * y if y else x for x, y in zip(block, row[i])]
+            else:
+                block = [ca * x - cb * y for x, y in zip(block, row[i])]
+            v = {i: block} if any(block) else {}
+        else:
+            v = _combine(v, row, ca, cb)
     return None
 
 

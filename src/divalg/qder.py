@@ -42,7 +42,8 @@ from .closure import (
 from .modules import GradedVec, ModuleParams, act, apply_operator, graded, operator
 from .reps import RepHandle
 from .scalars import Cyc
-from .qtorus import QMatrix, block_structure, cocycle, commutator_coeff, in_rad, sigma_exponent
+from .qtorus import (QMatrix, block_structure, cocycle, commutator_coeff, commutator_exponents,
+                     in_rad, sigma_exponent)
 from .witt import AlgElem, DegVec, bracket_witt, in_L, in_Lhat, pairing
 
 #: Global sign of the outer-outer bracket; +1 is the convention validated by
@@ -368,16 +369,14 @@ def _inner_generator(q: QMatrix, m: DegVec) -> Generator:
     """ad t^m as a closure generator: on the fiber at n it is the scalar
     ``commutator_coeff(q, m, n)`` times the identity.  The plain map returns
     w where that scalar is nonzero and None where it is zero; whether it is
-    zero depends only on n mod N, so it is decided once per residue, from
-    the two exponents of sigma and without building the scalar."""
-    N, nonzero = q.N, {}
+    zero depends only on m and n mod N, so it is read off the matrix's
+    memo of :func:`~divalg.qtorus.commutator_exponents`, without building
+    the scalar."""
+    N = q.N
+    m_mod = tuple(x % N for x in m)
 
     def block_apply(n, w):
-        key = tuple(x % N for x in n)
-        hit = nonzero.get(key)
-        if hit is None:
-            hit = nonzero[key] = sigma_exponent(q, m, n) != sigma_exponent(q, n, m)
-        return w if hit else None
+        return None if commutator_exponents(q, m_mod, tuple(x % N for x in n)) is None else w
     return Generator(m, block_apply, lambda n: commutator_coeff(q, m, n))
 
 

@@ -25,6 +25,8 @@ from .witt import DegVec
 
 #: Most degrees whose radical membership one matrix remembers
 RAD_MEMO_SIZE = 4096
+#: Most residue pairs (m mod N, n mod N) whose commutator one matrix remembers
+COMMUTATOR_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,9 @@ class QMatrix:
 
     Each instance keeps, outside the fields (so equality and hashing ignore
     them), the nonzero exponents k_ji (i < j) that :func:`sigma_exponent`
-    sums, a bounded memo of :func:`in_rad` answers and, once
-    :func:`cocycle` asks, whether sigma is 1 on Rad_q x Z^d.
+    sums, bounded memos of :func:`in_rad` answers and of the commutator
+    exponents of :func:`commutator_coeff` and, once :func:`cocycle` asks,
+    whether sigma is 1 on Rad_q x Z^d.
     """
 
     d: int
@@ -58,6 +61,7 @@ class QMatrix:
             (i, j, self.exps[j][i]) for i in range(self.d) for j in range(i + 1, self.d)
             if self.exps[j][i]))
         object.__setattr__(self, "_rad_memo", {})
+        object.__setattr__(self, "_commutator_memo", {})
 
     @cached_property
     def _sigma_trivial(self) -> bool:
@@ -149,12 +153,33 @@ def cocycle(q: QMatrix):
 
 def commutator_coeff(q: QMatrix, m, n) -> Cyc | None:
     """sigma(m, n) - sigma(n, m), so that [t^m, t^n] = c t^{m+n}; None when
-    it is zero, that is when the two exponents agree mod N."""
-    e1 = sigma_exponent(q, m, n)
-    e2 = sigma_exponent(q, n, m)
-    if e1 == e2:
-        return None
-    return Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2)
+    it is zero, that is when the two exponents agree mod N.  sigma's
+    exponent is bilinear mod N, so this depends only on m and n mod N
+    (:func:`commutator_exponents`), and each coefficient is built once per
+    exponent pair."""
+    N = q.N
+    e = commutator_exponents(q, tuple(x % N for x in m), tuple(x % N for x in n))
+    return None if e is None else _zeta_difference(N, *e)
+
+
+def commutator_exponents(q: QMatrix, m: tuple, n: tuple) -> tuple[int, int] | None:
+    """The exponents of sigma(m, n) and sigma(n, m) for degrees m and n
+    already reduced mod N, or None when they agree; the answer is remembered
+    per matrix, for at most COMMUTATOR_MEMO_SIZE residue pairs."""
+    key = (m, n)
+    memo = q._commutator_memo
+    if key in memo:
+        return memo[key]
+    e1, e2 = sigma_exponent(q, m, n), sigma_exponent(q, n, m)
+    if len(memo) >= COMMUTATOR_MEMO_SIZE:
+        memo.clear()
+    hit = memo[key] = None if e1 == e2 else (e1, e2)
+    return hit
+
+
+@lru_cache(maxsize=1024)
+def _zeta_difference(N: int, e1: int, e2: int) -> Cyc:
+    return Cyc.zeta(N, e1) - Cyc.zeta(N, e2)
 
 
 def f_form(q: QMatrix, m, n) -> Cyc:

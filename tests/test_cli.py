@@ -376,6 +376,11 @@ GOLDEN = [
                                  "gen_radius": 1, "working_box": 2, "target_box": 1,
                                  "expect_label": "GqFull"},
      "74c5f70096c180a3f9e6bed78eab9cc429b511a9c7b801c9c3adbafc17db4ae1"),
+    # the Witt algebra W itself: d generators per shift, with the zero shift
+    # (the degree derivations) in the middle of the list
+    ("W-Full", dict(BOXES, job="closure", algebra="W", d=2, alpha=["1/3", "1/5"], rep=NAT,
+                    seeds=[{"n": [0, 0], "coords": ["0", "1"]}], expect_label="Full"),
+     "bd3958fd512bbdb529c759be546609b181a7c8747a003e61ad81869bc410a619"),
     ("readme-verify-module", {"job": "verify-module", "algebra": "Lq", "d": 2,
                               "alpha": ["1/2", "1/3"], "rep": NAT, "q": {"l": [2, 2]},
                               "pairs": 200},
@@ -435,6 +440,7 @@ WORK = {
     "Lq-33-GqFull": (521, 157, 80, 4, 80),
     "Lhat-seeds-on-two-degrees": (183, 170, 98, 3, 98),
     "Lq-anticommuting-GqFull": (1858, 671, 270, 5, 270),
+    "W-Full": (110, 111, 98, 3, 98),
 }
 
 

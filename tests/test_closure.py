@@ -168,6 +168,32 @@ def test_pair_basis_spans_every_pair_term(d):
             assert span_contains(span, pair_term(r, i, j).u)
 
 
+def greedy_pair_basis(r):
+    """The greedy pass over the pair terms in i < j order, keeping each term
+    independent of those kept before it."""
+    echelon: dict = {}
+    out = []
+    for i in range(1, len(r) + 1):
+        for j in range(i + 1, len(r) + 1):
+            u = pair_term(r, i, j).u
+            if any(u) and _reduce_into(echelon, {0: list(u)}) is not None:
+                out.append((i, j, u))
+    return out
+
+
+def test_pair_basis_is_the_greedy_basis():
+    # every nonzero degree of the radius-3 box for d = 1..4 and of the
+    # radius-2 box at d = 5: 5,920 degrees
+    checked = 0
+    for d, radius in ((1, 3), (2, 3), (3, 3), (4, 3), (5, 2)):
+        for r in Box.radius(d, radius).degrees():
+            if any(r):
+                assert pair_basis(r) == greedy_pair_basis(r), r
+                checked += 1
+    assert checked == 5920
+    assert pair_basis((0, 0, 0)) == greedy_pair_basis((0, 0, 0)) == []
+
+
 def test_classical_generator_count_d3():
     p = ModuleParams(3, (F(1, 3), F(1, 5), 0), RepHandle.natural(3))
     assert len(classical_generators(p, 2, "L")) == 248  # 2 per nonzero degree of 5^3

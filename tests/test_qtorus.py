@@ -17,6 +17,7 @@ from divalg.qtorus import (
     block_structure,
     cocycle,
     cocycle_identities_residual,
+    commutator_coeff,
     f_form,
     in_rad,
     monomial,
@@ -150,6 +151,27 @@ def test_in_rad_matches_f_formula(monkeypatch, q):
             assert len(q._rad_memo) <= 7
     assert any(in_rad(q, n) for n in box if any(n))
     # equality and hashing ignore the memo
+    assert q == QMatrix(q.d, q.N, q.exps) and hash(q) == hash(QMatrix(q.d, q.N, q.exps))
+
+
+@pytest.mark.parametrize("q", [block_normal_q((2, 2, 1)), block_normal_q((3, 3)), Q_MIXED,
+                               Q_ANTICOMMUTING], ids=["221", "33", "mixed", "anticommuting"])
+def test_commutator_coeff_matches_sigma(monkeypatch, q):
+    """The remembered coefficients equal sigma(m, n) - sigma(n, m) built
+    from the two exponents, also once the memo has filled and been cleared,
+    and zero coefficients are None."""
+    monkeypatch.setattr(divalg.qtorus, "COMMUTATOR_MEMO_SIZE", 7)
+    box = list(product(range(-2, 3), repeat=q.d))
+    for _ in range(2):
+        for m in box[::3]:
+            for n in box:
+                e1, e2 = sigma_exponent(q, m, n), sigma_exponent(q, n, m)
+                c = commutator_coeff(q, m, n)
+                if e1 == e2:
+                    assert c is None
+                else:
+                    assert c == Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2) and not c.is_zero()
+                assert len(q._commutator_memo) <= 7
     assert q == QMatrix(q.d, q.N, q.exps) and hash(q) == hash(QMatrix(q.d, q.N, q.exps))
 
 
