@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from random import Random
@@ -40,6 +41,15 @@ class ConfigError(ValueError):
 
 SCHEMA_VERSION = "1"
 JOBS = ("verify-algebra", "verify-module", "closure", "qtorus-info")
+
+# Resource budget, checked before a job builds anything: the most cells (a
+# degree of a box times one coordinate kept there) that a job may list.  The
+# d = 5, k = 2 closure at working box 3 lists 16,807 x 10 = 168,070.
+MAX_CELLS = 2_000_000
+
+# The labels the classifiers can give: classify (L, Lhat, W) and classify_q.
+CLASSICAL_LABELS = re.compile(r"Full|W|WPrime\([1-9][0-9]*\)|Other")
+Q_LABELS = ("Full", "GqFull", "Class0", "Other")
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +175,14 @@ def _parse_rep(raw, d: int) -> RepHandle:
         raise ConfigError(f"rep: {e}") from None
 
 
+def _within_budget(field: str, cells: int) -> None:
+    """A ConfigError naming ``field`` when a job would list more than
+    MAX_CELLS cells."""
+    if cells > MAX_CELLS:
+        raise ConfigError(f"{field}: the job would list {cells:,} cells, over the budget "
+                          f"of {MAX_CELLS:,}")
+
+
 def _deg_str(n: DegVec) -> str:
     return ",".join(str(x) for x in n)
 
@@ -208,6 +226,8 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
             raise ConfigError("config: classical algebras need the field 'd'")
         d = _int(config["d"], "d", 1)
         radius = _int(config.get("degree_radius", 3), "degree_radius", 0)
+        # the pair-span suite lists every degree of its box
+        _within_budget("degree_radius", Box.radius(d, min(radius, 2)).size * d)
         suites.append(verify.lie_suite_classical(d, algebra, triples, rng, radius))
         suites.append(verify.d_basis_span_suite(d, min(radius, 2)))
         suites.append(verify.lemma_orthg_suite(d, max(20, triples // 10), rng))
@@ -251,13 +271,17 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
     extras: dict = {}
     if algebra in verify.CLASSICAL_ALGEBRAS:
         _reject(config, ("q",))
-        suites.append(verify.module_suite_classical(params, algebra, pairs, rng, radius))
-        if d >= 2:
-            suites.append(verify.act_crosscheck_suite(params, max(20, pairs // 4), rng, radius))
         # under W the trivial rep differs from Lambda^d by the trace term, so
         # the wedge-invariance suite's W generators do not apply to it;
         # trivial_split reports that module's structure instead
-        if _wedge_power(params.rep) is not None and params.rep.kind != "trivial":
+        wedge = _wedge_power(params.rep) is not None and params.rep.kind != "trivial"
+        if wedge:
+            # the wedge-invariance suite lists every generator degree of radius 2
+            _within_budget("d", Box.radius(d, 2).size * params.rep.dim)
+        suites.append(verify.module_suite_classical(params, algebra, pairs, rng, radius))
+        if d >= 2:
+            suites.append(verify.act_crosscheck_suite(params, max(20, pairs // 4), rng, radius))
+        if wedge:
             suites.append(verify.w_invariance_suite(params))
         if params.rep.kind == "trivial":
             split = trivial_split(params)
@@ -302,10 +326,20 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
     if algebra in verify.CLASSICAL_ALGEBRAS:
         _reject(config, ("q",))
         q = None
+        labels_ok = expect is None or CLASSICAL_LABELS.fullmatch(expect)
     elif algebra in Q_ALGEBRAS:
         q = _config_q(config, d)
+        labels_ok = expect is None or expect in Q_LABELS
     else:
         raise ConfigError(f"algebra: unknown algebra {algebra!r}")
+    if not labels_ok:
+        raise ConfigError(f"expect_label: no closure of algebra {algebra!r} is labelled "
+                          f"{expect!r}")
+    _within_budget("working_box", working.size * params.rep.dim)
+    # each shift of the generator box carries up to d fiber maps, about 32
+    # cells each, and one neighbour bit per working-box degree, 64 to a cell
+    _within_budget("gen_radius",
+                   Box.radius(d, gen_radius).size * (32 * d + working.size // 64))
     raw_seeds = config["seeds"]
     if not isinstance(raw_seeds, list) or not raw_seeds:
         raise ConfigError("seeds: expected a nonempty list")
@@ -361,6 +395,7 @@ def _job_qtorus_info(config: dict, rng: Random) -> tuple[str, dict]:
     _strict(config, "config", {"job", "q"}, {"schema_version", "sample_radius"})
     q = _parse_q(config["q"])
     radius = _int(config.get("sample_radius", 1), "sample_radius", 0)
+    _within_budget("sample_radius", Box.radius(q.d, radius).size * q.d)
     samples = []
     degs = sorted(Box.radius(q.d, radius).degrees())
     for m in degs[: 4]:

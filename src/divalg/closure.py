@@ -24,7 +24,7 @@ the same line, so the scalar is applied only to images with two or more
 blocks, where it can differ from block to block; graded q-closures thus run
 on the same integer rows as the classical ones.
 
-Five facts keep the work small without changing any span.  The box's
+Seven facts keep the work small without changing any span.  The box's
 degrees are indexed in lexicographic order, so a shift moves an index by a
 fixed offset and a row visits only the shifts that keep all of its blocks
 inside the box (:class:`Neighbours`), found by ANDing per-coordinate
@@ -38,9 +38,12 @@ submodule W when every seed lies in W (:func:`w_bound`): W is invariant under
 the whole Witt algebra, so the closure of such seeds never leaves it.  Each
 block keeps rows spanning the annihilator of its single-degree rows, so a
 single-degree image they all annihilate lies in the span and is rejected
-without elimination.  And D(u, r) is linear in u, so each degree component of
-L is represented by one basis of its pair terms (:func:`pair_basis`) rather
-than by all of them.
+without elimination; a row that fills its block empties that annihilator
+rather than updating it.  The state counts its open (not yet full) blocks,
+and saturation stops as soon as none is left: every generator would be
+skipped from then on, so the rows still queued would add nothing.  And
+D(u, r) is linear in u, so each degree component of L is represented by one
+basis of its pair terms (:func:`pair_basis`) rather than by all of them.
 
 The per-degree report at the end is canonical (RREF fiber bases), so results
 do not depend on generator scheduling.
@@ -84,6 +87,11 @@ class Box:
     @property
     def d(self) -> int:
         return len(self.lo)
+
+    @property
+    def size(self) -> int:
+        """The number of degrees, found without listing them."""
+        return prod(b - a + 1 for a, b in zip(self.lo, self.hi))
 
     def contains(self, n) -> bool:
         return all(a <= x <= b for a, x, b in zip(self.lo, n, self.hi))
@@ -152,7 +160,10 @@ class SpanState:
     ``bound(n)`` is an upper bound on the dimension at degree n of the
     submodule being spanned, ``dim`` when none is given.  Block i is full
     (every image landing in it lies in the span) once its single-block rank
-    meets the bound, and its annihilator is then emptied.
+    meets the bound, and its annihilator is then emptied; the row that fills
+    it skips the annihilator update.  ``open`` counts the blocks that are not
+    full, starting from those with a nonzero bound, and is 0 once the whole
+    box is full.
     """
 
     def __init__(self, box: Box, dim: int, bound=None):
@@ -165,6 +176,7 @@ class SpanState:
         # rows are never changed in place, so every block can share one identity
         identity = [[int(t == b) for t in range(dim)] for b in range(dim)]
         self.annihilators = [identity if b else [] for b in self.bound]
+        self.open = sum(1 for b in self.bound if b)
 
     def insert(self, v: dict) -> dict | None:
         """Reduce the block row ``v`` against the basis; store and return it
@@ -179,8 +191,13 @@ class SpanState:
         row = _reduce_into(self.rows, v)
         if row is not None and len(row) == 1:
             ((i, w),) = row.items()
-            ann = _annihilate(self.annihilators[i], w)
-            self.annihilators[i] = ann if self.dim - len(ann) < self.bound[i] else []
+            ann = self.annihilators[i]
+            # the single-block rank is dim - len(ann) before this row
+            if self.dim - len(ann) + 1 < self.bound[i]:
+                self.annihilators[i] = _annihilate(ann, w)
+            else:
+                self.annihilators[i] = []
+                self.open -= 1
         return row
 
     def rank(self) -> int:
@@ -258,6 +275,12 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
     again only after an image is accepted, the one event that can fill a
     block; a multi-block row, whose targets under different shifts may
     overlap, checks them before every generator.
+
+    Once ``state.open`` is 0 the round stops taking rows: every generator
+    would be skipped.  Rounds and the fixed-point flag stay those of running
+    every row: the rows queued so far stay queued, so the next round, if
+    ``max_rounds`` allows it, runs over no row and finds the fixed point,
+    just as a round over the queued rows would, since it could add nothing.
     """
     deg_list, annihilators = state.deg_list, state.annihilators
     shifts, groups = [], []
@@ -281,6 +304,8 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
         rounds += 1
         next_frontier = []
         for row in frontier:
+            if not state.open:
+                break  # every block is full: no generator applies to any row
             if len(row) == 1:
                 ((i, coords),) = row.items()
                 n = deg_list[i]

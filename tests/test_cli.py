@@ -14,6 +14,8 @@ def write_config(tmp_path, name, obj):
     return str(p)
 
 
+NAT_REP = {"kind": "natural"}
+
 CLOSURE_W = {
     "schema_version": "1",
     "job": "closure",
@@ -320,6 +322,104 @@ def test_q_order_above_cap_exits_2_for_every_job(tmp_path, capsys, job, q, named
     path = write_config(tmp_path, "cap.json", config)
     assert main([job, "--config", path]) == 2
     assert f"error: {named}:" in capsys.readouterr().err
+
+
+Q_CLOSURE = {"job": "closure", "algebra": "Lq", "d": 2, "alpha": ["1/2", "1/3"],
+             "rep": NAT_REP, "q": {"l": [2, 2]}, "seeds": [{"n": [1, 0], "coords": ["1", "0"]}],
+             "gen_radius": 1, "working_box": 2, "target_box": 1}
+
+
+def _no_closure(*args, **kwargs):
+    raise AssertionError("the closure ran")
+
+
+@pytest.mark.parametrize("base, label", [
+    (CLOSURE_W, "Bogus"), (CLOSURE_W, "GqFull"), (CLOSURE_W, "Class0"),
+    (CLOSURE_W, "WPrime"), (CLOSURE_W, "WPrime(0)"), (CLOSURE_W, "WPrime(01)"),
+    (CLOSURE_W, "WPrime(-1)"), (CLOSURE_W, "full"), (CLOSURE_W, "W "),
+    (Q_CLOSURE, "Bogus"), (Q_CLOSURE, "W"), (Q_CLOSURE, "WPrime(1)"), (Q_CLOSURE, ""),
+], ids=lambda x: x if isinstance(x, str) else x["algebra"])
+def test_unknown_expect_label_exits_2_before_the_closure(tmp_path, capsys, monkeypatch,
+                                                         base, label):
+    # no classifier of the config's algebra gives the label, so the config is
+    # malformed: exit 2, not a violation, and without running the closure
+    monkeypatch.setattr("divalg.cli.closure", _no_closure)
+    monkeypatch.setattr("divalg.cli.closure_q", _no_closure)
+    path = write_config(tmp_path, "label.json", dict(base, expect_label=label))
+    assert main(["closure", "--config", path]) == 2
+    assert "error: expect_label:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, label", [
+    (CLOSURE_W, "Full"), (CLOSURE_W, "W"), (CLOSURE_W, "WPrime(1)"),
+    (CLOSURE_W, "WPrime(12)"), (CLOSURE_W, "Other"), (dict(CLOSURE_W, algebra="W"), "W"),
+    (Q_CLOSURE, "Full"), (Q_CLOSURE, "GqFull"), (Q_CLOSURE, "Class0"), (Q_CLOSURE, "Other"),
+    (dict(Q_CLOSURE, algebra="Lqhat"), "Class0"),
+], ids=lambda x: x if isinstance(x, str) else x["algebra"])
+def test_every_classifier_label_is_a_valid_expect_label(base, label):
+    # a label some classifier gives passes validation; a mismatch is then a
+    # mathematical outcome, exit 1, as in test_expect_label_mismatch_is_violation
+    report, code = run(dict(base, expect_label=label), 0)
+    assert code == (0 if report["details"]["label"] == label else 1)
+    assert report["details"]["expect_label"] == label
+
+
+class _Listed(Exception):
+    pass
+
+
+def _no_listing(self):
+    raise _Listed("a box was listed")
+
+
+@pytest.mark.parametrize("job, config, named", [
+    ("closure", dict(CLOSURE_W, working_box=1000000), "working_box"),
+    ("closure", dict(CLOSURE_W, working_box={"lo": [0, 0], "hi": [1000, 1000]}, target_box=0),
+     "working_box"),
+    ("closure", dict(CLOSURE_W, d=5, alpha=["1/2", "1/3", "1/5", "1/7", "1/11"],
+                     rep={"kind": "exterior", "k": 2},
+                     seeds=[{"n": [0] * 5, "coords": ["1"] + ["0"] * 9}], working_box=6),
+     "working_box"),
+    ("closure", dict(CLOSURE_W, gen_radius=1000000), "gen_radius"),
+    ("closure", dict(Q_CLOSURE, gen_radius=1000000), "gen_radius"),
+    ("closure", dict(Q_CLOSURE, working_box=100000), "working_box"),
+    ("qtorus-info", {"job": "qtorus-info", "q": {"l": [2, 2]}, "sample_radius": 1000000},
+     "sample_radius"),
+    ("verify-algebra", {"job": "verify-algebra", "algebra": "L", "d": 12, "triples": 1},
+     "degree_radius"),
+    ("verify-module", {"job": "verify-module", "algebra": "L", "d": 12,
+                       "alpha": ["0"] * 12, "rep": NAT_REP, "pairs": 1}, "d"),
+])
+def test_over_budget_config_exits_2_before_listing_a_box(tmp_path, capsys, monkeypatch,
+                                                         job, config, named):
+    # listing any box (or building a closure) raises at once, so a missing
+    # guard fails here rather than allocating the box
+    monkeypatch.setattr("divalg.closure.Box.degrees", _no_listing)
+    monkeypatch.setattr("divalg.cli.closure", _no_closure)
+    monkeypatch.setattr("divalg.cli.closure_q", _no_closure)
+    path = write_config(tmp_path, "big.json", config)
+    assert main([job, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ") and "budget" in err
+
+
+D5 = {"job": "closure", "algebra": "L", "d": 5, "alpha": ["1/2", "1/3", "1/5", "1/7", "1/11"],
+      "seeds": [{"n": [0] * 5, "coords": ["1"] + ["0"] * 9}], "gen_radius": 1,
+      "working_box": 3, "target_box": 1, "rep": {"kind": "exterior", "k": 2}}
+
+
+@pytest.mark.parametrize("config", [
+    D5,  # 16,807 degrees x 10 coordinates
+    dict(D5, d=4, alpha=D5["alpha"][:4], seeds=[{"n": [0] * 4, "coords": ["1"] + ["0"] * 5}],
+         gen_radius=2),
+    dict(D5, working_box=4),
+    dict(CLOSURE_W, working_box=300, gen_radius=5, target_box=0),
+], ids=["d5-k2-box3", "d4-k2-radius2", "d5-k2-box4", "d2-box300"])
+def test_budget_admits_the_large_closures(monkeypatch, config):
+    # the guard passes them on to the closure, which is stubbed out here
+    monkeypatch.setattr("divalg.cli.closure", _no_closure)
+    with pytest.raises(AssertionError, match="the closure ran"):
+        run(config, 0)
 
 
 @pytest.mark.parametrize("algebra", ["L", "W"])

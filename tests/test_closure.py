@@ -21,6 +21,7 @@ from divalg.qtorus import QMatrix, block_normal_q, in_rad
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc, euler_phi
 from divalg.witt import AlgElem, pair_term
+from test_linalg import ref_reduce_into, typed
 
 F = Fraction
 
@@ -535,6 +536,9 @@ def insert_sequence(rng, kind, dim, blocks, steps):
 
 @pytest.mark.parametrize("kind", ["int", "frac", 3, 4, 12])
 def test_insert_precheck_matches_plain_elimination(kind, monkeypatch):
+    # the mirror echelon runs the plain block-row elimination of
+    # test_linalg.py, not the engine's own _reduce_into, so this checks the
+    # pre-check and elimination together
     reductions = []
 
     def counted_reduce(rows, v):
@@ -552,18 +556,145 @@ def test_insert_precheck_matches_plain_elimination(kind, monkeypatch):
         for v in insert_sequence(rng, kind, dim, blocks, 30):
             before = len(reductions)
             got = state.insert(v)
-            want = _reduce_into(mirror, {i: blk for i, blk in v.items() if any(blk)})
-            assert got == want, (trial, v)
+            want = ref_reduce_into(mirror, {i: list(blk) for i, blk in v.items() if any(blk)})
+            assert got == want and typed(state.rows) == typed(mirror), (trial, v)
             prechecked += len(reductions) == before and got is None
-            for i in range(blocks):
+            below = 0
+            for i in range(len(state.deg_list)):
                 graded = [row[i] for row in state.rows.values() if list(row) == [i]]
                 ann = state.annihilators[i]
+                below += len(graded) < state.bound[i]
                 # rows spanning exactly the vectors orthogonal to the graded rows
                 assert len(ann) == dim - len(graded)
                 assert basis_of(ann, dim).rank == len(ann)
                 assert all(not sum(x * y for x, y in zip(a, w)) for a in ann for w in graded)
+            assert state.open == below
     assert prechecked > 0
 
+
+
+# ---------------------------------------------------------------------------
+# the early exit of saturate against the loop without it
+# ---------------------------------------------------------------------------
+
+
+class NoExitState(SpanState):
+    """A SpanState whose open count never reads 0, so saturate never takes
+    its early exit and runs its rows as the loop without the exit did."""
+
+    @property
+    def open(self):
+        return self._open or 1
+
+    @open.setter
+    def open(self, value):
+        self._open = value
+
+
+def traced_saturate(monkeypatch, state_cls, case, max_rounds):
+    """saturate on a fresh ``state_cls`` state for ``case``, counting
+    block_apply calls, insert calls and the frontier rows processed once
+    every block of the box is full (a processed row looks up its shifts
+    once, in Neighbours.of)."""
+    work, dim, seeds, gens, bound = case()
+    state = state_cls(work, dim, bound)
+    counts = {"apply": 0, "insert": 0, "late_rows": 0}
+
+    def counted_apply(inner):
+        def block_apply(n, w):
+            counts["apply"] += 1
+            return inner(n, w)
+        return block_apply
+
+    gens = [closure_mod.Generator(g.shift, counted_apply(g.block_apply), g.scalar)
+            for g in gens]
+    insert = state.insert
+
+    def counted_insert(v):
+        counts["insert"] += 1
+        return insert(v)
+
+    state.insert = counted_insert
+    of = Neighbours.of
+
+    def counted_of(self, blocks):
+        counts["late_rows"] += not any(state.annihilators)
+        return of(self, blocks)
+
+    monkeypatch.setattr(Neighbours, "of", counted_of)
+    rows = closure_mod.seeds_to_rows(state, seeds)
+    rounds, saturated = closure_mod.saturate(state, rows, gens, max_rounds)
+    monkeypatch.setattr(Neighbours, "of", of)
+    return rounds, saturated, state, counts
+
+
+def classical_case(d, alpha, rep, fibers, gen_radius, work_radius, algebra):
+    def case():
+        p = ModuleParams(d, alpha, rep)
+        seeds = [GradedVec(p, fibers)]
+        return (Box.radius(d, work_radius), rep.dim, seeds,
+                classical_generators(p, gen_radius, algebra), closure_mod.w_bound(p, seeds))
+    return case
+
+
+def q_case(l, alpha, rep, fibers, gen_radius, work_radius, algebra):
+    def case():
+        q, p = block_normal_q(l), ModuleParams(len(l), alpha, rep)
+        return (Box.radius(len(l), work_radius), rep.dim, [GradedVec(p, fibers)],
+                qder_generators(q, p, gen_radius, algebra), None)
+    return case
+
+
+NAT3 = RepHandle.natural(3)
+EXIT_CASES = {
+    # (case, whether the whole working box fills before the frontier empties)
+    "L-d2-Full": (classical_case(2, (F(1, 2), 0), NAT2, {(0, 0): (0, 1)}, 2, 2, "L"), True),
+    "L-d2-W": (classical_case(2, (F(1, 2), 0), NAT2, {(0, 0): (F(1, 2), 0)}, 2, 2, "L"), True),
+    "W-d2-Full": (classical_case(2, NONINT, SYM2, {(0, 0): (0, 1, 0)}, 1, 2, "W"), True),
+    "L-d3-Full": (classical_case(3, (F(1, 3), F(1, 5), 0), NAT3, {(0, 0, 0): (0, 0, 1)},
+                                 1, 1, "L"), True),
+    "L-d3-W": (classical_case(3, (F(1, 3), F(1, 5), 0), NAT3, {(0, 0, 0): (5, 3, 0)},
+                              1, 1, "L"), True),
+    # GqFull: the radical fibers stay empty below their bound dim
+    "Lq-22": (q_case((2, 2), (F(1, 5), F(1, 7)), NAT2, {(1, 0): (1, 0)}, 2, 2, "Lq"), False),
+    # the span is the whole box, but a multi-block row holds a pivot in its
+    # first block, so that block's single-block rank stays below dim
+    "L-two-block-seed": (classical_case(2, (F(1, 2), F(1, 7)), NAT2,
+                                        {(0, 0): (0, 1), (1, 0): (1, 0)}, 1, 2, "L"), False),
+}
+
+
+@pytest.mark.parametrize("name", list(EXIT_CASES))
+def test_early_exit_matches_the_loop_without_it(name, monkeypatch):
+    """Rounds, saturation, the echelon rows and the block_apply and insert
+    counts agree with and without the exit at every round cap, and no row is
+    processed once the box is full; without the exit such rows are."""
+    case, fills = EXIT_CASES[name]
+    full_rounds = traced_saturate(monkeypatch, SpanState, case, 50)[0]
+    late_without = 0
+    for max_rounds in list(range(1, full_rounds + 2)) + [50]:
+        rounds, saturated, state, counts = traced_saturate(monkeypatch, SpanState, case,
+                                                           max_rounds)
+        ref = traced_saturate(monkeypatch, NoExitState, case, max_rounds)
+        assert (rounds, saturated) == ref[:2], max_rounds
+        assert state.rows == ref[2].rows
+        assert (counts["apply"], counts["insert"]) == (ref[3]["apply"], ref[3]["insert"])
+        assert counts["late_rows"] == 0
+        assert state.open == sum(1 for a in state.annihilators if a)
+        late_without += ref[3]["late_rows"]
+    assert (late_without > 0) == fills
+
+
+@pytest.mark.parametrize("name", [name for name, (_, fills) in EXIT_CASES.items() if fills])
+def test_early_exit_keeps_rounds_at_the_round_cap(name, monkeypatch):
+    """When the box fills in round k, a cap of k rounds still reports an
+    unsaturated closure after k rounds, and a cap of k + 1 a saturated one
+    after k + 1: the last round runs, over no row."""
+    case, _ = EXIT_CASES[name]
+    k = next(m for m in range(1, 50)
+             if traced_saturate(monkeypatch, SpanState, case, m)[2].open == 0)
+    assert traced_saturate(monkeypatch, SpanState, case, k)[:2] == (k, False)
+    assert traced_saturate(monkeypatch, SpanState, case, k + 1)[:2] == (k + 1, True)
 
 
 # ---------------------------------------------------------------------------
