@@ -170,7 +170,7 @@ def _parse_box(raw, d: int, context: str) -> Box:
 
 def _parse_rep(raw, d: int) -> RepHandle:
     try:
-        return rep_from_config(d, raw)
+        return rep_from_config(d, raw, MAX_CELLS)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"rep: {e}") from None
 

@@ -6,44 +6,47 @@ fiber at degree n to a fiber at degree n + shift and is applied only when
 both endpoints lie inside the working box, so the computed space is always a
 subspace of the true submodule's restriction to the box.
 
-The span is an echelon basis of block rows ``{degree index: dense
-coordinates}``, kept by the package's one elimination routine,
-:func:`divalg.linalg._reduce_into`.  A row's pivot is the first nonzero
-coordinate of its lowest degree block; every inserted row is reduced against
-the existing rows and, when it survives, rescaled to a primitive integer (or
-monic cyclotomic) row.  Rescaling is harmless because only the span is
-tracked.  Every generator is the fiber map of a D(u, r)
-(:func:`divalg.modules.term_map`) or an ``ad t^m``, given as a plain map
-and, on the q side, a per-degree scalar: ``commutator_coeff(q, m, n)`` for
-``ad t^m``, which is the scalar times the identity, and sigma(r, n) for a
-twisted D(u, r).  Graded seeds keep every row a single dense block, which is
-then directly a fiber vector; seeds supported on several degrees give rows
-with several blocks on the same footing, and their fibers are found by
-re-elimination.  A single-block image is the scalar times the plain image,
-the same line, so the scalar is applied only to images with two or more
-blocks, where it can differ from block to block; graded q-closures thus run
-on the same integer rows as the classical ones.
+The closure is graded when every seed sits at one degree, as every CLI
+config's seeds do.  Every row is then one block ``{degree index: dense
+coordinates}``, a fiber vector, and each block keeps rows spanning the
+annihilator of its vectors, starting from the identity.  As (V^⊥)^⊥ = V over
+any field, a vector lies in the span exactly when the annihilator kills it, so
+no insert needs elimination: a vector the annihilator does not kill is kept as
+it stands, rescaled to a primitive integer row (only the span is tracked), and
+the annihilator is updated from the same dot products.  The frontier thus
+carries each accepted image, not its reduction against the span; after round k
+the span is that of the in-box words of length at most k either way, so rounds
+and fiber bases are the same.  Seeds on several degrees give rows with several
+blocks, kept as an echelon basis by the one elimination routine,
+:func:`divalg.linalg._reduce_into` (a row's pivot is the first nonzero
+coordinate of its lowest degree block), and a fiber such a row touches is
+found by re-elimination.  Every generator is the fiber map of a D(u, r)
+(:func:`divalg.modules.term_map`) or an ``ad t^m``, given as a plain map and,
+on the q side, a per-degree scalar: ``commutator_coeff(q, m, n)`` for ``ad
+t^m``, which is the scalar times the identity, and sigma(r, n) for a twisted
+D(u, r).  A single-block image is the scalar times the plain image, the same
+line, so the scalar is applied only to images with two or more blocks, where
+it can differ from block to block; graded q-closures thus run on the same
+integer rows as the classical ones.
 
-Seven facts keep the work small without changing any span.  The box's
-degrees are indexed in lexicographic order, so a shift moves an index by a
-fixed offset and a row visits only the shifts that keep all of its blocks
-inside the box (:class:`Neighbours`), found by ANDing per-coordinate
-bitmasks.  A block whose single-degree rows reach the fiber's upper bound is
-full, so a generator whose image lands only in full blocks is skipped before
-it is applied; the generators of one shift are consecutive in the family, so
-a single-block row checks its target block once per shift, and again only
-after one of that shift's images is accepted, the one event that can fill a
-block.  That bound is ``dim``, or the fiber dimension of the wedge
-submodule W when every seed lies in W (:func:`w_bound`): W is invariant under
-the whole Witt algebra, so the closure of such seeds never leaves it.  Each
-block keeps rows spanning the annihilator of its single-degree rows, so a
-single-degree image they all annihilate lies in the span and is rejected
-without elimination; a row that fills its block empties that annihilator
-rather than updating it.  The state counts its open (not yet full) blocks,
-and saturation stops as soon as none is left: every generator would be
-skipped from then on, so the rows still queued would add nothing.  And
-D(u, r) is linear in u, so each degree component of L is represented by one
-basis of its pair terms (:func:`pair_basis`) rather than by all of them.
+These facts keep the work small without changing any span.  The box's degrees
+are indexed in lexicographic order, so a shift moves an index by a fixed offset
+and a row visits only the shifts that keep all of its blocks inside the box
+(:class:`Neighbours`), found by ANDing per-coordinate bitmasks.  A block whose
+single-degree rows reach the fiber's upper bound is full, so a generator whose
+image lands only in full blocks is skipped before it is applied; the generators
+of one shift are consecutive in the family, so a single-block row checks its
+target block once per shift, and again only after one of that shift's images
+is accepted, the one event that can fill a block.  That bound is ``dim``, or
+the fiber dimension of the wedge submodule W when every seed lies in W
+(:func:`w_bound`): W is invariant under the whole Witt algebra, so the closure
+of such seeds never leaves it.  A row that fills its block empties that
+block's annihilator rather than updating it.  The state counts its open (not
+yet full) blocks, and saturation stops as soon as none is left: every
+generator would be skipped from then on, so the rows still queued would add
+nothing.  And D(u, r) is linear in u, so each degree component of L is
+represented by one basis of its pair terms (:func:`pair_basis`) rather than by
+all of them.
 
 The per-degree report at the end is canonical (RREF fiber bases), so results
 do not depend on generator scheduling.
@@ -60,7 +63,7 @@ from operator import and_, mul
 from .linalg import SpanBasis, _primitive, _reduce_into, basis_of, same_span
 from .modules import (GradedVec, ModuleParams, _wedge_power, term_map, w_fiber_basis,
                       w_membership)
-from .witt import DegVec, pair_term
+from .witt import DegVec
 
 
 @dataclass(frozen=True)
@@ -131,19 +134,11 @@ class ClosureResult:
 # ---------------------------------------------------------------------------
 
 
-def _orthogonal(ann: list[list], w: list) -> bool:
-    """Whether every row of ``ann`` is orthogonal to ``w``."""
-    for a in ann:
-        if sum(map(mul, a, w)):
-            return False
-    return True
-
-
-def _annihilate(ann: list[list], w: list) -> list[list]:
-    """Rows spanning the vectors of span(``ann``) orthogonal to ``w``, given
-    that some row of ``ann`` is not: with a0 the first such row, every other
-    row a becomes (a0.w) a - (a.w) a0, kept primitive, and a0 is dropped."""
-    dots = [sum(map(mul, a, w)) for a in ann]
+def _annihilate(ann: list[list], dots: list) -> list[list]:
+    """Rows spanning the vectors of span(``ann``) orthogonal to a vector w,
+    given the dots of w with the rows of ``ann``, not all 0: with a0 the first
+    row whose dot c0 is not 0, every other row a, of dot c, becomes c0 a - c
+    a0, kept primitive, and a0 is dropped."""
     k = next(t for t, c in enumerate(dots) if c)
     a0, c0 = ann[k], dots[k]
     return [_primitive([c0 * x - c * y for x, y in zip(a, a0)]) if c else a
@@ -151,19 +146,23 @@ def _annihilate(ann: list[list], w: list) -> list[list]:
 
 
 class SpanState:
-    """Echelon basis of block rows over the degrees of a box.
+    """The span of block rows over the degrees of a box.
 
-    ``rows`` maps each pivot (degree index, coordinate) to its row.
     ``annihilators[i]`` holds rows spanning the vectors orthogonal to every
-    row supported on block i alone, starting from the identity: a row of
-    block i that they all annihilate is in the span without reduction.
-    ``bound(n)`` is an upper bound on the dimension at degree n of the
-    submodule being spanned, ``dim`` when none is given.  Block i is full
-    (every image landing in it lies in the span) once its single-block rank
-    meets the bound, and its annihilator is then emptied; the row that fills
-    it skips the annihilator update.  ``open`` counts the blocks that are not
-    full, starting from those with a nonzero bound, and is 0 once the whole
-    box is full.
+    row supported on block i alone, starting from the identity, and
+    ``fibers[i]`` holds those rows.  ``bound(n)`` is an upper bound on the
+    dimension at degree n of the submodule being spanned, ``dim`` when none
+    is given.  Block i is full (every image landing in it lies in the span)
+    once its single-block rank meets the bound, and its annihilator is then
+    emptied; the row that fills it skips the annihilator update.  ``open``
+    counts the blocks that are not full, starting from those with a nonzero
+    bound, and is 0 once the whole box is full.
+
+    A ``graded`` state (set by :func:`saturate` when every seed has one
+    block) only ever holds single-block rows, and its annihilators decide
+    every insert.  Otherwise ``rows`` maps each pivot (degree index,
+    coordinate) to its row in an echelon basis, and the annihilators only
+    reject single-block rows before elimination.
     """
 
     def __init__(self, box: Box, dim: int, bound=None):
@@ -171,7 +170,9 @@ class SpanState:
         self.dim = dim
         self.deg_list = sorted(box.degrees())
         self.deg_index = {n: i for i, n in enumerate(self.deg_list)}
+        self.graded = False
         self.rows: dict[tuple[int, int], dict[int, list]] = {}
+        self.fibers: list[list[list]] = [[] for _ in self.deg_list]
         self.bound = [dim if bound is None else bound(n) for n in self.deg_list]
         # rows are never changed in place, so every block can share one identity
         identity = [[int(t == b) for t in range(dim)] for b in range(dim)]
@@ -179,29 +180,40 @@ class SpanState:
         self.open = sum(1 for b in self.bound if b)
 
     def insert(self, v: dict) -> dict | None:
-        """Reduce the block row ``v`` against the basis; store and return it
-        if independent."""
-        v = {i: blk for i, blk in v.items() if any(blk)}
-        if len(v) == 1:
+        """Add the block row ``v`` to the span; return the row kept for it,
+        or None when ``v`` lies in the span already."""
+        if self.graded:
             ((i, w),) = v.items()
             ann = self.annihilators[i]
-            # the identity (no single-block row yet) annihilates no nonzero w
-            if len(ann) < self.dim and _orthogonal(ann, w):
+            # the identity (no row in block i yet) has the dots w itself
+            dots = w if len(ann) == self.dim else [sum(map(mul, a, w)) for a in ann]
+            if not any(dots):
                 return None
-        row = _reduce_into(self.rows, v)
-        if row is not None and len(row) == 1:
+            row = {i: _primitive(w)}
+        else:
+            v = {i: blk for i, blk in v.items() if any(blk)}
+            if len(v) == 1:
+                ((i, w),) = v.items()
+                ann = self.annihilators[i]
+                if len(ann) < self.dim and not any(sum(map(mul, a, w)) for a in ann):
+                    return None
+            row = _reduce_into(self.rows, v)
+            if row is None or len(row) > 1:
+                return row
             ((i, w),) = row.items()
             ann = self.annihilators[i]
-            # the single-block rank is dim - len(ann) before this row
-            if self.dim - len(ann) + 1 < self.bound[i]:
-                self.annihilators[i] = _annihilate(ann, w)
-            else:
-                self.annihilators[i] = []
-                self.open -= 1
+            dots = [sum(map(mul, a, w)) for a in ann]
+        self.fibers[i].append(row[i])
+        # the single-block rank is dim - len(ann) before this row
+        if self.dim - len(ann) + 1 < self.bound[i]:
+            self.annihilators[i] = _annihilate(ann, dots)
+        else:
+            self.annihilators[i] = []
+            self.open -= 1
         return row
 
     def rank(self) -> int:
-        return len(self.rows)
+        return sum(map(len, self.fibers)) if self.graded else len(self.rows)
 
 
 class Generator:
@@ -263,9 +275,10 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
              max_rounds: int) -> tuple[int, bool]:
     """Worklist saturation; returns (rounds executed, reached fixed point).
 
-    Every row newly added to the basis is queued, and each queued row is hit
-    once with every generator that keeps all of its blocks inside the box;
-    linearity makes this equivalent to sweeping whole fibers.  A generator
+    The state is graded when every seed has one block.  Every row newly
+    added to the span is queued, and each queued row is hit once with every
+    generator that keeps all of its blocks inside the box; linearity makes
+    this equivalent to sweeping whole fibers.  A generator
     whose image would land only in full blocks is skipped unapplied: the
     image lies in the span already.  A generator's scalar multiplies the
     blocks of images that have two or more of them.
@@ -293,6 +306,7 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
     neighbours = Neighbours(state.box, shifts)
     offsets = neighbours.offsets
 
+    state.graded = all(len(v) == 1 for v in seeds)
     frontier = []
     for v in seeds:
         added = state.insert(v)
@@ -372,18 +386,11 @@ def extract_fibers(state: SpanState, target: Box) -> dict[DegVec, SpanBasis]:
     Single-block rows are fiber vectors as they stand; a degree that some
     multi-block row touches is re-eliminated by :func:`_constrained_fiber`.
     """
-    graded: dict[int, list] = {}
-    mixed: set[int] = set()
-    for row in state.rows.values():
-        if len(row) == 1:
-            for i, coords in row.items():
-                graded.setdefault(i, []).append(tuple(coords))
-        else:
-            mixed.update(row)
+    mixed = {i for row in state.rows.values() if len(row) > 1 for i in row}
     out: dict[DegVec, SpanBasis] = {}
     for n in target.degrees():
         i = state.deg_index[n]
-        vectors = _constrained_fiber(state, n) if i in mixed else graded.get(i, [])
+        vectors = _constrained_fiber(state, n) if i in mixed else state.fibers[i]
         out[n] = basis_of(vectors, state.dim)
     return out
 
@@ -433,14 +440,19 @@ def pair_basis(r: DegVec) -> list[tuple[int, int, tuple]]:
     gives r_p e_i, a new coordinate vector, and every later (i, j) gives
     r_j e_i, a multiple of it; (p, j) is the first term to involve e_j, with
     the coefficient -r_p; and the d - 1 terms kept by then span the
-    component, so no pair after them is independent.
+    component, so no pair after them is independent.  So u is r_p e_i for
+    (i, p) and r_j e_p - r_p e_j for (p, j), written down directly.
     """
     d = len(r)
     p = next((t for t, x in enumerate(r, 1) if x), None)
     if p is None:
         return []  # every pair term vanishes at r = 0
-    pairs = [(i, p) for i in range(1, p)] + [(p, j) for j in range(p + 1, d + 1)]
-    return [(i, j, pair_term(r, i, j).u) for i, j in pairs]
+    rp = r[p - 1]
+    return ([(i, p, tuple(rp if t == i else 0 for t in range(1, d + 1)))
+             for i in range(1, p)]
+            + [(p, j, tuple(r[j - 1] if t == p else -rp if t == j else 0
+                            for t in range(1, d + 1)))
+               for j in range(p + 1, d + 1)])
 
 
 def unit_generators(params: ModuleParams, r: DegVec) -> list[Generator]:

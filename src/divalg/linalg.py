@@ -1,13 +1,15 @@
 """Exact dense linear algebra over Rat or Cyc scalars.
 
-Everything here is generic over any exact field scalar supporting +, -, *,
-/ and truthiness (Fraction, Cyc, and plain ints mixed in).  There is one
+Everything here is generic over any exact field scalar supporting +, -, *, /
+and truthiness (Fraction, Cyc, and plain ints mixed in).  There is one
 elimination routine, :func:`_reduce_into`: it folds a block row ``{block:
 dense coordinates}`` into a fraction-free echelon of primitive integer (or
-monic cyclotomic) rows, and the closure engine keeps its span in exactly that
-form.  A single-block row reduced by a single-block pivot row is one list
-combine (a gcd of the two pivots on ints, an exact quotient otherwise), and a
-new single-block row is its primitive block; only rows over several blocks go
+monic cyclotomic) rows.  The closure engine keeps the span of a multi-block
+closure in exactly that form; a graded closure decides membership from
+per-fiber annihilators and only rescales its rows by :func:`_primitive`.  A
+single-block row reduced by a single-block pivot row is one list combine (a
+gcd of the two pivots on ints, an exact quotient otherwise), and a new
+single-block row is its primitive block; only rows over several blocks go
 through the block-row helpers.  :func:`_primitive` reads an all-int vector
 without looking for Fraction or Cyc entries.  Bases of a single space are
 that echelon on one block, brought by one back-substitution pass to reduced
@@ -17,7 +19,7 @@ depend on the order vectors were fed in.
 Cyclotomic rows reach :func:`_reduce_into` and :func:`_primitive` only from
 q-closures of seeds supported on several degrees, which no CLI config makes
 (every config seed sits at one degree): the closure drops the q scalar of
-single-block images, so graded q-closures eliminate over integer rows.
+single-block images, so graded q-closures run on integer rows.
 """
 
 from __future__ import annotations

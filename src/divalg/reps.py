@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import inf, prod
 
 
 class RepHandle:
@@ -157,22 +158,6 @@ class RepVec:
         if len(self.coords) != self.rep.dim:
             raise ValueError("coordinate length does not match dimension")
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
-
-    def __add__(self, other: "RepVec") -> "RepVec":
-        if other.rep is not self.rep:
-            raise ValueError("mismatched representations")
-        return RepVec(self.rep, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "RepVec") -> "RepVec":
-        if other.rep is not self.rep:
-            raise ValueError("mismatched representations")
-        return RepVec(self.rep, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c) -> "RepVec":
-        return RepVec(self.rep, tuple(c * x for x in self.coords))
-
 
 def act_matrix(rep: RepHandle, b, v: RepVec) -> RepVec:
     """Action of a d x d scalar matrix, decomposed over matrix units."""
@@ -202,14 +187,24 @@ def act_matrix(rep: RepHandle, b, v: RepVec) -> RepVec:
 MAX_REP_DEPTH = 32
 
 
-def rep_from_config(d: int, obj: dict, path: str = "", depth: int = 1) -> RepHandle:
+def rep_from_config(d: int, obj: dict, max_cells: int | None = None) -> RepHandle:
     """Build a representation from its JSON description.
 
-    A nested rep, a tensor factor or a twisted inner rep, is read at
-    ``path`` (such as ``factors[1]`` or ``inner``), and its errors name
-    their field by that path: ``factors[1].k``.  Reps may nest at most
-    MAX_REP_DEPTH levels deep.
+    A nested rep, a tensor factor or a twisted inner rep, is read at a path
+    (such as ``factors[1]`` or ``inner``), and its errors name their field by
+    that path: ``factors[1].k``.  Reps may nest at most MAX_REP_DEPTH levels
+    deep.  The whole config is read, and its size found from closed forms,
+    before any basis label is built: a rep whose labels would hold more than
+    ``max_cells`` cells (dim times the label length, over it and every rep
+    nested in it) is an error naming the field that sets the size, such as
+    ``factors[1].m``.
     """
+    return _rep_plan(d, obj, "", 1, max_cells)[0]()
+
+
+def _rep_plan(d: int, obj: dict, path: str, depth: int, max_cells: int | None):
+    """(build, dim, cells) of the rep config ``obj`` at ``path``: ``build()``
+    makes the rep, whose dim and label cells come from closed forms."""
     at = f"{path}." if path else ""
     where = f"{path}: " if path else ""
     if depth > MAX_REP_DEPTH:
@@ -233,27 +228,58 @@ def rep_from_config(d: int, obj: dict, path: str = "", depth: int = 1) -> RepHan
     missing = known[kind] - set(obj)
     if missing:
         raise ValueError(f"{where}missing rep config fields {sorted(missing)}")
+    # build(nested reps) makes the rep, of dim and label length from closed
+    # forms, set by field; the constructors reject k and m out of range
+    field, nested = where, []
+    cap = inf if max_cells is None else max_cells
     if kind == "natural":
-        build, args = RepHandle.natural, (d,)
+        build, dim, width = lambda _: RepHandle.natural(d), d, 1
     elif kind == "exterior":
-        build, args = RepHandle.exterior, (d, _json_int(obj["k"], f"{at}k"))
+        k = _json_int(obj["k"], f"{at}k")
+        build, field = lambda _: RepHandle.exterior(d, k), f"{at}k: "
+        dim, width = (_binom(d, k, cap) if 1 <= k <= d else 0), k
     elif kind == "symmetric":
-        build, args = RepHandle.symmetric, (d, _json_int(obj["m"], f"{at}m"))
+        m = _json_int(obj["m"], f"{at}m")
+        build, field = lambda _: RepHandle.symmetric(d, m), f"{at}m: "
+        dim, width = (_binom(d + m - 1, m, cap) if m >= 1 else 0), m
     elif kind == "trivial":
-        build, args = RepHandle.trivial, (d,)
+        build, dim, width = lambda _: RepHandle.trivial(d), 1, 1
     elif kind == "tensor":
         factors = _json_list(obj["factors"], f"{at}factors", "rep configs")
-        build, args = RepHandle.tensor, ([rep_from_config(d, f, f"{at}factors[{t}]", depth + 1)
-                                          for t, f in enumerate(factors)],)
+        nested = [_rep_plan(d, f, f"{at}factors[{t}]", depth + 1, max_cells)
+                  for t, f in enumerate(factors)]
+        build, field = RepHandle.tensor, f"{at}factors: "
+        dim, width = prod(dim for _, dim, _ in nested), len(nested)
     else:
         l = [_json_int(x, f"{at}l[{t}]")
              for t, x in enumerate(_json_list(obj["l"], f"{at}l", "integers"))]
-        build, args = RepHandle.twisted, (rep_from_config(d, obj["inner"], f"{at}inner",
-                                                          depth + 1), l)
-    try:
-        return build(*args)
-    except ValueError as e:
-        raise ValueError(f"{where}{e}") from None
+        nested = [_rep_plan(d, obj["inner"], f"{at}inner", depth + 1, max_cells)]
+        build, field = lambda built: RepHandle.twisted(built[0], l), f"{at}inner: "
+        dim, width = nested[0][1], 1
+    cells = dim * width + sum(c for _, _, c in nested)
+    if max_cells is not None and cells > max_cells:
+        raise ValueError(f"{field}the rep's labels would hold more than the budget of "
+                         f"{max_cells:,} cells")
+
+    def make() -> RepHandle:
+        built = [plan() for plan, _, _ in nested]
+        try:
+            return build(built)
+        except ValueError as e:
+            raise ValueError(f"{where}{e}") from None
+
+    return make, dim, cells
+
+
+def _binom(n: int, k: int, cap) -> int:
+    """C(n, k) for 0 <= k <= n, or, once it is over ``cap``, a number over
+    ``cap``: the partial products C(n - k + t, t) grow with t."""
+    k, out = min(k, n - k), 1
+    for t in range(1, k + 1):
+        out = out * (n - k + t) // t
+        if out > cap:
+            break
+    return out
 
 
 def _json_int(raw, field: str) -> int:

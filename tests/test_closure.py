@@ -1,6 +1,6 @@
 """The saturation engine: spec'd closure runs, classification, determinism,
-the non-graded seed path, the pair basis, and a differential check against a
-naive dense fixed point."""
+the non-graded seed path, the pair basis, a differential check against a
+naive dense fixed point, and the graded path against the echelon path."""
 
 import types
 from fractions import Fraction
@@ -573,6 +573,36 @@ def test_insert_precheck_matches_plain_elimination(kind, monkeypatch):
 
 
 
+@pytest.mark.parametrize("kind", ["int", "frac", 3, 4, 12])
+def test_graded_insert_matches_plain_elimination(kind):
+    # a graded state decides each single-block insert from its annihilator
+    # alone; plain elimination must accept exactly the same rows, and the
+    # kept rows must span the same fibers
+    rng = Random(f"graded-{kind}")
+    rejected = 0
+    for trial in range(12):
+        dim = rng.choice((2, 3, 4))
+        blocks = rng.choice((1, 2, 3))
+        state = SpanState(Box.radius(1, 1), dim)
+        state.graded = True
+        mirror: dict = {}
+        for v in insert_sequence(rng, kind, dim, blocks, 30):
+            if len(v) != 1:
+                continue
+            got = state.insert(v)
+            want = ref_reduce_into(mirror, {i: list(blk) for i, blk in v.items() if any(blk)})
+            assert (got is None) == (want is None), (trial, v)
+            rejected += got is None
+            assert state.rows == {} and state.rank() == len(mirror)
+            for i in range(len(state.deg_list)):
+                fiber = [row[i] for row in mirror.values() if i in row]
+                assert same_span(basis_of(state.fibers[i], dim), basis_of(fiber, dim))
+                ann = state.annihilators[i]
+                assert len(ann) == dim - len(fiber)
+                assert all(not sum(x * y for x, y in zip(a, w)) for a in ann for w in fiber)
+    assert rejected > 0
+
+
 # ---------------------------------------------------------------------------
 # the early exit of saturate against the loop without it
 # ---------------------------------------------------------------------------
@@ -628,13 +658,18 @@ def traced_saturate(monkeypatch, state_cls, case, max_rounds):
     return rounds, saturated, state, counts
 
 
-def classical_case(d, alpha, rep, fibers, gen_radius, work_radius, algebra):
+def seeds_case(d, alpha, rep, seeds, gen_radius, work_radius, algebra):
+    """A classical closure of the seeds, each given as {degree: coords}."""
     def case():
         p = ModuleParams(d, alpha, rep)
-        seeds = [GradedVec(p, fibers)]
-        return (Box.radius(d, work_radius), rep.dim, seeds,
-                classical_generators(p, gen_radius, algebra), closure_mod.w_bound(p, seeds))
+        vecs = [GradedVec(p, fibers) for fibers in seeds]
+        return (Box.radius(d, work_radius), rep.dim, vecs,
+                classical_generators(p, gen_radius, algebra), closure_mod.w_bound(p, vecs))
     return case
+
+
+def classical_case(d, alpha, rep, fibers, gen_radius, work_radius, algebra):
+    return seeds_case(d, alpha, rep, [fibers], gen_radius, work_radius, algebra)
 
 
 def q_case(l, alpha, rep, fibers, gen_radius, work_radius, algebra):
@@ -677,7 +712,7 @@ def test_early_exit_matches_the_loop_without_it(name, monkeypatch):
                                                            max_rounds)
         ref = traced_saturate(monkeypatch, NoExitState, case, max_rounds)
         assert (rounds, saturated) == ref[:2], max_rounds
-        assert state.rows == ref[2].rows
+        assert (state.rows, state.fibers) == (ref[2].rows, ref[2].fibers)
         assert (counts["apply"], counts["insert"]) == (ref[3]["apply"], ref[3]["insert"])
         assert counts["late_rows"] == 0
         assert state.open == sum(1 for a in state.annihilators if a)
@@ -695,6 +730,59 @@ def test_early_exit_keeps_rounds_at_the_round_cap(name, monkeypatch):
              if traced_saturate(monkeypatch, SpanState, case, m)[2].open == 0)
     assert traced_saturate(monkeypatch, SpanState, case, k)[:2] == (k, False)
     assert traced_saturate(monkeypatch, SpanState, case, k + 1)[:2] == (k + 1, True)
+
+
+# ---------------------------------------------------------------------------
+# the graded path of SpanState against the echelon path
+# ---------------------------------------------------------------------------
+
+
+class EchelonState(SpanState):
+    """A SpanState that is never graded, so every insert goes through the
+    echelon basis, as a multi-block closure's do."""
+
+    @property
+    def graded(self):
+        return False
+
+    @graded.setter
+    def graded(self, value):
+        pass
+
+
+GRADED_CASES = {
+    "L-d2-W": EXIT_CASES["L-d2-W"][0],
+    "L-d2-Full": EXIT_CASES["L-d2-Full"][0],
+    "W-d2-Full": EXIT_CASES["W-d2-Full"][0],
+    "L-d3-W": EXIT_CASES["L-d3-W"][0],
+    "L-d3-Full": EXIT_CASES["L-d3-Full"][0],
+    "W-d3-W": classical_case(3, (F(1, 3), F(1, 5), 0), NAT3, {(0, 0, 0): (5, 3, 0)}, 1, 1, "W"),
+    "Lq-22": EXIT_CASES["Lq-22"][0],
+    "Lqhat-22": q_case((2, 2), (F(1, 5), F(1, 7)), NAT2, {(1, 0): (1, 2)}, 1, 2, "Lqhat"),
+    "Lhat-two-degrees": seeds_case(2, (1, -2), NAT2, [{(-1, 2): (0, 1)}, {(0, 1): (1, 1)}],
+                                   1, 2, "Lhat"),
+}
+
+
+@pytest.mark.parametrize("name", list(GRADED_CASES))
+def test_graded_path_matches_the_echelon_path(name, monkeypatch):
+    """Rounds, saturation, rank, the annihilators and every fiber basis of
+    the working box agree between the graded path and the echelon path, at
+    every round cap up to saturation."""
+    case = GRADED_CASES[name]
+    cap, saturated = 1, False
+    while not saturated:
+        rounds, saturated, state, counts = traced_saturate(monkeypatch, SpanState, case, cap)
+        ref = traced_saturate(monkeypatch, EchelonState, case, cap)
+        assert state.graded and not ref[2].graded and ref[2].rows
+        assert (rounds, saturated, state.rank()) == (ref[0], ref[1], ref[2].rank()), cap
+        assert counts["apply"] == ref[3]["apply"]
+        assert state.annihilators == ref[2].annihilators
+        assert state.open == ref[2].open
+        assert (closure_mod.extract_fibers(state, state.box)
+                == closure_mod.extract_fibers(ref[2], state.box)), cap
+        cap += 1
+    assert cap > 2
 
 
 # ---------------------------------------------------------------------------

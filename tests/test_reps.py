@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from divalg.linalg import basis_of, span_extend
+from divalg import reps as reps_mod
 from divalg.reps import RepHandle, RepVec, act_matrix, rep_from_config
 
 
@@ -59,7 +60,7 @@ def test_exterior_leibniz_sign():
     # E_31 (e1^e2) = e3^e2 = -e2^e3
     assert act_E(r, 3, 1, e12).coords == (0, 0, -1)
     # E_12 (e1^e2) = e1^e1 = 0
-    assert act_E(r, 1, 2, e12).is_zero()
+    assert not any(act_E(r, 1, 2, e12).coords)
 
 
 def test_identity_scalar_on_exterior():
@@ -71,7 +72,7 @@ def test_identity_scalar_on_exterior():
 def test_act_matrix_zero_and_sum():
     r = RepHandle.natural(2)
     e1 = basis_vector(r, 0)
-    assert act_matrix(r, [[0, 0], [0, 0]], e1).is_zero()
+    assert not any(act_matrix(r, [[0, 0], [0, 0]], e1).coords)
     b = [[0, 1], [1, 0]]  # E_12 + E_21
     assert act_matrix(r, b, e1).coords == (0, 1)
 
@@ -105,7 +106,7 @@ def test_weights():
         for b in range(rep.dim):
             v = basis_vector(rep, b)
             for i, mu in enumerate(weight(rep, b), 1):
-                assert act_E(rep, i, i, v).coords == v.scale(mu).coords
+                assert act_E(rep, i, i, v).coords == tuple(mu * x for x in v.coords)
 
 
 def test_weight_additivity():
@@ -136,9 +137,9 @@ def test_highest_weight_vectors():
                        (RepHandle.symmetric(2, 2), (1, 1))):
         v = basis_vector(rep, rep._index[label])
         for i in range(1, rep.d):
-            assert act_E(rep, i, i + 1, v).is_zero()
+            assert not any(act_E(rep, i, i + 1, v).coords)
     r = RepHandle.natural(3)
-    assert not act_E(r, 1, 2, basis_vector(r, 1)).is_zero()
+    assert any(act_E(r, 1, 2, basis_vector(r, 1)).coords)
 
 
 # -- representation property ----------------------------------------------------
@@ -158,13 +159,14 @@ def test_commutator_relation(rep):
     for _ in range(30):
         v = vec(rep, [rng.randint(-2, 2) for _ in range(rep.dim)])
         i, j, k, l = (rng.randint(1, d) for _ in range(4))
-        lhs = act_E(rep, i, j, act_E(rep, k, l, v)) - act_E(rep, k, l, act_E(rep, i, j, v))
+        lhs = [a - b for a, b in zip(act_E(rep, i, j, act_E(rep, k, l, v)).coords,
+                                     act_E(rep, k, l, act_E(rep, i, j, v)).coords)]
         rhs_coords = [0] * rep.dim
         if j == k:
             rhs_coords = [a + b for a, b in zip(rhs_coords, act_E(rep, i, l, v).coords)]
         if l == i:
             rhs_coords = [a - b for a, b in zip(rhs_coords, act_E(rep, k, j, v).coords)]
-        assert lhs.coords == tuple(rhs_coords)
+        assert lhs == rhs_coords
 
 
 def test_twist_is_conjugation():
@@ -191,9 +193,9 @@ def test_top_exterior_power_is_trivial_as_sl():
     for i in range(1, 4):
         for j in range(1, 4):
             if i != j:
-                assert act_E(r, i, j, v).is_zero()
+                assert not any(act_E(r, i, j, v).coords)
     h = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]  # E_11 - E_22
-    assert act_matrix(r, h, v).is_zero()
+    assert not any(act_matrix(r, h, v).coords)
     assert act_matrix(r, identity(3), v).coords == (3,)
 
 
@@ -233,3 +235,44 @@ def test_rep_from_config():
         rep_from_config(2, {"kind": "exterior", "k": 1, "bogus": 1})
     with pytest.raises(ValueError):
         rep_from_config(2, {"kind": "nope"})
+
+
+def label_cells(rep):
+    """Cells of a built rep's labels: dim times the label length (at least
+    1), plus those of its tensor factors; a twisted rep shares its parent's
+    labels and adds one index entry per label."""
+    if rep.kind == "twisted":
+        return rep.dim + label_cells(rep.params["parent"])
+    width = max(1, len(rep.basis_labels[0]))
+    return rep.dim * width + sum(label_cells(f) for f in rep.params.get("factors", ()))
+
+
+REP_CONFIGS = [
+    (2, {"kind": "natural"}), (3, {"kind": "trivial"}), (4, {"kind": "exterior", "k": 2}),
+    (3, {"kind": "exterior", "k": 3}), (2, {"kind": "symmetric", "m": 5}),
+    (3, {"kind": "symmetric", "m": 3}),
+    (3, {"kind": "tensor", "factors": [{"kind": "natural"}, {"kind": "exterior", "k": 2},
+                                       {"kind": "symmetric", "m": 2}]}),
+    (2, {"kind": "twisted", "l": [2, 3],
+         "inner": {"kind": "tensor", "factors": [{"kind": "natural"}] * 2}}),
+]
+
+
+@pytest.mark.parametrize("d, obj", REP_CONFIGS)
+def test_rep_size_from_closed_forms_matches_the_built_rep(d, obj):
+    build, dim, cells = reps_mod._rep_plan(d, obj, "", 1, None)
+    rep = build()
+    assert (dim, cells) == (rep.dim, label_cells(rep))
+    # the budget admits a rep of exactly its cells and refuses one cell less
+    assert rep_from_config(d, obj, cells).basis_labels == rep.basis_labels
+    with pytest.raises(ValueError, match="budget of"):
+        rep_from_config(d, obj, cells - 1)
+
+
+def test_binomial_stops_over_the_cap():
+    from math import comb
+    for n in range(12):
+        for k in range(n + 1):
+            assert reps_mod._binom(n, k, float("inf")) == comb(n, k)
+            got = reps_mod._binom(n, k, 10)
+            assert got == comb(n, k) if comb(n, k) <= 10 else 10 < got <= comb(n, k)
