@@ -315,6 +315,8 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
              "max_iters", "expect_label"})
     d = _int(config["d"], "d", 1)
     params = ModuleParams(d, _parse_alpha(config["alpha"], d), _parse_rep(config["rep"], d))
+    # each fiber of the closure starts from a dim x dim annihilator
+    _within_budget("rep", params.rep.dim ** 2)
     algebra = config["algebra"]
     gen_radius = _int(config.get("gen_radius", 2), "gen_radius", 0)
     working = _parse_box(config.get("working_box", 3), d, "working_box")

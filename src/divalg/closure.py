@@ -6,43 +6,37 @@ fiber at degree n to a fiber at degree n + shift and is applied only when
 both endpoints lie inside the working box, so the computed space is always a
 subspace of the true submodule's restriction to the box.
 
-The closure is graded when every seed sits at one degree, as every CLI
-config's seeds do.  Every row is then one block ``{degree index: dense
-coordinates}``, a fiber vector, and each block keeps rows spanning the
-annihilator of its vectors, starting from the identity.  As (V^⊥)^⊥ = V over
-any field, a vector lies in the span exactly when the annihilator kills it, so
-no insert needs elimination: a vector the annihilator does not kill is kept as
-it stands, rescaled to a primitive integer row (only the span is tracked), and
-the annihilator is updated from the same dot products.  The frontier thus
-carries each accepted image, not its reduction against the span; after round k
-the span is that of the in-box words of length at most k either way, so rounds
-and fiber bases are the same.  Seeds on several degrees give rows with several
-blocks, kept as an echelon basis by the one elimination routine,
-:func:`divalg.linalg._reduce_into` (a row's pivot is the first nonzero
-coordinate of its lowest degree block), and a fiber such a row touches is
-found by re-elimination.  Every generator is the fiber map of a D(u, r)
-(:func:`divalg.modules.term_map`) or an ``ad t^m``, given as a plain map and,
-on the q side, a per-degree scalar: ``commutator_coeff(q, m, n)`` for ``ad
-t^m``, which is the scalar times the identity, and sigma(r, n) for a twisted
-D(u, r).  A single-block image is the scalar times the plain image, the same
-line, so the scalar is applied only to images with two or more blocks, where
-it can differ from block to block; graded q-closures thus run on the same
-integer rows as the classical ones.
+The modules are Z^d-graded and every seed sits at one degree, as every CLI
+config's seeds do, so the closure is graded: every row is one block
+``{degree index: dense coordinates}``, a fiber vector, and each fiber keeps
+rows spanning the annihilator of its vectors, starting from the identity.  As
+(V^⊥)^⊥ = V over any field, a vector lies in the span exactly when the
+annihilator kills it, so no insert needs elimination: a vector the annihilator
+does not kill is kept as it stands, rescaled to a primitive integer row (only
+the span is tracked), and the annihilator is updated from the same dot
+products.  The frontier thus carries each accepted image, not its reduction
+against the span; after round k the span is that of the in-box words of
+length at most k either way.  Every generator is the fiber map of a D(u, r)
+(:func:`divalg.modules.term_map`) or an ``ad t^m``.  On the q side a
+generator acts on a fiber as a scalar times a plain map: ``commutator_coeff(q,
+m, n)`` times the identity for ``ad t^m``, sigma(r, n) times the plain map for
+a twisted D(u, r).  The image of a fiber vector is then the scalar times the
+plain image, the same line, so the engine applies only the plain map, and
+q-closures run on the same integer rows as the classical ones.
 
 These facts keep the work small without changing any span.  The box's degrees
 are indexed in lexicographic order, so a shift moves an index by a fixed offset
-and a row visits only the shifts that keep all of its blocks inside the box
-(:class:`Neighbours`), found by ANDing per-coordinate bitmasks.  A block whose
-single-degree rows reach the fiber's upper bound is full, so a generator whose
-image lands only in full blocks is skipped before it is applied; the generators
-of one shift are consecutive in the family, so a single-block row checks its
-target block once per shift, and again only after one of that shift's images
-is accepted, the one event that can fill a block.  That bound is ``dim``, or
-the fiber dimension of the wedge submodule W when every seed lies in W
-(:func:`w_bound`): W is invariant under the whole Witt algebra, so the closure
-of such seeds never leaves it.  A row that fills its block empties that
-block's annihilator rather than updating it.  The state counts its open (not
-yet full) blocks, and saturation stops as soon as none is left: every
+and a row visits only the shifts that keep it inside the box
+(:class:`Neighbours`).  A fiber whose rank reaches its upper bound is full, so
+a generator whose image lands in a full fiber is skipped before it is
+applied; the generators of one shift are consecutive in the family, so a row
+checks its target fiber once per shift, and again only after one of that
+shift's images is accepted, the one event that can fill a fiber.  That bound
+is ``dim``, or the fiber dimension of the wedge submodule W when every seed
+lies in W (:func:`w_bound`): W is invariant under the whole Witt algebra, so
+the closure of such seeds never leaves it.  A row that fills its fiber empties
+that fiber's annihilator rather than updating it.  The state counts its open
+(not yet full) fibers, and saturation stops as soon as none is left: every
 generator would be skipped from then on, so the rows still queued would add
 nothing.  And D(u, r) is linear in u, so each degree component of L is
 represented by one basis of its pair terms (:func:`pair_basis`) rather than by
@@ -60,7 +54,7 @@ from itertools import product
 from math import comb, prod
 from operator import and_, mul
 
-from .linalg import SpanBasis, _primitive, _reduce_into, basis_of, same_span
+from .linalg import SpanBasis, _primitive, basis_of, same_span
 from .modules import (GradedVec, ModuleParams, _wedge_power, term_map, w_fiber_basis,
                       w_membership)
 from .witt import DegVec
@@ -130,7 +124,7 @@ class ClosureResult:
 
 
 # ---------------------------------------------------------------------------
-# block-row echelon state
+# graded span state
 # ---------------------------------------------------------------------------
 
 
@@ -146,23 +140,17 @@ def _annihilate(ann: list[list], dots: list) -> list[list]:
 
 
 class SpanState:
-    """The span of block rows over the degrees of a box.
+    """The span of fiber vectors over the degrees of a box.
 
-    ``annihilators[i]`` holds rows spanning the vectors orthogonal to every
-    row supported on block i alone, starting from the identity, and
-    ``fibers[i]`` holds those rows.  ``bound(n)`` is an upper bound on the
+    ``fibers[i]`` holds the primitive rows accepted at degree index i, and
+    ``annihilators[i]`` rows spanning the vectors orthogonal to all of them,
+    starting from the identity.  ``bound(n)`` is an upper bound on the
     dimension at degree n of the submodule being spanned, ``dim`` when none
-    is given.  Block i is full (every image landing in it lies in the span)
-    once its single-block rank meets the bound, and its annihilator is then
-    emptied; the row that fills it skips the annihilator update.  ``open``
-    counts the blocks that are not full, starting from those with a nonzero
-    bound, and is 0 once the whole box is full.
-
-    A ``graded`` state (set by :func:`saturate` when every seed has one
-    block) only ever holds single-block rows, and its annihilators decide
-    every insert.  Otherwise ``rows`` maps each pivot (degree index,
-    coordinate) to its row in an echelon basis, and the annihilators only
-    reject single-block rows before elimination.
+    is given.  Fiber i is full (every image landing in it lies in the span)
+    once its rank meets the bound, and its annihilator is then emptied; the
+    row that fills it skips the annihilator update.  ``open`` counts the
+    fibers that are not full, starting from those with a nonzero bound, and
+    is 0 once the whole box is full.
     """
 
     def __init__(self, box: Box, dim: int, bound=None):
@@ -170,71 +158,53 @@ class SpanState:
         self.dim = dim
         self.deg_list = sorted(box.degrees())
         self.deg_index = {n: i for i, n in enumerate(self.deg_list)}
-        self.graded = False
-        self.rows: dict[tuple[int, int], dict[int, list]] = {}
         self.fibers: list[list[list]] = [[] for _ in self.deg_list]
         self.bound = [dim if bound is None else bound(n) for n in self.deg_list]
-        # rows are never changed in place, so every block can share one identity
+        # rows are never changed in place, so every fiber can share one identity
         identity = [[int(t == b) for t in range(dim)] for b in range(dim)]
         self.annihilators = [identity if b else [] for b in self.bound]
         self.open = sum(1 for b in self.bound if b)
 
     def insert(self, v: dict) -> dict | None:
-        """Add the block row ``v`` to the span; return the row kept for it,
-        or None when ``v`` lies in the span already."""
-        if self.graded:
-            ((i, w),) = v.items()
-            ann = self.annihilators[i]
-            # the identity (no row in block i yet) has the dots w itself
-            dots = w if len(ann) == self.dim else [sum(map(mul, a, w)) for a in ann]
-            if not any(dots):
-                return None
-            row = {i: _primitive(w)}
-        else:
-            v = {i: blk for i, blk in v.items() if any(blk)}
-            if len(v) == 1:
-                ((i, w),) = v.items()
-                ann = self.annihilators[i]
-                if len(ann) < self.dim and not any(sum(map(mul, a, w)) for a in ann):
-                    return None
-            row = _reduce_into(self.rows, v)
-            if row is None or len(row) > 1:
-                return row
-            ((i, w),) = row.items()
-            ann = self.annihilators[i]
-            dots = [sum(map(mul, a, w)) for a in ann]
-        self.fibers[i].append(row[i])
-        # the single-block rank is dim - len(ann) before this row
+        """Add the fiber vector ``v = {i: w}`` at degree index i to the
+        span; return the row ``{i: primitive w}`` kept for it, or None when
+        the annihilator of fiber i kills w, that is, when w lies in the span
+        already."""
+        ((i, w),) = v.items()
+        ann = self.annihilators[i]
+        # the identity (no row in fiber i yet) has the dots w itself
+        dots = w if len(ann) == self.dim else [sum(map(mul, a, w)) for a in ann]
+        if not any(dots):
+            return None
+        row = _primitive(w)
+        self.fibers[i].append(row)
+        # the rank is dim - len(ann) before this row
         if self.dim - len(ann) + 1 < self.bound[i]:
             self.annihilators[i] = _annihilate(ann, dots)
         else:
             self.annihilators[i] = []
             self.open -= 1
-        return row
+        return {i: row}
 
     def rank(self) -> int:
-        return sum(map(len, self.fibers)) if self.graded else len(self.rows)
+        return sum(map(len, self.fibers))
 
 
 class Generator:
-    """A homogeneous operator: fiber at n maps into the fiber at n + shift.
+    """A homogeneous operator: the fiber at n maps into the fiber at n + shift.
 
-    The operator acts on the fiber at n as ``scalar(n)`` times the plain map
-    ``block_apply``; no ``scalar`` means the scalar 1.  ``block_apply(n,
-    coords)`` returns the plain image coordinates (any nonzero multiple is
-    acceptable), or None when the image vanishes identically, and
-    ``scalar(n)`` is asked only where it did not.  A row with a single block
-    has a single-block image, the scalar times a plain image, which spans
-    the same line, so :func:`saturate` applies the scalar only to images
-    with two or more blocks, whose blocks it may scale by different factors.
+    ``block_apply(n, coords)`` returns the image coordinates (any nonzero
+    multiple is acceptable, as only spans are tracked), or None when the
+    image vanishes identically.  An operator that acts on each fiber as a
+    scalar times a plain map, as the q generators do, is given by the plain
+    map: the scalar does not change the line of an image.
     """
 
-    __slots__ = ("shift", "block_apply", "scalar")
+    __slots__ = ("shift", "block_apply")
 
-    def __init__(self, shift: DegVec, block_apply, scalar=None):
+    def __init__(self, shift: DegVec, block_apply):
         self.shift = shift
         self.block_apply = block_apply
-        self.scalar = scalar
 
 
 class Neighbours:
@@ -243,8 +213,8 @@ class Neighbours:
     The box's degrees are indexed in lexicographic order, so the shift at
     position s takes index i to ``i + offsets[s]``, the shift dotted with
     the box strides, whenever the target stays inside the box.  One bitmask
-    per coordinate value marks the shifts that keep that coordinate inside;
-    a degree's mask is their AND and a row's mask the AND over its blocks.
+    per coordinate value marks the shifts that keep that coordinate inside,
+    and a degree's mask is their AND.
     """
 
     def __init__(self, box: Box, shifts: list[DegVec]):
@@ -258,12 +228,10 @@ class Neighbours:
                            for n in box.degrees()]
         self._lists: dict[int, tuple[int, ...]] = {}
 
-    def of(self, blocks) -> tuple[int, ...]:
-        """Indices, in list order, of the shifts that keep every one of the
-        degree indices ``blocks`` inside the box."""
-        mask = -1
-        for i in blocks:
-            mask &= self._deg_masks[i]
+    def of(self, i: int) -> tuple[int, ...]:
+        """Indices, in list order, of the shifts that keep the degree of
+        index i inside the box."""
+        mask = self._deg_masks[i]
         found = self._lists.get(mask)
         if found is None:
             found = self._lists[mask] = tuple(
@@ -275,19 +243,13 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
              max_rounds: int) -> tuple[int, bool]:
     """Worklist saturation; returns (rounds executed, reached fixed point).
 
-    The state is graded when every seed has one block.  Every row newly
-    added to the span is queued, and each queued row is hit once with every
-    generator that keeps all of its blocks inside the box; linearity makes
-    this equivalent to sweeping whole fibers.  A generator
-    whose image would land only in full blocks is skipped unapplied: the
-    image lies in the span already.  A generator's scalar multiplies the
-    blocks of images that have two or more of them.
-
-    Consecutive generators with one shift form a group, applied in list
-    order.  A single-block row checks its target block once per group, and
-    again only after an image is accepted, the one event that can fill a
-    block; a multi-block row, whose targets under different shifts may
-    overlap, checks them before every generator.
+    Every row newly added to the span is queued, and each queued row is hit
+    once with every generator that keeps it inside the box; linearity makes
+    this equivalent to sweeping whole fibers.  Consecutive generators with
+    one shift form a group, applied in list order.  A row checks its target
+    fiber once per group, and again only after an image is accepted, the one
+    event that can fill a fiber; a group whose target is full is skipped
+    unapplied, as its images lie in the span already.
 
     Once ``state.open`` is 0 the round stops taking rows: every generator
     would be skipped.  Rounds and the fixed-point flag stay those of running
@@ -306,7 +268,6 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
     neighbours = Neighbours(state.box, shifts)
     offsets = neighbours.offsets
 
-    state.graded = all(len(v) == 1 for v in seeds)
     frontier = []
     for v in seeds:
         added = state.insert(v)
@@ -319,43 +280,21 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
         next_frontier = []
         for row in frontier:
             if not state.open:
-                break  # every block is full: no generator applies to any row
-            if len(row) == 1:
-                ((i, coords),) = row.items()
-                n = deg_list[i]
-                for s in neighbours.of(row):
-                    j = i + offsets[s]
-                    if not annihilators[j]:
-                        continue  # the target block is full
-                    for gen in groups[s]:
-                        out = gen.block_apply(n, coords)
-                        if out is not None:
-                            added = state.insert({j: out})
-                            if added is not None:
-                                next_frontier.append(added)
-                                if not annihilators[j]:
-                                    break  # this image filled the target block
-                continue
-            for s in neighbours.of(row):
-                off = offsets[s]
+                break  # every fiber is full: no generator applies to any row
+            ((i, coords),) = row.items()
+            n = deg_list[i]
+            for s in neighbours.of(i):
+                j = i + offsets[s]
+                if not annihilators[j]:
+                    continue  # the target fiber is full
                 for gen in groups[s]:
-                    if not any(annihilators[i + off] for i in row):
-                        break  # every target block is full, or has filled since
-                    block_apply = gen.block_apply
-                    image = {}
-                    for i, coords in row.items():
-                        out = block_apply(deg_list[i], coords)
-                        if out is not None:
-                            image[i + off] = out
-                    if gen.scalar is not None and len(image) > 1:
-                        for j, w in image.items():
-                            c = gen.scalar(deg_list[j - off])
-                            if c != 1:
-                                image[j] = [c * x for x in w]
-                    if image:
-                        added = state.insert(image)
+                    out = gen.block_apply(n, coords)
+                    if out is not None:
+                        added = state.insert({j: out})
                         if added is not None:
                             next_frontier.append(added)
+                            if not annihilators[j]:
+                                break  # this image filled the target fiber
         frontier = next_frontier
     return rounds, not frontier
 
@@ -365,34 +304,11 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
 # ---------------------------------------------------------------------------
 
 
-def _constrained_fiber(state: SpanState, n: DegVec) -> list[tuple]:
-    """Vectors of the span supported only at degree n, found by running
-    elimination with the degree-n block ordered last."""
-    at, last = state.deg_index[n], len(state.deg_list)
-    echelon: dict = {}
-    out = []
-    for row in state.rows.values():
-        v = {(last if i == at else i): blk for i, blk in row.items()}
-        added = _reduce_into(echelon, v)
-        # a row led by the last block has no other block
-        if added is not None and min(added) == last:
-            out.append(tuple(added[last]))
-    return out
-
-
 def extract_fibers(state: SpanState, target: Box) -> dict[DegVec, SpanBasis]:
-    """Canonical per-degree bases of the computed span, over the target box.
-
-    Single-block rows are fiber vectors as they stand; a degree that some
-    multi-block row touches is re-eliminated by :func:`_constrained_fiber`.
-    """
-    mixed = {i for row in state.rows.values() if len(row) > 1 for i in row}
-    out: dict[DegVec, SpanBasis] = {}
-    for n in target.degrees():
-        i = state.deg_index[n]
-        vectors = _constrained_fiber(state, n) if i in mixed else state.fibers[i]
-        out[n] = basis_of(vectors, state.dim)
-    return out
+    """Canonical per-degree bases of the computed span, over the target box:
+    the RREF of each fiber's rows."""
+    return {n: basis_of(state.fibers[state.deg_index[n]], state.dim)
+            for n in target.degrees()}
 
 
 def classify(result: ClosureResult, params: ModuleParams) -> Label:
@@ -466,14 +382,13 @@ def unit_generators(params: ModuleParams, r: DegVec) -> list[Generator]:
             for j in range(d)]
 
 
-def pair_generators(params: ModuleParams, r: DegVec, cocycle=None) -> list[Generator]:
+def pair_generators(params: ModuleParams, r: DegVec) -> list[Generator]:
     """D(u, r) for the u of :func:`pair_basis` at a degree r != 0, a basis of
-    the degree-r component of L, at D u as in :func:`unit_generators`, and
-    twisted by ``cocycle`` when one is given: the plain map with the scalar
-    ``cocycle(r, n)``."""
+    the degree-r component of L, at D u as in :func:`unit_generators`.  On
+    the q side they stand for the sigma-twisted D(u, r), sigma(r, n) times
+    these maps on the fiber at n."""
     D = params.alpha_den
-    scalar = None if cocycle is None else lambda n: cocycle(r, n)
-    return [Generator(r, term_map(params, [D * x for x in u], r), scalar)
+    return [Generator(r, term_map(params, [D * x for x in u], r))
             for _, _, u in pair_basis(r)]
 
 
@@ -499,17 +414,19 @@ def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) ->
 
 
 def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[dict]:
-    """Block rows of graded seeds, each degree checked against the working box."""
+    """The one-block row ``{degree index: coords}`` of each seed, which must
+    be nonzero and sit at one degree of the working box."""
     rows = []
     for s in seeds:
         if s.is_zero():
             raise ValueError("zero seed")
-        row = {}
-        for n, coords in s.fibers.items():
-            if not state.box.contains(n):
-                raise ValueError(f"seed degree {n} outside the working box")
-            row[state.deg_index[n]] = list(coords)
-        rows.append(row)
+        if len(s.fibers) > 1:
+            raise ValueError(f"seed on {len(s.fibers)} degrees: the closure takes seeds "
+                             f"at one degree each")
+        ((n, coords),) = s.fibers.items()
+        if not state.box.contains(n):
+            raise ValueError(f"seed degree {n} outside the working box")
+        rows.append({state.deg_index[n]: list(coords)})
     return rows
 
 

@@ -367,35 +367,35 @@ Q_ALGEBRAS = ("Lq", "Lqhat")
 
 def _inner_generator(q: QMatrix, m: DegVec) -> Generator:
     """ad t^m as a closure generator: on the fiber at n it is the scalar
-    ``commutator_coeff(q, m, n)`` times the identity.  The plain map returns
-    w where that scalar is nonzero and None where it is zero; whether it is
-    zero depends only on m and n mod N, so it is read off the matrix's
-    memo of :func:`~divalg.qtorus.commutator_exponents`, without building
-    the scalar."""
+    ``commutator_coeff(q, m, n)`` times the identity, so the image of w is
+    the line of w where that scalar is nonzero and 0 where it is zero.  The
+    map returns w or None accordingly; whether the scalar is zero depends
+    only on m and n mod N, so it is read off the matrix's memo of
+    :func:`~divalg.qtorus.commutator_exponents`, without building it."""
     N = q.N
     m_mod = tuple(x % N for x in m)
 
     def block_apply(n, w):
         return None if commutator_exponents(q, m_mod, tuple(x % N for x in n)) is None else w
-    return Generator(m, block_apply, lambda n: commutator_coeff(q, m, n))
+    return Generator(m, block_apply)
 
 
 def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
                     algebra: str) -> list[Generator]:
     """Inner generators ad t^m off the radical (:func:`_inner_generator`)
-    plus divergence-zero outer generators at radical degrees, the classical
-    pair generators with sigma as their scalar (with the degree derivations
-    for Lqhat)."""
+    plus divergence-zero outer generators at radical degrees (with the
+    degree derivations for Lqhat).  An outer generator acts on the fiber at
+    n as sigma(r, n) times the classical map, so it is given by the
+    classical pair generator, whose images span the same lines."""
     if algebra not in Q_ALGEBRAS:
         raise ValueError(f"algebra must be one of {Q_ALGEBRAS}")
     zero = (0,) * q.d
     gens = unit_generators(params, zero) if algebra == "Lqhat" else []
-    sig = cocycle(q)
     for m in sorted(Box.radius(q.d, gen_radius).degrees()):
         if m == zero:
             continue
         if in_rad(q, m):
-            gens += pair_generators(params, m, sig)
+            gens += pair_generators(params, m)
         else:
             gens.append(_inner_generator(q, m))
     return gens

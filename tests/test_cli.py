@@ -455,6 +455,26 @@ def test_budget_admits_the_large_closures(monkeypatch, config):
         run(config, 0)
 
 
+def _no_span_state(*args):
+    raise AssertionError("a span state was built")
+
+
+def test_rep_over_the_annihilator_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # each fiber of a closure starts from a dim x dim annihilator; exterior
+    # k = 4 at d = 40 (dim 91,390) passes the label budget and a one-degree
+    # working box, but one such identity would hold 8.4e9 entries
+    monkeypatch.setattr("divalg.closure.SpanState", _no_span_state)
+    d, dim = 40, 91390
+    config = {"job": "closure", "algebra": "L", "d": d, "alpha": ["1/2"] * d,
+              "rep": {"kind": "exterior", "k": 4},
+              "seeds": [{"n": [0] * d, "coords": ["1"] + ["0"] * (dim - 1)}],
+              "gen_radius": 0, "working_box": 0, "target_box": 0}
+    path = write_config(tmp_path, "d40.json", config)
+    assert main(["closure", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rep: ") and "budget" in err
+
+
 @pytest.mark.parametrize("algebra", ["L", "W"])
 def test_verify_module_trivial_rep_integral_alpha_exits_0(tmp_path, capsys, algebra):
     # under W the trivial rep is not Lambda^d (they differ by the trace), so
