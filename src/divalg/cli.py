@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from random import Random
 
 from . import verify
-from .closure import Box, closure
+from .closure import Box, Label, classical_shapes, closure
 from .modules import ModuleParams, _wedge_power, graded, trivial_split
-from .qder import Q_ALGEBRAS, ad_annihilation_check, class_of, closure_q, congruence_classes
+from .qder import (Q_ALGEBRAS, ad_annihilation_check, class_of, closure_q, congruence_classes,
+                   q_shapes)
 from .qtorus import (
     QMatrix,
     block_normal_q,
@@ -46,10 +46,6 @@ JOBS = ("verify-algebra", "verify-module", "closure", "qtorus-info")
 # degree of a box times one coordinate kept there) that a job may list.  The
 # d = 5, k = 2 closure at working box 3 lists 16,807 x 10 = 168,070.
 MAX_CELLS = 2_000_000
-
-# The labels the classifiers can give: classify (L, Lhat, W) and classify_q.
-CLASSICAL_LABELS = re.compile(r"Full|W|WPrime\([1-9][0-9]*\)|Other")
-Q_LABELS = ("Full", "GqFull", "Class0", "Other")
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +324,13 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
     if algebra in verify.CLASSICAL_ALGEBRAS:
         _reject(config, ("q",))
         q = None
-        labels_ok = expect is None or CLASSICAL_LABELS.fullmatch(expect)
+        shapes = classical_shapes(params, target)
     elif algebra in Q_ALGEBRAS:
         q = _config_q(config, d)
-        labels_ok = expect is None or expect in Q_LABELS
+        shapes = q_shapes(q, params)
     else:
         raise ConfigError(f"algebra: unknown algebra {algebra!r}")
-    if not labels_ok:
+    if expect is not None and Label.parse(expect, shapes) is None:
         raise ConfigError(f"expect_label: no closure of algebra {algebra!r} is labelled "
                           f"{expect!r}")
     _within_budget("working_box", working.size * params.rep.dim)

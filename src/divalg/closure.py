@@ -48,8 +48,10 @@ do not depend on generator scheduling.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from math import comb, prod
 from operator import and_, mul
@@ -77,10 +79,6 @@ class Box:
     def radius(d: int, r: int) -> "Box":
         return Box((-r,) * d, (r,) * d)
 
-    @staticmethod
-    def around(center, r: int) -> "Box":
-        return Box(tuple(c - r for c in center), tuple(c + r for c in center))
-
     @property
     def d(self) -> int:
         return len(self.lo)
@@ -100,17 +98,28 @@ class Box:
         return product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
 
 
+# A row of a shape table, read by :func:`match`.
+Shape = namedtuple("Shape", "name fiber free counted", defaults=(None, False))
+
+
 @dataclass(frozen=True)
 class Label:
     """Classification of a saturated closure against the known submodules."""
 
-    kind: str  # Full | W | WPrime | Other
-    vprime_dim: int | None = None
+    kind: str  # the name of the first Shape of the table that fits, or Other
+    vprime_dim: int | None = None  # the free rank of a counted Shape
 
     def __str__(self):
-        if self.kind == "WPrime":
-            return f"WPrime({self.vprime_dim})"
-        return self.kind
+        return self.kind if self.vprime_dim is None else f"{self.kind}({self.vprime_dim})"
+
+    @staticmethod
+    def parse(text: str, shapes: list[Shape]) -> "Label | None":
+        """The label printed as ``text``, if a row of ``shapes``, applicable
+        or not, or Other gives it; None otherwise."""
+        m = re.fullmatch(r"(\w+)(?:\(([1-9][0-9]*)\))?", text, re.ASCII)
+        rows = [*shapes, Shape("Other", None)]
+        fits = m and any(s.name == m[1] and s.counted == bool(m[2]) for s in rows)
+        return Label(m[1], m[2] and int(m[2])) if fits else None
 
 
 @dataclass
@@ -311,31 +320,44 @@ def extract_fibers(state: SpanState, target: Box) -> dict[DegVec, SpanBasis]:
             for n in target.degrees()}
 
 
-def classify(result: ClosureResult, params: ModuleParams) -> Label:
-    """Compare saturated fiber bases against the known submodule shapes."""
+def match(result: ClosureResult, shapes: list[Shape]) -> Label:
+    """The label of the first shape that the saturated fiber bases fit, or
+    Other; the one place where fiber bases meet shapes.  A shape has a name,
+    a ``fiber(n)``, the rank (0 or dim) or SpanBasis the fiber at n must have
+    (None for a shape that does not apply), and ``free`` degrees whose fibers
+    may hold anything but not only 0, so a box without one does not fit; a
+    ``counted`` shape's label carries their rank, as WPrime(k)."""
     if not result.saturated:
         raise ValueError("cannot classify an unsaturated closure")
-    dim = params.rep.dim
-    if all(b.rank == dim for b in result.fiber_bases.values()):
-        return Label("Full")
-    k = _wedge_power(params.rep)
-    if k is None:
-        return Label("Other")
-    w_bases = {n: w_fiber_basis(params.d, k, params.alpha, n)
-               for n in result.fiber_bases}
-    if all(same_span(result.fiber_bases[n], w_bases[n]) for n in w_bases):
-        return Label("W")
-    if params.alpha_integral():
-        neg_alpha = tuple(-int(a) for a in params.alpha)
-        if result.target_box.contains(neg_alpha):
-            others_ok = all(
-                same_span(result.fiber_bases[n], w_bases[n])
-                for n in w_bases if n != neg_alpha
-            )
-            extra = result.fiber_bases[neg_alpha].rank
-            if others_ok and extra > 0:
-                return Label("WPrime", extra)
+    for name, fiber, free, counted in (s for s in shapes if s.fiber):
+        free_rank = 0
+        for n, b in result.fiber_bases.items():
+            if free and free(n):
+                free_rank += b.rank
+                continue
+            want = fiber(n)
+            if not (b.rank == want if isinstance(want, int) else same_span(b, want)):
+                break
+        else:
+            if free is None or free_rank:
+                return Label(name, free_rank if counted else None)
     return Label("Other")
+
+
+def classical_shapes(params: ModuleParams, target: Box) -> list[Shape]:
+    """Full; W when the rep has a wedge submodule; WPrime, W off -alpha and free
+    at -alpha, when alpha is integral and -alpha lies in the target box."""
+    dim, k = params.rep.dim, _wedge_power(params.rep)
+    w = None if k is None else cache(lambda n: w_fiber_basis(params.d, k, params.alpha, n))
+    neg = tuple(-int(a) for a in params.alpha) if params.alpha_integral() else None
+    prime = w if neg is not None and target.contains(neg) else None
+    return [Shape("Full", lambda n: dim), Shape("W", w),
+            Shape("WPrime", prime, lambda n: n == neg, counted=True)]
+
+
+def classify(result: ClosureResult, params: ModuleParams) -> Label:
+    """Match saturated fiber bases against the classical shape table."""
+    return match(result, classical_shapes(params, result.target_box))
 
 
 # ---------------------------------------------------------------------------

@@ -62,17 +62,3 @@ def smith_kernel_mod(a, n: int) -> list[list[int]]:
     gens += [[n * (k == i) for k in range(m + d)] for i in range(m)]
     return [row[m:] for row in hermite_normal_form(gens) if not any(row[:m])]
 
-
-def in_lattice(basis: list[list[int]], x) -> bool:
-    """Membership of ``x`` in the row lattice of an HNF ``basis``."""
-    v = list(x)
-    n = len(v)
-    rows = list(basis)
-    for row in rows:
-        col = next(j for j in range(n) if row[j])
-        if v[col] % row[col]:
-            return False
-        q = v[col] // row[col]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)

@@ -107,12 +107,6 @@ def span_contains(b: SpanBasis, v) -> bool:
     return not any(v)
 
 
-def span_extend(b: SpanBasis, vs) -> tuple[SpanBasis, bool]:
-    """RREF basis of span(b, vs); ``grew`` reports a strict rank increase."""
-    out = basis_of(list(b.rows) + list(vs), b.ambient_dim)
-    return out, out.rank > b.rank
-
-
 def same_span(a: SpanBasis, b: SpanBasis) -> bool:
     """Exact subspace equality: RREF is canonical, so the rows agree."""
     return a.ambient_dim == b.ambient_dim and a.rows == b.rows

@@ -35,7 +35,9 @@ from .closure import (
     ClosureResult,
     Generator,
     Label,
+    Shape,
     _close,
+    match,
     pair_generators,
     unit_generators,
 )
@@ -401,25 +403,18 @@ def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
     return gens
 
 
-def classify_q(result: ClosureResult, q: QMatrix, params: ModuleParams) -> Label:
-    """Label the saturated q-closure: Full, the irreducible off-radical
-    complement (GqFull), confinement to class 0 (Class0), or Other."""
-    if not result.saturated:
-        raise ValueError("cannot classify an unsaturated closure")
+def q_shapes(q: QMatrix, params: ModuleParams) -> list[Shape]:
+    """Full; GqFull, the off-radical complement (0 on the radical, dim off it);
+    Class0 for a block-normal q, whose class 0 is the radical: 0 off it, free on it."""
     dim = params.rep.dim
-    dims_rad = {n: b.rank for n, b in result.fiber_bases.items() if in_rad(q, n)}
-    dims_off = {n: b.rank for n, b in result.fiber_bases.items() if not in_rad(q, n)}
-    if all(r == dim for r in dims_rad.values()) and all(r == dim for r in dims_off.values()):
-        return Label("Full")
-    if all(r == 0 for r in dims_rad.values()) and all(r == dim for r in dims_off.values()):
-        return Label("GqFull")
-    l = block_structure(q)
-    if l is not None:
-        zero = (0,) * q.d
-        if all(b.rank == 0 for n, b in result.fiber_bases.items()
-               if class_of(l, n) != zero) and any(r for r in dims_rad.values()):
-            return Label("Class0")
-    return Label("Other")
+    return [Shape("Full", lambda n: dim), Shape("GqFull", lambda n: 0 if in_rad(q, n) else dim),
+            Shape("Class0", None if block_structure(q) is None else lambda n: 0,
+                  lambda n: in_rad(q, n))]
+
+
+def classify_q(result: ClosureResult, q: QMatrix, params: ModuleParams) -> Label:
+    """Match saturated fiber bases against the q shape table."""
+    return match(result, q_shapes(q, params))
 
 
 def closure_q(q: QMatrix, params: ModuleParams, seeds: list[GradedVec], gen_radius: int,

@@ -196,14 +196,6 @@ def torus_mul(q: QMatrix, a: QMonomial, b: QMonomial) -> QMonomial:
     return QMonomial(c, tuple(x + y for x, y in zip(a.n, b.n)))
 
 
-def torus_commutator(q: QMatrix, m, n) -> QMonomial:
-    """[t^m, t^n] = (sigma(m,n) - sigma(n,m)) t^{m+n}; may be zero."""
-    c = commutator_coeff(q, m, n)
-    if c is None:
-        return zero_monomial(q.d)
-    return QMonomial(c, tuple(x + y for x, y in zip(m, n)))
-
-
 def rad_q(q: QMatrix) -> list[list[int]]:
     """HNF basis of Rad_q = {n : f(n, m) = 1 for all m} = ker(k^T mod N),
     as fresh lists; the basis is computed once per matrix."""

@@ -420,9 +420,3 @@ def _zeta(order: int, k: int) -> Cyc:
     """zeta_order**k for 0 <= k < order; shared, which is safe as Cyc is immutable."""
     return _raw(order, _powers(order)[k], 1)
 
-
-def exact_div(a, b):
-    """a / b staying in exact scalars (a Fraction for two ints, never a float)."""
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b

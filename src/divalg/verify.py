@@ -428,24 +428,6 @@ def _row_invariant(terms: tuple, wn: tuple, src: tuple, cols: list, D: int,
         any(img) for _, _, img, _ in _row_images(wn, src, cols, D, [r0]))
 
 
-def wedge_images(params: ModuleParams, gen_radius: int = 2, box_radius: int = 2):
-    """Every image the wedge-invariance suite checks, in its order, on integers.
-
-    For each wedge basis row of the rep's exterior power k at degree n in the
-    box and each D(e_j, r) with r in the generator box and j = 1..d, yields
-    (n, row, r, j, img, w).  img is the fiber at m = n + r of
-    D(e_j, r).(row x t^n), which by the module formula is
-    (alpha + n)_j row + sum_i r_i E_ij row; it is scaled by
-    D lcm(row denominators), with D = lcm(alpha denominators), and
-    w = D (alpha + m), so both are integer.
-    """
-    D = params.alpha_den
-    gens = list(Box.radius(params.d, gen_radius).degrees())
-    for n, row, wn, src, cols in _wedge_rows(params, box_radius):
-        for r, j, img, w in _row_images(wn, src, cols, D, gens):
-            yield n, row, r, j, img, w
-
-
 def w_invariance_suite(params: ModuleParams, gen_radius: int = 2,
                        box_radius: int = 2) -> dict:
     """Exhaustive exact check: every algebra generator maps every wedge-fiber

@@ -211,12 +211,3 @@ def lemma_orthg(m, n, u) -> tuple:
         out[i] -= a * m[j]
     return tuple(out)
 
-
-def jacobi_residual(x, y, z, bracket=None):
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero iff the Jacobi identity holds.
-
-    ``bracket`` defaults to :func:`bracket_witt`, looked up at call time so
-    that a wrapper installed on the module sees these calls too.
-    """
-    bracket = bracket or bracket_witt
-    return bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))

@@ -31,6 +31,7 @@ from divalg.verify import (
     w_invariance_suite,
 )
 from divalg.witt import AlgElem, bracket_witt
+from test_closure import around
 
 F = Fraction
 SEED = 20260809
@@ -121,7 +122,7 @@ def test_criterion_04_integral_alpha_wprime():
         params = ModuleParams(2, alpha, RepHandle.natural(2))
         center = tuple(-a for a in alpha)
         seed = graded(params, center, v)
-        res = closure(params, [seed], 2, Box.around(center, 3), Box.around(center, 1),
+        res = closure(params, [seed], 2, around(center, 3), around(center, 1),
                       60, "L")
         assert res.saturated
         assert res.label.kind == "WPrime" and res.label.vprime_dim == 1, res.label
@@ -168,7 +169,7 @@ def test_criterion_06_rank_one_split():
         center = tuple(-a for a in alpha)
         n0 = (center[0] + 1, center[1])  # alpha + n0 = e1 != 0
         res = closure(params, [graded(params, n0, (1,))], 2,
-                      Box.around(center, 3), Box.around(center, 1), 60, "L")
+                      around(center, 3), around(center, 1), 60, "L")
         assert res.saturated
         assert res.fiber_dims[center] == 0
         assert all(dim == 1 for n, dim in res.fiber_dims.items() if n != center)

@@ -4,7 +4,7 @@ checks against a naive dense fixed point and plain elimination."""
 
 import types
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -13,18 +13,25 @@ import divalg
 
 import divalg.closure as closure_mod
 import divalg.qder as qder_mod
-from divalg.closure import (Box, ClosureResult, Neighbours, SpanState, classical_generators,
-                            classify, closure, pair_basis)
+from divalg.cli import run
+from divalg.closure import (Box, ClosureResult, Label, Neighbours, SpanState,
+                            classical_generators, classify, closure, pair_basis)
 from divalg.linalg import _reduce_into, basis_of, same_span, span_contains
-from divalg.modules import GradedVec, ModuleParams, act, graded, w_fiber_basis, w_membership
-from divalg.qder import QDerElem, act_q, classify_q, closure_q, qder_generators
-from divalg.qtorus import QMatrix, block_normal_q, in_rad
+from divalg.modules import (GradedVec, ModuleParams, _wedge_power, act, graded, w_fiber_basis,
+                            w_membership)
+from divalg.qder import QDerElem, act_q, class_of, classify_q, closure_q, qder_generators
+from divalg.qtorus import QMatrix, block_normal_q, block_structure, in_rad
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
 from divalg.witt import AlgElem, pair_term
 from test_linalg import gauss_jordan
 
 F = Fraction
+
+
+def around(center, r):
+    """The box of radius r around a degree."""
+    return Box(tuple(c - r for c in center), tuple(c + r for c in center))
 
 
 def boxes(d, work=3, tgt=1):
@@ -82,8 +89,8 @@ def test_closure_wprime_offcenter_alpha():
     alpha = (1, -2)
     p = ModuleParams(2, alpha, RepHandle.natural(2))
     center = (-1, 2)
-    work = Box.around(center, 3)
-    tgt = Box.around(center, 1)
+    work = around(center, 3)
+    tgt = around(center, 1)
     res = closure(p, [graded(p, center, (1, 1))], 2, work, tgt, 50, "L")
     assert res.label.kind == "WPrime" and res.label.vprime_dim == 1
     assert res.fiber_bases[center].rows == ((1, 1),)
@@ -408,6 +415,186 @@ def test_q_engine_matches_naive_fixed_point_sigma_twisted(n, coords):
 
 
 # ---------------------------------------------------------------------------
+# the shape-table matcher against the hand-written classifiers it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_classify(result, params):
+    """The classical classifier as written by hand: Full, W, WPrime, Other."""
+    if not result.saturated:
+        raise ValueError("cannot classify an unsaturated closure")
+    dim = params.rep.dim
+    if all(b.rank == dim for b in result.fiber_bases.values()):
+        return Label("Full")
+    k = _wedge_power(params.rep)
+    if k is None:
+        return Label("Other")
+    w_bases = {n: w_fiber_basis(params.d, k, params.alpha, n) for n in result.fiber_bases}
+    if all(same_span(result.fiber_bases[n], w_bases[n]) for n in w_bases):
+        return Label("W")
+    if params.alpha_integral():
+        neg_alpha = tuple(-int(a) for a in params.alpha)
+        if result.target_box.contains(neg_alpha):
+            others_ok = all(same_span(result.fiber_bases[n], w_bases[n])
+                            for n in w_bases if n != neg_alpha)
+            extra = result.fiber_bases[neg_alpha].rank
+            if others_ok and extra > 0:
+                return Label("WPrime", extra)
+    return Label("Other")
+
+
+def ref_classify_q(result, q, params):
+    """The q classifier as written by hand: Full, GqFull, Class0 through the
+    congruence class of each degree, Other."""
+    if not result.saturated:
+        raise ValueError("cannot classify an unsaturated closure")
+    dim = params.rep.dim
+    dims_rad = {n: b.rank for n, b in result.fiber_bases.items() if in_rad(q, n)}
+    dims_off = {n: b.rank for n, b in result.fiber_bases.items() if not in_rad(q, n)}
+    if all(r == dim for r in dims_rad.values()) and all(r == dim for r in dims_off.values()):
+        return Label("Full")
+    if all(r == 0 for r in dims_rad.values()) and all(r == dim for r in dims_off.values()):
+        return Label("GqFull")
+    l = block_structure(q)
+    if l is not None:
+        zero = (0,) * q.d
+        if all(b.rank == 0 for n, b in result.fiber_bases.items()
+               if class_of(l, n) != zero) and any(r for r in dims_rad.values()):
+            return Label("Class0")
+    return Label("Other")
+
+
+def identity(dim):
+    return [[int(a == b) for b in range(dim)] for a in range(dim)]
+
+
+def synthetic_fibers(rng, params, target, region):
+    """Saturated fiber assignments over the target box: each degree gets the
+    zero fiber, the full fiber, the W fiber (for a rep with one) or a random
+    proper subspace.  Every pair of kinds is laid on the two sides of
+    ``region`` (the radical, or -alpha), alone and with one degree changed,
+    and some assignments are random throughout."""
+    dim, k = params.rep.dim, _wedge_power(params.rep)
+    kinds = ["zero", "full"] + ["w"] * (k is not None) + ["proper"] * (dim > 1)
+
+    def fiber(kind, n):
+        if kind == "w":
+            return w_fiber_basis(params.d, k, params.alpha, n)
+        if kind == "zero":
+            return basis_of([], dim)
+        if kind == "full":
+            return basis_of(identity(dim), dim)
+        while True:  # a nonzero proper subspace
+            b = basis_of([[rng.randint(-2, 2) for _ in range(dim)]
+                          for _ in range(rng.randrange(1, dim))], dim)
+            if b.rank:
+                return b
+
+    degrees = sorted(target.degrees())
+    for inside, outside in product(kinds, repeat=2):
+        for changed in (None, rng.choice(degrees), rng.choice(degrees)):
+            yield {n: fiber(rng.choice(kinds) if n == changed
+                            else inside if region(n) else outside, n) for n in degrees}
+    for _ in range(10):
+        yield {n: fiber(rng.choice(kinds), n) for n in degrees}
+
+
+EXT = RepHandle.exterior
+CLASSICAL_MATCH_CASES = {
+    # name: (params, target box, the label kinds the assignments must reach)
+    "d2-natural-nonintegral": (ModuleParams(2, NONINT, NAT2), Box.radius(2, 1),
+                               {"Full", "W", "Other"}),
+    "d2-natural-integral-in": (ModuleParams(2, (1, -2), NAT2), around((-1, 2), 1),
+                               {"Full", "W", "WPrime", "Other"}),
+    "d2-natural-integral-out": (ModuleParams(2, (1, -2), NAT2), Box.radius(2, 1),
+                                {"Full", "W", "Other"}),
+    # on a rep of dim 1 the W fiber off -alpha is the whole fiber, so no
+    # closure is WPrime: Full comes first
+    "d2-exterior2-integral-in": (ModuleParams(2, (0, 0), EXT(2, 2)), Box.radius(2, 1),
+                                 {"Full", "W", "Other"}),
+    "d2-trivial-integral-in": (ModuleParams(2, (0, 1), RepHandle.trivial(2)),
+                               Box.radius(2, 1), {"Full", "W", "Other"}),
+    "d2-symmetric": (ModuleParams(2, (F(1, 2), 0), SYM2), Box.radius(2, 1),
+                     {"Full", "Other"}),
+    "d3-natural-integral-in": (ModuleParams(3, (1, 0, -1), RepHandle.natural(3)),
+                               Box.radius(3, 1), {"Full", "W", "WPrime", "Other"}),
+    "d3-natural-integral-out": (ModuleParams(3, (1, 0, -1), RepHandle.natural(3)),
+                                Box((0, 0, 0), (1, 1, 1)), {"Full", "W", "Other"}),
+    "d3-exterior2-nonintegral": (ModuleParams(3, (F(1, 2), F(1, 3), F(1, 5)), EXT(3, 2)),
+                                 Box.radius(3, 1), {"Full", "W", "Other"}),
+    "d3-exterior2-integral-in": (ModuleParams(3, (0, 0, 0), EXT(3, 2)), Box.radius(3, 1),
+                                 {"Full", "W", "WPrime", "Other"}),
+    "d3-trivial-integral-in": (ModuleParams(3, (0, 0, 0), RepHandle.trivial(3)),
+                               Box.radius(3, 1), {"Full", "W", "Other"}),
+    "d3-symmetric": (ModuleParams(3, (0, 0, 0), RepHandle.symmetric(3, 2)), Box.radius(3, 1),
+                     {"Full", "Other"}),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASSICAL_MATCH_CASES))
+def test_classify_matches_the_hand_written_classifier(name):
+    params, target, kinds = CLASSICAL_MATCH_CASES[name]
+    neg_alpha = tuple(-a for a in params.alpha)
+    seen = set()
+    for fibers in synthetic_fibers(Random(name), params, target, lambda n: n == neg_alpha):
+        result = ClosureResult(target, fibers, {}, None, 1, True)
+        ref = ref_classify(result, params)
+        label = classify(result, params)
+        assert (label.kind, label.vprime_dim) == (ref.kind, ref.vprime_dim), fibers
+        seen.add(ref.kind)
+    assert seen == kinds
+
+
+Q22, Q331 = block_normal_q((2, 2)), block_normal_q((3, 3, 1))
+Q_MATCH_CASES = {
+    # name: (q, params, target box, the label kinds the assignments must reach)
+    "l22-natural": (Q22, ModuleParams(2, NONINT, NAT2), Box.radius(2, 1),
+                    {"Full", "GqFull", "Class0", "Other"}),
+    "l22-natural-no-radical": (Q22, ModuleParams(2, NONINT, NAT2), Box((1, 1), (1, 1)),
+                               {"Full", "Other"}),
+    "l22-natural-radical-only": (Q22, ModuleParams(2, NONINT, NAT2), Box((0, 0), (0, 0)),
+                                 {"Full", "GqFull", "Class0"}),
+    "l22-exterior2": (Q22, ModuleParams(2, NONINT, EXT(2, 2)), Box.radius(2, 1),
+                      {"Full", "GqFull", "Class0", "Other"}),
+    "l331-natural": (Q331, ModuleParams(3, (F(1, 2), F(1, 3), F(1, 5)), RepHandle.natural(3)),
+                     Box.radius(3, 1), {"Full", "GqFull", "Class0", "Other"}),
+    "l331-exterior2-no-radical": (Q331, ModuleParams(3, (F(1, 2), F(1, 3), 0), EXT(3, 2)),
+                                  Box((1, 1, 0), (2, 2, 1)), {"Full", "Other"}),
+    "anticommuting-natural": (ANTICOMMUTING, ANTI_PARAMS, Box.radius(3, 1),
+                              {"Full", "GqFull", "Other"}),
+    "anticommuting-no-radical": (ANTICOMMUTING, ANTI_PARAMS, Box((1, 0, 0), (1, 0, 0)),
+                                 {"Full", "Other"}),
+}
+
+
+@pytest.mark.parametrize("name", list(Q_MATCH_CASES))
+def test_classify_q_matches_the_hand_written_classifier(name):
+    q, params, target, kinds = Q_MATCH_CASES[name]
+    seen = set()
+    for fibers in synthetic_fibers(Random(name), params, target, lambda n: in_rad(q, n)):
+        result = ClosureResult(target, fibers, {}, None, 1, True)
+        ref = ref_classify_q(result, q, params)
+        label = classify_q(result, q, params)
+        assert (label.kind, label.vprime_dim) == (ref.kind, ref.vprime_dim), fibers
+        seen.add(ref.kind)
+    assert seen == kinds
+
+
+def test_class0_needs_a_radical_degree_in_the_target_box():
+    # a target box with no radical degree holds no class-0 fiber, so a
+    # closure that is 0 there is not shown to be confined to class 0: the
+    # Class0 shape's free part belongs to the shape, not to the box
+    config = {"job": "closure", "algebra": "Lq", "d": 2, "alpha": ["1/2", "1/3"],
+              "rep": {"kind": "natural"}, "q": {"l": [2, 2]},
+              "seeds": [{"n": [0, 0], "coords": ["1", "0"]}], "gen_radius": 1,
+              "working_box": 2, "target_box": {"lo": [1, 1], "hi": [1, 1]}}
+    report, code = run(config, 0)
+    assert code == 0
+    assert report["details"]["fiber_dims"] == {"1,1": 0}
+    assert report["details"]["label"] == "Other"
+
+
+# ---------------------------------------------------------------------------
 # in-box neighbours: stride arithmetic against tuple sums
 # ---------------------------------------------------------------------------
 
@@ -435,7 +622,7 @@ def radius_shifts(d, r):
         ModuleParams(3, (F(1, 3), F(1, 5), 0), RepHandle.natural(3)), 2, "Lhat")]),
     (Box.radius(4, 1), radius_shifts(4, 2)),
     # centred on -alpha for the integral twist alpha = (1, -2, 0)
-    (Box.around((-1, 2, 0), 2), radius_shifts(3, 2)),
+    (around((-1, 2, 0), 2), radius_shifts(3, 2)),
     # unequal sides, one of them a single value
     (Box((-1, 0, -3), (2, 0, 1)), radius_shifts(3, 1)),
     (Box((0, -2), (4, 1)), radius_shifts(2, 2)),

@@ -9,7 +9,18 @@ from random import Random
 
 import pytest
 
-from divalg.lattices import hermite_normal_form, in_lattice, smith_kernel_mod
+from divalg.lattices import hermite_normal_form, smith_kernel_mod
+
+
+def in_lattice(basis: list[list[int]], x) -> bool:
+    """Membership of ``x`` in the row lattice of an HNF ``basis``."""
+    v = list(x)
+    for row in basis:
+        col = next(j for j in range(len(v)) if row[j])
+        if v[col] % row[col]:
+            return False
+        v = [a - v[col] // row[col] * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def test_hnf_examples():

@@ -7,7 +7,13 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from divalg.linalg import SpanBasis, basis_of, same_span, span_contains, span_extend
+from divalg.linalg import SpanBasis, basis_of, same_span, span_contains
+
+
+def span_extend(b: SpanBasis, vs) -> tuple[SpanBasis, bool]:
+    """RREF basis of span(b, vs); ``grew`` reports a strict rank increase."""
+    out = basis_of(list(b.rows) + list(vs), b.ambient_dim)
+    return out, out.rank > b.rank
 
 
 def test_rref_proportional_rows():

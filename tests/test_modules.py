@@ -29,7 +29,6 @@ from divalg.verify import (
     act_crosscheck_suite,
     module_suite_classical,
     w_invariance_suite,
-    wedge_images,
 )
 from divalg.witt import AlgElem, bracket_witt, pairing
 
@@ -185,6 +184,21 @@ def test_w_invariance_exact(d, k, alpha):
 
 def _unit(d, j):
     return tuple(1 if t == j else 0 for t in range(1, d + 1))
+
+
+def wedge_images(params: ModuleParams, gen_radius: int, box_radius: int):
+    """Every image the wedge-invariance suite checks, in its order, on integers.
+
+    For each wedge basis row of the rep's exterior power k at degree n in the
+    box and each D(e_j, r) with r in the generator box and j = 1..d, yields
+    (n, row, r, j, img, w).  img is the fiber at m = n + r of
+    D(e_j, r).(row x t^n), scaled by D lcm(row denominators), with D =
+    lcm(alpha denominators), and w = D (alpha + m), so both are integer.
+    """
+    gens = list(Box.radius(params.d, gen_radius).degrees())
+    for n, row, wn, src, cols in divalg.verify._wedge_rows(params, box_radius):
+        for r, j, img, w in divalg.verify._row_images(wn, src, cols, params.alpha_den, gens):
+            yield n, row, r, j, img, w
 
 
 @pytest.mark.parametrize("d,k,alpha", [

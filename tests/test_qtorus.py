@@ -13,6 +13,7 @@ import pytest
 import divalg.qtorus
 from divalg.qtorus import (
     QMatrix,
+    QMonomial,
     block_normal_q,
     block_structure,
     cocycle,
@@ -25,15 +26,22 @@ from divalg.qtorus import (
     sigma,
     sigma_cocycle_residual,
     sigma_exponent,
-    torus_commutator,
     torus_mul,
+    zero_monomial,
 )
 from divalg.closure import Box
 from divalg.scalars import Cyc
 from divalg.verify import qtorus_suite, sample_degree
+from test_lattices import in_lattice
 
 
 Q3 = QMatrix.from_exps(3, [[0, -1], [1, 0]])  # q_21 = zeta_3
+
+
+def torus_commutator(q: QMatrix, m, n) -> QMonomial:
+    """[t^m, t^n] = (sigma(m,n) - sigma(n,m)) t^{m+n}; may be zero."""
+    c = commutator_coeff(q, m, n)
+    return zero_monomial(q.d) if c is None else QMonomial(c, tuple(x + y for x, y in zip(m, n)))
 
 
 def sigma_oracle_exponent(q: QMatrix, m, n) -> int:
@@ -114,8 +122,6 @@ def test_rad_examples():
 
 def test_rad_matches_f_characterization():
     # lattice read off one HNF == the direct f(n, e_i) = 1 test
-    from divalg.lattices import in_lattice
-
     for q in (Q3, block_normal_q((2, 2)), block_normal_q((3, 3, 1))):
         basis = rad_q(q)
         for n in product(range(-3, 4), repeat=q.d):

@@ -6,9 +6,10 @@ from random import Random
 
 import pytest
 
-from divalg.linalg import basis_of, span_extend
+from divalg.linalg import basis_of
 from divalg import reps as reps_mod
 from divalg.reps import RepHandle, RepVec, act_matrix, rep_from_config
+from test_linalg import span_extend
 
 
 def vec(rep, coords):

@@ -13,7 +13,6 @@ from divalg.witt import (
     d_basis,
     in_L,
     in_Lhat,
-    jacobi_residual,
     lemma_orthg,
     pair_term,
     pairing,
@@ -22,6 +21,11 @@ from divalg.witt import (
 
 def D(u, r):
     return AlgElem.term(u, r)
+
+
+def jacobi_residual(x, y, z, bracket=bracket_witt):
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero iff the Jacobi identity holds."""
+    return bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
 
 
 def rational_sample(rng, d, algebra):
