@@ -145,7 +145,11 @@ def term_map(params: ModuleParams, u, r, cocycle=None):
     # (i, j, m): r u^T takes basis vector j to m times basis vector i, plus others
     entries = [(i, j, m) for (i, j), m in sorted(acc.items()) if m]
     num, den = sum(map(mul, u, params.alpha_num)), params.alpha_den
-    ualpha = num // den if not num % den else Fraction(num, den)
+    if isinstance(num, (int, Fraction)):
+        ualpha = num // den if not num % den else Fraction(num, den)
+    else:
+        # a cyclotomic u, from an outer bracket whose cocycle is irrational
+        ualpha = num * Fraction(1, den)
 
     def apply(n, w):
         s = sum(map(mul, u, n)) + ualpha

@@ -43,7 +43,7 @@ from .closure import (
 )
 from .modules import GradedVec, ModuleParams, act, apply_operator, graded, operator
 from .reps import RepHandle
-from .scalars import Cyc
+from .scalars import Cyc, Rat
 from .qtorus import (QMatrix, block_structure, cocycle, commutator_coeff, commutator_exponents,
                      in_rad, sigma_exponent)
 from .witt import AlgElem, DegVec, bracket_witt, in_L, in_Lhat, pairing
@@ -53,19 +53,22 @@ from .witt import AlgElem, DegVec, bracket_witt, in_L, in_Lhat, pairing
 #: bracket at l = (1, ..., 1)).
 OUTER_SIGN = 1
 
+#: An inner coefficient: rational roots of unity and their sums stay ints
+Scalar = int | Rat | Cyc
+
 
 class QDerElem:
     """Finite sum of inner terms (degree outside Rad_q) and outer terms
-    (degree inside Rad_q); the outer part is a classical :class:`AlgElem`."""
+    (degree inside Rad_q); the outer part is a classical :class:`AlgElem`.
+    Inner coefficients are kept as given: int, Fraction or Cyc."""
 
     __slots__ = ("d", "inner", "outer")
 
     def __init__(self, d: int, inner: dict | None = None, outer: AlgElem | dict | None = None):
         self.d = d
-        self.inner: dict[DegVec, Cyc] = {}
+        self.inner: dict[DegVec, Scalar] = {}
         for m, c in (inner or {}).items():
-            c = c if isinstance(c, Cyc) else Cyc.from_rat(c)
-            if not c.is_zero():
+            if c:
                 self.inner[tuple(int(x) for x in m)] = c
         if not isinstance(outer, AlgElem):
             outer = AlgElem(d, outer)
@@ -74,13 +77,13 @@ class QDerElem:
         self.outer = outer
 
     @classmethod
-    def _trusted(cls, d: int, inner: dict[DegVec, Cyc], outer: AlgElem) -> "QDerElem":
+    def _trusted(cls, d: int, inner: dict[DegVec, Scalar], outer: AlgElem) -> "QDerElem":
         """An element from ``inner``, whose keys are already int tuples of
-        length d and whose values are Cyc, and the AlgElem ``outer``; only
-        zero inner coefficients are dropped."""
+        length d, and the AlgElem ``outer``; only zero inner coefficients
+        are dropped."""
         x = object.__new__(cls)
         x.d = d
-        x.inner = {m: c for m, c in inner.items() if not c.is_zero()}
+        x.inner = {m: c for m, c in inner.items() if c}
         x.outer = outer
         return x
 
@@ -147,10 +150,10 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
     x.validate(q)
     y.validate(q)
     sig = cocycle(q)
-    inner: dict[DegVec, Cyc] = {}
+    inner: dict[DegVec, Scalar] = {}
 
-    def add_inner(m: DegVec, c: Cyc) -> None:
-        if c.is_zero():
+    def add_inner(m: DegVec, c: Scalar) -> None:
+        if not c:
             return
         if in_rad(q, m):
             raise ValueError(

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .lattices import smith_kernel_mod
-from .scalars import Cyc
+from .scalars import Cyc, Rat, root
 from .witt import DegVec
 
 
@@ -77,24 +77,24 @@ class QMatrix:
 
 @dataclass(frozen=True)
 class QMonomial:
-    """coeff * t^n; the zero element is coeff == 0 at degree 0."""
+    """coeff * t^n, with coeff an int, Fraction or Cyc as given; the zero
+    element is coeff == 0 at degree 0."""
 
-    coeff: Cyc
+    coeff: int | Rat | Cyc
     n: DegVec
 
     def is_zero(self) -> bool:
-        return self.coeff.is_zero()
+        return not self.coeff
 
 
 def zero_monomial(d: int) -> QMonomial:
-    return QMonomial(Cyc.from_rat(0), (0,) * d)
+    return QMonomial(0, (0,) * d)
 
 
 def monomial(q: QMatrix, n, coeff=1) -> QMonomial:
-    c = coeff if isinstance(coeff, Cyc) else Cyc.from_rat(coeff, q.N)
-    if c.is_zero():
+    if not coeff:
         return zero_monomial(q.d)
-    return QMonomial(c, tuple(int(x) for x in n))
+    return QMonomial(coeff, tuple(int(x) for x in n))
 
 
 def sigma_exponent(q: QMatrix, m, n) -> int:
@@ -123,17 +123,18 @@ def f_exponent(q: QMatrix, m, n) -> int:
     return e % q.N
 
 
-def sigma(q: QMatrix, m, n) -> Cyc:
-    """The multiplication cocycle: t^m t^n = sigma(m, n) t^{m+n}."""
-    return Cyc.zeta(q.N, sigma_exponent(q, m, n))
+def sigma(q: QMatrix, m, n) -> int | Cyc:
+    """The multiplication cocycle: t^m t^n = sigma(m, n) t^{m+n}, as the
+    :func:`~divalg.scalars.root` of its exponent (an int where rational)."""
+    return root(q.N, sigma_exponent(q, m, n))
 
 
 def cocycle(q: QMatrix):
     """sigma as a callable (m, n) -> scalar for a radical m, the ``cocycle``
     argument of :func:`~divalg.witt.bracket_witt` and
-    :func:`~divalg.modules.operator`; it gives the int 1 at exponent 0, so
-    those skip the multiplication, and the int -1 where zeta_N^e = -1
-    (2e = N), so they multiply by an int.
+    :func:`~divalg.modules.operator`; like :func:`sigma` it gives the int 1
+    at exponent 0, so those skip the multiplication, and the int -1 where
+    zeta_N^e = -1 (2e = N), so they multiply by an int.
 
     None when sigma(b, e_i) = 1 for every radical basis row b and every i,
     as for every block-normal q: sigma is bimultiplicative, so it is then 1
@@ -144,14 +145,11 @@ def cocycle(q: QMatrix):
     N = q.N
 
     def sig(m, n):
-        e = sigma_exponent(q, m, n)
-        if not e:
-            return 1
-        return -1 if 2 * e == N else Cyc.zeta(N, e)
+        return root(N, sigma_exponent(q, m, n))
     return sig
 
 
-def commutator_coeff(q: QMatrix, m, n) -> Cyc | None:
+def commutator_coeff(q: QMatrix, m, n) -> int | Cyc | None:
     """sigma(m, n) - sigma(n, m), so that [t^m, t^n] = c t^{m+n}; None when
     it is zero, that is when the two exponents agree mod N.  sigma's
     exponent is bilinear mod N, so this depends only on m and n mod N
@@ -178,13 +176,13 @@ def commutator_exponents(q: QMatrix, m: tuple, n: tuple) -> tuple[int, int] | No
 
 
 @lru_cache(maxsize=1024)
-def _zeta_difference(N: int, e1: int, e2: int) -> Cyc:
-    return Cyc.zeta(N, e1) - Cyc.zeta(N, e2)
+def _zeta_difference(N: int, e1: int, e2: int) -> int | Cyc:
+    return root(N, e1) - root(N, e2)
 
 
-def f_form(q: QMatrix, m, n) -> Cyc:
-    """The commutation form: t^m t^n = f(m, n) t^n t^m."""
-    return Cyc.zeta(q.N, f_exponent(q, m, n))
+def f_form(q: QMatrix, m, n) -> int | Cyc:
+    """The commutation form: t^m t^n = f(m, n) t^n t^m, an int where rational."""
+    return root(q.N, f_exponent(q, m, n))
 
 
 def torus_mul(q: QMatrix, a: QMonomial, b: QMonomial) -> QMonomial:
@@ -278,15 +276,16 @@ def block_structure(q: QMatrix) -> tuple[int, ...] | None:
     return tuple(l)
 
 
-def cocycle_identities_residual(q: QMatrix, m, n, r) -> tuple[Cyc, Cyc]:
-    """(f(m,n) - sigma(m,n)/sigma(n,m),  f(m+n,r) - f(m,r) f(n,r)); both 0."""
-    first = f_form(q, m, n) - sigma(q, m, n) / sigma(q, n, m)
+def cocycle_identities_residual(q: QMatrix, m, n, r) -> tuple:
+    """(f(m,n) - sigma(m,n)/sigma(n,m),  f(m+n,r) - f(m,r) f(n,r)); both 0.
+    The quotient is exact: sigma(m, n) times the root of -e(n, m)."""
+    first = f_form(q, m, n) - sigma(q, m, n) * root(q.N, -sigma_exponent(q, n, m))
     mn = tuple(x + y for x, y in zip(m, n))
     second = f_form(q, mn, r) - f_form(q, m, r) * f_form(q, n, r)
     return first, second
 
 
-def sigma_cocycle_residual(q: QMatrix, m, n, r) -> Cyc:
+def sigma_cocycle_residual(q: QMatrix, m, n, r) -> int | Cyc:
     """sigma(m,n) sigma(m+n,r) - sigma(n,r) sigma(m,n+r); the associativity
     cocycle identity, must vanish."""
     mn = tuple(x + y for x, y in zip(m, n))

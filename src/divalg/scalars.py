@@ -169,11 +169,12 @@ def _normal(num, den: int) -> tuple[tuple[int, ...], int]:
 
 
 def _raw(order: int, num: tuple, den: int) -> "Cyc":
-    """A Cyc from a numerator tuple and denominator already in normal form."""
+    """A Cyc from a numerator tuple and denominator already in normal form,
+    its slots set through their descriptors (Cyc.__setattr__ raises)."""
     c = object.__new__(Cyc)
-    object.__setattr__(c, "order", order)
-    object.__setattr__(c, "num", num)
-    object.__setattr__(c, "den", den)
+    _set_order(c, order)
+    _set_num(c, num)
+    _set_den(c, den)
     return c
 
 
@@ -212,11 +213,14 @@ class Cyc:
             )
         den = lcm(*(c.denominator for c in coeffs))
         num, den = _normal([c.numerator * (den // c.denominator) for c in coeffs], den)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_order(self, order)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Cyc is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Cyc is immutable")
 
     @property
@@ -413,6 +417,20 @@ class Cyc:
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [format_rat(c) for c in self.coeffs]}
+
+
+_set_order, _set_num, _set_den = (Cyc.__dict__[name].__set__ for name in Cyc.__slots__)
+
+
+def root(N: int, e: int) -> "int | Cyc":
+    """zeta_N**e: the int 1 when e = 0 and the int -1 when 2e = N (exponent
+    reduced mod N), where it is rational, and the Cyc :meth:`Cyc.zeta` else."""
+    if N < 1:
+        raise ValueError("order must be a positive integer")
+    e %= N
+    if not e:
+        return 1
+    return -1 if 2 * e == N else Cyc.zeta(N, e)
 
 
 @lru_cache(maxsize=None)

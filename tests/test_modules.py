@@ -25,6 +25,7 @@ from divalg.modules import (
 )
 from divalg.qtorus import QMatrix, block_normal_q, block_structure, cocycle, in_rad, sigma
 from divalg.reps import RepHandle, RepVec, act_matrix
+from divalg.scalars import Cyc
 from divalg.verify import (
     act_crosscheck_suite,
     module_suite_classical,
@@ -419,6 +420,11 @@ def test_term_map_matches_module_formula(rep):
 
         twisted = term_map(params, u, r, sig)(n, w)
         assert twisted is None if zero else twisted == [sig(r, n) * x for x in exact]
+
+        # a cyclotomic u, as an outer bracket with an irrational cocycle gives
+        z = Cyc.zeta(3, trial % 2 + 1)
+        cyc = term_map(params, tuple(z * x for x in u), r)(n, w)
+        assert cyc is None if zero else cyc == [z * x for x in exact]
     assert seen["zero"]
     assert seen["int"] or not seen["integer"]
 

@@ -177,7 +177,7 @@ def test_trusted_results_equal_validated_construction(monkeypatch):
 
     def recording(cls, d, inner, outer):
         x = trusted(cls, d, inner, outer)
-        built.append((x, QDerElem(d, inner, outer), any(c.is_zero() for c in inner.values())))
+        built.append((x, QDerElem(d, inner, outer), any(not c for c in inner.values())))
         return x
 
     monkeypatch.setattr(QDerElem, "_trusted", classmethod(recording))

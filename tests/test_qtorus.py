@@ -19,6 +19,7 @@ from divalg.qtorus import (
     cocycle,
     cocycle_identities_residual,
     commutator_coeff,
+    f_exponent,
     f_form,
     in_rad,
     monomial,
@@ -165,7 +166,8 @@ def test_in_rad_matches_f_formula(monkeypatch, q):
 def test_commutator_coeff_matches_sigma(monkeypatch, q):
     """The remembered coefficients equal sigma(m, n) - sigma(n, m) built
     from the two exponents, also once the memo has filled and been cleared,
-    and zero coefficients are None."""
+    and zero coefficients are None.  A coefficient is an int exactly when
+    both roots are rational (zeta_N^e = +-1)."""
     monkeypatch.setattr(divalg.qtorus, "COMMUTATOR_MEMO_SIZE", 7)
     box = list(product(range(-2, 3), repeat=q.d))
     for _ in range(2):
@@ -176,7 +178,8 @@ def test_commutator_coeff_matches_sigma(monkeypatch, q):
                 if e1 == e2:
                     assert c is None
                 else:
-                    assert c == Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2) and not c.is_zero()
+                    assert c == Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2) and c
+                    assert (type(c) is int) == (2 * e1 % q.N == 2 * e2 % q.N == 0)
                 assert len(q._commutator_memo) <= 7
     assert q == QMatrix(q.d, q.N, q.exps) and hash(q) == hash(QMatrix(q.d, q.N, q.exps))
 
@@ -185,14 +188,26 @@ def test_commutator_coeff_matches_sigma(monkeypatch, q):
                                block_normal_q((3, 3)), Q_MIXED, Q_ANTICOMMUTING],
                          ids=["22", "221", "33", "mixed", "anticommuting"])
 def test_cocycle_is_sigma_with_int_signs(q):
-    """cocycle(q) stands for sigma on Rad_q x Z^d, where its callers call it.
+    """sigma and f_form are zeta_N^e for their exponents e: the int 1 at
+    exponent 0, the int -1 where zeta_N^e = -1, and a Cyc elsewhere.
+    cocycle(q) stands for sigma on Rad_q x Z^d, where its callers call it.
     It is None when sigma is 1 there, as for every block-normal q, and else
-    equals sigma everywhere: the int 1 at exponent 0, the int -1 where
-    zeta_N^e = -1, and a Cyc elsewhere."""
-    # sigma itself stays a Cyc
-    assert isinstance(sigma(q, (1,) * q.d, (0, 1) + (0,) * (q.d - 2)), Cyc)
-    sig = cocycle(q)
+    equals sigma everywhere, by the same rule."""
     box = list(product(range(-2, 3), repeat=q.d))
+
+    def kind(e):
+        return 1 if e == 0 else -1 if 2 * e == q.N else "cyc"
+
+    def follows_rule(c, e):
+        k = kind(e)
+        return c == Cyc.zeta(q.N, e) and (
+            type(c) is int and c == k if k != "cyc" else isinstance(c, Cyc))
+
+    for m in box:
+        for n in box:
+            assert follows_rule(sigma(q, m, n), sigma_exponent(q, m, n))
+            assert follows_rule(f_form(q, m, n), f_exponent(q, m, n))
+    sig = cocycle(q)
     if block_structure(q) is not None:
         assert sig is None
         assert not any(sigma_exponent(q, r, n) for r in box if in_rad(q, r) for n in box)
@@ -201,10 +216,8 @@ def test_cocycle_is_sigma_with_int_signs(q):
     for m in box:
         for n in box:
             c, e = sig(m, n), sigma_exponent(q, m, n)
-            assert c == sigma(q, m, n)
-            kind = 1 if e == 0 else -1 if 2 * e == q.N else "cyc"
-            assert (type(c) is int and c == kind) if kind != "cyc" else isinstance(c, Cyc)
-            seen.add(kind)
+            assert c == sigma(q, m, n) and follows_rule(c, e)
+            seen.add(kind(e))
     assert seen == ({1, -1} if q.N == 2 else {1, "cyc"} if q.N % 2 else {1, -1, "cyc"})
     # sigma is not 1 on the radical, so the cocycle is kept
     assert any(sig(r, n) != 1 for r in box if in_rad(q, r) for n in box)

@@ -20,6 +20,7 @@ from divalg.scalars import (
     euler_phi,
     format_rat,
     parse_rat,
+    root,
 )
 
 
@@ -248,3 +249,35 @@ def test_zeta_is_cached_and_immutable():
     assert Cyc.zeta(12, 5) is Cyc.zeta(12, 17)
     with pytest.raises(AttributeError):
         Cyc.zeta(12, 5).num = (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12])
+def test_root_is_an_int_exactly_where_rational(n):
+    """root(N, e) equals zeta_N^e for every e; it is the int 1 at e = 0 and
+    the int -1 at 2e = N (mod N), and else the shared Cyc.zeta."""
+    for e in range(-2 * n, 2 * n + 1):
+        r = root(n, e)
+        assert r == Cyc.zeta(n, e)
+        if e % n == 0:
+            assert type(r) is int and r == 1
+        elif 2 * e % n == 0:
+            assert type(r) is int and r == -1
+        else:
+            assert r is Cyc.zeta(n, e)
+    with pytest.raises(ValueError):
+        root(0, 1)
+
+
+def test_slots_are_set_once_and_then_frozen():
+    """_raw and __init__ fill the slots through their descriptors; assigning
+    or deleting a slot afterwards still raises, so no caller can empty the
+    shared Cyc.zeta values."""
+    c = Cyc(5, [1, Fraction(1, 2), 0, 3])
+    assert (c.order, c.num, c.den) == (5, (2, 1, 0, 6), 2)
+    for x in (c, Cyc.zeta(5, 2), c * c, -c):
+        for name in Cyc.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(x, name, getattr(x, name))
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+    assert Cyc.zeta(5, 2).num == (0, 0, 1, 0)

@@ -243,7 +243,8 @@ def test_sample_qder_is_six_times_the_rational_sample(algebra):
     for _ in range(200):
         x = sample_qder(rng, q, algebra)
         assert x == ref_sample_qder(ref, q, algebra).scale(6)
-        assert int_coords(x.outer) and all(c.den == 1 for c in x.inner.values())
+        # at N = 2 every root is the int 1 or -1, so the inner coefficients are ints
+        assert int_coords(x.outer) and all(type(c) is int for c in x.inner.values())
         assert rng.getstate() == ref.getstate()
 
 
