@@ -287,6 +287,9 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
             }
     elif algebra in verify.Q_ALGEBRA_NAMES:
         q = _config_q(config, d)
+        # the ad-annihilation check lists the radius-2 box, and the sign
+        # probe walks it until a probe degree turns up
+        _within_budget("d", Box.radius(d, 2).size * params.rep.dim)
         m = verify.module_suite_q(q, params, algebra, pairs, rng, radius)
         suites.append(m)
         suites.append(verify.qtorus_suite(q, pairs, rng))

@@ -3,13 +3,13 @@
 Rationals are plain :class:`fractions.Fraction` values (aliased ``Rat``);
 this module only adds string parsing/formatting for the "p/q" wire format.
 
-:class:`Cyc` is an element of the cyclotomic field Q(zeta_N), stored in the
-power basis ``1, z, ..., z^(phi(N)-1)`` of Q[x]/(Phi_N), where Phi_N is the
-N-th cyclotomic polynomial.  Reducing modulo Phi_N (rather than x^N - 1)
-makes the representation canonical at a fixed order, so equality of values
-is coefficientwise equality after lifting both operands to a common order.
-Arithmetic between different orders lifts to Q(zeta_lcm); the lcm is capped
-(default 360) to keep degrees sane.
+:class:`Cyc` is an element of the cyclotomic field Q(zeta_N) at one order
+N, stored in the power basis ``1, z, ..., z^(phi(N)-1)`` of Q[x]/(Phi_N),
+where Phi_N is the N-th cyclotomic polynomial.  Reducing modulo Phi_N
+(rather than x^N - 1) makes the representation canonical, so equality of
+values is coefficientwise equality.  Every Cyc of a job has the order of
+its q, so nothing lifts between orders: mixing two orders is an error.
+:func:`root` is the q side's one root-of-unity constructor.
 
 All values are immutable and all operations are pure.
 """
@@ -18,20 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 Rat = Fraction
-
-#: Largest root-of-unity order allowed when mixing cyclotomic orders.
-DEFAULT_ORDER_CAP = 360
-
-
-class OrderCapExceeded(ValueError):
-    """Mixing two cyclotomic orders would exceed the configured lcm cap."""
-
-
-class CycDivisionError(ZeroDivisionError):
-    """Division by the zero cyclotomic number."""
 
 
 def parse_rat(s: str | int) -> Fraction:
@@ -105,16 +94,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(rem)
 
 
-def euler_phi(n: int) -> int:
-    """phi(n), as the degree of Phi_n."""
-    return len(cyclotomic_polynomial(n)) - 1
-
-
 @lru_cache(maxsize=None)
 def _powers(n: int) -> tuple[tuple[int, ...], ...]:
     """x^k mod Phi_n as integer rows of length phi(n), for 0 <= k <
-    max(n, 2 phi(n) - 1): every power that a product, an embedding or a
-    Galois conjugate looks up."""
+    max(n, 2 phi(n) - 1): every power that a product or a Galois conjugate
+    looks up."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     row = (1,) + (0,) * (deg - 1)
@@ -148,7 +132,7 @@ def _mul_num(a, b, n: int) -> list[int]:
 
 def _galois(num, k: int, n: int) -> list[int]:
     """sum(num[j] x^(j k)) mod Phi_n: the conjugate zeta_n -> zeta_n^k of a
-    vector at order n, or, with n = k * order, its embedding at order n."""
+    vector at order n."""
     rows = _powers(n)
     out = [0] * len(rows[0])
     for j, x in enumerate(num):
@@ -188,34 +172,26 @@ class Cyc:
 
     The value is ``sum(num[j] z^j) / den`` with integers ``num`` (phi(N) of
     them) and one positive integer ``den``, normalised so that
-    ``gcd(den, *num) == 1``; equal values at one order are therefore equal
-    tuples.  Products reduce modulo the monic integer Phi_N and sums
-    cross-multiply the denominators, so arithmetic stays in Python integers.
-    ``coeffs`` gives the same power-basis coefficients as Fractions.
+    ``gcd(den, *num) == 1``; equal values are therefore equal tuples.
+    Products reduce modulo the monic integer Phi_N and sums cross-multiply
+    the denominators, so arithmetic stays in Python integers.  ``coeffs``
+    gives the same power-basis coefficients as Fractions.
 
-    Mixed arithmetic with ``int`` and ``Fraction`` takes the rational side
-    at the Cyc's own order, so Cyc values drop into generic field code
-    transparently.
+    Values are built by :meth:`zeta` (and ``_raw``/``_cyc``), and every
+    ``Cyc`` of a job has the order N of its q.  Arithmetic and ``==``
+    therefore stay at one order: two different orders raise ``ValueError``
+    rather than lift.  An ``int`` or ``Fraction`` operand is taken at the
+    Cyc's own order, so Cyc values drop into generic ring code.  There is no
+    division operator; :meth:`inverse` stays as the field inverse through
+    the Galois conjugates, which the benchmark's layer tracing resolves by
+    name.
     """
 
     __slots__ = ("order", "num", "den")
-    __hash__ = None  # values at distinct orders may be equal; do not hash
+    __hash__ = None  # equal to ints and Fractions, whose hashes it does not share
 
-    ORDER_CAP = DEFAULT_ORDER_CAP
-
-    def __init__(self, order: int, coeffs):
-        if order < 1:
-            raise ValueError("order must be a positive integer")
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != euler_phi(order):
-            raise ValueError(
-                f"expected {euler_phi(order)} coefficients for order {order}, got {len(coeffs)}"
-            )
-        den = lcm(*(c.denominator for c in coeffs))
-        num, den = _normal([c.numerator * (den // c.denominator) for c in coeffs], den)
-        _set_order(self, order)
-        _set_num(self, num)
-        _set_den(self, den)
+    #: Largest root-of-unity order of a q that the CLI accepts.
+    ORDER_CAP = 360
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
@@ -228,13 +204,6 @@ class Cyc:
         """The power-basis coefficients as Fractions."""
         return tuple(Fraction(x, self.den) for x in self.num)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_rat(x, order: int = 1) -> "Cyc":
-        x = Fraction(x)
-        return _raw(order, (x.numerator,) + (0,) * (euler_phi(order) - 1), x.denominator)
-
     @staticmethod
     def zeta(order: int, k: int = 1) -> "Cyc":
         """zeta_order**k, exponent reduced mod order."""
@@ -242,65 +211,22 @@ class Cyc:
             raise ValueError("order must be a positive integer")
         return _zeta(order, k % order)
 
-    # -- order handling ----------------------------------------------------
-
-    def to_order(self, m: int) -> "Cyc":
-        """Embed into Q(zeta_m); requires order | m."""
-        if m == self.order:
-            return self
-        if m % self.order != 0:
-            raise ValueError(f"cannot embed order {self.order} into order {m}")
-        return _cyc(m, _galois(self.num, m // self.order, m), self.den)
-
-    @staticmethod
-    def _common(a: "Cyc", b: "Cyc") -> tuple["Cyc", "Cyc", int]:
-        m = lcm(a.order, b.order)
-        if m > Cyc.ORDER_CAP:
-            raise OrderCapExceeded(
-                f"lcm of cyclotomic orders {a.order} and {b.order} is {m}, "
-                f"beyond the cap {Cyc.ORDER_CAP}"
-            )
-        return a.to_order(m), b.to_order(m), m
-
-    @staticmethod
-    def _coerce(x) -> "Cyc | None":
-        if isinstance(x, Cyc):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Cyc.from_rat(x)
-        return None
-
-    # -- predicates and accessors ------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def __bool__(self) -> bool:
         return any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def rat(self) -> Fraction:
-        """The value as a Fraction; raises if not rational."""
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
-
-    # -- ring / field operations --------------------------------------------
+    # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Cyc):
-            a, b = self, other
-            if a.order != b.order:
-                a, b, _ = Cyc._common(a, b)
-            da, db = a.den, b.den
+            if self.order != other.order:
+                raise _mixed_orders(self, other)
+            da, db = self.den, other.den
             if da == db:
-                num = [x + y for x, y in zip(a.num, b.num)]
+                num = [x + y for x, y in zip(self.num, other.num)]
             else:
-                num = [x * db + y * da for x, y in zip(a.num, b.num)]
+                num = [x * db + y * da for x, y in zip(self.num, other.num)]
                 da *= db
-            return _cyc(a.order, num, da)
+            return _cyc(self.order, num, da)
         if isinstance(other, (int, Fraction)):
             # the rational p/q is (p, 0, ..., 0) / q at every order
             p, q = other.numerator, other.denominator
@@ -315,25 +241,18 @@ class Cyc:
         return _raw(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        o = Cyc._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = Cyc._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, Cyc):
-            a, b = self, other
-            if a.order != b.order:
-                a, b, _ = Cyc._common(a, b)
-            return _cyc(a.order, _mul_num(a.num, b.num, a.order), a.den * b.den)
+            if self.order != other.order:
+                raise _mixed_orders(self, other)
+            return _cyc(self.order, _mul_num(self.num, other.num, self.order),
+                        self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            # scalar fast path, no order lifting needed
             p = other.numerator
             return _cyc(self.order, [x * p for x in self.num], self.den * other.denominator)
         return NotImplemented
@@ -341,10 +260,10 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        if self.is_zero():
-            raise CycDivisionError("division by zero cyclotomic number")
         n, num = self.order, self.num
-        if self.is_rational():
+        if not any(num):
+            raise ZeroDivisionError("inverse of the zero cyclotomic number")
+        if not any(num[1:]):
             return _cyc(n, (self.den,) + num[1:], num[0])
         # 1/a = prod of the other Galois conjugates of a over the norm of a,
         # an integer since the conjugates of an integral a are integral
@@ -356,54 +275,19 @@ class Cyc:
         norm = _mul_num(num, rest, n)[0]
         return _cyc(n, [self.den * x for x in rest], norm)
 
-    def __truediv__(self, other):
-        o = Cyc._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise CycDivisionError("division by zero cyclotomic number")
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = Cyc._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Cyc.from_rat(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, Cyc):
-            a, b = self, other
-            if a.order != b.order:
-                a, b, _ = Cyc._common(a, b)
-            return a.den == b.den and a.num == b.num
+            if self.order != other.order:
+                raise _mixed_orders(self, other)
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            return (self.is_rational() and self.num[0] == other.numerator
+            return (not any(self.num[1:]) and self.num[0] == other.numerator
                     and self.den == other.denominator)
         return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
 
     # -- presentation --------------------------------------------------------
 
     def __repr__(self):
-        if self.is_rational():
-            return f"Cyc({format_rat(self.rat())})"
         terms = []
         for j, c in enumerate(self.coeffs):
             if not c:
@@ -413,10 +297,15 @@ class Cyc:
             else:
                 z = f"z{self.order}" + (f"^{j}" if j > 1 else "")
                 terms.append(z if c == 1 else f"{format_rat(c)}*{z}")
-        return "Cyc(" + " + ".join(terms) + ")"
+        return "Cyc(" + (" + ".join(terms) or "0") + ")"
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [format_rat(c) for c in self.coeffs]}
+
+
+def _mixed_orders(a: Cyc, b: Cyc) -> ValueError:
+    return ValueError(f"cyclotomic orders {a.order} and {b.order} differ; "
+                      f"a Cyc meets only values of its own order")
 
 
 _set_order, _set_num, _set_den = (Cyc.__dict__[name].__set__ for name in Cyc.__slots__)

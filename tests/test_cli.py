@@ -95,6 +95,16 @@ def test_verify_module_q_records_sign():
     assert report["details"]["ad_annihilation"] is True
 
 
+def test_verify_module_q_d6_checks_ad_annihilation():
+    # the radius-2 box has 15,625 degrees, 15,624 of them off the radical
+    config = {"job": "verify-module", "algebra": "Lq", "d": 6,
+              "alpha": ["1/5", "1/7", "0", "0", "0", "0"], "rep": {"kind": "natural"},
+              "q": {"l": [2, 2, 1, 1, 1, 1]}, "pairs": 5}
+    report, code = run(config, 1)
+    assert code == 0
+    assert report["details"]["ad_annihilation"] is True
+
+
 def test_qtorus_info():
     report, code = run({"job": "qtorus-info", "q": {"N": 3, "exps": [[0, -1], [1, 0]]}}, 0)
     assert code == 0
@@ -389,6 +399,9 @@ def _no_listing(self):
      "degree_radius"),
     ("verify-module", {"job": "verify-module", "algebra": "L", "d": 12,
                        "alpha": ["0"] * 12, "rep": NAT_REP, "pairs": 1}, "d"),
+    ("verify-module", {"job": "verify-module", "algebra": "Lq", "d": 12,
+                       "alpha": ["0"] * 12, "rep": NAT_REP, "q": {"l": [2, 2] + [1] * 10},
+                       "pairs": 1}, "d"),
 ])
 def test_over_budget_config_exits_2_before_listing_a_box(tmp_path, capsys, monkeypatch,
                                                          job, config, named):

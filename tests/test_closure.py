@@ -22,7 +22,6 @@ from divalg.modules import (GradedVec, ModuleParams, _wedge_power, act, graded, 
 from divalg.qder import QDerElem, act_q, class_of, classify_q, closure_q, qder_generators
 from divalg.qtorus import QMatrix, block_normal_q, block_structure, in_rad
 from divalg.reps import RepHandle
-from divalg.scalars import Cyc
 from divalg.witt import AlgElem, pair_term
 from test_linalg import gauss_jordan
 
@@ -349,16 +348,11 @@ def test_engine_matches_naive_fixed_point_d3(coords, max_iters):
     assert_same_closure(res, ref, label)
 
 
-def rational_fibers(v):
-    """The fibers of an ``act_q`` image as Fractions, for ``basis_of``; the
-    q of these tests have N = 2, where every root of unity is +-1."""
-    return {n: tuple(c.rat() if isinstance(c, Cyc) else c for c in w) for n, w in v.fibers.items()}
-
-
 def q_family(q, params, gen_radius, algebra):
     """Every ad t^m off the radical, every pair term at every nonzero radical
     degree and, for Lqhat, the degree derivations, applied through
-    ``act_q``."""
+    ``act_q``; the q of these tests have N = 2, where every root of unity
+    is the int +-1, so the images are rational rows for ``basis_of``."""
     d = q.d
     family = []
     for m in Box.radius(d, gen_radius).degrees():
@@ -370,8 +364,7 @@ def q_family(q, params, gen_radius, algebra):
         else:
             xs = [QDerElem.ad(m)]
         for x in xs:
-            family.append((m, lambda fib, x=x: rational_fibers(
-                act_q(q, x, GradedVec(params, fib)))))
+            family.append((m, lambda fib, x=x: act_q(q, x, GradedVec(params, fib)).fibers))
     return family
 
 

@@ -27,7 +27,7 @@ from divalg.qder import (
     outer_bracket_sign_oracle,
 )
 import divalg.qder
-from divalg.qtorus import QMatrix, block_normal_q, in_rad, sigma
+from divalg.qtorus import QMatrix, block_normal_q, in_rad, sigma, sigma_exponent
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
 from divalg.verify import (
@@ -80,9 +80,9 @@ def test_mixed_bracket_formula():
     # [D(u, r), ad t^s] = (u|s) sigma(r, s) ad t^{r+s}
     u, r, s = (1, -1), (2, 2), (1, 0)
     out = bracket_qder(Q22, QDerElem.douter(u, r), QDerElem.ad(s))
-    assert out.inner == {(3, 2): Cyc.from_rat(1)}  # (u|s) = 1, sigma = 1
+    assert out.inner == {(3, 2): 1}  # (u|s) = 1, sigma = 1
     back = bracket_qder(Q22, QDerElem.ad(s), QDerElem.douter(u, r))
-    assert back.inner == {(3, 2): Cyc.from_rat(-1)}
+    assert back.inner == {(3, 2): -1}
 
 
 def test_bracket_key_constraints():
@@ -229,7 +229,7 @@ def test_act_q_inner():
     v = graded(P22, (1, 0), (1, 0))
     out = act_q(Q22, QDerElem.ad((0, 1)), v)
     # [t^(0,1), t^(1,0)] = (z2 - 1) t^(1,1) = -2 t^(1,1) at order 2
-    assert out.fibers == {(1, 1): (Cyc.from_rat(-2), Cyc.from_rat(0))}
+    assert out.fibers == {(1, 1): (-2, 0)}
 
 
 def test_act_q_inner_kills_radical_degrees():
@@ -384,6 +384,48 @@ def test_ad_annihilation():
         if any(m) and not in_rad(Q22, m)
     )
     assert moved
+
+
+def quadratic_ad_annihilation(q, params, radius=2):
+    """The pairwise form of :func:`ad_annihilation_check`: sigma(m, n) against
+    sigma(n, m) for every off-radical m and radical n of the box, with the
+    same spot check through the module action."""
+    in_rad_q = divalg.qder.in_rad
+    box = Box.radius(q.d, radius)
+    rad_degrees = [n for n in box.degrees() if in_rad_q(q, n)]
+    for m in box.degrees():
+        if in_rad_q(q, m):
+            continue
+        for n in rad_degrees:
+            if sigma_exponent(q, m, n) != sigma_exponent(q, n, m):
+                return False
+        w = graded(params, rad_degrees[0], (1,) * params.rep.dim)
+        if not act_q(q, QDerElem.ad(m), w).is_zero():
+            return False
+    return True
+
+
+def _block_params(l):
+    d = len(l)
+    return ModuleParams(d, (F(1, 5), F(-2, 7), F(1, 3), 0)[:d], RepHandle.natural(d))
+
+
+@pytest.mark.parametrize("l", [(2, 2), (3, 3), (2, 2, 1), (4, 4)])
+def test_ad_annihilation_matches_the_pairwise_check(l):
+    q, params = block_normal_q(l), _block_params(l)
+    assert ad_annihilation_check(q, params) is quadratic_ad_annihilation(q, params) is True
+
+
+@pytest.mark.parametrize("l", [(2, 2), (3, 3), (2, 2, 1)])
+def test_ad_annihilation_fails_on_a_non_radical_degree(monkeypatch, l):
+    # an in_rad that also admits the off-radical degree (1, 1, ...): ad t^e_i
+    # does not commute with t^(1, 1, ...), so both forms must say False
+    q, params = block_normal_q(l), _block_params(l)
+    extra = (1,) * q.d
+    assert not in_rad(q, extra)
+    real = divalg.qder.in_rad
+    monkeypatch.setattr(divalg.qder, "in_rad", lambda q, n: tuple(n) == extra or real(q, n))
+    assert ad_annihilation_check(q, params) is quadratic_ad_annihilation(q, params) is False
 
 
 # -- q-closure -----------------------------------------------------------------------
