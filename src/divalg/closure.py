@@ -7,8 +7,8 @@ both endpoints lie inside the working box, so the computed space is always a
 subspace of the true submodule's restriction to the box.
 
 The modules are Z^d-graded and every seed sits at one degree, as every CLI
-config's seeds do, so the closure is graded: every row is one block
-``{degree index: dense coordinates}``, a fiber vector, and each fiber keeps
+config's seeds do, so the closure is graded: every row is a pair
+``(degree index, dense coordinates)``, a fiber vector, and each fiber keeps
 rows spanning the annihilator of its vectors, starting from the identity.  As
 (V^⊥)^⊥ = V over any field, a vector lies in the span exactly when the
 annihilator kills it, so no insert needs elimination: a vector the annihilator
@@ -51,10 +51,10 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import product
 from math import comb, prod
-from operator import and_, mul
+from operator import mul
 
 from .linalg import SpanBasis, _primitive, basis_of, same_span
 from .modules import (GradedVec, ModuleParams, _wedge_power, term_map, w_fiber_basis,
@@ -174,12 +174,10 @@ class SpanState:
         self.annihilators = [identity if b else [] for b in self.bound]
         self.open = sum(1 for b in self.bound if b)
 
-    def insert(self, v: dict) -> dict | None:
-        """Add the fiber vector ``v = {i: w}`` at degree index i to the
-        span; return the row ``{i: primitive w}`` kept for it, or None when
-        the annihilator of fiber i kills w, that is, when w lies in the span
-        already."""
-        ((i, w),) = v.items()
+    def insert(self, i: int, w: list) -> tuple[int, list] | None:
+        """Add the fiber vector w at degree index i to the span; return the
+        row ``(i, primitive w)`` kept for it, or None when the annihilator of
+        fiber i kills w, that is, when w lies in the span already."""
         ann = self.annihilators[i]
         # the identity (no row in fiber i yet) has the dots w itself
         dots = w if len(ann) == self.dim else [sum(map(mul, a, w)) for a in ann]
@@ -193,7 +191,7 @@ class SpanState:
         else:
             self.annihilators[i] = []
             self.open -= 1
-        return {i: row}
+        return i, row
 
     def rank(self) -> int:
         return sum(map(len, self.fibers))
@@ -223,18 +221,24 @@ class Neighbours:
     position s takes index i to ``i + offsets[s]``, the shift dotted with
     the box strides, whenever the target stays inside the box.  One bitmask
     per coordinate value marks the shifts that keep that coordinate inside,
-    and a degree's mask is their AND.
+    built from the shifts grouped by their value there, and a degree's mask
+    is the AND of its coordinates' masks, formed over their product in the
+    box's order.
     """
 
     def __init__(self, box: Box, shifts: list[DegVec]):
         sides = [b - a + 1 for a, b in zip(box.lo, box.hi)]
         strides = [prod(sides[c + 1:]) for c in range(box.d)]
         self.offsets = [sum(x * t for x, t in zip(s, strides)) for s in shifts]
-        masks = [[sum(1 << g for g, s in enumerate(shifts) if lo <= v + s[c] <= hi)
-                  for v in range(lo, hi + 1)]
-                 for c, (lo, hi) in enumerate(zip(box.lo, box.hi))]
-        self._deg_masks = [reduce(and_, (m[x - lo] for m, x, lo in zip(masks, n, box.lo)))
-                           for n in box.degrees()]
+        self._deg_masks = [-1]  # every shift, at the one degree of Z^0
+        for c, (lo, hi) in enumerate(zip(box.lo, box.hi)):
+            # the shifts by their value x at coordinate c; v + x must stay inside
+            by_value: dict[int, int] = {}
+            for g, s in enumerate(shifts):
+                by_value[s[c]] = by_value.get(s[c], 0) | 1 << g
+            masks = [sum(m for x, m in by_value.items() if lo <= v + x <= hi)
+                     for v in range(lo, hi + 1)]
+            self._deg_masks = [a & m for a in self._deg_masks for m in masks]
         self._lists: dict[int, tuple[int, ...]] = {}
 
     def of(self, i: int) -> tuple[int, ...]:
@@ -248,7 +252,7 @@ class Neighbours:
         return found
 
 
-def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
+def saturate(state: SpanState, seeds: list[tuple[int, list]], generators: list[Generator],
              max_rounds: int) -> tuple[int, bool]:
     """Worklist saturation; returns (rounds executed, reached fixed point).
 
@@ -278,8 +282,8 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
     offsets = neighbours.offsets
 
     frontier = []
-    for v in seeds:
-        added = state.insert(v)
+    for i, w in seeds:
+        added = state.insert(i, w)
         if added is not None:
             frontier.append(added)
 
@@ -287,10 +291,9 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
     while frontier and rounds < max_rounds:
         rounds += 1
         next_frontier = []
-        for row in frontier:
+        for i, coords in frontier:
             if not state.open:
                 break  # every fiber is full: no generator applies to any row
-            ((i, coords),) = row.items()
             n = deg_list[i]
             for s in neighbours.of(i):
                 j = i + offsets[s]
@@ -299,7 +302,7 @@ def saturate(state: SpanState, seeds: list[dict], generators: list[Generator],
                 for gen in groups[s]:
                     out = gen.block_apply(n, coords)
                     if out is not None:
-                        added = state.insert({j: out})
+                        added = state.insert(j, out)
                         if added is not None:
                             next_frontier.append(added)
                             if not annihilators[j]:
@@ -435,9 +438,9 @@ def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) ->
     return gens
 
 
-def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[dict]:
-    """The one-block row ``{degree index: coords}`` of each seed, which must
-    be nonzero and sit at one degree of the working box."""
+def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[tuple[int, list]]:
+    """The row ``(degree index, coords)`` of each seed, which must be nonzero
+    and sit at one degree of the working box."""
     rows = []
     for s in seeds:
         if s.is_zero():
@@ -448,7 +451,7 @@ def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[dict]:
         ((n, coords),) = s.fibers.items()
         if not state.box.contains(n):
             raise ValueError(f"seed degree {n} outside the working box")
-        rows.append({state.deg_index[n]: list(coords)})
+        rows.append((state.deg_index[n], list(coords)))
     return rows
 
 

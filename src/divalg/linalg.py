@@ -6,8 +6,8 @@ primitive integer rows keyed by pivot column, and :func:`basis_of` brings
 that echelon by one back-substitution pass to reduced row-echelon form,
 which is canonical for a given row space, so results never depend on the
 order vectors were fed in.  :func:`_primitive` reads an all-int vector
-without looking for Fraction entries; the closure engine keeps its accepted
-rows in that primitive form.
+without looking for Fraction entries (it tries ``gcd`` first); the closure
+engine keeps its accepted rows in that primitive form.
 """
 
 from __future__ import annotations
@@ -35,11 +35,15 @@ class SpanBasis:
 
 def _primitive(vals: list) -> list:
     """Canonical representative of the ray through a nonzero rational
-    vector: primitive integral with a positive leading entry."""
-    if not all(isinstance(x, int) for x in vals):
+    vector: primitive integral with a positive leading entry.  An all-int
+    vector is read without a type scan: only when ``gcd`` refuses an entry
+    are the denominators cleared."""
+    try:
+        g = gcd(*vals)
+    except TypeError:  # a Fraction entry
         mult = lcm(*(x.denominator for x in vals))
         vals = [int(x * mult) for x in vals]
-    g = gcd(*vals)
+        g = gcd(*vals)
     if next(x for x in vals if x) < 0:
         g = -g
     return vals if g == 1 else [x // g for x in vals]
@@ -50,8 +54,7 @@ def _reduce_into(rows: dict, v: list) -> list | None:
     maps each pivot column to the primitive row whose first nonzero entry
     it is; store and return the primitive form of what is left if it is
     nonzero, else return None."""
-    if not all(isinstance(x, int) for x in v):
-        v = _primitive(v)
+    v = _primitive(v)
     b = 0
     while True:
         b = next((t for t in range(b, len(v)) if v[t]), None)

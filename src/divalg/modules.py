@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from operator import add, mul
 
 from . import witt
@@ -134,16 +134,17 @@ def term_map(params: ModuleParams, u, r, cocycle=None):
     (D u | alpha) is always an integer.
     """
     u, r = tuple(u), tuple(r)
+    table = params.rep._e_structure
+    u_nonzero = [(b, ub) for b, ub in enumerate(u, 1) if ub]
     acc: dict = {}
     for a, ra in enumerate(r, 1):
-        for b, ub in enumerate(u, 1):
-            if ra and ub:
+        if ra:
+            for b, ub in u_nonzero:
                 c = ra * ub
-                for src, terms in params.rep._e_structure(a, b).items():
-                    for dst, m in terms:
-                        acc[dst, src] = acc.get((dst, src), 0) + c * m
+                for dst, src, m in table(a, b):
+                    acc[dst, src] = acc.get((dst, src), 0) + c * m
     # (i, j, m): r u^T takes basis vector j to m times basis vector i, plus others
-    entries = [(i, j, m) for (i, j), m in sorted(acc.items()) if m]
+    entries = [(i, j, m) for (i, j), m in acc.items() if m]
     num, den = sum(map(mul, u, params.alpha_num)), params.alpha_den
     if isinstance(num, (int, Fraction)):
         ualpha = num // den if not num % den else Fraction(num, den)
@@ -250,25 +251,22 @@ def w_fiber_basis(d: int, k: int, alpha, n) -> SpanBasis:
     y -> y ^ (alpha + n) from the (k-1)-st exterior power.
 
     Dimension C(d-1, k-1) when alpha + n != 0, and 0 when alpha + n = 0.
+    The image is spanned on the integer vector D (alpha + n), D the lcm of
+    alpha's denominators, and its RREF basis does not depend on the scale.
     """
     if not 1 <= k <= d:
         raise ValueError(f"k must be in 1..{d}")
     alpha = tuple(Fraction(a) for a in alpha)
-    w = tuple(a + ni for a, ni in zip(alpha, n))
-    labels = tuple(combinations(range(1, d + 1), k))
-    index = {lab: t for t, lab in enumerate(labels)}
-    dim = len(labels)
+    den = lcm(*(a.denominator for a in alpha))
+    w = [a.numerator * (den // a.denominator) + den * ni for a, ni in zip(alpha, n)]
+    dim = comb(d, k)
     if not any(w):
         return basis_of([], dim)
-    vectors = []
-    for s in combinations(range(1, d + 1), k - 1):
-        coords = [Fraction(0)] * dim
-        for j in range(1, d + 1):
-            if j in s or not w[j - 1]:
-                continue
-            sign = -1 if sum(1 for x in s if x > j) % 2 else 1
-            coords[index[tuple(sorted(s + (j,)))]] += sign * w[j - 1]
-        vectors.append(coords)
+    # the image of each basis (k-1)-vector e_s, over the k-subsets T
+    vectors = [[0] * dim for _ in range(comb(d, k - 1))]
+    for T, terms in enumerate(wedge_terms(d, k - 1)):
+        for s, t, sign in terms:
+            vectors[s][T] += sign * w[t]
     return basis_of(vectors, dim)
 
 

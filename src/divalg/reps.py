@@ -32,7 +32,7 @@ class RepHandle:
         self.dim = len(labels)
         self.params = params
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._e_cache: dict[tuple[int, int], dict[int, list[tuple[int, object]]]] = {}
+        self._e_cache: dict[tuple[int, int], tuple[tuple[int, int, object], ...]] = {}
 
     def __repr__(self):
         extra = {k: v for k, v in self.params.items() if k != "parent"}
@@ -82,68 +82,60 @@ class RepHandle:
 
     # -- matrix-unit structure ------------------------------------------------
 
-    def _e_structure(self, i: int, j: int) -> dict[int, list[tuple[int, object]]]:
-        """Action of E_{ij} as a sparse map src index -> [(dst index, coeff)]."""
+    def _e_structure(self, i: int, j: int) -> tuple[tuple[int, int, object], ...]:
+        """Action of E_{ij} as a flat table of ``(dst, src, m)`` triples: E_{ij}
+        takes basis vector src to the sum of m times basis vector dst over the
+        triples of src.  Sources come in index order; the table is built once
+        and kept."""
         key = (i, j)
         cached = self._e_cache.get(key)
         if cached is not None:
             return cached
-        out: dict[int, list[tuple[int, object]]] = {}
+        index = self._index
         if self.kind == "natural":
-            src = self._index.get((j,))
-            if src is not None:
-                out[src] = [(self._index[(i,)], 1)]
+            out = ((index[(i,)], index[(j,)], 1),)
         elif self.kind == "exterior":
-            for idx, lab in enumerate(self.basis_labels):
+            out = []
+            lo, hi = min(i, j), max(i, j)
+            for src, lab in enumerate(self.basis_labels):
                 if j not in lab:
                     continue
                 if i == j:
-                    out[idx] = [(idx, 1)]
-                    continue
-                if i in lab:
-                    continue
-                rest = tuple(x for x in lab if x != j)
-                lo, hi = min(i, j), max(i, j)
-                sign = -1 if sum(1 for x in rest if lo < x < hi) % 2 else 1
-                tgt = tuple(sorted(rest + (i,)))
-                out[idx] = [(self._index[tgt], sign)]
+                    out.append((src, src, 1))
+                elif i not in lab:
+                    rest = tuple(x for x in lab if x != j)
+                    sign = -1 if sum(1 for x in rest if lo < x < hi) % 2 else 1
+                    out.append((index[tuple(sorted(rest + (i,)))], src, sign))
         elif self.kind == "symmetric":
-            for idx, lab in enumerate(self.basis_labels):
+            out = []
+            for src, lab in enumerate(self.basis_labels):
                 c = lab.count(j)
-                if c == 0:
-                    continue
-                if i == j:
-                    out[idx] = [(idx, c)]
-                else:
+                if c:
                     rest = list(lab)
                     rest.remove(j)
-                    tgt = tuple(sorted(rest + [i]))
-                    out[idx] = [(self._index[tgt], c)]
+                    out.append((index[tuple(sorted(rest + [i]))], src, c))
         elif self.kind == "tensor":
+            # each factor's triples by source, for the labels holding it
             factors = self.params["factors"]
-            structs = [f._e_structure(i, j) for f in factors]
-            for idx, lab in enumerate(self.basis_labels):
-                terms: list[tuple[int, object]] = []
+            by_src = [{} for _ in factors]
+            for pos, f in enumerate(factors):
+                for dst, src, m in f._e_structure(i, j):
+                    by_src[pos].setdefault(src, []).append((dst, m))
+            out = []
+            for src, lab in enumerate(self.basis_labels):
                 for pos, f in enumerate(factors):
-                    sub = structs[pos].get(f._index[lab[pos]])
-                    if not sub:
-                        continue
-                    for dst_sub, coeff in sub:
-                        new_lab = lab[:pos] + (f.basis_labels[dst_sub],) + lab[pos + 1 :]
-                        terms.append((self._index[new_lab], coeff))
-                if terms:
-                    out[idx] = terms
+                    for dst, m in by_src[pos].get(f._index[lab[pos]], ()):
+                        new_lab = lab[:pos] + (f.basis_labels[dst],) + lab[pos + 1:]
+                        out.append((index[new_lab], src, m))
         elif self.kind == "trivial":
-            pass
+            out = ()
         elif self.kind == "twisted":
-            parent = self.params["parent"]
-            l = self.params["l"]
+            parent, l = self.params["parent"], self.params["l"]
             scale = Fraction(l[i - 1], l[j - 1])
-            for src, terms in parent._e_structure(i, j).items():
-                out[src] = [(dst, coeff * scale) for dst, coeff in terms]
+            out = [(dst, src, m * scale) for dst, src, m in parent._e_structure(i, j)]
         else:
             raise ValueError(f"unknown rep kind {self.kind!r}")
-        self._e_cache[key] = out
+        self._e_cache[key] = out = tuple(out)
         return out
 
 
@@ -165,19 +157,15 @@ def act_matrix(rep: RepHandle, b, v: RepVec) -> RepVec:
     if len(b) != d or any(len(row) != d for row in b):
         raise ValueError(f"matrix must be {d}x{d}")
     out = [0] * rep.dim
+    coords = v.coords
     for i in range(1, d + 1):
         for j in range(1, d + 1):
             coeff = b[i - 1][j - 1]
             if not coeff:
                 continue
-            struct = rep._e_structure(i, j)
-            for src, c in enumerate(v.coords):
-                if not c:
-                    continue
-                terms = struct.get(src)
-                if not terms:
-                    continue
-                for dst, sc in terms:
+            for dst, src, sc in rep._e_structure(i, j):
+                c = coords[src]
+                if c:
                     out[dst] = out[dst] + coeff * c * sc
     return RepVec(rep, tuple(out))
 

@@ -638,9 +638,9 @@ def work_counters(monkeypatch):
 
     insert = closure_mod.SpanState.insert
 
-    def counted_insert(self, v):
+    def counted_insert(self, i, w):
         counts["insert"] += 1
-        row = insert(self, v)
+        row = insert(self, i, w)
         counts["accepted"] += row is not None
         return row
 
@@ -683,9 +683,9 @@ def test_graded_q_closures_stay_on_integer_rows(name, monkeypatch):
     insert = closure_mod.SpanState.insert
     inserted, accepted = [], []
 
-    def recorded_insert(self, v):
-        inserted.append(v)
-        row = insert(self, v)
+    def recorded_insert(self, i, w):
+        inserted.append((i, w))
+        row = insert(self, i, w)
         if row is not None:
             accepted.append(row)
         return row
@@ -695,4 +695,4 @@ def test_graded_q_closures_stay_on_integer_rows(name, monkeypatch):
     _, code = run(json.loads(json.dumps(config)), 0)
     assert code == 0 and accepted
     for rows in (inserted, accepted):
-        assert not any(isinstance(x, Cyc) for row in rows for blk in row.values() for x in blk)
+        assert not any(isinstance(x, Cyc) for _, w in rows for x in w)

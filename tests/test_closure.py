@@ -641,7 +641,7 @@ def scalar(rng, kind):
 
 
 def insert_sequence(rng, kind, dim, fibers, steps):
-    """Fiber vectors {i: w} that reject often: each fiber draws from a fixed
+    """Fiber vectors (i, w) that reject often: each fiber draws from a fixed
     proper subspace, and later vectors are combinations of earlier ones at
     the same degree."""
     space = {b: [[scalar(rng, kind) for _ in range(dim)] for _ in range(rng.randint(1, dim - 1))]
@@ -657,18 +657,18 @@ def insert_sequence(rng, kind, dim, fibers, steps):
     seq = []
     while len(seq) < steps:
         pick, b = rng.randrange(3), rng.randrange(fibers)
-        earlier = [w for v in seq for i, w in v.items() if i == b]
+        earlier = [w for i, w in seq if i == b]
         if pick == 0:
-            seq.append({b: in_space(b)})
+            seq.append((b, in_space(b)))
         elif pick == 1 or not earlier:
-            seq.append({b: [scalar(rng, kind) for _ in range(dim)]})
+            seq.append((b, [scalar(rng, kind) for _ in range(dim)]))
         else:
             # a combination of earlier vectors, already in the span
             out = [0] * dim
             for w in rng.sample(earlier, min(len(earlier), rng.randint(1, 3))):
                 c = scalar(rng, kind)
                 out = [x + c * y for x, y in zip(out, w)]
-            seq.append({b: out})
+            seq.append((b, out))
     return seq
 
 
@@ -684,12 +684,13 @@ def test_graded_insert_matches_plain_elimination(kind):
         fibers = rng.choice((1, 2, 3))
         state = SpanState(Box.radius(1, 1), dim)
         inserted = [[] for _ in state.deg_list]
-        for v in insert_sequence(rng, kind, dim, fibers, 30):
-            ((i, w),) = v.items()
+        for i, w in insert_sequence(rng, kind, dim, fibers, 30):
             before = len(gauss_jordan(inserted[i], dim)[0])
             inserted[i].append(w)
-            got = state.insert(v)
-            assert (got is None) == (len(gauss_jordan(inserted[i], dim)[0]) == before), (trial, v)
+            got = state.insert(i, w)
+            grew = len(gauss_jordan(inserted[i], dim)[0]) > before
+            assert (got is None) == (not grew), (trial, i, w)
+            assert got is None or got == (i, state.fibers[i][-1])
             rejected += got is None
             ranks = []
             for j, vs in enumerate(inserted):
@@ -742,9 +743,9 @@ def traced_saturate(monkeypatch, state_cls, case, max_rounds):
     gens = [closure_mod.Generator(g.shift, counted_apply(g.block_apply)) for g in gens]
     insert = state.insert
 
-    def counted_insert(v):
+    def counted_insert(i, w):
         counts["insert"] += 1
-        return insert(v)
+        return insert(i, w)
 
     state.insert = counted_insert
     of = Neighbours.of

@@ -1,13 +1,15 @@
 """Exact RREF, span membership, and incremental span extension, with a
-differential check against plain Gauss-Jordan over int and Fraction rows."""
+differential check against plain Gauss-Jordan over int and Fraction rows,
+and the primitive form of a row against its lcm/gcd definition."""
 
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from divalg.linalg import SpanBasis, basis_of, same_span, span_contains
+from divalg.linalg import SpanBasis, _primitive, basis_of, same_span, span_contains
 
 
 def span_extend(b: SpanBasis, vs) -> tuple[SpanBasis, bool]:
@@ -102,6 +104,42 @@ def test_rref_canonical_under_permutation(rows):
     b2 = basis_of(list(reversed(rows)), 3)
     assert b1.rows == b2.rows
     assert same_span(b1, b2)
+
+
+def primitive_reference(vals):
+    """The primitive integral vector with a positive leading entry on the ray
+    of ``vals``, spelled out: scale by the lcm of the denominators, divide by
+    the gcd of the numerators, and flip the sign if the first nonzero entry
+    is negative."""
+    fracs = [Fraction(x) for x in vals]
+    mult = lcm(*(x.denominator for x in fracs))
+    ints = [x.numerator * (mult // x.denominator) for x in fracs]
+    g = gcd(*ints)
+    sign = -1 if next(x for x in ints if x) < 0 else 1
+    return [sign * (x // g) for x in ints]
+
+
+int_entries = st.integers(min_value=-60, max_value=60)
+fraction_entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+# Fractions of denominator 1, which gcd refuses although they are integers
+whole_fractions = int_entries.map(Fraction)
+entries = st.one_of(int_entries, fraction_entries, whole_fractions)
+
+
+@given(st.one_of(st.lists(int_entries, min_size=1, max_size=6),
+                 st.lists(fraction_entries, min_size=1, max_size=6),
+                 st.lists(entries, min_size=1, max_size=6)).filter(any))
+@example([-4, 6, 0])                                  # all int, negative leading entry
+@example([0, -6, 9, 3])                               # leading zero, then negative
+@example([Fraction(-3, 2), Fraction(5, 4)])           # all Fraction
+@example([Fraction(4), Fraction(-6), Fraction(2)])    # Fractions of denominator 1
+@example([0, Fraction(-2), 4, Fraction(1, 3)])        # mixed, negative leading entry
+@example([7])
+def test_primitive_matches_the_lcm_gcd_reference(vals):
+    out = _primitive(list(vals))
+    assert out == primitive_reference(vals)
+    assert all(type(x) is int for x in out)
+    assert gcd(*out) == 1 and next(x for x in out if x) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -543,7 +543,7 @@ def test_w_invariance_falls_back_on_a_perturbed_rep():
     # E_12 e_2 = 2 e_1: no longer a representation, so wedge rows fail their
     # certificate and the check-by-check loop reports the violations
     rep = RepHandle.natural(3)
-    rep._e_cache[1, 2] = {1: [(0, 2)]}
+    rep._e_cache[1, 2] = ((0, 1, 2),)
     p = ModuleParams(3, (F(1, 3), F(-1, 5), 0), rep)
     out = w_invariance_suite(p, gen_radius=1, box_radius=1)
     checks, violations, (n, row, r, j) = _naive_w_invariance(p, 1, 1, 1)

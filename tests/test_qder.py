@@ -428,6 +428,18 @@ def test_ad_annihilation_fails_on_a_non_radical_degree(monkeypatch, l):
     assert ad_annihilation_check(q, params) is quadratic_ad_annihilation(q, params) is False
 
 
+def test_ad_annihilation_walks_the_box_once(monkeypatch):
+    # one in_rad per degree of the radius-2 box, and no act_q, which would
+    # validate each off-radical ad t^m again
+    l = (2, 2, 1)
+    q, params = block_normal_q(l), _block_params(l)
+    real, seen = divalg.qder.in_rad, []
+    monkeypatch.setattr(divalg.qder, "in_rad", lambda q, n: seen.append(tuple(n)) or real(q, n))
+    monkeypatch.setattr(divalg.qder, "act_q", lambda *args: pytest.fail("act_q ran"))
+    assert ad_annihilation_check(q, params)
+    assert seen == list(Box.radius(3, 2).degrees())
+
+
 # -- q-closure -----------------------------------------------------------------------
 
 def test_closure_q_gq_full():

@@ -200,6 +200,126 @@ def test_top_exterior_power_is_trivial_as_sl():
     assert act_matrix(r, identity(3), v).coords == (3,)
 
 
+# -- the flat matrix-unit table against the dict form ---------------------------
+
+def dict_structure(rep, i, j):
+    """E_{ij} as the sparse map src index -> [(dst index, coeff)], built from
+    the basis labels: the form the flat table replaced, kept as its
+    reference."""
+    index, out = rep._index, {}
+    if rep.kind == "natural":
+        out[index[(j,)]] = [(index[(i,)], 1)]
+    elif rep.kind == "exterior":
+        for idx, lab in enumerate(rep.basis_labels):
+            if j not in lab:
+                continue
+            if i == j:
+                out[idx] = [(idx, 1)]
+                continue
+            if i in lab:
+                continue
+            rest = tuple(x for x in lab if x != j)
+            lo, hi = min(i, j), max(i, j)
+            sign = -1 if sum(1 for x in rest if lo < x < hi) % 2 else 1
+            out[idx] = [(index[tuple(sorted(rest + (i,)))], sign)]
+    elif rep.kind == "symmetric":
+        for idx, lab in enumerate(rep.basis_labels):
+            c = lab.count(j)
+            if c == 0:
+                continue
+            rest = list(lab)
+            rest.remove(j)
+            out[idx] = [(index[tuple(sorted(rest + [i]))], c)]
+    elif rep.kind == "tensor":
+        factors = rep.params["factors"]
+        structs = [dict_structure(f, i, j) for f in factors]
+        for idx, lab in enumerate(rep.basis_labels):
+            terms = []
+            for pos, f in enumerate(factors):
+                for dst_sub, coeff in structs[pos].get(f._index[lab[pos]], ()):
+                    new_lab = lab[:pos] + (f.basis_labels[dst_sub],) + lab[pos + 1:]
+                    terms.append((index[new_lab], coeff))
+            if terms:
+                out[idx] = terms
+    elif rep.kind == "twisted":
+        l = rep.params["l"]
+        scale = Fraction(l[i - 1], l[j - 1])
+        for src, terms in dict_structure(rep.params["parent"], i, j).items():
+            out[src] = [(dst, coeff * scale) for dst, coeff in terms]
+    return out
+
+
+def table_matrix(rep, i, j):
+    """E_{ij} as a dense matrix, read from the flat table."""
+    mat = [[0] * rep.dim for _ in range(rep.dim)]
+    for dst, src, m in rep._e_structure(i, j):
+        mat[dst][src] += m
+    return mat
+
+
+def label_degree(lab):
+    """How many indices a basis label holds, summed over the factors of a
+    tensor label."""
+    return sum(map(label_degree, lab)) if lab and isinstance(lab[0], tuple) else len(lab)
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+TABLE_REPS = [
+    RepHandle.natural(3),
+    RepHandle.exterior(4, 2),
+    RepHandle.exterior(3, 3),
+    RepHandle.symmetric(3, 2),
+    RepHandle.trivial(3),
+    RepHandle.tensor([RepHandle.natural(3), RepHandle.exterior(3, 2)]),
+    RepHandle.tensor([RepHandle.natural(2)] * 3),
+    RepHandle.twisted(RepHandle.exterior(3, 2), (2, 3, 1)),
+    RepHandle.twisted(RepHandle.tensor([RepHandle.natural(2), RepHandle.symmetric(2, 2)]),
+                      (3, 1)),
+]
+
+
+def table_rep_id(rep):
+    return f"{rep.kind}-d{rep.d}-dim{rep.dim}"
+
+
+@pytest.mark.parametrize("rep", TABLE_REPS, ids=table_rep_id)
+def test_flat_table_matches_the_dict_form(rep):
+    units = [(i, j) for i in range(1, rep.d + 1) for j in range(1, rep.d + 1)]
+    for i, j in units:
+        table = rep._e_structure(i, j)
+        assert rep._e_structure(i, j) is table  # built once and kept
+        by_src = {}
+        for dst, src, m in table:
+            by_src.setdefault(src, []).append((dst, m))
+        assert by_src == dict_structure(rep, i, j), (i, j)
+        srcs = [src for _, src, _ in table]
+        assert srcs == sorted(srcs)
+        twisted = rep.kind == "twisted"
+        assert all(type(m) is (Fraction if twisted else int) for _, _, m in table)
+
+
+@pytest.mark.parametrize("rep", TABLE_REPS, ids=table_rep_id)
+def test_flat_table_satisfies_every_gl_relation(rep):
+    # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj, on every quadruple
+    d, dim = rep.d, rep.dim
+    mats = {(i, j): table_matrix(rep, i, j) for i in range(1, d + 1) for j in range(1, d + 1)}
+    for (i, j), a in mats.items():
+        for (k, l), b in mats.items():
+            ab, ba = matmul(a, b), matmul(b, a)
+            want = [[int(j == k) * x - int(l == i) * y
+                     for x, y in zip(r1, r2)] for r1, r2 in zip(mats[i, l], mats[k, j])]
+            got = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+            assert got == want, (i, j, k, l)
+    # and the table is not all zero: the identity acts by the label degree
+    degree = label_degree(rep.basis_labels[0])
+    ident = [[sum(mats[i, i][a][b] for i in range(1, d + 1)) for b in range(dim)]
+             for a in range(dim)]
+    assert ident == [[degree * (a == b) for b in range(dim)] for a in range(dim)]
+
+
 # -- irreducibility: the cyclic span of any seed -----------------------------------
 
 @pytest.mark.parametrize("rep,seed,expect", [
