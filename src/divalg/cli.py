@@ -208,6 +208,12 @@ def _parse_elements(raw, d: int) -> list:
     return out
 
 
+def _min_radius(algebra: str) -> int:
+    """The least ``degree_radius``: 0 for W, whose samples may sit at degree
+    0, and 1 for the others, which draw nonzero degrees from the box."""
+    return 0 if algebra == "W" else 1
+
+
 def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
     _strict(config, "config",
             {"job", "algebra"},
@@ -221,7 +227,7 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
         if "d" not in config:
             raise ConfigError("config: classical algebras need the field 'd'")
         d = _int(config["d"], "d", 1)
-        radius = _int(config.get("degree_radius", 3), "degree_radius", 0)
+        radius = _int(config.get("degree_radius", 3), "degree_radius", _min_radius(algebra))
         # the pair-span suite lists every degree of its box
         _within_budget("degree_radius", Box.radius(d, min(radius, 2)).size * d)
         suites.append(verify.lie_suite_classical(d, algebra, triples, rng, radius))
@@ -244,7 +250,7 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
     elif algebra in verify.Q_ALGEBRA_NAMES:
         _reject(config, ("d", "elements"))
         q = _config_q(config)
-        radius = _int(config.get("degree_radius", 2), "degree_radius", 0)
+        radius = _int(config.get("degree_radius", 2), "degree_radius", _min_radius(algebra))
         suites.append(verify.lie_suite_q(q, algebra, triples, rng, radius))
     else:
         raise ConfigError(f"algebra: unknown algebra {algebra!r}")
@@ -262,7 +268,7 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
     params = ModuleParams(d, _parse_alpha(config["alpha"], d), _parse_rep(config["rep"], d))
     algebra = config["algebra"]
     pairs = _int(config.get("pairs", 200), "pairs", 0)
-    radius = _int(config.get("degree_radius", 2), "degree_radius", 0)
+    radius = _int(config.get("degree_radius", 2), "degree_radius", _min_radius(algebra))
     suites = []
     extras: dict = {}
     if algebra in verify.CLASSICAL_ALGEBRAS:
@@ -466,11 +472,6 @@ def _dims_grid(fiber_dims: dict[str, int]) -> list[str]:
         return ["(empty target box)"]
     d = len(degs[0])
     lines = []
-    if d == 1:
-        xs = sorted(n[0] for n in degs)
-        lines.append("n:    " + "  ".join(f"{x:3d}" for x in xs))
-        lines.append("dim:  " + "  ".join(f"{fiber_dims[str(x)]:3d}" for x in xs))
-        return lines
     tails = sorted({n[2:] for n in degs})
     xs = sorted({n[0] for n in degs})
     ys = sorted({n[1] for n in degs}, reverse=True)

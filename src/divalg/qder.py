@@ -44,8 +44,7 @@ from .closure import (
 from .modules import GradedVec, ModuleParams, act, apply_operator, operator
 from .reps import RepHandle
 from .scalars import Cyc, Rat
-from .qtorus import (QMatrix, block_structure, cocycle, commutator_coeff, commutator_exponents,
-                     in_rad, sigma_exponent)
+from .qtorus import QMatrix, block_structure, cocycle, commutator_coeff, in_rad, sigma_exponent
 from .witt import AlgElem, DegVec, bracket_witt, in_L, in_Lhat, pairing
 
 #: Global sign of the outer-outer bracket; +1 is the convention validated by
@@ -380,14 +379,18 @@ def _inner_generator(q: QMatrix, m: DegVec) -> Generator:
     """ad t^m as a closure generator: on the fiber at n it is the scalar
     ``commutator_coeff(q, m, n)`` times the identity, so the image of w is
     the line of w where that scalar is nonzero and 0 where it is zero.  The
-    map returns w or None accordingly; whether the scalar is zero depends
-    only on m and n mod N, so it is read off the matrix's memo of
-    :func:`~divalg.qtorus.commutator_exponents`, without building it."""
+    map returns w or None accordingly, without building the scalar: it is
+    nonzero exactly when f(m, n) = sigma(m, n) / sigma(n, m) is not 1, that
+    is when sum_i c_i n_i is not 0 mod N, for the form c_i = (column i of k)
+    . m mod N, built once per m from the matrix's column table."""
     N = q.N
-    m_mod = tuple(x % N for x in m)
+    form = tuple((i, c) for i, col in q._k_cols if (c := sum(k * m[j] for j, k in col) % N))
 
     def block_apply(n, w):
-        return None if commutator_exponents(q, m_mod, tuple(x % N for x in n)) is None else w
+        s = 0
+        for i, c in form:
+            s += c * n[i]
+        return w if s % N else None
     return Generator(m, block_apply)
 
 

@@ -23,21 +23,17 @@ from .scalars import Cyc, Rat, root
 from .witt import DegVec
 
 
-#: Most degrees whose radical membership one matrix remembers
-RAD_MEMO_SIZE = 4096
-#: Most residue pairs (m mod N, n mod N) whose commutator one matrix remembers
-COMMUTATOR_MEMO_SIZE = 4096
-
-
 @dataclass(frozen=True)
 class QMatrix:
     """Commutation matrix q_ij = zeta_N^{exps[i][j]}.
 
     Each instance keeps, outside the fields (so equality and hashing ignore
     them), the nonzero exponents k_ji (i < j) that :func:`sigma_exponent`
-    sums, bounded memos of :func:`in_rad` answers and of the commutator
-    exponents of :func:`commutator_coeff` and, once :func:`cocycle` asks,
-    whether sigma is 1 on Rad_q x Z^d.
+    sums; the column table ``_k_cols``, which lists each column i of k with
+    an entry nonzero mod N as ``(i, ((j, k_ji mod N), ...))`` over those
+    entries only, and from which :func:`in_rad`, :func:`f_exponent` and the
+    closure's ``ad t^m`` generators read the form f(m, n) = m^T k n; and,
+    once :func:`cocycle` asks, whether sigma is 1 on Rad_q x Z^d.
     """
 
     d: int
@@ -60,8 +56,9 @@ class QMatrix:
         object.__setattr__(self, "_sigma_terms", tuple(
             (i, j, self.exps[j][i]) for i in range(self.d) for j in range(i + 1, self.d)
             if self.exps[j][i]))
-        object.__setattr__(self, "_rad_memo", {})
-        object.__setattr__(self, "_commutator_memo", {})
+        cols = ((i, tuple((j, k) for j in range(self.d) if (k := self.exps[j][i] % self.N)))
+                for i in range(self.d))
+        object.__setattr__(self, "_k_cols", tuple(c for c in cols if c[1]))
 
     @cached_property
     def _sigma_trivial(self) -> bool:
@@ -108,18 +105,15 @@ def sigma_exponent(q: QMatrix, m, n) -> int:
 
 
 def f_exponent(q: QMatrix, m, n) -> int:
-    """Exponent of zeta_N in f(m, n) = sigma(m, n)/sigma(n, m): m^T k n mod N."""
+    """Exponent of zeta_N in f(m, n) = sigma(m, n)/sigma(n, m): m^T k n mod N,
+    the sum of n_i times (column i of k) . m over the column table."""
     if len(m) != q.d or len(n) != q.d:
         raise ValueError("degree dimension mismatch")
     e = 0
-    for i in range(q.d):
-        mi = m[i]
-        if not mi:
-            continue
-        row = q.exps[i]
-        for j in range(q.d):
-            if row[j] and n[j]:
-                e += mi * row[j] * n[j]
+    for i, col in q._k_cols:
+        if n[i]:
+            for j, k in col:
+                e += n[i] * k * m[j]
     return e % q.N
 
 
@@ -151,28 +145,10 @@ def cocycle(q: QMatrix):
 
 def commutator_coeff(q: QMatrix, m, n) -> int | Cyc | None:
     """sigma(m, n) - sigma(n, m), so that [t^m, t^n] = c t^{m+n}; None when
-    it is zero, that is when the two exponents agree mod N.  sigma's
-    exponent is bilinear mod N, so this depends only on m and n mod N
-    (:func:`commutator_exponents`), and each coefficient is built once per
-    exponent pair."""
-    N = q.N
-    e = commutator_exponents(q, tuple(x % N for x in m), tuple(x % N for x in n))
-    return None if e is None else _zeta_difference(N, *e)
-
-
-def commutator_exponents(q: QMatrix, m: tuple, n: tuple) -> tuple[int, int] | None:
-    """The exponents of sigma(m, n) and sigma(n, m) for degrees m and n
-    already reduced mod N, or None when they agree; the answer is remembered
-    per matrix, for at most COMMUTATOR_MEMO_SIZE residue pairs."""
-    key = (m, n)
-    memo = q._commutator_memo
-    if key in memo:
-        return memo[key]
+    it is zero, that is when the two exponents agree mod N.  Each
+    coefficient is built once per exponent pair."""
     e1, e2 = sigma_exponent(q, m, n), sigma_exponent(q, n, m)
-    if len(memo) >= COMMUTATOR_MEMO_SIZE:
-        memo.clear()
-    hit = memo[key] = None if e1 == e2 else (e1, e2)
-    return hit
+    return None if e1 == e2 else _zeta_difference(q.N, e1, e2)
 
 
 @lru_cache(maxsize=1024)
@@ -207,18 +183,16 @@ def _rad_basis(q: QMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def in_rad(q: QMatrix, n) -> bool:
-    """Membership in Rad_q, directly via f(n, e_i) = 1 for all i; the
-    answer is remembered per matrix, for at most RAD_MEMO_SIZE degrees."""
-    n = tuple(n)
-    memo = q._rad_memo
-    hit = memo.get(n)
-    if hit is None:
-        hit = not any(sum(q.exps[j][i] * n[j] for j in range(q.d)) % q.N
-                      for i in range(q.d))
-        if len(memo) >= RAD_MEMO_SIZE:
-            memo.clear()
-        memo[n] = hit
-    return hit
+    """Membership in Rad_q, directly via f(n, e_i) = 1 for all i: n pairs to
+    0 mod N with every column of the column table."""
+    N = q.N
+    for _, col in q._k_cols:
+        s = 0
+        for j, k in col:
+            s += k * n[j]
+        if s % N:
+            return False
+    return True
 
 
 def block_normal_q(l) -> QMatrix:

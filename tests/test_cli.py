@@ -416,6 +416,40 @@ def test_over_budget_config_exits_2_before_listing_a_box(tmp_path, capsys, monke
     assert err.startswith(f"error: {named}: ") and "budget" in err
 
 
+RADIUS_0_ALGEBRA = {"job": "verify-algebra", "triples": 5, "degree_radius": 0}
+RADIUS_0_MODULE = {"job": "verify-module", "d": 2, "alpha": ["1/2", "1/3"], "rep": NAT_REP,
+                   "pairs": 5, "degree_radius": 0}
+SUITES = ("lie_suite_classical", "d_basis_span_suite", "lemma_orthg_suite", "lie_suite_q",
+          "module_suite_classical", "act_crosscheck_suite", "w_invariance_suite",
+          "module_suite_q", "qtorus_suite", "equivariance_suite")
+
+
+@pytest.mark.parametrize("job", ["verify-algebra", "verify-module"])
+@pytest.mark.parametrize("algebra", ["L", "Lhat", "Der", "Lq", "Lqhat"])
+def test_degree_radius_0_exits_2_unless_w(tmp_path, capsys, monkeypatch, job, algebra):
+    # these algebras sample nonzero degrees, which the radius-0 box has none
+    # of; every suite raises at once, so a missing guard fails here rather
+    # than sampling forever
+    for suite in SUITES:
+        monkeypatch.setattr(f"divalg.verify.{suite}", _no_listing)
+    config = dict(RADIUS_0_ALGEBRA if job == "verify-algebra" else RADIUS_0_MODULE,
+                  algebra=algebra)
+    config.update({"q": {"l": [2, 2]}} if algebra in ("Der", "Lq", "Lqhat") else
+                  {} if job == "verify-module" else {"d": 2})
+    path = write_config(tmp_path, "r0.json", config)
+    assert main([job, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: degree_radius: must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("config", [dict(RADIUS_0_ALGEBRA, algebra="W", d=2),
+                                    dict(RADIUS_0_MODULE, algebra="W")],
+                         ids=["verify-algebra", "verify-module"])
+def test_degree_radius_0_runs_under_w(config):
+    report, code = run(config, 0)
+    assert code == 0 and report["outcome"] == "pass"
+
+
 def _no_labels(*args):
     raise _Listed("rep labels were built")
 

@@ -10,6 +10,7 @@ from divalg.closure import Box
 from divalg.modules import GradedVec, ModuleParams, act, graded
 from divalg.qder import (
     QDerElem,
+    _inner_generator,
     act_q,
     ad_annihilation_check,
     bracket_qder,
@@ -27,7 +28,7 @@ from divalg.qder import (
     outer_bracket_sign_oracle,
 )
 import divalg.qder
-from divalg.qtorus import QMatrix, block_normal_q, in_rad, sigma, sigma_exponent
+from divalg.qtorus import QMatrix, block_normal_q, commutator_coeff, in_rad, sigma, sigma_exponent
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
 from divalg.verify import (
@@ -39,6 +40,7 @@ from divalg.verify import (
     sample_qder,
 )
 from divalg.witt import AlgElem, bracket_witt, pairing
+from test_qtorus import Q_ANTICOMMUTING, Q_MIXED, Q_ZERO_COLUMN
 
 F = Fraction
 Q22 = block_normal_q((2, 2))
@@ -461,6 +463,22 @@ def test_closure_q_class0_confined():
     for n, dim in res.fiber_dims.items():
         if class_of((2, 2), n) != (0, 0):
             assert dim == 0
+
+
+@pytest.mark.parametrize("q", [block_normal_q((2, 2)), block_normal_q((2, 2, 1)),
+                               block_normal_q((3, 3)), Q_MIXED, Q_ANTICOMMUTING, Q_ZERO_COLUMN],
+                         ids=["22", "221", "33", "mixed", "anticommuting", "zero-column"])
+def test_inner_generator_is_zero_exactly_where_the_commutator_is(q):
+    # the generator's form decides [t^m, t^n] = 0 without building the
+    # coefficient; it must agree with commutator_coeff on every pair
+    box = list(Box.radius(q.d, 2).degrees())
+    w = [1, 2]
+    for m in box:
+        apply = _inner_generator(q, m).block_apply
+        for n in box:
+            image = apply(n, w)
+            assert (image is w) == (commutator_coeff(q, m, n) is not None), (m, n)
+            assert image is w or image is None
 
 
 def test_closure_q_errors():

@@ -10,7 +10,6 @@ from random import Random
 
 import pytest
 
-import divalg.qtorus
 from divalg.qtorus import (
     QMatrix,
     QMonomial,
@@ -137,6 +136,8 @@ def test_rad_matches_f_characterization():
 Q_MIXED = QMatrix.from_exps(4, [[0, 1, 2], [3, 0, 1], [2, 3, 0]])
 # every pair of coordinates anticommutes
 Q_ANTICOMMUTING = QMatrix.from_exps(2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+# column 1 of k is (4, 0, 0): nonzero as integers, but 0 mod 4
+Q_ZERO_COLUMN = QMatrix.from_exps(4, [[0, 4, 1], [-4, 0, 0], [-1, 0, 0]])
 
 
 def f_formula_in_rad(q, n) -> bool:
@@ -144,43 +145,51 @@ def f_formula_in_rad(q, n) -> bool:
     return all(f_form(q, n, tuple(int(t == i) for t in range(q.d))) == 1 for i in range(q.d))
 
 
-@pytest.mark.parametrize("q", [block_normal_q((2, 2, 1)), block_normal_q((3, 3)), Q_MIXED],
-                         ids=["221", "33", "mixed"])
-def test_in_rad_matches_f_formula(monkeypatch, q):
-    """The remembered answers equal the f(n, e_i) formula, also once the
-    memo has filled and been cleared (a small bound forces that)."""
+def f_exponent_reference(q, m, n) -> int:
+    """m^T k n mod N, as a double loop over the rows of exps."""
+    e = 0
+    for i in range(q.d):
+        for j in range(q.d):
+            e += m[i] * q.exps[i][j] * n[j]
+    return e % q.N
+
+
+@pytest.mark.parametrize("q", [block_normal_q((2, 2, 1)), block_normal_q((3, 3)), Q_MIXED,
+                               Q_ZERO_COLUMN], ids=["221", "33", "mixed", "zero-column"])
+def test_in_rad_matches_f_formula(q):
+    """in_rad, read off the column table, equals the f(n, e_i) formula, and
+    f_exponent equals the double loop over exps."""
     assert block_structure(Q_MIXED) is None
-    monkeypatch.setattr(divalg.qtorus, "RAD_MEMO_SIZE", 7)
     box = list(product(range(-4, 5), repeat=q.d))
-    for _ in range(2):
-        for n in box:
-            assert in_rad(q, n) == in_rad(q, list(n)) == f_formula_in_rad(q, n)
-            assert len(q._rad_memo) <= 7
+    for n in box:
+        assert in_rad(q, n) == in_rad(q, list(n)) == f_formula_in_rad(q, n)
     assert any(in_rad(q, n) for n in box if any(n))
-    # equality and hashing ignore the memo
+    small = list(product(range(-2, 3), repeat=q.d))
+    for m in small[::2]:
+        for n in small:
+            assert f_exponent(q, m, n) == f_exponent_reference(q, m, n), (m, n)
+    # equality and hashing ignore the column table
     assert q == QMatrix(q.d, q.N, q.exps) and hash(q) == hash(QMatrix(q.d, q.N, q.exps))
 
 
 @pytest.mark.parametrize("q", [block_normal_q((2, 2, 1)), block_normal_q((3, 3)), Q_MIXED,
-                               Q_ANTICOMMUTING], ids=["221", "33", "mixed", "anticommuting"])
-def test_commutator_coeff_matches_sigma(monkeypatch, q):
-    """The remembered coefficients equal sigma(m, n) - sigma(n, m) built
-    from the two exponents, also once the memo has filled and been cleared,
-    and zero coefficients are None.  A coefficient is an int exactly when
-    both roots are rational (zeta_N^e = +-1)."""
-    monkeypatch.setattr(divalg.qtorus, "COMMUTATOR_MEMO_SIZE", 7)
+                               Q_ANTICOMMUTING, Q_ZERO_COLUMN],
+                         ids=["221", "33", "mixed", "anticommuting", "zero-column"])
+def test_commutator_coeff_matches_sigma(q):
+    """The coefficients equal sigma(m, n) - sigma(n, m) built from the two
+    exponents, and zero coefficients are None.  A coefficient is an int
+    exactly when both roots are rational (zeta_N^e = +-1)."""
     box = list(product(range(-2, 3), repeat=q.d))
-    for _ in range(2):
-        for m in box[::3]:
-            for n in box:
-                e1, e2 = sigma_exponent(q, m, n), sigma_exponent(q, n, m)
-                c = commutator_coeff(q, m, n)
-                if e1 == e2:
-                    assert c is None
-                else:
-                    assert c == Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2) and c
-                    assert (type(c) is int) == (2 * e1 % q.N == 2 * e2 % q.N == 0)
-                assert len(q._commutator_memo) <= 7
+    for m in box[::3]:
+        for n in box:
+            e1, e2 = sigma_exponent(q, m, n), sigma_exponent(q, n, m)
+            c = commutator_coeff(q, m, n)
+            if e1 == e2:
+                assert c is None
+            else:
+                assert c == Cyc.zeta(q.N, e1) - Cyc.zeta(q.N, e2) and c
+                assert (type(c) is int) == (2 * e1 % q.N == 2 * e2 % q.N == 0)
+            assert (e1 - e2) % q.N == f_exponent(q, m, n) == f_exponent_reference(q, m, n)
     assert q == QMatrix(q.d, q.N, q.exps) and hash(q) == hash(QMatrix(q.d, q.N, q.exps))
 
 
