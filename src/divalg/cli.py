@@ -20,8 +20,8 @@ from random import Random
 from . import verify
 from .closure import Box, Label, classical_shapes, closure
 from .modules import ModuleParams, _wedge_power, graded, trivial_split
-from .qder import (Q_ALGEBRAS, ad_annihilation_check, class_of, closure_q, congruence_classes,
-                   q_shapes)
+from .qder import (Q_ALGEBRAS, Q_OUTER, ad_annihilation_check, class_of, closure_q,
+                   congruence_classes, q_shapes)
 from .qtorus import (
     QMatrix,
     block_normal_q,
@@ -32,7 +32,7 @@ from .qtorus import (
 )
 from .reps import RepHandle, rep_from_config
 from .scalars import Cyc, format_rat, parse_rat
-from .witt import AlgElem, DegVec, bracket_witt
+from .witt import ALGEBRAS, AlgElem, DegVec, bracket_witt
 
 
 class ConfigError(ValueError):
@@ -214,6 +214,13 @@ def _min_radius(algebra: str) -> int:
     return 0 if algebra == "W" else 1
 
 
+def _verdict(suites: list[dict], extras: dict) -> tuple[str, dict]:
+    """The outcome and details of a verify job: a violation when any suite
+    counts one."""
+    violations = sum(s["violations"] for s in suites)
+    return ("pass" if violations == 0 else "violation"), {"suites": suites, **extras}
+
+
 def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
     _strict(config, "config",
             {"job", "algebra"},
@@ -222,7 +229,7 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
     triples = _int(config.get("triples", 200), "triples", 0)
     suites = []
     extras: dict = {}
-    if algebra in verify.CLASSICAL_ALGEBRAS:
+    if algebra in ALGEBRAS:
         _reject(config, ("q",))
         if "d" not in config:
             raise ConfigError("config: classical algebras need the field 'd'")
@@ -235,7 +242,7 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
         suites.append(verify.lemma_orthg_suite(d, max(20, triples // 10), rng))
         if "elements" in config:
             elems = _parse_elements(config["elements"], d)
-            member = verify.CLASSICAL_MEMBER[algebra]
+            member = ALGEBRAS[algebra]
             info = []
             bad = 0
             for i, x in enumerate(elems):
@@ -247,17 +254,14 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
             extras["elements"] = info
             suites.append({"name": "explicit-elements", "checks": len(elems),
                            "violations": bad})
-    elif algebra in verify.Q_ALGEBRA_NAMES:
+    elif algebra in Q_OUTER:
         _reject(config, ("d", "elements"))
         q = _config_q(config)
         radius = _int(config.get("degree_radius", 2), "degree_radius", _min_radius(algebra))
         suites.append(verify.lie_suite_q(q, algebra, triples, rng, radius))
     else:
         raise ConfigError(f"algebra: unknown algebra {algebra!r}")
-    violations = sum(s["violations"] for s in suites)
-    details = {"suites": suites}
-    details.update(extras)
-    return ("pass" if violations == 0 else "violation"), details
+    return _verdict(suites, extras)
 
 
 def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
@@ -271,7 +275,7 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
     radius = _int(config.get("degree_radius", 2), "degree_radius", _min_radius(algebra))
     suites = []
     extras: dict = {}
-    if algebra in verify.CLASSICAL_ALGEBRAS:
+    if algebra in ALGEBRAS:
         _reject(config, ("q",))
         # under W the trivial rep differs from Lambda^d by the trace term, so
         # the wedge-invariance suite's W generators do not apply to it;
@@ -291,7 +295,7 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
                 "irreducible": split.irreducible,
                 "split_at": None if split.split_at is None else list(split.split_at),
             }
-    elif algebra in verify.Q_ALGEBRA_NAMES:
+    elif algebra in Q_OUTER:
         q = _config_q(config, d)
         # the ad-annihilation check lists the radius-2 box, and the sign
         # probe walks it until a probe degree turns up
@@ -307,10 +311,7 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
                 suites.append({"checks": 1, "violations": 1, "name": "ad-annihilation"})
     else:
         raise ConfigError(f"algebra: unknown algebra {algebra!r}")
-    violations = sum(s["violations"] for s in suites)
-    details = {"suites": suites}
-    details.update(extras)
-    return ("pass" if violations == 0 else "violation"), details
+    return _verdict(suites, extras)
 
 
 def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
@@ -330,7 +331,7 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
     expect = config.get("expect_label")
     if expect is not None and not isinstance(expect, str):
         raise ConfigError(f"expect_label: expected a string, got {expect!r}")
-    if algebra in verify.CLASSICAL_ALGEBRAS:
+    if algebra in ALGEBRAS:
         _reject(config, ("q",))
         q = None
         shapes = classical_shapes(params, target)
@@ -509,7 +510,8 @@ def report_text(report: dict) -> str:
                 name = f"{name}[{s['algebra']}]"
             lines.append(f"suite {name}: checks={s['checks']} violations={s['violations']}")
         if "outer_bracket_sign" in details:
-            lines.append(f"outer bracket sign (oracle): {details['outer_bracket_sign']:+d}")
+            sign = details["outer_bracket_sign"]
+            lines.append(f"outer bracket sign: {'none' if sign is None else format(sign, '+d')}")
         if "trivial_split" in details:
             lines.append(f"trivial split: {details['trivial_split']}")
     elif job == "qtorus-info":

@@ -59,7 +59,7 @@ from operator import mul
 from .linalg import SpanBasis, _primitive, basis_of, same_span
 from .modules import (GradedVec, ModuleParams, _wedge_power, term_map, w_fiber_basis,
                       w_membership)
-from .witt import DegVec
+from .witt import ALGEBRAS, DegVec
 
 
 @dataclass(frozen=True)
@@ -367,8 +367,6 @@ def classify(result: ClosureResult, params: ModuleParams) -> Label:
 # generating families and the closure driver
 # ---------------------------------------------------------------------------
 
-ALGEBRAS = ("W", "Lhat", "L")
-
 
 def pair_basis(r: DegVec) -> list[tuple[int, int, tuple]]:
     """(i, j, u) for a greedy basis, in i < j order, of the pair terms
@@ -427,7 +425,7 @@ def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) ->
     every j and every degree (u is free by linearity).
     """
     if algebra not in ALGEBRAS:
-        raise ValueError(f"algebra must be one of {ALGEBRAS}")
+        raise ValueError(f"algebra must be one of {tuple(ALGEBRAS)}")
     zero = (0,) * params.d
     gens = unit_generators(params, zero) if algebra == "Lhat" else []
     for r in sorted(Box.radius(params.d, gen_radius).degrees()):

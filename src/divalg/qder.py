@@ -9,9 +9,8 @@ The brackets are
     [D(u,r), D(v,s)]   = sigma(r,s) ((u|s) D(v, r+s) - (v|r) D(u, r+s))
 
 The outer-outer sign here is the one under which the module action below is
-a representation (the classically compatible one); see
-:func:`outer_bracket_sign_oracle`, which verifies that choice and rejects
-the opposite sign.
+a representation (the classically compatible one); the q module suite of
+:mod:`divalg.verify` reads that sign back from its residuals.
 
 The module on C_q tensor V acts by
 
@@ -20,7 +19,9 @@ The module on C_q tensor V acts by
 
 The outer-outer bracket and the outer action are the classical ones of
 :mod:`divalg.witt` and :mod:`divalg.modules` with sigma as their cocycle;
-this module adds the inner terms.  For block-normal q the congruence
+this module adds the inner terms.  Membership is classical too: each q
+algebra leaves its inner terms free and asks its outer part to lie in the
+classical algebra that ``Q_OUTER`` names.  For block-normal q the congruence
 classes of degrees modulo the radical decompose the module; class 0 is
 annihilated by all inner terms and the remaining classes sum to the
 irreducible complement.
@@ -45,12 +46,16 @@ from .modules import GradedVec, ModuleParams, act, apply_operator, operator
 from .reps import RepHandle
 from .scalars import Cyc, Rat
 from .qtorus import QMatrix, block_structure, cocycle, commutator_coeff, in_rad, sigma_exponent
-from .witt import AlgElem, DegVec, bracket_witt, in_L, in_Lhat, pairing
+from .witt import ALGEBRAS, AlgElem, DegVec, bracket_witt, pairing
 
-#: Global sign of the outer-outer bracket; +1 is the convention validated by
-#: the representation oracle (and the only one degenerating to the classical
-#: bracket at l = (1, ..., 1)).
+#: Global sign of the outer-outer bracket; +1 is the convention under which
+#: the module action is a representation (and the only one degenerating to
+#: the classical bracket at l = (1, ..., 1)).
 OUTER_SIGN = 1
+
+#: The q algebras, each with the classical algebra of :data:`ALGEBRAS` that
+#: its outer part must lie in; inner terms need no condition.
+Q_OUTER = {"Der": "W", "Lq": "L", "Lqhat": "Lhat"}
 
 #: An inner coefficient: rational roots of unity and their sums stay ints
 Scalar = int | Rat | Cyc
@@ -230,35 +235,11 @@ def module_axiom_residual_q(q: QMatrix, x: QDerElem, y: QDerElem, v: GradedVec,
     return lhs - rhs
 
 
-def outer_bracket_sign_oracle(q: QMatrix, samples) -> int:
-    """Select the outer-outer bracket sign by requiring the representation
-    property on the supplied (x, y, v) samples; returns +1 or -1.
-
-    Raises if neither or both signs pass (which would signal a broken setup).
-    """
-    verdict = {}
-    for sign in (1, -1):
-        ok = True
-        for x, y, v in samples:
-            if not module_axiom_residual_q(q, x, y, v, sign).is_zero():
-                ok = False
-                break
-        verdict[sign] = ok
-    if verdict[1] == verdict[-1]:
-        raise ValueError(f"sign oracle is inconclusive: {verdict}")
-    return 1 if verdict[1] else -1
-
-
-def in_Lq(q: QMatrix, x: QDerElem) -> bool:
-    """Inner terms free; outer terms divergence-zero with no degree-0 part."""
+def in_q_algebra(q: QMatrix, algebra: str, x: QDerElem) -> bool:
+    """Whether x, once validated, lies in the q algebra: its outer part in
+    the classical algebra ``Q_OUTER[algebra]``."""
     x.validate(q)
-    return in_L(x.outer)
-
-
-def in_Lqhat(q: QMatrix, x: QDerElem) -> bool:
-    """Like in_Lq but the degree-0 outer part is unrestricted."""
-    x.validate(q)
-    return in_Lhat(x.outer)
+    return ALGEBRAS[Q_OUTER[algebra]](x.outer)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +265,6 @@ def congruence_classes(l: tuple[int, ...]) -> list[DegVec]:
     for li in l:
         out = [c + (x,) for c in out for x in range(li)]
     return sorted(out)
-
-
-def g_q_component(q: QMatrix, v: GradedVec) -> GradedVec:
-    """The part of v supported on nonzero congruence classes."""
-    l = _require_block(q)
-    zero = (0,) * q.d
-    fib = {n: c for n, c in v.fibers.items() if class_of(l, n) != zero}
-    return GradedVec(v.params, fib)
 
 
 def iso_algebra(q: QMatrix, x: QDerElem) -> AlgElem:

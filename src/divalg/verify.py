@@ -38,13 +38,12 @@ from .modules import (
 )
 from .qder import (
     OUTER_SIGN,
+    Q_OUTER,
     QDerElem,
     bracket_qder,
-    in_Lq,
-    in_Lqhat,
     equivariance_residual,
+    in_q_algebra,
     module_axiom_residual_q,
-    outer_bracket_sign_oracle,
 )
 from .qtorus import (
     QMatrix,
@@ -60,21 +59,15 @@ from .qtorus import (
 from .reps import RepVec, act_matrix
 from .scalars import format_rat, root
 from .witt import (
+    ALGEBRAS,
     AlgElem,
     add_term,
     bracket_witt,
     d_basis,
-    in_L,
-    in_Lhat,
     lemma_orthg,
     pair_term,
     pairing,
 )
-
-#: membership test of each classical algebra, by name
-CLASSICAL_MEMBER = {"W": lambda x: True, "Lhat": in_Lhat, "L": in_L}
-CLASSICAL_ALGEBRAS = tuple(CLASSICAL_MEMBER)
-Q_ALGEBRA_NAMES = ("Der", "Lq", "Lqhat")
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +76,10 @@ Q_ALGEBRA_NAMES = ("Der", "Lq", "Lqhat")
 
 
 def sample_degree(rng: Random, d: int, radius: int, nonzero: bool = False) -> tuple:
+    """A degree of the radius box, redrawn until nonzero when ``nonzero``;
+    a box with no nonzero degree raises ValueError before any draw."""
+    if nonzero and radius < 1:
+        raise ValueError(f"the radius-{radius} box has no nonzero degree")
     while True:
         n = tuple(rng.randint(-radius, radius) for _ in range(d))
         if not nonzero or any(n):
@@ -179,55 +176,42 @@ def sample_graded(rng: Random, params: ModuleParams, radius: int = 2,
 # ---------------------------------------------------------------------------
 
 
-def lie_suite_classical(d: int, algebra: str, triples: int, rng: Random,
-                        radius: int = 3) -> dict:
-    """Antisymmetry, Jacobi, and subalgebra closure, all exact; [x, y] is
-    computed once per triple and shared by the three checks."""
-    if algebra not in CLASSICAL_ALGEBRAS:
-        raise ValueError(f"unknown classical algebra {algebra!r}")
-    member = CLASSICAL_MEMBER[algebra]
+def _lie_violations(triples: int, draw, bracket, member) -> int:
+    """Antisymmetry, Jacobi, and subalgebra closure on ``triples`` triples of
+    ``draw()``, all exact; [x, y] is computed once per triple and shared by
+    the three checks.  A triple with an element outside the algebra counts
+    one violation and is not bracketed."""
     violations = 0
     for _ in range(triples):
-        x, y, z = (sample_algelem(rng, d, algebra, radius) for _ in range(3))
+        x, y, z = draw(), draw(), draw()
         if not (member(x) and member(y) and member(z)):
             violations += 1
             continue
-        xy = bracket_witt(x, y)
-        if not (xy + bracket_witt(y, x)).is_zero():
-            violations += 1
-        if not (bracket_witt(x, bracket_witt(y, z)) + bracket_witt(y, bracket_witt(z, x))
-                + bracket_witt(z, xy)).is_zero():
-            violations += 1
-        if not member(xy):
-            violations += 1
+        xy = bracket(x, y)
+        violations += not (xy + bracket(y, x)).is_zero()
+        violations += not (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
+                           + bracket(z, xy)).is_zero()
+        violations += not member(xy)
+    return violations
+
+
+def lie_suite_classical(d: int, algebra: str, triples: int, rng: Random,
+                        radius: int = 3) -> dict:
+    if algebra not in ALGEBRAS:
+        raise ValueError(f"unknown classical algebra {algebra!r}")
+    violations = _lie_violations(triples, lambda: sample_algelem(rng, d, algebra, radius),
+                                 bracket_witt, ALGEBRAS[algebra])
     return {"name": "lie-axioms", "algebra": algebra, "d": d, "checks": 3 * triples,
             "violations": violations}
 
 
 def lie_suite_q(q: QMatrix, algebra: str, triples: int, rng: Random,
                 radius: int = 2) -> dict:
-    if algebra not in Q_ALGEBRA_NAMES:
+    if algebra not in Q_OUTER:
         raise ValueError(f"unknown q algebra {algebra!r}")
-    member = {
-        "Der": lambda qq, x: True,
-        "Lq": in_Lq,
-        "Lqhat": in_Lqhat,
-    }[algebra]
-    violations = 0
-    for _ in range(triples):
-        x, y, z = (sample_qder(rng, q, algebra, radius) for _ in range(3))
-        if not (member(q, x) and member(q, y) and member(q, z)):
-            violations += 1
-            continue
-        xy = bracket_qder(q, x, y)
-        if not (xy + bracket_qder(q, y, x)).is_zero():
-            violations += 1
-        if not (bracket_qder(q, x, bracket_qder(q, y, z))
-                + bracket_qder(q, y, bracket_qder(q, z, x))
-                + bracket_qder(q, z, xy)).is_zero():
-            violations += 1
-        if not member(q, xy):
-            violations += 1
+    violations = _lie_violations(triples, lambda: sample_qder(rng, q, algebra, radius),
+                                 lambda x, y: bracket_qder(q, x, y),
+                                 lambda x: in_q_algebra(q, algebra, x))
     return {"name": "lie-axioms", "algebra": algebra, "q_order": q.N, "checks": 3 * triples,
             "violations": violations}
 
@@ -324,17 +308,29 @@ def _sign_probe(q: QMatrix, params: ModuleParams):
 
 def module_suite_q(q: QMatrix, params: ModuleParams, algebra: str, pairs: int,
                    rng: Random, radius: int = 2) -> dict:
+    """The module axiom on each sampled pair, and the outer-bracket sign: the
+    one under which :func:`_sign_probe` and the first 24 samples with a
+    nonzero vector all have a zero residual.  Under +1 (``OUTER_SIGN``) the
+    samples' residuals are the loop's own; under -1 they are computed only
+    when the probe passes.  No sign, or both, gives None and one violation."""
+    probe = _sign_probe(q, params)
+    passes = {s: module_axiom_residual_q(q, *probe, s).is_zero() for s in (1, -1)}
+    kept = []
     violations = 0
-    samples = [_sign_probe(q, params)]
     D = params.alpha_den
     for _ in range(pairs):
         x, y = (sample_qder(rng, q, algebra, radius).scale(D) for _ in range(2))
         v = sample_graded(rng, params, radius)
-        if not v.is_zero() and len(samples) < 25:
-            samples.append((x, y, v))
-        if not module_axiom_residual_q(q, x, y, v).is_zero():
-            violations += 1
-    sign = outer_bracket_sign_oracle(q, samples)
+        ok = module_axiom_residual_q(q, x, y, v).is_zero()
+        violations += not ok
+        if not v.is_zero() and len(kept) < 24:
+            kept.append((x, y, v))
+            passes[1] = passes[1] and ok
+    if passes[-1]:
+        passes[-1] = all(module_axiom_residual_q(q, x, y, v, -1).is_zero()
+                         for x, y, v in kept)
+    sign = None if passes[1] == passes[-1] else 1 if passes[1] else -1
+    violations += sign is None
     return {
         "name": "module-axioms",
         "algebra": algebra,

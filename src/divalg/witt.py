@@ -7,8 +7,8 @@ per degree.  The bracket is
     [D(u, r), D(v, s)] = D((u|s) v - (v|r) u, r + s).
 
 Membership predicates implement the divergence-zero condition (u|r) = 0 for
-every nonzero degree, with (in_lhat) or without (in_l) an unrestricted
-degree-zero part.
+every nonzero degree, with (in_Lhat) or without (in_L) an unrestricted
+degree-zero part; ``ALGEBRAS`` names each classical algebra with its test.
 """
 
 from __future__ import annotations
@@ -179,6 +179,11 @@ def in_L(x: AlgElem) -> bool:
     """in_Lhat and no degree-zero part."""
     zero = (0,) * x.d
     return in_Lhat(x) and zero not in x.terms
+
+
+#: The classical algebras, each with its membership test: W holds every
+#: element, Lhat and L are its divergence-zero subalgebras.
+ALGEBRAS = {"W": lambda x: True, "Lhat": in_Lhat, "L": in_L}
 
 
 def lemma_orthg(m, n, u) -> tuple:

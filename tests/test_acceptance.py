@@ -82,7 +82,7 @@ def test_criterion_02_representation_property():
             signs.append(out["outer_bracket_sign"])
     assert set(signs) == {1}
     _announce(2, "module axiom residual exactly zero, 200 pairs per rep for "
-                 "classical and q actions; oracle-selected outer bracket sign = +1")
+                 "classical and q actions; outer bracket sign read from the residuals = +1")
 
 
 def _omega_cases():

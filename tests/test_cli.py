@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+import divalg.qder
 from divalg.cli import ConfigError, main, report_json, run
+from test_verify import flipped_bracket_qder
 
 
 def write_config(tmp_path, name, obj):
@@ -93,6 +95,28 @@ def test_verify_module_q_records_sign():
     assert code == 0
     assert report["details"]["outer_bracket_sign"] == 1
     assert report["details"]["ad_annihilation"] is True
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_undecided_bracket_sign_exits_1_with_a_report(tmp_path, capsys, monkeypatch, fmt):
+    """With the outer-inner bracket's sign flipped, the action is a
+    representation under neither outer-bracket sign: the job writes its
+    report with no sign, counts the violation and exits 1."""
+    monkeypatch.setattr(divalg.qder, "bracket_qder", flipped_bracket_qder)
+    path = write_config(tmp_path, "q.json", {
+        "job": "verify-module", "algebra": "Der", "d": 2, "alpha": ["1/2", "1/3"],
+        "rep": {"kind": "natural"}, "q": {"l": [2, 2]}, "pairs": 40})
+    out = tmp_path / "report"
+    assert main(["verify-module", "--config", path, "--out", str(out), "--format", fmt]) == 1
+    assert capsys.readouterr().err == ""
+    if fmt == "text":
+        assert "outcome: violation" in out.read_text()
+        assert "outer bracket sign: none" in out.read_text()
+        return
+    report = json.loads(out.read_text())
+    assert report["outcome"] == "violation"
+    assert report["details"]["outer_bracket_sign"] is None
+    assert report["details"]["suites"][0]["violations"] > 0
 
 
 def test_verify_module_q_d6_checks_ad_annihilation():

@@ -22,7 +22,7 @@ from divalg.modules import (GradedVec, ModuleParams, _wedge_power, act, graded, 
 from divalg.qder import QDerElem, act_q, class_of, classify_q, closure_q, qder_generators
 from divalg.qtorus import QMatrix, block_normal_q, block_structure, in_rad
 from divalg.reps import RepHandle
-from divalg.witt import AlgElem, pair_term
+from divalg.witt import ALGEBRAS, AlgElem, pair_term
 from test_linalg import gauss_jordan
 
 F = Fraction
@@ -920,7 +920,7 @@ def test_w_bound_matches_unbounded_closure(d, k, kind, alpha_kind, monkeypatch):
     }
     # the off-W vector lies in W after all where W's fiber is all of V: k = d, generic alpha
     off_in_w = k == d and alpha_kind == "generic"
-    for algebra in closure_mod.ALGEBRAS:
+    for algebra in ALGEBRAS:
         for name, seeds in seed_sets.items():
             bounded = closure_mod.w_bound(p, seeds) is not None
             assert bounded == (name != "off-W" or off_in_w)

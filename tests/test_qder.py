@@ -18,20 +18,18 @@ from divalg.qder import (
     closure_q,
     congruence_classes,
     equivariance_residual,
-    g_q_component,
-    in_Lq,
-    in_Lqhat,
+    in_q_algebra,
     iso_algebra,
     iso_module,
     iso_params,
     module_axiom_residual_q,
-    outer_bracket_sign_oracle,
 )
 import divalg.qder
 from divalg.qtorus import QMatrix, block_normal_q, commutator_coeff, in_rad, sigma, sigma_exponent
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
 from divalg.verify import (
+    _sign_probe,
     equivariance_suite,
     lie_suite_q,
     module_suite_q,
@@ -217,12 +215,16 @@ def test_lie_suites_q(algebra):
 
 
 def test_membership_examples():
-    ad = QDerElem.ad((1, 0))
-    assert in_Lq(Q22, ad) and in_Lqhat(Q22, ad)
-    cartan = QDerElem.douter((1, 0), (0, 0))
-    assert in_Lqhat(Q22, cartan) and not in_Lq(Q22, cartan)
-    bad = QDerElem.douter((2, 0), (2, 0))  # (u|r) = 4 != 0
-    assert not in_Lq(Q22, bad) and not in_Lqhat(Q22, bad)
+    def member(x):
+        return {a for a in ("Der", "Lq", "Lqhat") if in_q_algebra(Q22, a, x)}
+
+    assert member(QDerElem.ad((1, 0))) == {"Der", "Lq", "Lqhat"}
+    assert member(QDerElem.douter((1, 0), (0, 0))) == {"Der", "Lqhat"}  # cartan
+    assert member(QDerElem.douter((2, 0), (2, 0))) == {"Der"}  # (u|r) = 4 != 0
+    # membership validates: an inner term at a radical degree is no element
+    for algebra in ("Der", "Lq", "Lqhat"):
+        with pytest.raises(ValueError, match="radical"):
+            in_q_algebra(Q22, algebra, QDerElem.ad((2, 0)))
 
 
 # -- module action ----------------------------------------------------------------
@@ -256,19 +258,11 @@ def test_module_axioms_q_and_sign():
 
 
 def test_sign_oracle_rejects_negative():
-    rng = Random(2)
-    samples = []
-    for _ in range(20):
-        x = rational_qder(rng, Q22, "Lqhat")
-        y = rational_qder(rng, Q22, "Lqhat")
-        v = sample_graded(rng, P22)
-        if not v.is_zero():
-            samples.append((x, y, v))
-    from divalg.verify import _sign_probe
-
-    samples.append(_sign_probe(Q22, P22))
-    assert outer_bracket_sign_oracle(Q22, samples) == 1
-    x, y, v = samples[-1]
+    # the module suite's sign verdict selects +1, and the probe alone rules out -1
+    out = module_suite_q(Q22, P22, "Lqhat", 20, Random(2))
+    assert out["outer_bracket_sign"] == 1 and out["violations"] == 0
+    x, y, v = _sign_probe(Q22, P22)
+    assert module_axiom_residual_q(Q22, x, y, v).is_zero()
     assert not module_axiom_residual_q(Q22, x, y, v, outer_sign=-1).is_zero()
 
 
@@ -291,22 +285,16 @@ def test_classes_shift_predictably():
             assert class_of((2, 2), m) == expect
 
 
-def test_g_q_component():
-    on_rad = graded(P22, (2, 0), (1, 1))
-    off_rad = graded(P22, (1, 0), (1, 1))
-    assert g_q_component(Q22, on_rad).is_zero()
-    assert g_q_component(Q22, off_rad) == off_rad
-    mixed = on_rad + off_rad
-    assert g_q_component(Q22, mixed) == off_rad
-
-
 def test_decompose_requires_block_normal():
     nb = QMatrix.from_exps(4, (
         (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (-1, 0, 0, 0)))
     v = GradedVec(ModuleParams(4, (0, 0, 0, 0), RepHandle.natural(4)),
                   {(0, 0, 0, 0): (1, 0, 0, 0)})
-    with pytest.raises(ValueError):
-        g_q_component(nb, v)
+    for call in (lambda: iso_module(nb, (0, 0, 0, 0), v),
+                 lambda: iso_params(nb, v.params, (0, 0, 0, 0)),
+                 lambda: ad_annihilation_check(nb, v.params)):
+        with pytest.raises(ValueError, match="block-normal"):
+            call()
 
 
 def test_congruence_classes():

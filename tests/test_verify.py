@@ -3,7 +3,9 @@ samples, against plain references written here that check the samples as
 drawn: the same seed must give the same check and violation counts, with
 the true brackets and with a bracket that has one term's sign flipped.  The
 references draw with the rational samplers written here, which the integer
-samplers must match draw for draw."""
+samplers must match draw for draw.  The q module suite's outer-bracket sign,
+read from its own residuals, must equal the reference's, which recomputes
+every residual under both signs."""
 
 from fractions import Fraction
 from random import Random
@@ -15,11 +17,12 @@ import divalg.qder
 import divalg.verify
 import divalg.witt
 from divalg.modules import ModuleParams, act, module_axiom_residual
-from divalg.qder import QDerElem, act_q, in_Lq, in_Lqhat, module_axiom_residual_q
+from divalg.qder import OUTER_SIGN, QDerElem, act_q, module_axiom_residual_q
 from divalg.qtorus import block_normal_q, in_rad
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
 from divalg.verify import (
+    _sign_probe,
     lie_suite_classical,
     lie_suite_q,
     module_suite_classical,
@@ -31,12 +34,14 @@ from divalg.verify import (
     sample_rad_degree,
 )
 from divalg.witt import AlgElem, add_term, in_L, in_Lhat, pairing
+from test_qtorus import Q_ANTICOMMUTING
 from test_witt import jacobi_residual
 
 F = Fraction
 TRUE_BRACKET_QDER = divalg.qder.bracket_qder
-CLASSICAL_MEMBER = {"W": lambda x: True, "Lhat": in_Lhat, "L": in_L}
-Q_MEMBER = {"Der": lambda q, x: True, "Lq": in_Lq, "Lqhat": in_Lqhat}
+REFERENCE_MEMBER = {"W": lambda x: True, "Lhat": in_Lhat, "L": in_L}
+REFERENCE_Q_MEMBER = {"Der": lambda q, x: True, "Lq": lambda q, x: in_L(x.outer),
+                      "Lqhat": lambda q, x: in_Lhat(x.outer)}
 
 
 def ref_sample_rat(rng):
@@ -97,7 +102,7 @@ def ref_sample_qder(rng, q, algebra, radius=2, max_terms=2):
 
 def naive_lie_classical(d, algebra, triples, rng, radius=3):
     bracket = divalg.witt.bracket_witt
-    member = CLASSICAL_MEMBER[algebra]
+    member = REFERENCE_MEMBER[algebra]
     violations = 0
     for _ in range(triples):
         x, y, z = (ref_sample_algelem(rng, d, algebra, radius) for _ in range(3))
@@ -112,7 +117,7 @@ def naive_lie_classical(d, algebra, triples, rng, radius=3):
 
 def naive_lie_q(q, algebra, triples, rng, radius=2):
     bracket = divalg.qder.bracket_qder
-    member = Q_MEMBER[algebra]
+    member = REFERENCE_Q_MEMBER[algebra]
     violations = 0
     for _ in range(triples):
         x, y, z = (ref_sample_qder(rng, q, algebra, radius) for _ in range(3))
@@ -137,14 +142,29 @@ def naive_module_classical(params, algebra, pairs, rng, radius=2):
     return pairs, violations
 
 
+def reference_sign(q, samples):
+    """The outer-bracket sign under which every (x, y, v) of ``samples`` has
+    a zero module-axiom residual, each residual computed afresh under both
+    signs; None when neither sign passes or both do."""
+    passes = {sign: all(module_axiom_residual_q(q, x, y, v, sign).is_zero()
+                        for x, y, v in samples)
+              for sign in (1, -1)}
+    return None if passes[1] == passes[-1] else 1 if passes[1] else -1
+
+
 def naive_module_q(q, params, algebra, pairs, rng, radius=2):
+    """(checks, pair violations, sign): the sign is :func:`reference_sign`
+    on the sign probe and the first 24 samples with a nonzero vector."""
     violations = 0
+    samples = [_sign_probe(q, params)]
     for _ in range(pairs):
         x = ref_sample_qder(rng, q, algebra, radius)
         y = ref_sample_qder(rng, q, algebra, radius)
         v = sample_graded(rng, params, radius)
         violations += not module_axiom_residual_q(q, x, y, v).is_zero()
-    return pairs, violations
+        if not v.is_zero() and len(samples) < 25:
+            samples.append((x, y, v))
+    return pairs, violations, reference_sign(q, samples)
 
 
 def flipped_bracket_witt(x, y):
@@ -167,13 +187,17 @@ def flipped_bracket_qder(q, x, y, outer_sign=divalg.qder.OUTER_SIGN):
             - TRUE_BRACKET_QDER(q, xo, yi, outer_sign).scale(2))
 
 
+def outer_sign_flipped_bracket_qder(q, x, y, outer_sign=OUTER_SIGN):
+    """bracket_qder under the other outer-outer sign: the module action is a
+    representation for it exactly under outer_sign = -1."""
+    return TRUE_BRACKET_QDER(q, x, y, -outer_sign)
+
+
 @pytest.fixture(params=["true", "flipped"])
 def brackets(request, monkeypatch):
     """The true brackets, or the flipped ones patched in wherever the suites
-    and residuals look them up.  The outer-bracket sign oracle rejects a
-    broken bracket by raising, so it is stubbed out with them."""
+    and residuals look them up."""
     if request.param == "flipped":
-        monkeypatch.setattr(divalg.verify, "outer_bracket_sign_oracle", lambda *args: 1)
         for mod in (divalg.witt, divalg.verify):
             monkeypatch.setattr(mod, "bracket_witt", flipped_bracket_witt)
         for mod in (divalg.qder, divalg.verify):
@@ -216,10 +240,72 @@ def test_module_suite_classical_matches_naive(brackets, rep, algebra):
 @pytest.mark.parametrize("algebra", ["Der", "Lq", "Lqhat"])
 def test_module_suite_q_matches_naive(brackets, algebra):
     q, params = block_normal_q((2, 2)), ModuleParams(2, (F(1, 5), F(2, 7)), RepHandle.natural(2))
-    got = suite_counts(module_suite_q(q, params, algebra, 30, Random(14)))
-    want = naive_module_q(q, params, algebra, 30, Random(14))
-    assert got == want
-    assert (want[1] > 0) == (brackets == "flipped")
+    got = module_suite_q(q, params, algebra, 30, Random(14))
+    checks, violations, sign = naive_module_q(q, params, algebra, 30, Random(14))
+    # a sign the reference cannot decide counts one more violation
+    assert suite_counts(got) == (checks, violations + (sign is None))
+    assert got["outer_bracket_sign"] == sign == (1 if brackets == "true" else None)
+    assert (violations > 0) == (brackets == "flipped")
+
+
+SIGN_CASES = [
+    (block_normal_q((2, 2)), RepHandle.natural(2), "Lq"),
+    (block_normal_q((3, 3)), RepHandle.natural(2), "Lqhat"),
+    (block_normal_q((2, 2, 1)), RepHandle.exterior(3, 2), "Lq"),
+    (Q_ANTICOMMUTING, RepHandle.natural(3), "Der"),
+]
+SIGN_PROGRAMS = {
+    "true": (TRUE_BRACKET_QDER, 1),
+    "outer-sign-flipped": (outer_sign_flipped_bracket_qder, -1),
+    "outer-inner-flipped": (flipped_bracket_qder, None),
+    # the probe passes under -1 here, so the kept samples rerun under -1 and fail
+    "both-flipped": (lambda q, x, y, outer_sign=OUTER_SIGN:
+                     flipped_bracket_qder(q, x, y, -outer_sign), None),
+}
+
+
+@pytest.mark.parametrize("program", list(SIGN_PROGRAMS))
+@pytest.mark.parametrize("q, rep, algebra", SIGN_CASES, ids=["22", "33", "221", "anticommuting"])
+def test_module_suite_q_sign_matches_the_reference(monkeypatch, program, q, rep, algebra):
+    """The sign read from the suite's own residuals equals the reference's,
+    which reruns the probe and the kept samples under both signs; a sign
+    that neither passes is None and one more violation."""
+    bracket, want_sign = SIGN_PROGRAMS[program]
+    monkeypatch.setattr(divalg.qder, "bracket_qder", bracket)
+    params = ModuleParams(q.d, (F(1, 5), F(-2, 7), F(1, 2))[:q.d], rep)
+    got = module_suite_q(q, params, algebra, 40, Random(f"sign-{program}"))
+    checks, violations, sign = naive_module_q(q, params, algebra, 40, Random(f"sign-{program}"))
+    assert got["outer_bracket_sign"] == sign == want_sign
+    assert got["checks"] == checks
+    assert got["violations"] == violations + (want_sign is None)
+    assert (violations == 0) == (program == "true")
+
+
+def test_sample_degree_at_radius_0_raises_before_drawing():
+    rng = Random(19)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="no nonzero degree"):
+        sample_degree(rng, 3, 0, nonzero=True)
+    assert rng.getstate() == state
+    assert sample_degree(rng, 3, 0) == (0, 0, 0)
+
+
+def test_suites_at_radius_0_raise_outside_w():
+    """Every suite that needs a nonzero degree raises at radius 0 instead of
+    redrawing forever; W samples degree 0 and still runs."""
+    q = block_normal_q((2, 2))
+    params = ModuleParams(2, (F(1, 5), F(2, 7)), RepHandle.natural(2))
+    calls = [
+        lambda rng: lie_suite_classical(2, "L", 5, rng, radius=0),
+        lambda rng: lie_suite_q(q, "Lq", 5, rng, radius=0),
+        lambda rng: module_suite_classical(params, "L", 5, rng, radius=0),
+        lambda rng: module_suite_q(q, params, "Lq", 5, rng, radius=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="no nonzero degree"):
+            call(Random(20))
+    assert lie_suite_classical(2, "W", 5, Random(20), radius=0)["violations"] == 0
+    assert module_suite_classical(params, "W", 5, Random(20), radius=0)["violations"] == 0
 
 
 def int_coords(x: AlgElem) -> bool:
