@@ -292,8 +292,8 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
         if params.rep.kind == "trivial":
             split = trivial_split(params)
             extras["trivial_split"] = {
-                "irreducible": split.irreducible,
-                "split_at": None if split.split_at is None else list(split.split_at),
+                "irreducible": split is None,
+                "split_at": None if split is None else list(split),
             }
     elif algebra in Q_OUTER:
         q = _config_q(config, d)

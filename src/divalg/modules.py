@@ -22,7 +22,7 @@ from operator import add, mul
 
 from . import witt
 from .linalg import SpanBasis, basis_of
-from .reps import RepHandle, RepVec, act_matrix
+from .reps import RepHandle, act_matrix
 from .witt import AlgElem, DegVec
 
 
@@ -228,7 +228,7 @@ def act_d_basis(params: ModuleParams, r, i: int, v: GradedVec) -> GradedVec:
     out: dict[DegVec, tuple] = {}
     for n, coords in v.fibers.items():
         s = a * (n[i - 1] + params.alpha[i - 1]) + b * (n[i] + params.alpha[i])
-        w = act_matrix(rep, mat, RepVec(rep, coords)).coords
+        w = act_matrix(rep, mat, coords)
         target = tuple(ni + ri for ni, ri in zip(n, r))
         prev = out.get(target)
         img = tuple(s * c + wb for c, wb in zip(coords, w))
@@ -323,19 +323,12 @@ def w_membership(v: GradedVec) -> bool:
                for n, coords in v.fibers.items())
 
 
-@dataclass(frozen=True)
-class TrivialSplit:
-    """Decomposition report for the rank-one module (k = d)."""
-
-    irreducible: bool
-    split_at: DegVec | None  # the isolated degree -alpha when alpha is integral
-
-
-def trivial_split(params: ModuleParams) -> TrivialSplit:
-    """Irreducible for non-integral alpha; otherwise splits into the line at
-    degree -alpha plus the span of all other degrees."""
+def trivial_split(params: ModuleParams) -> DegVec | None:
+    """The rank-one module (k = d) is irreducible for non-integral alpha
+    (None); otherwise it splits into the line at the returned degree -alpha
+    plus the span of all other degrees."""
     if params.rep.kind != "trivial":
         raise ValueError("trivial_split applies to the trivial representation only")
     if params.alpha_integral():
-        return TrivialSplit(False, tuple(-int(a) for a in params.alpha))
-    return TrivialSplit(True, None)
+        return tuple(-int(a) for a in params.alpha)
+    return None

@@ -19,8 +19,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .lattices import smith_kernel_mod
-from .scalars import Cyc, Rat, root
-from .witt import DegVec
+from .scalars import Cyc, root
 
 
 @dataclass(frozen=True)
@@ -70,28 +69,6 @@ class QMatrix:
     def from_exps(n: int, exps) -> "QMatrix":
         exps = tuple(tuple(int(x) for x in row) for row in exps)
         return QMatrix(len(exps), n, exps)
-
-
-@dataclass(frozen=True)
-class QMonomial:
-    """coeff * t^n, with coeff an int, Fraction or Cyc as given; the zero
-    element is coeff == 0 at degree 0."""
-
-    coeff: int | Rat | Cyc
-    n: DegVec
-
-    def is_zero(self) -> bool:
-        return not self.coeff
-
-
-def zero_monomial(d: int) -> QMonomial:
-    return QMonomial(0, (0,) * d)
-
-
-def monomial(q: QMatrix, n, coeff=1) -> QMonomial:
-    if not coeff:
-        return zero_monomial(q.d)
-    return QMonomial(coeff, tuple(int(x) for x in n))
 
 
 def sigma_exponent(q: QMatrix, m, n) -> int:
@@ -159,15 +136,6 @@ def _zeta_difference(N: int, e1: int, e2: int) -> int | Cyc:
 def f_form(q: QMatrix, m, n) -> int | Cyc:
     """The commutation form: t^m t^n = f(m, n) t^n t^m, an int where rational."""
     return root(q.N, f_exponent(q, m, n))
-
-
-def torus_mul(q: QMatrix, a: QMonomial, b: QMonomial) -> QMonomial:
-    if len(a.n) != q.d or len(b.n) != q.d:
-        raise ValueError("degree dimension mismatch")
-    if a.is_zero() or b.is_zero():
-        return zero_monomial(q.d)
-    c = a.coeff * b.coeff * sigma(q, a.n, b.n)
-    return QMonomial(c, tuple(x + y for x, y in zip(a.n, b.n)))
 
 
 def rad_q(q: QMatrix) -> list[list[int]]:
@@ -251,12 +219,16 @@ def block_structure(q: QMatrix) -> tuple[int, ...] | None:
 
 
 def cocycle_identities_residual(q: QMatrix, m, n, r) -> tuple:
-    """(f(m,n) - sigma(m,n)/sigma(n,m),  f(m+n,r) - f(m,r) f(n,r)); both 0.
-    The quotient is exact: sigma(m, n) times the root of -e(n, m)."""
+    """(f(m,n) - sigma(m,n)/sigma(n,m),  f(m+n,r) - f(m,r) f(n,r),
+    f(m,n+r) - f(m,n) f(m,r)); all 0.  The quotient is exact: sigma(m, n)
+    times the root of -e(n, m)."""
     first = f_form(q, m, n) - sigma(q, m, n) * root(q.N, -sigma_exponent(q, n, m))
     mn = tuple(x + y for x, y in zip(m, n))
-    second = f_form(q, mn, r) - f_form(q, m, r) * f_form(q, n, r)
-    return first, second
+    nr = tuple(x + y for x, y in zip(n, r))
+    fmr = f_form(q, m, r)
+    second = f_form(q, mn, r) - fmr * f_form(q, n, r)
+    third = f_form(q, m, nr) - f_form(q, m, n) * fmr
+    return first, second, third
 
 
 def sigma_cocycle_residual(q: QMatrix, m, n, r) -> int | Cyc:

@@ -14,7 +14,6 @@ algebra over exact scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import inf, prod
@@ -139,25 +138,15 @@ class RepHandle:
         return out
 
 
-@dataclass(frozen=True)
-class RepVec:
-    """A vector in a representation, as exact coordinates over its basis."""
-
-    rep: RepHandle
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.rep.dim:
-            raise ValueError("coordinate length does not match dimension")
-
-
-def act_matrix(rep: RepHandle, b, v: RepVec) -> RepVec:
-    """Action of a d x d scalar matrix, decomposed over matrix units."""
+def act_matrix(rep: RepHandle, b, coords: tuple) -> tuple:
+    """Action of a d x d scalar matrix on a vector given by its exact
+    coordinates over the rep's basis, decomposed over matrix units."""
     d = rep.d
     if len(b) != d or any(len(row) != d for row in b):
         raise ValueError(f"matrix must be {d}x{d}")
+    if len(coords) != rep.dim:
+        raise ValueError("coordinate length does not match dimension")
     out = [0] * rep.dim
-    coords = v.coords
     for i in range(1, d + 1):
         for j in range(1, d + 1):
             coeff = b[i - 1][j - 1]
@@ -167,7 +156,7 @@ def act_matrix(rep: RepHandle, b, v: RepVec) -> RepVec:
                 c = coords[src]
                 if c:
                     out[dst] = out[dst] + coeff * c * sc
-    return RepVec(rep, tuple(out))
+    return tuple(out)
 
 
 #: Most levels of tensor factors and twisted inner reps that a rep config

@@ -13,7 +13,6 @@ degree-zero part; ``ALGEBRAS`` names each classical algebra with its test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
@@ -37,20 +36,6 @@ def add_term(terms: dict, r, u) -> None:
     ``terms`` drops it."""
     prev = terms.get(r)
     terms[r] = u if prev is None else tuple(a + b for a, b in zip(prev, u))
-
-
-@dataclass(frozen=True)
-class DTerm:
-    """One homogeneous derivation D(u, r); zero coefficient vectors stand for 0."""
-
-    u: tuple
-    r: DegVec
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.u)
-
-    def as_elem(self) -> "AlgElem":
-        return AlgElem.term(self.u, self.r)
 
 
 class AlgElem:
@@ -143,9 +128,10 @@ def bracket_witt(x: AlgElem, y: AlgElem, cocycle=None) -> AlgElem:
     return AlgElem._trusted(x.d, out)
 
 
-def d_basis(r, i: int) -> DTerm:
-    """The spanning element t^r (r_{i+1} d_i - r_i d_{i+1}) of the
-    divergence-zero algebra; valid for 1 <= i <= d-1."""
+def d_basis(r, i: int) -> tuple:
+    """The coefficient vector u of the spanning element
+    D(u, r) = t^r (r_{i+1} d_i - r_i d_{i+1}) of the divergence-zero
+    algebra; valid for 1 <= i <= d-1."""
     r = _as_deg(r)
     d = len(r)
     if not 1 <= i <= d - 1:
@@ -153,12 +139,13 @@ def d_basis(r, i: int) -> DTerm:
     u = [0] * d
     u[i - 1] = r[i]
     u[i] = -r[i - 1]
-    return DTerm(tuple(u), r)
+    return tuple(u)
 
 
-def pair_term(r, i: int, j: int) -> DTerm:
-    """t^r (r_j d_i - r_i d_j) for any pair i < j; these span the full
-    divergence-zero component {u : (u|r) = 0} at each degree r != 0."""
+def pair_term(r, i: int, j: int) -> tuple:
+    """The coefficient vector u of D(u, r) = t^r (r_j d_i - r_i d_j) for any
+    pair i < j; these span the full divergence-zero component
+    {u : (u|r) = 0} at each degree r != 0."""
     r = _as_deg(r)
     d = len(r)
     if not (1 <= i <= d and 1 <= j <= d and i != j):
@@ -166,7 +153,7 @@ def pair_term(r, i: int, j: int) -> DTerm:
     u = [0] * d
     u[i - 1] = r[j - 1]
     u[j - 1] = -r[i - 1]
-    return DTerm(tuple(u), r)
+    return tuple(u)
 
 
 def in_Lhat(x: AlgElem) -> bool:

@@ -15,7 +15,7 @@ from divalg.linalg import basis_of, same_span, span_contains
 from divalg.modules import ModuleParams, act, graded, trivial_split, w_fiber_basis
 from divalg.qder import (QDerElem, act_q, ad_annihilation_check, bracket_qder, closure_q,
                          iso_algebra, iso_module)
-from divalg.qtorus import QMatrix, block_normal_q, in_rad, monomial, rad_q, sigma, torus_mul
+from divalg.qtorus import QMatrix, block_normal_q, in_rad, rad_q, sigma
 from divalg.reps import RepHandle
 from divalg.verify import (
     equivariance_suite,
@@ -156,13 +156,10 @@ def test_criterion_06_rank_one_split():
         alpha = (F(rng.randint(-3, 3), rng.choice((2, 3, 5))), F(rng.randint(-3, 3)))
         while alpha[0].denominator == 1:
             alpha = (F(rng.randint(-3, 3), rng.choice((2, 3, 5))), alpha[1])
-        s = trivial_split(ModuleParams(2, alpha, t))
-        assert s.irreducible
+        assert trivial_split(ModuleParams(2, alpha, t)) is None
     for _ in range(5):
         alpha = (rng.randint(-3, 3), rng.randint(-3, 3))
-        s = trivial_split(ModuleParams(2, alpha, t))
-        assert not s.irreducible
-        assert s.split_at == tuple(-a for a in alpha)
+        assert trivial_split(ModuleParams(2, alpha, t)) == tuple(-a for a in alpha)
     # closure from t^n with alpha + n != 0 never reaches the -alpha line
     for alpha in ((1, -2), (0, 0)):
         params = ModuleParams(2, alpha, t)
@@ -236,9 +233,7 @@ def degeneration_suite(d, count, rng, radius=2):
         m = sample_degree(rng, d, radius)
         n = sample_degree(rng, d, radius)
         checks += 1
-        if sigma(q, m, n) != 1 or torus_mul(q, monomial(q, m), monomial(q, n)).n != tuple(
-            a + b for a, b in zip(m, n)
-        ):
+        if sigma(q, m, n) != 1:
             violations += 1
         if x.outer.terms:
             r0, u0 = next(iter(x.outer.terms.items()))

@@ -177,7 +177,7 @@ def test_pair_basis_spans_every_pair_term(d):
         span = basis_of([u for _, _, u in kept], d)
         assert span.rank == d - 1
         for i, j in combinations(range(1, d + 1), 2):
-            assert span_contains(span, pair_term(r, i, j).u)
+            assert span_contains(span, pair_term(r, i, j))
 
 
 def greedy_pair_basis(r):
@@ -187,7 +187,7 @@ def greedy_pair_basis(r):
     out = []
     for i in range(1, len(r) + 1):
         for j in range(i + 1, len(r) + 1):
-            u = pair_term(r, i, j).u
+            u = pair_term(r, i, j)
             if any(u) and _reduce_into(echelon, list(u)) is not None:
                 out.append((i, j, u))
     return out
@@ -277,7 +277,7 @@ def classical_family(p, gen_radius, algebra):
         elif not any(r):
             us = [unit(d, j) for j in range(d)] if algebra == "Lhat" else []
         else:
-            us = [pair_term(r, i, j).u for i, j in combinations(range(1, d + 1), 2)]
+            us = [pair_term(r, i, j) for i, j in combinations(range(1, d + 1), 2)]
         for u in us:
             x = AlgElem.term(u, r)
             family.append((r, lambda fib, x=x: act(p, x, GradedVec(p, fib)).fibers))
@@ -359,7 +359,7 @@ def q_family(q, params, gen_radius, algebra):
         if not any(m):
             xs = [QDerElem.douter(unit(d, j), m) for j in range(d)] if algebra == "Lqhat" else []
         elif in_rad(q, m):
-            xs = [QDerElem.douter(pair_term(m, i, j).u, m)
+            xs = [QDerElem.douter(pair_term(m, i, j), m)
                   for i, j in combinations(range(1, d + 1), 2)]
         else:
             xs = [QDerElem.ad(m)]

@@ -24,7 +24,7 @@ from divalg.modules import (
     w_membership,
 )
 from divalg.qtorus import QMatrix, block_normal_q, block_structure, cocycle, in_rad, sigma
-from divalg.reps import RepHandle, RepVec, act_matrix
+from divalg.reps import RepHandle, act_matrix
 from divalg.scalars import Cyc
 from divalg.verify import (
     act_crosscheck_suite,
@@ -305,11 +305,9 @@ def test_w_invariance_first_violation_replays():
 
 def test_trivial_split_examples():
     t = RepHandle.trivial(2)
-    assert trivial_split(ModuleParams(2, (F(1, 2), 0), t)).irreducible
-    s = trivial_split(ModuleParams(2, (1, -2), t))
-    assert not s.irreducible and s.split_at == (-1, 2)
-    s0 = trivial_split(ModuleParams(2, (0, 0), t))
-    assert not s0.irreducible and s0.split_at == (0, 0)
+    assert trivial_split(ModuleParams(2, (F(1, 2), 0), t)) is None
+    assert trivial_split(ModuleParams(2, (1, -2), t)) == (-1, 2)
+    assert trivial_split(ModuleParams(2, (0, 0), t)) == (0, 0)
     with pytest.raises(ValueError):
         trivial_split(ModuleParams(2, (0, 0), RepHandle.natural(2)))
 
@@ -335,7 +333,7 @@ def module_formula(params, u, r, n, w):
     """(u | n + alpha) w + (r u^T) w, with r u^T applied by act_matrix."""
     rep = params.rep
     mat = [[ri * uj for uj in u] for ri in r]
-    rw = act_matrix(rep, mat, RepVec(rep, tuple(w))).coords
+    rw = act_matrix(rep, mat, tuple(w))
     s = sum(ua * (na + aa) for ua, na, aa in zip(u, n, params.alpha))
     return [s * x + y for x, y in zip(w, rw)]
 
@@ -345,8 +343,7 @@ def integer_matrix(rep, u, r) -> bool:
     mat = [[ri * uj for uj in u] for ri in r]
     return all(isinstance(x, int) for x in u) and all(
         isinstance(x, int) for b in range(rep.dim)
-        for x in act_matrix(rep, mat,
-                            RepVec(rep, tuple(int(t == b) for t in range(rep.dim)))).coords)
+        for x in act_matrix(rep, mat, tuple(int(t == b) for t in range(rep.dim))))
 
 
 # alphas with negative entries, zero entries and mixed denominators

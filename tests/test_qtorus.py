@@ -10,9 +10,9 @@ from random import Random
 
 import pytest
 
+import divalg.qtorus
 from divalg.qtorus import (
     QMatrix,
-    QMonomial,
     block_normal_q,
     block_structure,
     cocycle,
@@ -21,13 +21,10 @@ from divalg.qtorus import (
     f_exponent,
     f_form,
     in_rad,
-    monomial,
     rad_q,
     sigma,
     sigma_cocycle_residual,
     sigma_exponent,
-    torus_mul,
-    zero_monomial,
 )
 from divalg.closure import Box
 from divalg.scalars import Cyc
@@ -38,10 +35,10 @@ from test_lattices import in_lattice
 Q3 = QMatrix.from_exps(3, [[0, -1], [1, 0]])  # q_21 = zeta_3
 
 
-def torus_commutator(q: QMatrix, m, n) -> QMonomial:
-    """[t^m, t^n] = (sigma(m,n) - sigma(n,m)) t^{m+n}; may be zero."""
-    c = commutator_coeff(q, m, n)
-    return zero_monomial(q.d) if c is None else QMonomial(c, tuple(x + y for x, y in zip(m, n)))
+def torus_commutator(q: QMatrix, m, n) -> tuple:
+    """[t^m, t^n] = (sigma(m,n) - sigma(n,m)) t^{m+n}, as the coefficient
+    (possibly zero) and the degree m + n."""
+    return sigma(q, m, n) - sigma(q, n, m), tuple(x + y for x, y in zip(m, n))
 
 
 def sigma_oracle_exponent(q: QMatrix, m, n) -> int:
@@ -71,6 +68,18 @@ def test_sigma_examples():
     assert sigma(Q3, (2, 5), (0, 0)) == 1
 
 
+def test_torus_mul_examples():
+    # t^m t^n = sigma(m, n) t^(m+n): the torus product is read off sigma.
+    # t^(0,1) t^(1,0) = zeta_3 t^(1,1) and t^(1,0) t^(0,1) = t^(1,1)
+    assert sigma(Q3, (0, 1), (1, 0)) == Cyc.zeta(3, 1)
+    assert sigma(Q3, (1, 0), (0, 1)) == 1
+    # t^0 is a two-sided unit
+    for n in ((2, 5), (0, 1), (-3, 4)):
+        assert sigma(Q3, n, (0, 0)) == sigma(Q3, (0, 0), n) == 1
+    # t^(2,-1) t^(-2,1) = zeta_3^2 t^0, frozen from the reordering oracle
+    assert sigma(Q3, (2, -1), (-2, 1)) == Cyc.zeta(3, 2)
+
+
 def test_f_examples():
     assert f_form(Q3, (0, 1), (1, 0)) == Cyc.zeta(3, 1)
     assert f_form(Q3, (3, -4), (3, -4)) == 1
@@ -86,31 +95,19 @@ def test_sigma_against_reordering_oracle():
             assert sigma_exponent(q, m, n) == sigma_oracle_exponent(q, m, n), (m, n)
 
 
-def test_torus_mul_examples():
-    a = monomial(Q3, (0, 1))
-    b = monomial(Q3, (1, 0))
-    c = torus_mul(Q3, a, b)
-    assert c.n == (1, 1) and c.coeff == Cyc.zeta(3, 1)
-    n = (2, -1)
-    back = torus_mul(Q3, monomial(Q3, n), monomial(Q3, tuple(-x for x in n)))
-    assert back.n == (0, 0) and back.coeff == sigma(Q3, n, tuple(-x for x in n))
-    one = monomial(Q3, (0, 0))
-    assert torus_mul(Q3, one, a).coeff == a.coeff
-
-
 def test_torus_commutator_value():
     # [t^(0,1), t^(1,0)] = t2 t1 - t1 t2 = (q21 - 1) t^(1,1); frozen from the
     # reordering oracle (sigma((0,1),(1,0)) = zeta_3, sigma((1,0),(0,1)) = 1)
-    c = torus_commutator(Q3, (0, 1), (1, 0))
-    assert c.n == (1, 1)
-    assert c.coeff == Cyc.zeta(3, 1) - 1
+    c, n = torus_commutator(Q3, (0, 1), (1, 0))
+    assert n == (1, 1)
+    assert c == Cyc.zeta(3, 1) - 1
 
 
 def test_torus_commutator_zero_cases():
-    assert torus_commutator(Q3, (1, 2), (1, 2)).is_zero()
+    assert not torus_commutator(Q3, (1, 2), (1, 2))[0]
     # second argument in the radical
     assert in_rad(Q3, (3, -3))
-    assert torus_commutator(Q3, (1, 2), (3, -3)).is_zero()
+    assert not torus_commutator(Q3, (1, 2), (3, -3))[0]
 
 
 def test_rad_examples():
@@ -275,14 +272,40 @@ def test_cocycle_residuals():
     for q in (Q3, block_normal_q((3, 3))):
         for _ in range(50):
             m, n, r = (tuple(rng.randint(-3, 3) for _ in range(q.d)) for _ in range(3))
-            assert cocycle_identities_residual(q, m, n, r) == (0, 0)
+            assert cocycle_identities_residual(q, m, n, r) == (0, 0, 0)
             assert sigma_cocycle_residual(q, m, n, r) == 0
-    assert cocycle_identities_residual(Q3, (0, 0), (2, 1), (1, 1)) == (0, 0)
+    assert cocycle_identities_residual(Q3, (0, 0), (2, 1), (1, 1)) == (0, 0, 0)
 
 
 def test_associativity_random():
     assert qtorus_suite(Q3, 120, Random(9))["violations"] == 0
     assert qtorus_suite(block_normal_q((2, 2)), 120, Random(9))["violations"] == 0
+
+
+TRUE_F_EXPONENT = divalg.qtorus.f_exponent
+TRUE_SIGMA_EXPONENT = divalg.qtorus.sigma_exponent
+BROKEN_FORMS = {
+    # bilinear, but f(e_1, e_1) = zeta_N where sigma's commutator gives 1
+    "f-not-commutator": ("f_exponent",
+                         lambda q, m, n: (TRUE_F_EXPONENT(q, m, n) + m[0] * n[0]) % q.N),
+    # sigma times zeta_N^g(m) with g not constant: no longer a 2-cocycle
+    "sigma-not-bilinear": ("sigma_exponent",
+                           lambda q, m, n: (TRUE_SIGMA_EXPONENT(q, m, n) + (m[0] > 0)) % q.N),
+}
+
+
+@pytest.mark.parametrize("broken", [None, *BROKEN_FORMS])
+@pytest.mark.parametrize("q", [Q3, block_normal_q((2, 2)), block_normal_q((3, 3, 1)),
+                               Q_ANTICOMMUTING], ids=["3", "22", "331", "anticommuting"])
+def test_qtorus_suite_catches_a_broken_form(monkeypatch, broken, q):
+    """The suite's four identities, each counted once per triple, pass on
+    the true forms and catch an f that is not sigma's commutator and a
+    sigma that is not a cocycle."""
+    if broken is not None:
+        monkeypatch.setattr(divalg.qtorus, *BROKEN_FORMS[broken])
+    out = qtorus_suite(q, 60, Random(21))
+    assert out["checks"] == 4 * 60
+    assert (out["violations"] > 0) == (broken is not None)
 
 
 def test_commutator_spans_off_radical():
@@ -293,6 +316,6 @@ def test_commutator_spans_off_radical():
         probes = [sample_degree(rng, q.d, 2) for _ in range(25)]
         box = list(Box.radius(q.d, 3).degrees())
         for n in probes:
-            hit = any(not torus_commutator(q, m, tuple(a - b for a, b in zip(n, m))).is_zero()
+            hit = any(torus_commutator(q, m, tuple(a - b for a, b in zip(n, m)))[0]
                       for m in box)
             assert hit != in_rad(q, n), (q, n)

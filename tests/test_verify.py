@@ -16,6 +16,7 @@ import divalg.modules
 import divalg.qder
 import divalg.verify
 import divalg.witt
+from divalg.cli import run
 from divalg.modules import ModuleParams, act, module_axiom_residual
 from divalg.qder import OUTER_SIGN, QDerElem, act_q, module_axiom_residual_q
 from divalg.qtorus import block_normal_q, in_rad
@@ -60,10 +61,10 @@ def ref_sample_div_zero(rng, r):
     return tuple(u)
 
 
-def ref_sample_algelem(rng, d, algebra, radius=3, max_terms=2):
+def ref_sample_algelem(rng, d, algebra, radius=3):
     """The rational sampler that sample_algelem scales by 6."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 2)):
         if algebra == "W":
             r = sample_degree(rng, d, radius)
             add_term(terms, r, tuple(ref_sample_rat(rng) for _ in range(d)))
@@ -75,11 +76,11 @@ def ref_sample_algelem(rng, d, algebra, radius=3, max_terms=2):
     return AlgElem(d, terms)
 
 
-def ref_sample_qder(rng, q, algebra, radius=2, max_terms=2):
+def ref_sample_qder(rng, q, algebra, radius=2):
     """The rational sampler that sample_qder scales by 6."""
     d = q.d
     inner, outer = {}, {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 2)):
         if rng.random() < 0.5:
             m = sample_degree(rng, d, radius, nonzero=True)
             if in_rad(q, m):
@@ -154,7 +155,7 @@ def reference_sign(q, samples):
 
 def naive_module_q(q, params, algebra, pairs, rng, radius=2):
     """(checks, pair violations, sign): the sign is :func:`reference_sign`
-    on the sign probe and the first 24 samples with a nonzero vector."""
+    on the sign probe and every sample with a nonzero vector."""
     violations = 0
     samples = [_sign_probe(q, params)]
     for _ in range(pairs):
@@ -162,7 +163,7 @@ def naive_module_q(q, params, algebra, pairs, rng, radius=2):
         y = ref_sample_qder(rng, q, algebra, radius)
         v = sample_graded(rng, params, radius)
         violations += not module_axiom_residual_q(q, x, y, v).is_zero()
-        if not v.is_zero() and len(samples) < 25:
+        if not v.is_zero():
             samples.append((x, y, v))
     return pairs, violations, reference_sign(q, samples)
 
@@ -279,6 +280,24 @@ def test_module_suite_q_sign_matches_the_reference(monkeypatch, program, q, rep,
     assert got["checks"] == checks
     assert got["violations"] == violations + (want_sign is None)
     assert (violations == 0) == (program == "true")
+
+
+def test_module_suite_q_sign_reads_every_sample(monkeypatch):
+    """A bracket whose failing samples all come after the 24th nonzero one
+    gets no sign: with the outer-inner sign flipped, the Lq module at
+    l = (2, 2), alpha = (1/2, 1/3), natural rep, 40 pairs, seed 0 has four
+    failing pairs and no sign, one more violation, and the job exits 1."""
+    monkeypatch.setattr(divalg.qder, "bracket_qder", flipped_bracket_qder)
+    q, params = block_normal_q((2, 2)), ModuleParams(2, (F(1, 2), F(1, 3)), RepHandle.natural(2))
+    got = module_suite_q(q, params, "Lq", 40, Random(0))
+    checks, violations, sign = naive_module_q(q, params, "Lq", 40, Random(0))
+    assert (got["outer_bracket_sign"], got["violations"]) == (sign, violations + 1) == (None, 5)
+    report, code = run({"job": "verify-module", "algebra": "Lq", "d": 2,
+                        "alpha": ["1/2", "1/3"], "rep": {"kind": "natural"},
+                        "q": {"l": [2, 2]}, "pairs": 40}, 0)
+    assert code == 1
+    assert report["details"]["outer_bracket_sign"] is None
+    assert report["details"]["suites"][0]["violations"] == 5
 
 
 def test_sample_degree_at_radius_0_raises_before_drawing():
