@@ -32,9 +32,12 @@ a generator whose image lands in a full fiber is skipped before it is
 applied; the generators of one shift are consecutive in the family, so a row
 checks its target fiber once per shift, and again only after one of that
 shift's images is accepted, the one event that can fill a fiber.  That bound
-is ``dim``, or the fiber dimension of the wedge submodule W when every seed
+is ``dim``; or the fiber dimension of the wedge submodule W when every seed
 lies in W (:func:`w_bound`): W is invariant under the whole Witt algebra, so
-the closure of such seeds never leaves it.  A row that fills its fiber empties
+the closure of such seeds never leaves it; or, on the q side, ``dim`` on the
+seeds' side of the radical and 0 on the other when every seed lies on one
+side (:func:`divalg.qder.radical_bound`): the radical fibers and the
+off-radical fibers each form a submodule.  A row that fills its fiber empties
 that fiber's annihilator rather than updating it.  The state counts its open
 (not yet full) fibers, and saturation stops as soon as none is left: every
 generator would be skipped from then on, so the rows still queued would add
@@ -459,7 +462,9 @@ def _close(params: ModuleParams, seeds: list[GradedVec], working: Box, target: B
     ``generators()`` inside the working box, extract canonical fiber bases
     over the target box and, when saturated, label them with
     ``classifier(result)``.  ``bound`` is the per-degree upper bound of
-    :class:`SpanState`; it must hold for the closure of the seeds."""
+    :class:`SpanState`; it must hold for the closure of the seeds: ``dim``
+    when None, the W fiber (:func:`w_bound`) or the radical split
+    (:func:`divalg.qder.radical_bound`)."""
     if not seeds:
         raise ValueError("need at least one seed")
     if working.d != params.d or target.d != params.d:

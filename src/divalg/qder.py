@@ -402,10 +402,32 @@ def classify_q(result: ClosureResult, q: QMatrix, params: ModuleParams) -> Label
     return match(result, q_shapes(q, params))
 
 
+def radical_bound(q: QMatrix, params: ModuleParams, seeds: list[GradedVec]):
+    """The fiber bound of the seeds' side of the radical when every seed
+    degree lies on one side: ``dim`` on that side and 0 on the other; None
+    for seeds on both sides.
+
+    The radical fibers and the off-radical fibers each form a submodule, for
+    every q.  An outer generator has a radical shift, so it keeps a degree's
+    side.  ``ad t^m`` acts on the fiber at n as sigma(m, n) - sigma(n, m),
+    which is 0 exactly when f(m, n) = 1; f is bimultiplicative with f(m, m)
+    = 1 and f(., r) = 1 for a radical r, so f(m, n) = f(m, n + m) = 1
+    whenever n or n + m is radical, and no ``ad t^m`` crosses the radical.
+    Zero seeds have no degree and are left to the driver to refuse.
+    """
+    sides = {in_rad(q, n) for s in seeds for n in s.fibers}
+    if len(sides) != 1:
+        return None
+    (radical,) = sides
+    dim = params.rep.dim
+    return lambda n: dim if in_rad(q, n) == radical else 0
+
+
 def closure_q(q: QMatrix, params: ModuleParams, seeds: list[GradedVec], gen_radius: int,
               working: Box, target: Box, max_iters: int, algebra: str) -> ClosureResult:
     """Saturate the seeds under the chosen q-algebra inside the working box and
     report canonical fiber bases over the target box."""
     return _close(params, seeds, working, target, max_iters,
                   lambda: qder_generators(q, params, gen_radius, algebra),
-                  lambda result: classify_q(result, q, params))
+                  lambda result: classify_q(result, q, params),
+                  radical_bound(q, params, seeds))

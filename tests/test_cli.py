@@ -7,6 +7,7 @@ import pytest
 
 import divalg.qder
 from divalg.cli import ConfigError, main, report_json, run
+from divalg.modules import GradedVec
 from test_verify import flipped_bracket_qder
 
 
@@ -367,6 +368,34 @@ def _no_closure(*args, **kwargs):
     raise AssertionError("the closure ran")
 
 
+@pytest.mark.parametrize("seeds, across, message", [
+    ([{"n": [1, 0], "coords": ["0", "0"]}], None, "zero seed"),
+    ([{"n": [0, 0], "coords": ["0", "0"]}], None, "zero seed"),
+    ([{"n": [1, 0], "coords": ["1", "0"]}, {"n": [0, 0], "coords": ["0", "0"]}], None,
+     "zero seed"),
+    ([{"n": [1, 0], "coords": ["1", "0"]}], (0, 2), "seed on 2 degrees"),
+    ([{"n": [1, 0], "coords": ["1", "0"]}], (1, 0), "seed on 2 degrees"),
+], ids=["off-zero", "radical-zero", "zero-after-off", "two-degrees-one-side",
+        "two-degrees-across"])
+def test_q_closure_seed_errors_come_before_the_radical_bound(tmp_path, capsys, monkeypatch,
+                                                             seeds, across, message):
+    # the radical bound reads the seeds' degrees before the driver checks
+    # them; it must neither raise first nor hide the driver's error.  No
+    # config spells a seed on two degrees, so the second degree (the seed's
+    # own shifted by ``across``, on the seed's side of the radical or not) is
+    # added where the CLI builds the seed
+    if across is not None:
+        def graded(params, n, coords):
+            other = tuple(a + b for a, b in zip(n, across))
+            return GradedVec(params, {tuple(n): coords, other: coords})
+        monkeypatch.setattr("divalg.cli.graded", graded)
+    path = write_config(tmp_path, "seeds.json", dict(Q_CLOSURE, seeds=seeds))
+    assert main(["closure", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: closure: {message}" + (
+        ": the closure takes seeds at one degree each" if across else "")]
+
+
 @pytest.mark.parametrize("base, label", [
     (CLOSURE_W, "Bogus"), (CLOSURE_W, "GqFull"), (CLOSURE_W, "Class0"),
     (CLOSURE_W, "WPrime"), (CLOSURE_W, "WPrime(0)"), (CLOSURE_W, "WPrime(01)"),
@@ -652,8 +681,10 @@ def test_report_golden_bytes(config, digest):
 # rounds and final rank.  A change to the engine that keeps the report bytes
 # must keep these too, or say why the work moved.  L-W's seed lies in the
 # wedge submodule W, so each fiber is full once it holds its W fiber and no
-# generator is applied into it afterwards; "-unbounded" runs a closure with
-# that bound off (closure.w_bound returns None), the plain path.  A graded
+# generator is applied into it afterwards.  A q closure's seeds lie on one
+# side of the radical, and each fiber on the other side is full from the
+# start (qder.radical_bound).  "-unbounded" runs a closure with both bounds off
+# (closure.w_bound and qder.radical_bound return None), the plain path.  A graded
 # frontier carries each accepted image as it stands, not reduced against the
 # span; the span after each round is the same, but a raw image's images vanish
 # identically (block_apply returns None, and no insert is made) a little more
@@ -664,11 +695,15 @@ WORK = {
     "L-W-unbounded": (792, 759, 49, 3, 49),
     "L-Full": (123, 124, 98, 4, 98),
     "L-WPrime": (792, 713, 49, 3, 49),
-    "Lq-22-GqFull": (343, 104, 80, 4, 80),
-    "Lqhat-22-Class0": (269, 30, 18, 4, 18),
-    "Lq-33-GqFull": (521, 157, 80, 4, 80),
+    "Lq-22-GqFull": (103, 104, 80, 4, 80),
+    "Lq-22-GqFull-unbounded": (343, 104, 80, 4, 80),
+    "Lqhat-22-Class0": (29, 30, 18, 4, 18),
+    "Lqhat-22-Class0-unbounded": (269, 30, 18, 4, 18),
+    "Lq-33-GqFull": (169, 157, 80, 4, 80),
+    "Lq-33-GqFull-unbounded": (521, 157, 80, 4, 80),
     "Lhat-seeds-on-two-degrees": (183, 167, 98, 3, 98),
-    "Lq-anticommuting-GqFull": (1858, 671, 270, 5, 270),
+    "Lq-anticommuting-GqFull": (670, 671, 270, 5, 270),
+    "Lq-anticommuting-GqFull-unbounded": (1858, 671, 270, 5, 270),
     "W-Full": (110, 111, 98, 3, 98),
 }
 
@@ -723,7 +758,9 @@ def test_golden_closure_work_counters(name, work_counters, monkeypatch):
     golden = name.removesuffix("-unbounded")
     if golden != name:
         import divalg.closure as closure_mod
+        import divalg.qder as qder_mod
         monkeypatch.setattr(closure_mod, "w_bound", lambda params, seeds: None)
+        monkeypatch.setattr(qder_mod, "radical_bound", lambda q, params, seeds: None)
     config = next(c for n, c, _ in GOLDEN if n == golden)
     _, code = run(json.loads(json.dumps(config)), 0)
     assert code == 0

@@ -9,6 +9,7 @@ import pytest
 from divalg.closure import Box
 from divalg.modules import GradedVec, ModuleParams, act, graded
 from divalg.qder import (
+    Q_ALGEBRAS,
     QDerElem,
     _inner_generator,
     act_q,
@@ -23,6 +24,8 @@ from divalg.qder import (
     iso_module,
     iso_params,
     module_axiom_residual_q,
+    qder_generators,
+    radical_bound,
 )
 import divalg.qder
 from divalg.qtorus import QMatrix, block_normal_q, commutator_coeff, in_rad, sigma, sigma_exponent
@@ -475,3 +478,58 @@ def test_closure_q_errors():
     empty = GradedVec(P22, {})
     with pytest.raises(ValueError):
         closure_q(Q22, P22, [empty], 2, Box.radius(2, 3), Box.radius(2, 1), 50, "Lq")
+
+
+# -- the radical bound ----------------------------------------------------------------
+
+RADICAL_QS = [block_normal_q((2, 2)), block_normal_q((3, 3)), block_normal_q((2, 2, 1)),
+              Q_ANTICOMMUTING, Q_ZERO_COLUMN]
+RADICAL_Q_IDS = ["22", "33", "221", "anticommuting", "zero-column"]
+
+
+def _radical_params(q):
+    return ModuleParams(q.d, (F(1, 5), F(1, 7), F(1, 3))[:q.d], RepHandle.natural(q.d))
+
+
+@pytest.mark.parametrize("q", RADICAL_QS, ids=RADICAL_Q_IDS)
+def test_no_generator_crosses_the_radical(q):
+    # ad t^m kills the fiber at n whenever n or n + m is radical, and every
+    # generator off the radical is an ad t^m (it returns its input or None),
+    # so every outer shift is radical and keeps a degree's side
+    box = list(Box.radius(q.d, 2).degrees())
+    w = list(range(1, q.d + 1))
+    for m in box:
+        if in_rad(q, m):
+            continue
+        apply = _inner_generator(q, m).block_apply
+        for n in box:
+            if in_rad(q, n) or in_rad(q, tuple(a + b for a, b in zip(m, n))):
+                assert apply(n, w) is None, (m, n)
+    params = _radical_params(q)
+    for algebra in Q_ALGEBRAS:
+        for gen in qder_generators(q, params, 2, algebra):
+            if not in_rad(q, gen.shift):
+                for n in box:
+                    image = gen.block_apply(n, w)
+                    assert image is w or image is None, (algebra, gen.shift, n)
+
+
+@pytest.mark.parametrize("seeds", ["off", "two-off", "radical", "mixed"])
+@pytest.mark.parametrize("algebra", Q_ALGEBRAS)
+@pytest.mark.parametrize("q", RADICAL_QS, ids=RADICAL_Q_IDS)
+def test_radical_bound_matches_unbounded_closure(q, algebra, seeds, monkeypatch):
+    # the bound only skips generators whose images stay in the span: the
+    # closure with it is the closure without it, iterations and label included
+    params = _radical_params(q)
+    units = [tuple(int(i == j) for j in range(q.d)) for i in range(q.d)]
+    off = [e for e in units if not in_rad(q, e)]
+    zero = (0,) * q.d
+    degrees = {"off": off[:1], "two-off": off[:2], "radical": [zero],
+               "mixed": [zero, off[0]]}[seeds]
+    seed_list = [graded(params, n, range(1, q.d + 1)) for n in degrees]
+    assert (radical_bound(q, params, seed_list) is None) == (seeds == "mixed")
+    args = (q, params, seed_list, 2, Box.radius(q.d, 2), Box.radius(q.d, 1), 50, algebra)
+    bounded = closure_q(*args)
+    assert bounded.saturated
+    monkeypatch.setattr(divalg.qder, "radical_bound", lambda q, params, seeds: None)
+    assert closure_q(*args) == bounded
