@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 from random import Random
 
 from . import verify
@@ -30,7 +31,7 @@ from .qtorus import (
     rad_q,
     sigma_exponent,
 )
-from .reps import RepHandle, rep_from_config
+from .reps import RepHandle
 from .scalars import Cyc, format_rat, parse_rat
 from .witt import ALGEBRAS, AlgElem, DegVec, bracket_witt
 
@@ -75,19 +76,23 @@ def _int(raw, context: str, minimum: int | None = None) -> int:
     return raw
 
 
+def _list(raw, context: str, what: str) -> list:
+    """A JSON list field, not a number or a string."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{context}: expected a list of {what}")
+    return raw
+
+
 def _ints(raw, context: str) -> tuple[int, ...]:
     """A list of integers, such as a degree or a box corner."""
-    if not isinstance(raw, list):
-        raise ConfigError(f"{context}: expected a list of integers")
+    raw = _list(raw, context, "integers")
     return tuple(_int(x, f"{context}[{k}]") for k, x in enumerate(raw))
 
 
 def _rats(raw, context: str) -> tuple:
     """A list of rationals, each a "p/q" string or an integer."""
-    if not isinstance(raw, list):
-        raise ConfigError(f"{context}: expected a list of rationals")
     out = []
-    for k, s in enumerate(raw):
+    for k, s in enumerate(_list(raw, context, "rationals")):
         try:
             out.append(parse_rat(s))
         except (ValueError, ZeroDivisionError) as e:
@@ -118,9 +123,8 @@ def _parse_q(raw) -> QMatrix:
         _strict(raw, "q", {"N", "exps"}, set())
         field = "q.N"
         n = _int(raw["N"], field)
-        if not isinstance(raw["exps"], list):
-            raise ConfigError("q.exps: expected a list of integer rows")
-        exps = [_ints(row, f"q.exps[{k}]") for k, row in enumerate(raw["exps"])]
+        exps = [_ints(row, f"q.exps[{k}]")
+                for k, row in enumerate(_list(raw["exps"], "q.exps", "integer rows"))]
         try:
             q = QMatrix.from_exps(n, exps)
         except ValueError as e:
@@ -164,19 +168,103 @@ def _parse_box(raw, d: int, context: str) -> Box:
     raise ConfigError(f"{context}: expected an integer radius or lo/hi corners")
 
 
+#: The fields of each rep kind besides ``kind``
+REP_FIELDS = {"natural": (), "exterior": ("k",), "symmetric": ("m",), "trivial": (),
+              "tensor": ("factors",), "twisted": ("l", "inner")}
+
+#: Most levels of tensor factors and twisted inner reps that a rep config
+#: may nest, so that building and acting on a rep recurse a bounded depth
+MAX_REP_DEPTH = 32
+
+
 def _parse_rep(raw, d: int) -> RepHandle:
-    try:
-        return rep_from_config(d, raw, MAX_CELLS)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"rep: {e}") from None
+    """The rep of a ``rep`` config.
+
+    A nested rep, a tensor factor or a twisted inner rep, is read at a path,
+    and its errors name their field by that path: ``rep: factors[1].k``.
+    Reps may nest at most MAX_REP_DEPTH levels deep.  The whole config is
+    read, and its size found from closed forms, before any basis label is
+    built: a rep whose labels would hold more than MAX_CELLS cells (dim
+    times the label length, over it and every rep nested in it) is an error
+    naming the field that sets the size, such as ``rep: factors[1].m``.
+    """
+    return _rep_plan(raw, d, "rep", 1)[0]()
 
 
-def _within_budget(field: str, cells: int) -> None:
-    """A ConfigError naming ``field`` when a job would list more than
-    MAX_CELLS cells."""
-    if cells > MAX_CELLS:
-        raise ConfigError(f"{field}: the job would list {cells:,} cells, over the budget "
-                          f"of {MAX_CELLS:,}")
+def _rep_plan(raw, d: int, path: str, depth: int):
+    """(build, dim, cells) of the rep config ``raw`` at ``path``: ``build()``
+    makes the rep, whose dim and label cells come from closed forms."""
+    at = "rep: " if depth == 1 else f"{path}."  # the prefix of its fields
+    if depth > MAX_REP_DEPTH:
+        raise ConfigError(f"rep: reps nested more than {MAX_REP_DEPTH} levels deep")
+    if not isinstance(raw, dict) or not isinstance(raw.get("kind"), str):
+        raise ConfigError(f"{path}: expected an object with a string field 'kind'")
+    kind = raw["kind"]
+    if kind not in REP_FIELDS:
+        raise ConfigError(f"{path}: unknown rep kind {kind!r}")
+    _strict(raw, path, {"kind", *REP_FIELDS[kind]}, set())
+    # build(nested reps) makes the rep, of dim and label length from closed
+    # forms, set by field; the constructors reject k and m out of range
+    field, nested = path, []
+    if kind == "natural":
+        build, dim, width = lambda _: RepHandle.natural(d), d, 1
+    elif kind == "exterior":
+        k = _int(raw["k"], f"{at}k")
+        build, field = lambda _: RepHandle.exterior(d, k), f"{at}k"
+        dim, width = (_binom(d, k, MAX_CELLS) if 1 <= k <= d else 0), k
+    elif kind == "symmetric":
+        m = _int(raw["m"], f"{at}m")
+        build, field = lambda _: RepHandle.symmetric(d, m), f"{at}m"
+        dim, width = (_binom(d + m - 1, m, MAX_CELLS) if m >= 1 else 0), m
+    elif kind == "trivial":
+        build, dim, width = lambda _: RepHandle.trivial(d), 1, 1
+    elif kind == "tensor":
+        factors = _list(raw["factors"], f"{at}factors", "rep configs")
+        nested = [_rep_plan(f, d, f"{at}factors[{t}]", depth + 1)
+                  for t, f in enumerate(factors)]
+        build, field = RepHandle.tensor, f"{at}factors"
+        dim, width = _within_budget(field, *(dim for _, dim, _ in nested)), len(nested)
+    else:
+        l = _ints(raw["l"], f"{at}l")
+        nested = [_rep_plan(raw["inner"], d, f"{at}inner", depth + 1)]
+        build, field = lambda built: RepHandle.twisted(built[0], l), f"{at}inner"
+        dim, width = nested[0][1], 1
+    cells = _within_budget(field, dim * width + sum(c for _, _, c in nested))
+
+    def make() -> RepHandle:
+        built = [plan() for plan, _, _ in nested]
+        try:
+            return build(built)
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from None
+
+    return make, dim, cells
+
+
+def _binom(n: int, k: int, cap: int) -> int:
+    """C(n, k) for 0 <= k <= n, or, once it is over ``cap``, a number over
+    ``cap``: the partial products C(n - k + t, t) grow with t."""
+    k, out = min(k, n - k), 1
+    for t in range(1, k + 1):
+        out = out * (n - k + t) // t
+        if out > cap:
+            break
+    return out
+
+
+def _within_budget(field: str, *factors: int) -> int:
+    """The product of ``factors``, the cells that a job would list; a
+    ConfigError naming ``field`` as soon as the product passes MAX_CELLS, so
+    no larger number is formed."""
+    if 0 in factors:
+        return 0
+    cells = 1
+    for x in factors:
+        cells *= x
+        if cells > MAX_CELLS:
+            raise ConfigError(f"{field}: the job would list more cells than the budget "
+                              f"of {MAX_CELLS:,}")
+    return cells
 
 
 def _deg_str(n: DegVec) -> str:
@@ -190,14 +278,10 @@ def _deg_str(n: DegVec) -> str:
 
 def _parse_elements(raw, d: int) -> list:
     """Explicit algebra elements as lists of {"u": [...], "r": [...]} terms."""
-    if not isinstance(raw, list):
-        raise ConfigError("elements: expected a list of element term lists")
     out = []
-    for k, terms in enumerate(raw):
-        if not isinstance(terms, list):
-            raise ConfigError(f"elements[{k}]: expected a list of terms")
+    for k, terms in enumerate(_list(raw, "elements", "element term lists")):
         elem = AlgElem.zero(d)
-        for t, term in enumerate(terms):
+        for t, term in enumerate(_list(terms, f"elements[{k}]", "terms")):
             _strict(term, f"elements[{k}][{t}]", {"u", "r"}, set())
             u = _rats(term["u"], f"elements[{k}][{t}].u")
             r = _ints(term["r"], f"elements[{k}][{t}].r")
@@ -236,7 +320,7 @@ def _job_verify_algebra(config: dict, rng: Random) -> tuple[str, dict]:
         d = _int(config["d"], "d", 1)
         radius = _int(config.get("degree_radius", 3), "degree_radius", _min_radius(algebra))
         # the pair-span suite lists every degree of its box
-        _within_budget("degree_radius", Box.radius(d, min(radius, 2)).size * d)
+        _within_budget("degree_radius", *Box.radius(d, min(radius, 2)).sides, d)
         suites.append(verify.lie_suite_classical(d, algebra, triples, rng, radius))
         suites.append(verify.d_basis_span_suite(d, min(radius, 2)))
         suites.append(verify.lemma_orthg_suite(d, max(20, triples // 10), rng))
@@ -283,7 +367,7 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
         wedge = _wedge_power(params.rep) is not None and params.rep.kind != "trivial"
         if wedge:
             # the wedge-invariance suite lists every generator degree of radius 2
-            _within_budget("d", Box.radius(d, 2).size * params.rep.dim)
+            _within_budget("d", *Box.radius(d, 2).sides, params.rep.dim)
         suites.append(verify.module_suite_classical(params, algebra, pairs, rng, radius))
         if d >= 2:
             suites.append(verify.act_crosscheck_suite(params, max(20, pairs // 4), rng, radius))
@@ -299,7 +383,7 @@ def _job_verify_module(config: dict, rng: Random) -> tuple[str, dict]:
         q = _config_q(config, d)
         # the ad-annihilation check lists the radius-2 box, and the sign
         # probe walks it until a probe degree turns up
-        _within_budget("d", Box.radius(d, 2).size * params.rep.dim)
+        _within_budget("d", *Box.radius(d, 2).sides, params.rep.dim)
         m = verify.module_suite_q(q, params, algebra, pairs, rng, radius)
         suites.append(m)
         suites.append(verify.qtorus_suite(q, pairs, rng))
@@ -322,7 +406,7 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
     d = _int(config["d"], "d", 1)
     params = ModuleParams(d, _parse_alpha(config["alpha"], d), _parse_rep(config["rep"], d))
     # each fiber of the closure starts from a dim x dim annihilator
-    _within_budget("rep", params.rep.dim ** 2)
+    _within_budget("rep", params.rep.dim, params.rep.dim)
     algebra = config["algebra"]
     gen_radius = _int(config.get("gen_radius", 2), "gen_radius", 0)
     working = _parse_box(config.get("working_box", 3), d, "working_box")
@@ -339,15 +423,16 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
         q = _config_q(config, d)
         shapes = q_shapes(q, params)
     else:
-        raise ConfigError(f"algebra: unknown algebra {algebra!r}")
+        raise ConfigError(f"algebra: no closure of algebra {algebra!r}; the closure algebras "
+                          f"are {', '.join([*ALGEBRAS, *Q_ALGEBRAS])}")
     if expect is not None and Label.parse(expect, shapes) is None:
         raise ConfigError(f"expect_label: no closure of algebra {algebra!r} is labelled "
                           f"{expect!r}")
-    _within_budget("working_box", working.size * params.rep.dim)
+    _within_budget("working_box", *working.sides, params.rep.dim)
     # each shift of the generator box carries up to d fiber maps, about 32
     # cells each, and one neighbour bit per working-box degree, 64 to a cell
-    _within_budget("gen_radius",
-                   Box.radius(d, gen_radius).size * (32 * d + working.size // 64))
+    _within_budget("gen_radius", *Box.radius(d, gen_radius).sides,
+                   32 * d + prod(working.sides) // 64)
     raw_seeds = config["seeds"]
     if not isinstance(raw_seeds, list) or not raw_seeds:
         raise ConfigError("seeds: expected a nonempty list")
@@ -403,7 +488,7 @@ def _job_qtorus_info(config: dict, rng: Random) -> tuple[str, dict]:
     _strict(config, "config", {"job", "q"}, {"schema_version", "sample_radius"})
     q = _parse_q(config["q"])
     radius = _int(config.get("sample_radius", 1), "sample_radius", 0)
-    _within_budget("sample_radius", Box.radius(q.d, radius).size * q.d)
+    _within_budget("sample_radius", *Box.radius(q.d, radius).sides, q.d)
     samples = []
     degs = sorted(Box.radius(q.d, radius).degrees())
     for m in degs[: 4]:
@@ -549,7 +634,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # a JSONDecodeError, an integer literal over the interpreter's digit
+        # limit, or a byte that is not UTF-8
         print(f"error: config is not valid JSON: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -87,9 +87,9 @@ class Box:
         return len(self.lo)
 
     @property
-    def size(self) -> int:
-        """The number of degrees, found without listing them."""
-        return prod(b - a + 1 for a, b in zip(self.lo, self.hi))
+    def sides(self) -> tuple[int, ...]:
+        """The side lengths, whose product is the number of degrees."""
+        return tuple(b - a + 1 for a, b in zip(self.lo, self.hi))
 
     def contains(self, n) -> bool:
         return all(a <= x <= b for a, x, b in zip(self.lo, n, self.hi))
@@ -230,7 +230,7 @@ class Neighbours:
     """
 
     def __init__(self, box: Box, shifts: list[DegVec]):
-        sides = [b - a + 1 for a, b in zip(box.lo, box.hi)]
+        sides = box.sides
         strides = [prod(sides[c + 1:]) for c in range(box.d)]
         self.offsets = [sum(x * t for x, t in zip(s, strides)) for s in shifts]
         self._deg_masks = [-1]  # every shift, at the one degree of Z^0

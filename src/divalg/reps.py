@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import inf, prod
 
 
 class RepHandle:
@@ -157,118 +156,3 @@ def act_matrix(rep: RepHandle, b, coords: tuple) -> tuple:
                 if c:
                     out[dst] = out[dst] + coeff * c * sc
     return tuple(out)
-
-
-#: Most levels of tensor factors and twisted inner reps that a rep config
-#: may nest, so that building and acting on a rep recurse a bounded depth
-MAX_REP_DEPTH = 32
-
-
-def rep_from_config(d: int, obj: dict, max_cells: int | None = None) -> RepHandle:
-    """Build a representation from its JSON description.
-
-    A nested rep, a tensor factor or a twisted inner rep, is read at a path
-    (such as ``factors[1]`` or ``inner``), and its errors name their field by
-    that path: ``factors[1].k``.  Reps may nest at most MAX_REP_DEPTH levels
-    deep.  The whole config is read, and its size found from closed forms,
-    before any basis label is built: a rep whose labels would hold more than
-    ``max_cells`` cells (dim times the label length, over it and every rep
-    nested in it) is an error naming the field that sets the size, such as
-    ``factors[1].m``.
-    """
-    return _rep_plan(d, obj, "", 1, max_cells)[0]()
-
-
-def _rep_plan(d: int, obj: dict, path: str, depth: int, max_cells: int | None):
-    """(build, dim, cells) of the rep config ``obj`` at ``path``: ``build()``
-    makes the rep, whose dim and label cells come from closed forms."""
-    at = f"{path}." if path else ""
-    where = f"{path}: " if path else ""
-    if depth > MAX_REP_DEPTH:
-        raise ValueError(f"reps nested more than {MAX_REP_DEPTH} levels deep")
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"{where}rep config must be an object with a 'kind' field")
-    kind = obj["kind"]
-    known = {
-        "natural": {"kind"},
-        "exterior": {"kind", "k"},
-        "symmetric": {"kind", "m"},
-        "trivial": {"kind"},
-        "tensor": {"kind", "factors"},
-        "twisted": {"kind", "l", "inner"},
-    }
-    if kind not in known:
-        raise ValueError(f"{where}unknown rep kind {kind!r}")
-    extra = set(obj) - known[kind]
-    if extra:
-        raise ValueError(f"{where}unknown rep config fields {sorted(extra)}")
-    missing = known[kind] - set(obj)
-    if missing:
-        raise ValueError(f"{where}missing rep config fields {sorted(missing)}")
-    # build(nested reps) makes the rep, of dim and label length from closed
-    # forms, set by field; the constructors reject k and m out of range
-    field, nested = where, []
-    cap = inf if max_cells is None else max_cells
-    if kind == "natural":
-        build, dim, width = lambda _: RepHandle.natural(d), d, 1
-    elif kind == "exterior":
-        k = _json_int(obj["k"], f"{at}k")
-        build, field = lambda _: RepHandle.exterior(d, k), f"{at}k: "
-        dim, width = (_binom(d, k, cap) if 1 <= k <= d else 0), k
-    elif kind == "symmetric":
-        m = _json_int(obj["m"], f"{at}m")
-        build, field = lambda _: RepHandle.symmetric(d, m), f"{at}m: "
-        dim, width = (_binom(d + m - 1, m, cap) if m >= 1 else 0), m
-    elif kind == "trivial":
-        build, dim, width = lambda _: RepHandle.trivial(d), 1, 1
-    elif kind == "tensor":
-        factors = _json_list(obj["factors"], f"{at}factors", "rep configs")
-        nested = [_rep_plan(d, f, f"{at}factors[{t}]", depth + 1, max_cells)
-                  for t, f in enumerate(factors)]
-        build, field = RepHandle.tensor, f"{at}factors: "
-        dim, width = prod(dim for _, dim, _ in nested), len(nested)
-    else:
-        l = [_json_int(x, f"{at}l[{t}]")
-             for t, x in enumerate(_json_list(obj["l"], f"{at}l", "integers"))]
-        nested = [_rep_plan(d, obj["inner"], f"{at}inner", depth + 1, max_cells)]
-        build, field = lambda built: RepHandle.twisted(built[0], l), f"{at}inner: "
-        dim, width = nested[0][1], 1
-    cells = dim * width + sum(c for _, _, c in nested)
-    if max_cells is not None and cells > max_cells:
-        raise ValueError(f"{field}the rep's labels would hold more than the budget of "
-                         f"{max_cells:,} cells")
-
-    def make() -> RepHandle:
-        built = [plan() for plan, _, _ in nested]
-        try:
-            return build(built)
-        except ValueError as e:
-            raise ValueError(f"{where}{e}") from None
-
-    return make, dim, cells
-
-
-def _binom(n: int, k: int, cap) -> int:
-    """C(n, k) for 0 <= k <= n, or, once it is over ``cap``, a number over
-    ``cap``: the partial products C(n - k + t, t) grow with t."""
-    k, out = min(k, n - k), 1
-    for t in range(1, k + 1):
-        out = out * (n - k + t) // t
-        if out > cap:
-            break
-    return out
-
-
-def _json_int(raw, field: str) -> int:
-    """An integer field of a rep config: a JSON integer, not a float or a
-    boolean."""
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        raise ValueError(f"{field}: expected an integer, got {raw!r}")
-    return raw
-
-
-def _json_list(raw, field: str, what: str) -> list:
-    """A list field of a rep config: a JSON list, not a number or a string."""
-    if not isinstance(raw, list):
-        raise ValueError(f"{field}: expected a list of {what}")
-    return raw

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import divalg.qder
+from divalg import cli
 from divalg.cli import ConfigError, main, report_json, run
 from divalg.modules import GradedVec
 from test_verify import flipped_bracket_qder
@@ -215,6 +216,18 @@ def test_config_missing_file(capsys):
     assert main(["closure", "--config", "/nonexistent/x.json"]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"job": "closure", "gen_radius": ' + b"9" * 5000 + b"}",  # over the digit limit
+    b'{"job": "closure", "algebra": "\xff"}',  # not UTF-8
+], ids=["5000-digit-integer", "non-utf8"])
+def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, content):
+    p = tmp_path / "unreadable.json"
+    p.write_bytes(content)
+    assert main(["closure", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
+
+
 def test_report_json_stable_key_order():
     report, _ = run(dict(CLOSURE_W), 0)
     s1 = report_json(report)
@@ -317,6 +330,10 @@ def test_malformed_list_field_exits_2(tmp_path, capsys, job, field, value, named
       "inner": {"kind": "twisted", "l": [1, True], "inner": {"kind": "natural"}}},
      "rep: inner.l[1]"),
     ({"kind": "twisted", "l": [1, 2], "inner": {"kind": "exterior", "k": 3}}, "rep: inner"),
+    # a factor of no labels makes the product of dims 0, not over the budget,
+    # though the dims before it multiply past it
+    ({"kind": "tensor", "factors": [{"kind": "symmetric", "m": 200}] * 3
+      + [{"kind": "exterior", "k": 3}]}, "rep: factors[3]"),
 ])
 def test_nested_rep_error_names_its_path(tmp_path, capsys, rep, named):
     path = write_config(tmp_path, "nested.json", dict(CLOSURE_W, rep=rep))
@@ -338,6 +355,62 @@ def test_deeply_nested_rep_exits_2(tmp_path, capsys, depth):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_parse_rep():
+    assert cli._parse_rep({"kind": "exterior", "k": 2}, 3).dim == 3
+    assert cli._parse_rep({"kind": "symmetric", "m": 2}, 2).dim == 3
+    assert cli._parse_rep({"kind": "natural"}, 2).dim == 2
+    assert cli._parse_rep({"kind": "trivial"}, 2).dim == 1
+    tw = cli._parse_rep({"kind": "twisted", "l": [2, 2], "inner": {"kind": "natural"}}, 2)
+    assert tw.kind == "twisted"
+    with pytest.raises(ConfigError):
+        cli._parse_rep({"kind": "exterior", "k": 1, "bogus": 1}, 2)
+    with pytest.raises(ConfigError):
+        cli._parse_rep({"kind": "nope"}, 2)
+
+
+def label_cells(rep):
+    """Cells of a built rep's labels: dim times the label length (at least
+    1), plus those of its tensor factors; a twisted rep shares its parent's
+    labels and adds one index entry per label."""
+    if rep.kind == "twisted":
+        return rep.dim + label_cells(rep.params["parent"])
+    width = max(1, len(rep.basis_labels[0]))
+    return rep.dim * width + sum(label_cells(f) for f in rep.params.get("factors", ()))
+
+
+REP_CONFIGS = [
+    (2, {"kind": "natural"}), (3, {"kind": "trivial"}), (4, {"kind": "exterior", "k": 2}),
+    (3, {"kind": "exterior", "k": 3}), (2, {"kind": "symmetric", "m": 5}),
+    (3, {"kind": "symmetric", "m": 3}),
+    (3, {"kind": "tensor", "factors": [{"kind": "natural"}, {"kind": "exterior", "k": 2},
+                                       {"kind": "symmetric", "m": 2}]}),
+    (2, {"kind": "twisted", "l": [2, 3],
+         "inner": {"kind": "tensor", "factors": [{"kind": "natural"}] * 2}}),
+]
+
+
+@pytest.mark.parametrize("d, obj", REP_CONFIGS)
+def test_rep_size_from_closed_forms_matches_the_built_rep(monkeypatch, d, obj):
+    build, dim, cells = cli._rep_plan(obj, d, "rep", 1)
+    rep = build()
+    assert (dim, cells) == (rep.dim, label_cells(rep))
+    # the budget admits a rep of exactly its cells and refuses one cell less
+    monkeypatch.setattr(cli, "MAX_CELLS", cells)
+    assert cli._parse_rep(obj, d).basis_labels == rep.basis_labels
+    monkeypatch.setattr(cli, "MAX_CELLS", cells - 1)
+    with pytest.raises(ConfigError, match="budget of"):
+        cli._parse_rep(obj, d)
+
+
+def test_binomial_stops_over_the_cap():
+    from math import comb
+    for n in range(12):
+        for k in range(n + 1):
+            assert cli._binom(n, k, float("inf")) == comb(n, k)
+            got = cli._binom(n, k, 10)
+            assert got == comb(n, k) if comb(n, k) <= 10 else 10 < got <= comb(n, k)
 
 
 @pytest.mark.parametrize("q, named", [
@@ -427,12 +500,25 @@ def test_every_classifier_label_is_a_valid_expect_label(base, label):
     assert report["details"]["expect_label"] == label
 
 
+def test_closure_of_a_verify_only_algebra_exits_2_naming_the_closure_algebras(tmp_path,
+                                                                              capsys):
+    # Der has verify jobs but no closure
+    path = write_config(tmp_path, "der.json", dict(Q_CLOSURE, algebra="Der"))
+    assert main(["closure", "--config", path]) == 2
+    assert capsys.readouterr().err == ("error: algebra: no closure of algebra 'Der'; the "
+                                       "closure algebras are W, Lhat, L, Lq, Lqhat\n")
+
+
 class _Listed(Exception):
     pass
 
 
 def _no_listing(self):
     raise _Listed("a box was listed")
+
+
+CLOSURE_D3 = {"job": "closure", "algebra": "L", "d": 3, "alpha": ["1/2", "1/3", "0"],
+              "rep": NAT_REP, "seeds": [{"n": [0, 0, 0], "coords": ["1", "0", "0"]}]}
 
 
 @pytest.mark.parametrize("job, config, named", [
@@ -455,6 +541,17 @@ def _no_listing(self):
     ("verify-module", {"job": "verify-module", "algebra": "Lq", "d": 12,
                        "alpha": ["0"] * 12, "rep": NAT_REP, "q": {"l": [2, 2] + [1] * 10},
                        "pairs": 1}, "d"),
+    # boxes whose cell counts have thousands of digits, and a d at which
+    # merely multiplying out the box's 5^d degrees takes seconds: the budget
+    # stops at the first factor past it and formats no count
+    ("verify-algebra", {"job": "verify-algebra", "algebra": "L", "d": 20000, "triples": 1},
+     "degree_radius"),
+    ("verify-algebra", {"job": "verify-algebra", "algebra": "L", "d": 200000, "triples": 1},
+     "degree_radius"),
+    ("closure", dict(CLOSURE_D3, working_box=10 ** 1500), "working_box"),
+    ("closure", dict(CLOSURE_D3, gen_radius=10 ** 1500), "gen_radius"),
+    ("qtorus-info", {"job": "qtorus-info", "q": {"l": [2, 2, 1]}, "sample_radius": 10 ** 1500},
+     "sample_radius"),
 ])
 def test_over_budget_config_exits_2_before_listing_a_box(tmp_path, capsys, monkeypatch,
                                                          job, config, named):

@@ -1,5 +1,5 @@
 """Matrix-unit actions on natural, exterior, symmetric, tensor, trivial, and
-twisted representations, and the config parser."""
+twisted representations."""
 
 from fractions import Fraction
 from random import Random
@@ -7,8 +7,7 @@ from random import Random
 import pytest
 
 from divalg.linalg import basis_of
-from divalg import reps as reps_mod
-from divalg.reps import RepHandle, act_matrix, rep_from_config
+from divalg.reps import RepHandle, act_matrix
 from test_linalg import span_extend
 
 
@@ -340,59 +339,3 @@ def test_cyclic_rep_tensor_component():
     # the lowest weight vector e2 ^ e3 (x) e3 of V(w1 + w2) reaches it too
     low = basis_vector(t, t._index[((2, 3), (3,))])
     assert cyclic_closure(t, low).rank == 8
-
-
-# -- config parsing ---------------------------------------------------------------
-
-def test_rep_from_config():
-    assert rep_from_config(3, {"kind": "exterior", "k": 2}).dim == 3
-    assert rep_from_config(2, {"kind": "symmetric", "m": 2}).dim == 3
-    assert rep_from_config(2, {"kind": "natural"}).dim == 2
-    assert rep_from_config(2, {"kind": "trivial"}).dim == 1
-    tw = rep_from_config(2, {"kind": "twisted", "l": [2, 2], "inner": {"kind": "natural"}})
-    assert tw.kind == "twisted"
-    with pytest.raises(ValueError):
-        rep_from_config(2, {"kind": "exterior", "k": 1, "bogus": 1})
-    with pytest.raises(ValueError):
-        rep_from_config(2, {"kind": "nope"})
-
-
-def label_cells(rep):
-    """Cells of a built rep's labels: dim times the label length (at least
-    1), plus those of its tensor factors; a twisted rep shares its parent's
-    labels and adds one index entry per label."""
-    if rep.kind == "twisted":
-        return rep.dim + label_cells(rep.params["parent"])
-    width = max(1, len(rep.basis_labels[0]))
-    return rep.dim * width + sum(label_cells(f) for f in rep.params.get("factors", ()))
-
-
-REP_CONFIGS = [
-    (2, {"kind": "natural"}), (3, {"kind": "trivial"}), (4, {"kind": "exterior", "k": 2}),
-    (3, {"kind": "exterior", "k": 3}), (2, {"kind": "symmetric", "m": 5}),
-    (3, {"kind": "symmetric", "m": 3}),
-    (3, {"kind": "tensor", "factors": [{"kind": "natural"}, {"kind": "exterior", "k": 2},
-                                       {"kind": "symmetric", "m": 2}]}),
-    (2, {"kind": "twisted", "l": [2, 3],
-         "inner": {"kind": "tensor", "factors": [{"kind": "natural"}] * 2}}),
-]
-
-
-@pytest.mark.parametrize("d, obj", REP_CONFIGS)
-def test_rep_size_from_closed_forms_matches_the_built_rep(d, obj):
-    build, dim, cells = reps_mod._rep_plan(d, obj, "", 1, None)
-    rep = build()
-    assert (dim, cells) == (rep.dim, label_cells(rep))
-    # the budget admits a rep of exactly its cells and refuses one cell less
-    assert rep_from_config(d, obj, cells).basis_labels == rep.basis_labels
-    with pytest.raises(ValueError, match="budget of"):
-        rep_from_config(d, obj, cells - 1)
-
-
-def test_binomial_stops_over_the_cap():
-    from math import comb
-    for n in range(12):
-        for k in range(n + 1):
-            assert reps_mod._binom(n, k, float("inf")) == comb(n, k)
-            got = reps_mod._binom(n, k, 10)
-            assert got == comb(n, k) if comb(n, k) <= 10 else 10 < got <= comb(n, k)
