@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from math import prod
 from random import Random
 
@@ -457,24 +456,22 @@ def _job_closure(config: dict, rng: Random) -> tuple[str, dict]:
     except ValueError as e:
         raise ConfigError(f"closure: {e}") from None
 
+    keys = {n: _deg_str(n) for n in sorted(result.fiber_dims)}
     details: dict = {
         "label": None if result.label is None else str(result.label),
         "iterations": result.iterations,
         "saturated": result.saturated,
-        "fiber_dims": {_deg_str(n): result.fiber_dims[n] for n in sorted(result.fiber_dims)},
-        "fiber_bases": {
-            _deg_str(n): [[format_rat(Fraction(x)) for x in row] for row in b.rows]
-            for n, b in sorted(result.fiber_bases.items())
-        },
+        "fiber_dims": {key: result.fiber_dims[n] for n, key in keys.items()},
+        "fiber_bases": {key: [list(map(format_rat, row)) for row in result.fiber_bases[n].rows]
+                        for n, key in keys.items()},
         "target_box": {"lo": list(target.lo), "hi": list(target.hi)},
     }
     if q is not None:
         l = block_structure(q)
         if l is not None:
             per_class: dict[str, dict] = {}
-            for n in sorted(result.fiber_dims):
-                cls = _deg_str(class_of(l, n))
-                per_class.setdefault(cls, {})[_deg_str(n)] = result.fiber_dims[n]
+            for n, key in keys.items():
+                per_class.setdefault(_deg_str(class_of(l, n)), {})[key] = result.fiber_dims[n]
             details["class_dims"] = per_class
     outcome = "pass" if result.saturated else "violation"
     if expect is not None:
@@ -490,7 +487,7 @@ def _job_qtorus_info(config: dict, rng: Random) -> tuple[str, dict]:
     radius = _int(config.get("sample_radius", 1), "sample_radius", 0)
     _within_budget("sample_radius", *Box.radius(q.d, radius).sides, q.d)
     samples = []
-    degs = sorted(Box.radius(q.d, radius).degrees())
+    degs = list(Box.radius(q.d, radius).degrees())
     for m in degs[: 4]:
         for n in degs[-4:]:
             samples.append({
@@ -548,8 +545,61 @@ def run(config: dict, rng_seed: int) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+# the C string escaper that json.dumps uses, with ensure_ascii
+_escape = json.encoder.encode_basestring_ascii
+
+
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``
+    writes it, byte for byte, without the stdlib's pure-Python encoder that
+    an indent selects.  Strings, ints, booleans and None are written
+    directly, tuples as lists; any other scalar goes through ``json.dumps``,
+    and a key that is not a str raises TypeError."""
+    out: list[str] = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, nl: str, out: list[str]) -> None:
+    """Append the JSON text of ``x`` to ``out``; ``nl`` is a newline and the
+    indent of the line that ``x`` starts on."""
+    if isinstance(x, str):
+        out.append(_escape(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for v in x:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = comma
+        out.append(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, v in sorted(x.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"report keys must be str, not {type(k).__name__}")
+            out.append(f"{sep}{_escape(k)}: ")
+            _write(v, inner, out)
+            sep = comma
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(x))
 
 
 def _dims_grid(fiber_dims: dict[str, int]) -> list[str]:

@@ -46,7 +46,8 @@ represented by one basis of its pair terms (:func:`pair_basis`) rather than by
 all of them.
 
 The per-degree report at the end is canonical (RREF fiber bases), so results
-do not depend on generator scheduling.
+do not depend on generator scheduling.  A full fiber's rows are independent,
+so its RREF is the identity, read off without elimination.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ class Box:
         return self.contains(other.lo) and self.contains(other.hi)
 
     def degrees(self):
+        """The box's degrees in lexicographic order: the product of the
+        coordinate ranges, each increasing, with the last coordinate
+        fastest."""
         return product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
 
 
@@ -168,7 +172,7 @@ class SpanState:
     def __init__(self, box: Box, dim: int, bound=None):
         self.box = box
         self.dim = dim
-        self.deg_list = sorted(box.degrees())
+        self.deg_list = list(box.degrees())
         self.deg_index = {n: i for i, n in enumerate(self.deg_list)}
         self.fibers: list[list[list]] = [[] for _ in self.deg_list]
         self.bound = [dim if bound is None else bound(n) for n in self.deg_list]
@@ -233,7 +237,7 @@ class Neighbours:
         sides = box.sides
         strides = [prod(sides[c + 1:]) for c in range(box.d)]
         self.offsets = [sum(x * t for x, t in zip(s, strides)) for s in shifts]
-        self._deg_masks = [-1]  # every shift, at the one degree of Z^0
+        self._deg_masks = [(1 << len(shifts)) - 1]  # every shift, at the one degree of Z^0
         for c, (lo, hi) in enumerate(zip(box.lo, box.hi)):
             # the shifts by their value x at coordinate c; v + x must stay inside
             by_value: dict[int, int] = {}
@@ -250,8 +254,12 @@ class Neighbours:
         mask = self._deg_masks[i]
         found = self._lists.get(mask)
         if found is None:
-            found = self._lists[mask] = tuple(
-                g for g in range(len(self.offsets)) if mask >> g & 1)
+            shifts, rest = [], mask
+            while rest:  # the set bits, lowest first
+                low = rest & -rest
+                shifts.append(low.bit_length() - 1)
+                rest ^= low
+            found = self._lists[mask] = tuple(shifts)
         return found
 
 
@@ -321,9 +329,17 @@ def saturate(state: SpanState, seeds: list[tuple[int, list]], generators: list[G
 
 def extract_fibers(state: SpanState, target: Box) -> dict[DegVec, SpanBasis]:
     """Canonical per-degree bases of the computed span, over the target box:
-    the RREF of each fiber's rows."""
-    return {n: basis_of(state.fibers[state.deg_index[n]], state.dim)
-            for n in target.degrees()}
+    the RREF of each fiber's rows.  :meth:`SpanState.insert` keeps only rows
+    independent of those before them, so a fiber of ``dim`` rows spans the
+    whole fiber, whose RREF is the identity, shared by every such fiber."""
+    dim, fibers, index = state.dim, state.fibers, state.deg_index
+    identity = SpanBasis(dim, tuple(tuple(int(t == b) for t in range(dim)) for b in range(dim)),
+                         tuple(range(dim)))
+    out = {}
+    for n in target.degrees():
+        rows = fibers[index[n]]
+        out[n] = identity if len(rows) == dim else basis_of(rows, dim)
+    return out
 
 
 def match(result: ClosureResult, shapes: list[Shape]) -> Label:
@@ -431,7 +447,7 @@ def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) ->
         raise ValueError(f"algebra must be one of {tuple(ALGEBRAS)}")
     zero = (0,) * params.d
     gens = unit_generators(params, zero) if algebra == "Lhat" else []
-    for r in sorted(Box.radius(params.d, gen_radius).degrees()):
+    for r in Box.radius(params.d, gen_radius).degrees():
         if algebra == "W":
             gens += unit_generators(params, r)
         elif r != zero:

@@ -378,7 +378,7 @@ def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
         raise ValueError(f"algebra must be one of {Q_ALGEBRAS}")
     zero = (0,) * q.d
     gens = unit_generators(params, zero) if algebra == "Lqhat" else []
-    for m in sorted(Box.radius(q.d, gen_radius).degrees()):
+    for m in Box.radius(q.d, gen_radius).degrees():
         if m == zero:
             continue
         if in_rad(q, m):

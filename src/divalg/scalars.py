@@ -41,6 +41,8 @@ def parse_rat(s: str | int) -> Fraction:
 
 def format_rat(x: Fraction | int) -> str:
     """Format a rational as "p/q", or "p" when the denominator is 1."""
+    if type(x) is int:
+        return str(x)
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)

@@ -773,6 +773,15 @@ def test_report_golden_bytes(config, digest):
     assert hashlib.sha256(report_json(report).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", [n for n, c, _ in GOLDEN if c["job"] == "closure"])
+def test_golden_closure_fibers_match_plain_elimination(name, plain_extraction):
+    # a fiber of dim rows is read off as the identity, every other fiber is
+    # eliminated; both must give basis_of of the fiber's rows
+    config = next(c for n, c, _ in GOLDEN if n == name)
+    _, code = run(json.loads(json.dumps(config)), 0)
+    assert code == 0 and plain_extraction["fibers"]
+
+
 # machine-independent work of each golden closure: generator applications
 # (block_apply calls), SpanState.insert calls, inserts accepted, saturation
 # rounds and final rank.  A change to the engine that keeps the report bytes

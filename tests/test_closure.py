@@ -629,6 +629,39 @@ def test_neighbours_match_tuple_sums(box, shifts):
         assert [(g, i + nb.offsets[g]) for g in nb.of(i)] == pairs
 
 
+def random_box(rng, d):
+    lo = [rng.randint(-3, 2) for _ in range(d)]
+    return Box(tuple(lo), tuple(a + rng.randint(0, 3) for a in lo))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_neighbours_walk_the_same_bits_as_a_scan(d):
+    # Neighbours.of walks the set bits of a degree's mask; the plain scan
+    # tests every shift index, on random boxes and shift lists holding the
+    # zero shift, repeats and shifts that leave the box from every degree
+    rng = Random(f"neighbour-bits-{d}")
+    for _ in range(30):
+        box = random_box(rng, d)
+        shifts = [tuple(rng.randint(-3, 3) for _ in range(d))
+                  for _ in range(rng.randint(1, 70))]
+        shifts += [(0,) * d, (9,) * d]
+        rng.shuffle(shifts)
+        nb = Neighbours(box, shifts)
+        for i, mask in enumerate(nb._deg_masks):
+            scan = tuple(g for g in range(len(shifts)) if mask >> g & 1)
+            assert nb.of(i) == scan
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_box_degrees_are_lexicographic(d):
+    rng = Random(f"box-order-{d}")
+    for _ in range(30):
+        box = random_box(rng, d)
+        degs = list(box.degrees())
+        everything = product(*(range(-3, 6) for _ in range(d)))
+        assert degs == sorted(n for n in everything if box.contains(n))
+
+
 # ---------------------------------------------------------------------------
 # the annihilator decisions of SpanState.insert against plain elimination
 # ---------------------------------------------------------------------------
@@ -898,11 +931,13 @@ def w_vector(rng, p, k, n):
                                         (2, 2, "exterior"), (3, 1, "natural"),
                                         (3, 1, "exterior"), (3, 2, "exterior"),
                                         (3, 3, "exterior")])
-def test_w_bound_matches_unbounded_closure(d, k, kind, alpha_kind, monkeypatch):
+def test_w_bound_matches_unbounded_closure(d, k, kind, alpha_kind, monkeypatch,
+                                          plain_extraction):
     """With and without the wedge bound, every closure gives the same result
     (label, rounds, saturation and every fiber basis, all the report prints):
     one W seed, two W seeds at different degrees, and a W seed next to one
-    off W, under each algebra."""
+    off W, under each algebra.  Every fiber basis is also checked against
+    plain elimination of the fiber's rows."""
     alpha = W_BOUND_ALPHAS[alpha_kind][:d]
     rep = RepHandle.natural(d) if kind == "natural" else RepHandle.exterior(d, k)
     p = ModuleParams(d, alpha, rep)
@@ -930,6 +965,7 @@ def test_w_bound_matches_unbounded_closure(d, k, kind, alpha_kind, monkeypatch):
                 want = closure(p, seeds, 1, work, work, 50, algebra)
             assert got == want, (algebra, name)
             assert got.saturated
+    assert plain_extraction["fibers"]
 
 
 def test_w_bound_only_for_w_seeds_on_natural_or_exterior_reps():

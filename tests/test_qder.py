@@ -517,9 +517,11 @@ def test_no_generator_crosses_the_radical(q):
 @pytest.mark.parametrize("seeds", ["off", "two-off", "radical", "mixed"])
 @pytest.mark.parametrize("algebra", Q_ALGEBRAS)
 @pytest.mark.parametrize("q", RADICAL_QS, ids=RADICAL_Q_IDS)
-def test_radical_bound_matches_unbounded_closure(q, algebra, seeds, monkeypatch):
+def test_radical_bound_matches_unbounded_closure(q, algebra, seeds, monkeypatch,
+                                                plain_extraction):
     # the bound only skips generators whose images stay in the span: the
-    # closure with it is the closure without it, iterations and label included
+    # closure with it is the closure without it, iterations and label
+    # included; every fiber basis is checked against plain elimination
     params = _radical_params(q)
     units = [tuple(int(i == j) for j in range(q.d)) for i in range(q.d)]
     off = [e for e in units if not in_rad(q, e)]
@@ -533,3 +535,4 @@ def test_radical_bound_matches_unbounded_closure(q, algebra, seeds, monkeypatch)
     assert bounded.saturated
     monkeypatch.setattr(divalg.qder, "radical_bound", lambda q, params, seeds: None)
     assert closure_q(*args) == bounded
+    assert plain_extraction["fibers"]

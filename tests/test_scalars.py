@@ -158,6 +158,9 @@ def test_rat_wire_format():
     assert parse_rat("-7") == Fraction(-7)
     assert format_rat(Fraction(6, 4)) == "3/2"
     assert format_rat(Fraction(5)) == "5"
+    # an int is printed as it stands, as its Fraction would be
+    for x in (0, 5, -7, 10 ** 30):
+        assert format_rat(x) == format_rat(Fraction(x)) == str(x)
     with pytest.raises(ValueError):
         parse_rat("1/0")
 
