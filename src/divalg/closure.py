@@ -47,7 +47,29 @@ all of them.
 
 The per-degree report at the end is canonical (RREF fiber bases), so results
 do not depend on generator scheduling.  A full fiber's rows are independent,
-so its RREF is the identity, read off without elimination.
+so its RREF is the identity, read off without elimination.  ``iterations``
+counts the rounds of :func:`saturate`.
+
+Off the radical a q-closure needs no saturation at all
+(:func:`divalg.qder.off_radical_closure`).  ``ad t^m`` acts on the fiber at n
+as ``commutator_coeff(q, m, n)`` times the identity, nonzero exactly when
+f(m, n) != 1; f is bimultiplicative with f(m, m) = 1, so f(-m, n + m) =
+f(m, n)^-1, and the generator box holds -m with m.  So a saturated closure has
+one fiber on each component of the graph that joins off-radical degrees n and
+n + m of the working box when f(m, n) != 1 (a radical degree has no such
+edge).  Let every seed lie off the radical and those degrees form one
+component, with fiber S'.  An outer generator D(u, r), r radical, maps v in S'
+at n to (u|alpha + n) v + rho(r u^T) v in S' at n + r, so rho(r u^T) S' lies
+in S' whenever some off-radical n has n and n + r in the box.  Conversely S,
+the span of the seed coordinates closed under those rho(r u^T) with u in
+:func:`pair_basis` (r), placed at every off-radical degree and 0 at every
+radical one, holds the seeds and is invariant under every generator (the
+degree derivations of Lqhat act by scalars).  So S' = S: every off-radical
+fiber is S and every radical one is 0, one problem of size ``dim V`` whatever
+the box.  ``iterations`` there is K + 1 for the last round K of that fixpoint
+in V that added a row, counted as :func:`saturate` counts rounds, so it is not
+the engine's count for the same closure.  Seeds on the radical, seeds on both
+sides and boxes of several off-radical components run on this engine.
 """
 
 from __future__ import annotations
@@ -91,6 +113,14 @@ class Box:
     def sides(self) -> tuple[int, ...]:
         """The side lengths, whose product is the number of degrees."""
         return tuple(b - a + 1 for a, b in zip(self.lo, self.hi))
+
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """The index step of each coordinate in :meth:`degrees`' order: a
+        shift s moves the index of a degree whose shift stays inside by
+        s . strides."""
+        sides = self.sides
+        return tuple(prod(sides[c + 1:]) for c in range(self.d))
 
     def contains(self, n) -> bool:
         return all(a <= x <= b for a, x, b in zip(self.lo, n, self.hi))
@@ -234,8 +264,7 @@ class Neighbours:
     """
 
     def __init__(self, box: Box, shifts: list[DegVec]):
-        sides = box.sides
-        strides = [prod(sides[c + 1:]) for c in range(box.d)]
+        strides = box.strides
         self.offsets = [sum(x * t for x, t in zip(s, strides)) for s in shifts]
         self._deg_masks = [(1 << len(shifts)) - 1]  # every shift, at the one degree of Z^0
         for c, (lo, hi) in enumerate(zip(box.lo, box.hi)):
@@ -333,13 +362,18 @@ def extract_fibers(state: SpanState, target: Box) -> dict[DegVec, SpanBasis]:
     independent of those before them, so a fiber of ``dim`` rows spans the
     whole fiber, whose RREF is the identity, shared by every such fiber."""
     dim, fibers, index = state.dim, state.fibers, state.deg_index
-    identity = SpanBasis(dim, tuple(tuple(int(t == b) for t in range(dim)) for b in range(dim)),
-                         tuple(range(dim)))
+    identity = identity_basis(dim)
     out = {}
     for n in target.degrees():
         rows = fibers[index[n]]
         out[n] = identity if len(rows) == dim else basis_of(rows, dim)
     return out
+
+
+def identity_basis(dim: int) -> SpanBasis:
+    """The RREF basis of the whole space, without elimination."""
+    return SpanBasis(dim, tuple(tuple(int(t == b) for t in range(dim)) for b in range(dim)),
+                     tuple(range(dim)))
 
 
 def match(result: ClosureResult, shapes: list[Shape]) -> Label:
@@ -414,11 +448,10 @@ def pair_basis(r: DegVec) -> list[tuple[int, int, tuple]]:
 
 
 def unit_generators(params: ModuleParams, r: DegVec) -> list[Generator]:
-    """D(e_j, r) for j = 1..d: the W generators at degree r, and at r = 0
-    the degree derivations of Lhat and Lqhat.  Each map is built at D u,
-    D = ``params.alpha_den``, so it is D times that of D(u, r), which the
-    closure may use as it tracks only spans: (D u | alpha) is an integer,
-    and integer rows give integer images on an integer matrix."""
+    """D(e_j, r) for j = 1..d: the W generators at degree r.  Each map is
+    built at D u, D = ``params.alpha_den``, so it is D times that of D(u, r),
+    which the closure may use as it tracks only spans: (D u | alpha) is an
+    integer, and integer rows give integer images on an integer matrix."""
     d, D = params.d, params.alpha_den
     return [Generator(r, term_map(params, tuple(D * (t == j) for t in range(d)), r))
             for j in range(d)]
@@ -440,13 +473,15 @@ def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) ->
     L: at every nonzero degree r in the radius box, the d - 1 pair elements
     of :func:`pair_generators`, a basis of the degree-r component; D(u, r)
     is linear in u, so the remaining pair elements add no image outside their
-    span.  Lhat additionally has the degree derivations.  W: D(e_j, r) for
-    every j and every degree (u is free by linearity).
+    span.  Lhat has the same family: its degree derivations D(e_j, 0) act on
+    the fiber at n as the scalar (alpha + n)_j, so every image they make lies
+    in the graded span already.  W: D(e_j, r) for every j and every degree (u
+    is free by linearity).
     """
     if algebra not in ALGEBRAS:
         raise ValueError(f"algebra must be one of {tuple(ALGEBRAS)}")
     zero = (0,) * params.d
-    gens = unit_generators(params, zero) if algebra == "Lhat" else []
+    gens = []
     for r in Box.radius(params.d, gen_radius).degrees():
         if algebra == "W":
             gens += unit_generators(params, r)
@@ -455,10 +490,19 @@ def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) ->
     return gens
 
 
-def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[tuple[int, list]]:
-    """The row ``(degree index, coords)`` of each seed, which must be nonzero
-    and sit at one degree of the working box."""
-    rows = []
+def seed_fibers(params: ModuleParams, seeds: list[GradedVec], working: Box,
+                target: Box) -> list[tuple[DegVec, tuple]]:
+    """The ``(degree, coords)`` of each seed, once the input of a closure is
+    checked, on either side and before any work: at least one seed, boxes of
+    dimension d with the target inside the working box, and every seed
+    nonzero at one degree of the working box."""
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if working.d != params.d or target.d != params.d:
+        raise ValueError("box dimension mismatch")
+    if not working.contains_box(target):
+        raise ValueError("target box must lie inside the working box")
+    fibers = []
     for s in seeds:
         if s.is_zero():
             raise ValueError("zero seed")
@@ -466,10 +510,10 @@ def seeds_to_rows(state: SpanState, seeds: list[GradedVec]) -> list[tuple[int, l
             raise ValueError(f"seed on {len(s.fibers)} degrees: the closure takes seeds "
                              f"at one degree each")
         ((n, coords),) = s.fibers.items()
-        if not state.box.contains(n):
+        if not working.contains(n):
             raise ValueError(f"seed degree {n} outside the working box")
-        rows.append((state.deg_index[n], list(coords)))
-    return rows
+        fibers.append((n, coords))
+    return fibers
 
 
 def _close(params: ModuleParams, seeds: list[GradedVec], working: Box, target: Box,
@@ -481,14 +525,9 @@ def _close(params: ModuleParams, seeds: list[GradedVec], working: Box, target: B
     :class:`SpanState`; it must hold for the closure of the seeds: ``dim``
     when None, the W fiber (:func:`w_bound`) or the radical split
     (:func:`divalg.qder.radical_bound`)."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if working.d != params.d or target.d != params.d:
-        raise ValueError("box dimension mismatch")
-    if not working.contains_box(target):
-        raise ValueError("target box must lie inside the working box")
+    fibers = seed_fibers(params, seeds, working, target)
     state = SpanState(working, params.rep.dim, bound)
-    rows = seeds_to_rows(state, seeds)
+    rows = [(state.deg_index[n], list(coords)) for n, coords in fibers]
     iterations, saturated = saturate(state, rows, generators(), max_iters)
     bases = extract_fibers(state, target)
     result = ClosureResult(

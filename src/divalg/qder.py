@@ -30,6 +30,8 @@ irreducible complement.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, prod
+from operator import mul
 
 from .closure import (
     Box,
@@ -38,14 +40,18 @@ from .closure import (
     Label,
     Shape,
     _close,
+    identity_basis,
     match,
+    pair_basis,
     pair_generators,
-    unit_generators,
+    seed_fibers,
 )
+from .linalg import _reduce_into, basis_of
 from .modules import GradedVec, ModuleParams, act, apply_operator, operator
-from .reps import RepHandle
+from .reps import RepHandle, act_matrix
 from .scalars import Cyc, Rat
-from .qtorus import QMatrix, block_structure, cocycle, commutator_coeff, in_rad, sigma_exponent
+from .qtorus import (QMatrix, ad_form, block_structure, cocycle, commutator_coeff, in_rad,
+                     sigma_exponent)
 from .witt import ALGEBRAS, AlgElem, DegVec, bracket_witt, pairing
 
 #: Global sign of the outer-outer bracket; +1 is the convention under which
@@ -354,10 +360,10 @@ def _inner_generator(q: QMatrix, m: DegVec) -> Generator:
     the line of w where that scalar is nonzero and 0 where it is zero.  The
     map returns w or None accordingly, without building the scalar: it is
     nonzero exactly when f(m, n) = sigma(m, n) / sigma(n, m) is not 1, that
-    is when sum_i c_i n_i is not 0 mod N, for the form c_i = (column i of k)
-    . m mod N, built once per m from the matrix's column table."""
+    is when the :func:`~divalg.qtorus.ad_form` of m, built once per m, is
+    not 0 mod N at n."""
     N = q.N
-    form = tuple((i, c) for i, col in q._k_cols if (c := sum(k * m[j] for j, k in col) % N))
+    form = ad_form(q, m)
 
     def block_apply(n, w):
         s = 0
@@ -370,14 +376,16 @@ def _inner_generator(q: QMatrix, m: DegVec) -> Generator:
 def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
                     algebra: str) -> list[Generator]:
     """Inner generators ad t^m off the radical (:func:`_inner_generator`)
-    plus divergence-zero outer generators at radical degrees (with the
-    degree derivations for Lqhat).  An outer generator acts on the fiber at
-    n as sigma(r, n) times the classical map, so it is given by the
-    classical pair generator, whose images span the same lines."""
+    plus divergence-zero outer generators at radical degrees.  An outer
+    generator acts on the fiber at n as sigma(r, n) times the classical map,
+    so it is given by the classical pair generator, whose images span the
+    same lines.  Lqhat has the same family: its degree derivations D(e_j, 0)
+    act on the fiber at n as the scalar (alpha + n)_j, so every image they
+    make lies in the graded span already."""
     if algebra not in Q_ALGEBRAS:
         raise ValueError(f"algebra must be one of {Q_ALGEBRAS}")
     zero = (0,) * q.d
-    gens = unit_generators(params, zero) if algebra == "Lqhat" else []
+    gens = []
     for m in Box.radius(q.d, gen_radius).degrees():
         if m == zero:
             continue
@@ -423,10 +431,177 @@ def radical_bound(q: QMatrix, params: ModuleParams, seeds: list[GradedVec]):
     return lambda n: dim if in_rad(q, n) == radical else 0
 
 
+class _DegreeSets:
+    """Sets of degrees of a box as int bitmasks: bit i stands for the degree
+    of index i in the box's lexicographic order (:meth:`Box.degrees`), so a
+    shift s moves the bits of degrees whose shift stays inside by
+    s . strides."""
+
+    def __init__(self, box: Box):
+        self.box = box
+        self.strides = box.strides
+        self.all = (1 << prod(box.sides)) - 1
+        self._windows: dict[tuple[int, int, int, int], int] = {}
+        self._nonzero: dict[tuple, int] = {}
+
+    def window(self, c: int, a: int, b: int, step: int = 1) -> int:
+        """The degrees whose coordinate c is one of a, a + step, ... up to b:
+        spaced runs of bits in one period of coordinate c, repeated over the
+        box by one multiplication."""
+        key = (c, a, b, step)
+        bits = self._windows.get(key)
+        if bits is None:
+            lo, hi = self.box.lo[c], self.box.hi[c]
+            if a < lo:
+                a = lo + (a - lo) % step  # the first value at or above lo
+            b = min(b, hi)
+            bits = 0
+            if a <= b:
+                stride = self.strides[c]
+                period = stride * (hi - lo + 1)
+                count = (b - a) // step + 1
+                gap = stride * step
+                runs = ((1 << stride) - 1) * (((1 << gap * count) - 1) // ((1 << gap) - 1))
+                bits = (runs << stride * (a - lo)) * (self.all // ((1 << period) - 1))
+            self._windows[key] = bits
+        return bits
+
+    def inside(self, s: DegVec) -> int:
+        """The degrees n with n + s in the box."""
+        bits = self.all
+        for c, (x, lo, hi) in enumerate(zip(s, self.box.lo, self.box.hi)):
+            if x:
+                bits &= self.window(c, lo - x, hi - x)
+        return bits
+
+    def nonzero(self, form: tuple, N: int) -> int:
+        """The degrees n with sum_i c_i n_i != 0 mod N, for the (i, c_i) of
+        ``form``: the degrees split by that residue one coordinate at a
+        time, each by the values of n_i mod N / gcd(c_i, N), which fix
+        c_i n_i mod N."""
+        bits = self._nonzero.get(form)
+        if bits is None:
+            by_residue = {0: self.all}
+            for i, c in form:
+                period = N // gcd(c, N)
+                split: dict[int, int] = {}
+                for v in range(self.box.lo[i], self.box.lo[i] + period):
+                    line = self.window(i, v, self.box.hi[i], period)
+                    for t, part in by_residue.items():
+                        if part & line:
+                            key = (t + c * v) % N
+                            split[key] = split.get(key, 0) | part & line
+                by_residue = split
+            bits = self._nonzero[form] = self.all & ~by_residue.get(0, 0)
+        return bits
+
+
+def _one_component(off: int, edges: list[tuple[int, int]]) -> bool:
+    """Whether the degrees of ``off`` form one component under ``edges``,
+    each an index offset and the set of degrees it joins to their shift.
+
+    Each pass follows every edge as far as it goes by doubling: with
+    ``runs`` the degrees from which 2^k steps of the edge stay on it, the
+    reached degrees there jump 2^k steps, so a line of L degrees takes
+    log L jumps, not L passes."""
+    reach = off & -off  # the first degree of off
+    while True:
+        before = reach
+        for offset, runs in edges:
+            while moved := reach & runs:
+                if offset > 0:
+                    reach |= moved << offset
+                    runs &= runs >> offset
+                else:
+                    reach |= moved >> -offset
+                    runs &= runs << -offset
+                offset *= 2
+        if reach == off:
+            return True
+        if reach == before:
+            return False
+
+
+def off_radical_closure(q: QMatrix, params: ModuleParams, fibers: list, gen_radius: int,
+                        working: Box, target: Box, max_iters: int) -> ClosureResult | None:
+    """The closure of seeds off the radical, given as the ``(degree,
+    coords)`` of :func:`~divalg.closure.seed_fibers`, under Lq or Lqhat: the
+    subspace S of V at every off-radical target degree and 0 at every
+    radical one, by the lemma of :mod:`divalg.closure`; None when the
+    off-radical degrees of the working box are not one component under the
+    nonzero ``ad t^m`` edges, found by a walk over int bitmasks of the box
+    (:class:`_DegreeSets`).
+
+    rho is linear and rho(-r u^T) = -rho(r u^T), so one shift of each pair
+    +-r is taken, and of the r u^T only a basis of their span in gl_d, at
+    most d^2 - 1 maps, since (u|r) = 0 makes each traceless.  S is reached
+    as the engine reaches a span: seed rows first, then rounds, each
+    applying the maps to the rows the round before added; ``iterations`` is
+    K + 1 for the last round K that added a row, capped by ``max_iters``,
+    and the closure is saturated when no row is left queued.
+    """
+    d, N = q.d, q.N
+    sets = _DegreeSets(working)
+    off = 0
+    for e in (tuple(int(i == j) for j in range(d)) for i in range(d)):
+        off |= sets.nonzero(ad_form(q, e), N)  # f(e_i, n) != 1 for some i: n is off the radical
+    zero = (0,) * d
+    edges, shifts = [], []
+    for m in Box.radius(d, gen_radius).degrees():
+        inside = sets.inside(m)
+        if not inside:
+            continue
+        form = ad_form(q, m)
+        if form:
+            bits = inside & sets.nonzero(form, N)
+            if bits:
+                edges.append((sum(map(mul, m, sets.strides)), bits))
+        elif m > zero and inside & off:  # one shift of each pair +-r
+            shifts.append(m)
+    if not _one_component(off, edges):
+        return None
+
+    maps: list = []
+    gl: dict = {}
+    for b in ([[x * y for y in u] for x in r] for r in shifts for _, _, u in pair_basis(r)):
+        if _reduce_into(gl, [x for row in b for x in row]) is not None:
+            maps.append(b)
+            if len(maps) == d * d - 1:
+                break  # all of sl_d
+    rep, dim = params.rep, params.rep.dim
+    span: dict = {}
+    frontier = [row for _, coords in fibers
+                if (row := _reduce_into(span, list(coords))) is not None]
+    rounds = 0
+    while frontier and rounds < max_iters:
+        rounds += 1
+        images = (act_matrix(rep, b, w) for w in frontier for b in maps) if len(span) < dim else ()
+        frontier = [row for img in images
+                    if any(img) and (row := _reduce_into(span, list(img))) is not None]
+
+    basis = identity_basis(dim) if len(span) == dim else basis_of(span.values(), dim)
+    empty = basis_of([], dim)
+    bases = {n: empty if in_rad(q, n) else basis for n in target.degrees()}
+    result = ClosureResult(target, bases, {n: b.rank for n, b in bases.items()}, None, rounds,
+                           not frontier)
+    if result.saturated:
+        result.label = classify_q(result, q, params)
+    return result
+
+
 def closure_q(q: QMatrix, params: ModuleParams, seeds: list[GradedVec], gen_radius: int,
               working: Box, target: Box, max_iters: int, algebra: str) -> ClosureResult:
     """Saturate the seeds under the chosen q-algebra inside the working box and
-    report canonical fiber bases over the target box."""
+    report canonical fiber bases over the target box.  Seeds all off the
+    radical whose box has one off-radical component take
+    :func:`off_radical_closure`; every other closure runs on the engine."""
+    fibers = seed_fibers(params, seeds, working, target)
+    if algebra not in Q_ALGEBRAS:
+        raise ValueError(f"algebra must be one of {Q_ALGEBRAS}")
+    if not any(in_rad(q, n) for n, _ in fibers):
+        result = off_radical_closure(q, params, fibers, gen_radius, working, target, max_iters)
+        if result is not None:
+            return result
     return _close(params, seeds, working, target, max_iters,
                   lambda: qder_generators(q, params, gen_radius, algebra),
                   lambda result: classify_q(result, q, params),

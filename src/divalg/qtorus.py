@@ -30,8 +30,8 @@ class QMatrix:
     them), the nonzero exponents k_ji (i < j) that :func:`sigma_exponent`
     sums; the column table ``_k_cols``, which lists each column i of k with
     an entry nonzero mod N as ``(i, ((j, k_ji mod N), ...))`` over those
-    entries only, and from which :func:`in_rad`, :func:`f_exponent` and the
-    closure's ``ad t^m`` generators read the form f(m, n) = m^T k n; and,
+    entries only, and from which :func:`in_rad`, :func:`f_exponent` and
+    :func:`ad_form` read the form f(m, n) = m^T k n; and,
     once :func:`cocycle` asks, whether sigma is 1 on Rad_q x Z^d.
     """
 
@@ -92,6 +92,16 @@ def f_exponent(q: QMatrix, m, n) -> int:
             for j, k in col:
                 e += n[i] * k * m[j]
     return e % q.N
+
+
+def ad_form(q: QMatrix, m) -> tuple[tuple[int, int], ...]:
+    """The linear form n -> m^T k n mod N, the exponent of f(m, n), as its
+    nonzero coefficients (i, c_i), c_i = (column i of k) . m mod N, read off
+    the column table.  ``ad t^m`` kills the fiber at n exactly when
+    sum_i c_i n_i = 0 mod N, and the form is empty exactly when m is
+    radical."""
+    N = q.N
+    return tuple((i, c) for i, col in q._k_cols if (c := sum(k * m[j] for j, k in col) % N))
 
 
 def sigma(q: QMatrix, m, n) -> int | Cyc:

@@ -686,7 +686,8 @@ def test_verify_module_trivial_rep_integral_alpha_exits_0(tmp_path, capsys, alge
 
 
 # sha256 of report_json for fixed configs: a refactor must leave every report
-# byte-identical
+# byte-identical.  The GqFull q closures take qder.off_radical_closure, whose
+# iterations count its rounds in V (2 each; the engine takes 4, 4 and 5)
 NAT = {"kind": "natural"}
 BOXES = {"schema_version": "1", "gen_radius": 2, "working_box": 3, "target_box": 1,
          "max_iters": 50}
@@ -703,7 +704,7 @@ GOLDEN = [
      "456890cb1f6833e2935abce79ea8e0474656b768c2d099aa2d68332c3d12081b"),
     ("Lq-22-GqFull", dict(BOXES, job="closure", algebra="Lq", d=2, alpha=["1/2", "1/3"],
                           rep=NAT, q={"l": [2, 2]}, seeds=[{"n": [1, 0], "coords": ["1", "0"]}]),
-     "8d0c70f3499159ecf54039958280f845496ac135f78e3a7e2f8d9dea81aac61d"),
+     "908d5462caf7af033a2263b469d07b21fb57ab194aaab3fbc3c30f5f318fde59"),
     ("Lqhat-22-Class0", dict(BOXES, job="closure", algebra="Lqhat", d=2, alpha=["1/2", "1/3"],
                              rep=NAT, q={"l": [2, 2]},
                              seeds=[{"n": [0, 0], "coords": ["1", "0"]}]),
@@ -711,7 +712,7 @@ GOLDEN = [
     ("Lq-33-GqFull", dict(BOXES, job="closure", algebra="Lq", d=2, alpha=["1/2", "1/3"],
                           rep=NAT, q={"l": [3, 3]}, gen_radius=3,
                           seeds=[{"n": [1, 2], "coords": ["1", "-1"]}]),
-     "ff52b3b8b8aa19c0a5d351d7d0866253e55d02bc4136b68784a8b5d51d8328b4"),
+     "930b95f3265c13ab43e1117fb5468844cd19b44d9ee19ffc3c9fdcb7c4e09ac8"),
     ("Lhat-seeds-on-two-degrees", dict(BOXES, job="closure", algebra="Lhat", d=2,
                                        alpha=["1", "-2"], rep=NAT,
                                        seeds=[{"n": [-1, 2], "coords": ["0", "1"]},
@@ -725,7 +726,7 @@ GOLDEN = [
                                  "seeds": [{"n": [1, 0, 0], "coords": ["1", "0", "0"]}],
                                  "gen_radius": 1, "working_box": 2, "target_box": 1,
                                  "expect_label": "GqFull"},
-     "74c5f70096c180a3f9e6bed78eab9cc429b511a9c7b801c9c3adbafc17db4ae1"),
+     "4c0f49d7d877aff4e2df5391988658998fb45cdc7d4287e75a9351332b4ae38c"),
     # the Witt algebra W itself: d generators per shift, with the zero shift
     # (the degree derivations) in the middle of the list
     ("W-Full", dict(BOXES, job="closure", algebra="W", d=2, alpha=["1/3", "1/5"], rep=NAT,
@@ -774,28 +775,30 @@ def test_report_golden_bytes(config, digest):
 
 
 @pytest.mark.parametrize("name", [n for n, c, _ in GOLDEN if c["job"] == "closure"])
-def test_golden_closure_fibers_match_plain_elimination(name, plain_extraction):
+def test_golden_closure_fibers_match_plain_elimination(name, plain_extraction, q_engine):
     # a fiber of dim rows is read off as the identity, every other fiber is
-    # eliminated; both must give basis_of of the fiber's rows
+    # eliminated; both must give basis_of of the fiber's rows.  The q
+    # closures run on the engine, whose fibers extract_fibers reads
     config = next(c for n, c, _ in GOLDEN if n == name)
     _, code = run(json.loads(json.dumps(config)), 0)
     assert code == 0 and plain_extraction["fibers"]
 
 
-# machine-independent work of each golden closure: generator applications
-# (block_apply calls), SpanState.insert calls, inserts accepted, saturation
-# rounds and final rank.  A change to the engine that keeps the report bytes
-# must keep these too, or say why the work moved.  L-W's seed lies in the
-# wedge submodule W, so each fiber is full once it holds its W fiber and no
-# generator is applied into it afterwards.  A q closure's seeds lie on one
-# side of the radical, and each fiber on the other side is full from the
-# start (qder.radical_bound).  "-unbounded" runs a closure with both bounds off
-# (closure.w_bound and qder.radical_bound return None), the plain path.  A graded
-# frontier carries each accepted image as it stands, not reduced against the
-# span; the span after each round is the same, but a raw image's images vanish
-# identically (block_apply returns None, and no insert is made) a little more
-# often than a reduced row's, which moved Lhat-seeds-on-two-degrees' insert
-# count from 170 to 167.
+# machine-independent work of each golden closure on the engine (the q
+# closures through the q_engine fixture): generator applications (block_apply
+# calls), SpanState.insert calls, inserts accepted, saturation rounds and final
+# rank.  A change to the engine that keeps the report bytes must keep these
+# too, or say why the work moved.  L-W's seed lies in the wedge submodule W, so
+# each fiber is full once it holds its W fiber and no generator is applied into
+# it afterwards.  A q closure's seeds lie on one side of the radical, and each
+# fiber on the other side is full from the start (qder.radical_bound).
+# "-unbounded" runs a closure with both bounds off (closure.w_bound and
+# qder.radical_bound return None), the plain path.  A graded frontier carries
+# each accepted image as it stands, not reduced against the span; the span
+# after each round is the same, but a raw image's images vanish identically
+# (block_apply returns None, and no insert is made) a little more often than a
+# reduced row's.  The Lhat and Lqhat families hold no degree derivation, whose
+# images are scalar multiples of the row they act on.
 WORK = {
     "L-W": (52, 49, 49, 3, 49),
     "L-W-unbounded": (792, 759, 49, 3, 49),
@@ -803,11 +806,11 @@ WORK = {
     "L-WPrime": (792, 713, 49, 3, 49),
     "Lq-22-GqFull": (103, 104, 80, 4, 80),
     "Lq-22-GqFull-unbounded": (343, 104, 80, 4, 80),
-    "Lqhat-22-Class0": (29, 30, 18, 4, 18),
-    "Lqhat-22-Class0-unbounded": (269, 30, 18, 4, 18),
+    "Lqhat-22-Class0": (25, 26, 18, 4, 18),
+    "Lqhat-22-Class0-unbounded": (265, 26, 18, 4, 18),
     "Lq-33-GqFull": (169, 157, 80, 4, 80),
     "Lq-33-GqFull-unbounded": (521, 157, 80, 4, 80),
-    "Lhat-seeds-on-two-degrees": (183, 167, 98, 3, 98),
+    "Lhat-seeds-on-two-degrees": (169, 156, 98, 3, 98),
     "Lq-anticommuting-GqFull": (670, 671, 270, 5, 270),
     "Lq-anticommuting-GqFull-unbounded": (1858, 671, 270, 5, 270),
     "W-Full": (110, 111, 98, 3, 98),
@@ -860,7 +863,7 @@ def work_counters(monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(WORK))
-def test_golden_closure_work_counters(name, work_counters, monkeypatch):
+def test_golden_closure_work_counters(name, work_counters, monkeypatch, q_engine):
     golden = name.removesuffix("-unbounded")
     if golden != name:
         import divalg.closure as closure_mod
@@ -875,7 +878,7 @@ def test_golden_closure_work_counters(name, work_counters, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["Lq-22-GqFull", "Lq-33-GqFull", "Lq-anticommuting-GqFull"])
-def test_graded_q_closures_stay_on_integer_rows(name, monkeypatch):
+def test_graded_q_closures_stay_on_integer_rows(name, monkeypatch, q_engine):
     # every q generator acts on a fiber as a scalar times a plain map; on
     # the single-block rows of graded seeds the engine leaves the scalar out,
     # so neither an image nor an accepted row holds a cyclotomic entry

@@ -3,6 +3,7 @@ the refusal of seeds on several degrees, the pair basis, and differential
 checks against a naive dense fixed point and plain elimination."""
 
 import types
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -209,6 +210,8 @@ def test_pair_basis_is_the_greedy_basis():
 def test_classical_generator_count_d3():
     p = ModuleParams(3, (F(1, 3), F(1, 5), 0), RepHandle.natural(3))
     assert len(classical_generators(p, 2, "L")) == 248  # 2 per nonzero degree of 5^3
+    # the degree derivations act on each fiber by a scalar and are left out
+    assert len(classical_generators(p, 2, "Lhat")) == 248
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +376,18 @@ def q_family(q, params, gen_radius, algebra):
     ("Lq", (0, 0), (0, 1)),
     ("Lqhat", (1, 1), (1, 1)),
 ])
-def test_q_engine_matches_naive_fixed_point(algebra, n, coords):
+def test_q_engine_matches_naive_fixed_point(algebra, n, coords, q_engine):
+    # the engine gives the reference's rounds too; closure_q gives all the
+    # rest, whether it takes the off-radical route or the engine
     q = block_normal_q((2, 2))
     params = ModuleParams(2, (F(1, 5), F(1, 7)), NAT2)
     work, tgt = boxes(2, work=2, tgt=1)
-    res = closure_q(q, params, [graded(params, n, coords)], 2, work, tgt, 50, algebra)
+    args = (q, params, [graded(params, n, coords)], 2, work, tgt, 50, algebra)
+    res = q_engine(*args)
     ref = naive_closure(work, tgt, 2, [{n: coords}], q_family(q, params, 2, algebra), 50)
     label = classify_q(ClosureResult(tgt, ref[0], {}, None, ref[1], True), q, params)
     assert_same_closure(res, ref, label)
+    assert replace(closure_q(*args), iterations=res.iterations) == res
 
 
 ANTICOMMUTING = QMatrix.from_exps(2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -393,13 +400,14 @@ ANTI_PARAMS = ModuleParams(3, (F(1, 2), F(1, 3), 0), RepHandle.natural(3))
     ((0, 1, 1), (0, 1, 0)),
     ((0, 0, 0), (1, 1, 0)),
 ])
-def test_q_engine_matches_naive_fixed_point_sigma_twisted(n, coords):
+def test_q_engine_matches_naive_fixed_point_sigma_twisted(n, coords, q_engine):
     # sigma(r, n) = (-1)^(n_2) at every radical degree r of radius 1, so the
     # twisted outer generators scale fibers differently; the engine applies
     # the plain maps, and act_q the twisted ones
     work, tgt = boxes(3, work=1, tgt=1)
-    res = closure_q(ANTICOMMUTING, ANTI_PARAMS, [graded(ANTI_PARAMS, n, coords)], 1,
-                    work, tgt, 50, "Lq")
+    args = (ANTICOMMUTING, ANTI_PARAMS, [graded(ANTI_PARAMS, n, coords)], 1, work, tgt, 50, "Lq")
+    res = q_engine(*args)
+    assert replace(closure_q(*args), iterations=res.iterations) == res
     ref = naive_closure(work, tgt, 3, [{n: coords}],
                         q_family(ANTICOMMUTING, ANTI_PARAMS, 1, "Lq"), 50)
     label = classify_q(ClosureResult(tgt, ref[0], {}, None, ref[1], True),
@@ -788,7 +796,8 @@ def traced_saturate(monkeypatch, state_cls, case, max_rounds):
         return of(self, i)
 
     monkeypatch.setattr(Neighbours, "of", counted_of)
-    rows = closure_mod.seeds_to_rows(state, seeds)
+    rows = [(state.deg_index[n], list(coords))
+            for n, coords in closure_mod.seed_fibers(seeds[0].params, seeds, work, work)]
     rounds, saturated = closure_mod.saturate(state, rows, gens, max_rounds)
     monkeypatch.setattr(Neighbours, "of", of)
     return rounds, saturated, state, counts

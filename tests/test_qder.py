@@ -1,6 +1,8 @@
-"""q-derivation brackets, the tensor module, congruence classes, and the
-block-normal isomorphisms."""
+"""q-derivation brackets, the tensor module, congruence classes, the
+block-normal isomorphisms, and the q-closure: its generators, the radical
+bound and the off-radical route against the engine."""
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -11,6 +13,7 @@ from divalg.modules import GradedVec, ModuleParams, act, graded
 from divalg.qder import (
     Q_ALGEBRAS,
     QDerElem,
+    _DegreeSets,
     _inner_generator,
     act_q,
     ad_annihilation_check,
@@ -24,11 +27,14 @@ from divalg.qder import (
     iso_module,
     iso_params,
     module_axiom_residual_q,
+    off_radical_closure,
     qder_generators,
     radical_bound,
 )
 import divalg.qder
-from divalg.qtorus import QMatrix, block_normal_q, commutator_coeff, in_rad, sigma, sigma_exponent
+from divalg.linalg import span_contains
+from divalg.qtorus import (QMatrix, ad_form, block_normal_q, commutator_coeff, f_exponent, in_rad,
+                           sigma, sigma_exponent)
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
 from divalg.verify import (
@@ -478,6 +484,11 @@ def test_closure_q_errors():
     empty = GradedVec(P22, {})
     with pytest.raises(ValueError):
         closure_q(Q22, P22, [empty], 2, Box.radius(2, 3), Box.radius(2, 1), 50, "Lq")
+    # an algebra without a q closure is refused on both routes
+    for n in ((1, 0), (0, 0)):
+        with pytest.raises(ValueError, match="algebra must be one of"):
+            closure_q(Q22, P22, [graded(P22, n, (1, 0))], 2, Box.radius(2, 3),
+                      Box.radius(2, 1), 50, "Lhat")
 
 
 # -- the radical bound ----------------------------------------------------------------
@@ -518,10 +529,10 @@ def test_no_generator_crosses_the_radical(q):
 @pytest.mark.parametrize("algebra", Q_ALGEBRAS)
 @pytest.mark.parametrize("q", RADICAL_QS, ids=RADICAL_Q_IDS)
 def test_radical_bound_matches_unbounded_closure(q, algebra, seeds, monkeypatch,
-                                                plain_extraction):
+                                                plain_extraction, q_engine):
     # the bound only skips generators whose images stay in the span: the
-    # closure with it is the closure without it, iterations and label
-    # included; every fiber basis is checked against plain elimination
+    # engine's closure with it is the closure without it, iterations and
+    # label included; every fiber basis is checked against plain elimination
     params = _radical_params(q)
     units = [tuple(int(i == j) for j in range(q.d)) for i in range(q.d)]
     off = [e for e in units if not in_rad(q, e)]
@@ -531,8 +542,214 @@ def test_radical_bound_matches_unbounded_closure(q, algebra, seeds, monkeypatch,
     seed_list = [graded(params, n, range(1, q.d + 1)) for n in degrees]
     assert (radical_bound(q, params, seed_list) is None) == (seeds == "mixed")
     args = (q, params, seed_list, 2, Box.radius(q.d, 2), Box.radius(q.d, 1), 50, algebra)
-    bounded = closure_q(*args)
+    bounded = q_engine(*args)
     assert bounded.saturated
     monkeypatch.setattr(divalg.qder, "radical_bound", lambda q, params, seeds: None)
-    assert closure_q(*args) == bounded
+    assert q_engine(*args) == bounded
     assert plain_extraction["fibers"]
+
+
+# -- the off-radical route ----------------------------------------------------------
+
+ROUTE_QS = {"22": block_normal_q((2, 2)), "33": block_normal_q((3, 3)),
+            "221": block_normal_q((2, 2, 1)), "331": block_normal_q((3, 3, 1)),
+            "2211": block_normal_q((2, 2, 1, 1)), "3311": block_normal_q((3, 3, 1, 1)),
+            "anticommuting": Q_ANTICOMMUTING, "zero-column": Q_ZERO_COLUMN, "mixed": Q_MIXED}
+ALPHAS = (F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11))
+
+
+def _route_case(q, kind, seeds, gen_radius, algebra, working):
+    """The closure_q arguments of one case: alpha (1/2, 1/3, ...), the
+    natural rep, Lambda^2 or the natural rep twisted by (1, 2, ..., d), and
+    seeds given as (degree, basis index) pairs (-1 for the last basis
+    vector), with the target box the working box."""
+    rep = {"natural": lambda: RepHandle.natural(q.d),
+           "exterior": lambda: RepHandle.exterior(q.d, 2),
+           "twisted": lambda: RepHandle.twisted(RepHandle.natural(q.d), range(1, q.d + 1))}[kind]()
+    params = ModuleParams(q.d, ALPHAS[:q.d], rep)
+    seed_list = [graded(params, n, [int(t == b % rep.dim) for t in range(rep.dim)])
+                 for n, b in seeds]
+    return (q, params, seed_list, gen_radius, working, working, 60, algebra)
+
+
+def _spied_closure_q(monkeypatch, args):
+    """closure_q on args, and whether it ran ``_close``, the engine."""
+    calls = []
+    real = divalg.qder._close
+    monkeypatch.setattr(divalg.qder, "_close", lambda *a: calls.append(1) or real(*a))
+    result = closure_q(*args)
+    monkeypatch.setattr(divalg.qder, "_close", real)
+    return result, bool(calls)
+
+
+def _route_grid():
+    """Every q of ROUTE_QS with each rep and each seed set: one seed at e1,
+    one at e2 (radical for the zero-column q, so the engine runs), and one at
+    each of two off-radical unit degrees; gen_radius cycles through 1-3 and
+    the algebra through Lq and Lqhat.  The working box has radius 2, or 1 at
+    d = 4."""
+    cases, turn = [], 0
+    for name, q in ROUTE_QS.items():
+        units = [tuple(int(i == j) for j in range(q.d)) for i in range(q.d)]
+        off = [e for e in units if not in_rad(q, e)]
+        for seeds in ("e1", "e2", "two-off"):
+            for kind in ("natural", "exterior"):
+                degrees = {"e1": units[:1], "e2": units[1:2], "two-off": off[:2]}[seeds]
+                seed_pairs = [(n, -k) for k, n in enumerate(degrees)]
+                cases.append(pytest.param(
+                    q, kind, seed_pairs, 1 + turn % 3, Q_ALGEBRAS[turn % 2],
+                    Box.radius(q.d, 1 if q.d == 4 else 2), id=f"{name}-{seeds}-{kind}"))
+                turn += 1
+    return cases
+
+
+@pytest.mark.parametrize("q, kind, seeds, gen_radius, algebra, working", _route_grid()
+                         + [pytest.param(ROUTE_QS["3311"], "exterior", [((1, 0, 0, 0), 0)], 1,
+                                         "Lq", Box.radius(4, 2), id="3311-ci-d4"),
+                            # fractional rep entries
+                            pytest.param(ROUTE_QS["221"], "twisted", [((1, 0, 0), 0)], 2,
+                                         "Lqhat", Box.radius(3, 2), id="221-twisted")])
+def test_off_radical_route_matches_the_engine(q, kind, seeds, gen_radius, algebra, working,
+                                              monkeypatch, q_engine):
+    # fiber bases, dims, label and saturation agree with the engine's; the
+    # route runs exactly when every seed lies off the radical (every box
+    # here is one off-radical component)
+    args = _route_case(q, kind, seeds, gen_radius, algebra, working)
+    got, ran_engine = _spied_closure_q(monkeypatch, args)
+    assert ran_engine == any(in_rad(q, n) for n, _ in seeds)
+    want = q_engine(*args)
+    assert want.saturated
+    assert replace(got, iterations=want.iterations) == want
+
+
+@pytest.mark.parametrize("l, lo, hi, seed", [
+    # no ad t^m edge stays inside: each degree is its own component
+    ((2, 2, 1), (1, 0, -2), (1, 0, 2), (1, 0, 0)),
+    # f((1, 0), n) = 1 on the box: the two off-radical degrees are not joined
+    ((3, 3), (1, 0), (2, 0), (1, 0)),
+], ids=["thin-box", "two-degrees"])
+def test_split_boxes_fall_back_to_the_engine(l, lo, hi, seed, monkeypatch, q_engine):
+    q = block_normal_q(l)
+    args = _route_case(q, "natural", [(seed, 0)], 2, "Lq", Box(lo, hi))
+    got, ran_engine = _spied_closure_q(monkeypatch, args)
+    assert ran_engine
+    assert got == q_engine(*args)
+
+
+def _component_count(q, working, gen_radius):
+    """The components of the off-radical degrees of the box under the edges
+    n -> n + m, m in the generator box, with f(m, n) != 1, by a plain walk
+    over degrees."""
+    shifts = list(Box.radius(q.d, gen_radius).degrees())
+    seen, count = set(), 0
+    for start in working.degrees():
+        if in_rad(q, start) or start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            n = stack.pop()
+            for m in shifts:
+                t = tuple(a + b for a, b in zip(n, m))
+                if working.contains(t) and t not in seen and f_exponent(q, m, n):
+                    seen.add(t)
+                    stack.append(t)
+    return count
+
+
+@pytest.mark.parametrize("name", ["22", "33", "221", "anticommuting", "zero-column", "mixed"])
+def test_component_walk_matches_a_walk_over_degrees(name):
+    # the route runs exactly on the boxes whose off-radical degrees form one
+    # component, among lines, slabs and boxes at gen_radius 0-2
+    q = ROUTE_QS[name]
+    d = q.d
+    boxes = [Box.radius(d, 1), Box.radius(d, 2), Box((1,) * d, (1,) * d),
+             Box((1,) + (0,) * (d - 1), (2,) + (0,) * (d - 1)),
+             Box((1,) + (0,) * (d - 1), (1,) + (0,) * (d - 2) + (3,)),
+             Box((0,) * d, (1,) + (3,) * (d - 1)), Box((-1,) * d, (0,) + (1,) * (d - 1))]
+    params = ModuleParams(d, ALPHAS[:d], RepHandle.natural(d))
+    split = joined = 0
+    for working in boxes:
+        off = [n for n in working.degrees() if not in_rad(q, n)]
+        if not off:
+            continue
+        seed = [(off[0], (1,) + (0,) * (d - 1))]
+        for gen_radius in (0, 1, 2):
+            one = _component_count(q, working, gen_radius) == 1
+            got = off_radical_closure(q, params, seed, gen_radius, working, working, 60)
+            assert (got is not None) == one, (working, gen_radius)
+            split += not one
+            joined += one
+    assert split and joined
+
+
+def test_component_walk_follows_a_long_line():
+    # 3,000 off-radical degrees joined in a line by (0, +-1) alone, which
+    # the walk follows by doubling jumps
+    q = ROUTE_QS["22"]
+    working = Box((1, 0), (1, 2999))
+    assert _component_count(q, working, 1) == 1
+    params = ModuleParams(2, ALPHAS[:2], RepHandle.natural(2))
+    got = off_radical_closure(q, params, [((1, 0), (1, 0))], 1, working, Box((1, 0), (1, 2)), 60)
+    assert got is not None and got.saturated
+
+
+@pytest.mark.parametrize("name", ["22", "221", "zero-column"])
+def test_degree_sets_match_their_degrees(name):
+    q = ROUTE_QS[name]
+    d = q.d
+    for working in (Box.radius(d, 2), Box((-1,) + (0,) * (d - 1), (2,) + (1,) * (d - 1))):
+        sets = _DegreeSets(working)
+        degrees = list(working.degrees())
+
+        def members(bits):
+            return [n for i, n in enumerate(degrees) if bits >> i & 1]
+
+        for s in Box.radius(d, 2).degrees():
+            shifted = [n for n in degrees if working.contains(tuple(map(sum, zip(n, s))))]
+            assert members(sets.inside(s)) == shifted, s
+            form = ad_form(q, s)
+            assert members(sets.nonzero(form, q.N)) == [n for n in degrees
+                                                       if f_exponent(q, s, n)], s
+
+
+def test_route_rounds_stop_at_the_cap():
+    # Lambda^2 at l = (2, 2, 1, 1) fills V in round 2, so iterations is 3; a
+    # cap below that leaves rows queued: unsaturated, unlabelled, and each
+    # fiber a subspace of the saturated one, a proper one after round 1
+    q = ROUTE_QS["2211"]
+    args = _route_case(q, "exterior", [((1, 0, 0, 0), 0)], 1, "Lq", Box.radius(4, 1))
+    full = closure_q(*args)
+    assert (full.iterations, full.saturated, full.label.kind) == (3, True, "GqFull")
+    for cap in (1, 2):
+        got = closure_q(*args[:6], cap, args[7])
+        assert (got.iterations, got.saturated, got.label) == (cap, False, None)
+        for n, b in got.fiber_bases.items():
+            assert all(span_contains(full.fiber_bases[n], row) for row in b.rows)
+        assert (sum(got.fiber_dims.values()) < sum(full.fiber_dims.values())) == (cap == 1)
+    assert closure_q(*args[:6], 3, args[7]) == full
+
+
+def test_route_takes_the_d5_closure(monkeypatch):
+    # Lambda^2 at l = (3, 3, 1, 1, 1), gen_radius 2, box 2: 3,125 degrees, on
+    # which the engine spends seconds
+    args = _route_case(block_normal_q((3, 3, 1, 1, 1)), "exterior", [((1, 0, 0, 0, 0), 0)], 2,
+                       "Lq", Box.radius(5, 2))
+    args = args[:5] + (Box.radius(5, 1),) + args[6:]
+    got, ran_engine = _spied_closure_q(monkeypatch, args)
+    assert not ran_engine and got.saturated and got.label.kind == "GqFull"
+
+
+@pytest.mark.parametrize("l", [(2, 2), (3, 3), (2, 2, 1), (3, 3, 1, 1)])
+@pytest.mark.parametrize("kind", ["natural", "exterior"])
+def test_route_fills_v_when_the_radical_shifts_span(l, kind):
+    # at gen_radius max(l) and box radius 2 the radical shifts that keep a
+    # degree inside the box span Q^d, and S is the sl_d-submodule the seed
+    # generates: all of V for the irreducible natural rep and Lambda^2.  At
+    # box radius 1 the shift (3, 0, 0, 0) keeps no degree inside, and the
+    # natural rep at l = (3, 3, 1, 1) reaches 3 of 4
+    q = block_normal_q(l)
+    args = _route_case(q, kind, [((1,) + (0,) * (len(l) - 1), 0)], max(l), "Lq",
+                       Box.radius(len(l), 2))
+    assert closure_q(*args).label.kind == "GqFull"

@@ -13,6 +13,7 @@ import pytest
 import divalg.qtorus
 from divalg.qtorus import (
     QMatrix,
+    ad_form,
     block_normal_q,
     block_structure,
     cocycle,
@@ -155,16 +156,19 @@ def f_exponent_reference(q, m, n) -> int:
                                Q_ZERO_COLUMN], ids=["221", "33", "mixed", "zero-column"])
 def test_in_rad_matches_f_formula(q):
     """in_rad, read off the column table, equals the f(n, e_i) formula, and
-    f_exponent equals the double loop over exps."""
+    f_exponent, and the ad_form of m at n, equal the double loop over exps;
+    ad_form is empty exactly on the radical."""
     assert block_structure(Q_MIXED) is None
     box = list(product(range(-4, 5), repeat=q.d))
     for n in box:
-        assert in_rad(q, n) == in_rad(q, list(n)) == f_formula_in_rad(q, n)
+        assert in_rad(q, n) == in_rad(q, list(n)) == f_formula_in_rad(q, n) == (not ad_form(q, n))
     assert any(in_rad(q, n) for n in box if any(n))
     small = list(product(range(-2, 3), repeat=q.d))
     for m in small[::2]:
+        form = ad_form(q, m)
         for n in small:
             assert f_exponent(q, m, n) == f_exponent_reference(q, m, n), (m, n)
+            assert sum(c * n[i] for i, c in form) % q.N == f_exponent(q, m, n), (m, n)
     # equality and hashing ignore the column table
     assert q == QMatrix(q.d, q.N, q.exps) and hash(q) == hash(QMatrix(q.d, q.N, q.exps))
 
