@@ -179,7 +179,9 @@ def _annihilate(ann: list[list], dots: list) -> list[list]:
     given the dots of w with the rows of ``ann``, not all 0: with a0 the first
     row whose dot c0 is not 0, every other row a, of dot c, becomes c0 a - c
     a0, kept primitive, and a0 is dropped."""
-    k = next(t for t, c in enumerate(dots) if c)
+    k = 0
+    while not dots[k]:
+        k += 1
     a0, c0 = ann[k], dots[k]
     return [_primitive([c0 * x - c * y for x, y in zip(a, a0)]) if c else a
             for t, (a, c) in enumerate(zip(ann, dots)) if t != k]
@@ -459,12 +461,25 @@ def unit_generators(params: ModuleParams, r: DegVec) -> list[Generator]:
 
 def pair_generators(params: ModuleParams, r: DegVec) -> list[Generator]:
     """D(u, r) for the u of :func:`pair_basis` at a degree r != 0, a basis of
-    the degree-r component of L, at D u as in :func:`unit_generators`.  On
-    the q side they stand for the sigma-twisted D(u, r), sigma(r, n) times
-    these maps on the fiber at n."""
-    D = params.alpha_den
-    return [Generator(r, term_map(params, [D * x for x in u], r))
-            for _, _, u in pair_basis(r)]
+    the degree-r component of L, at D u as in :func:`unit_generators`, each
+    written down from its closed form.  On the q side they stand for the
+    sigma-twisted D(u, r), sigma(r, n) times these maps on the fiber at n."""
+    d, D = params.d, params.alpha_den
+    p = 0
+    while not r[p]:
+        p += 1
+    # D u is D r_p e_i for i < p and D (r_i e_p - r_p e_i) for i > p
+    rp = D * r[p]
+    gens = []
+    for i in range(d):
+        if i != p:
+            u = [0] * d
+            if i < p:
+                u[i] = rp
+            else:
+                u[p], u[i] = D * r[i], -rp
+            gens.append(Generator(r, term_map(params, u, r)))
+    return gens
 
 
 def classical_generators(params: ModuleParams, gen_radius: int, algebra: str) -> list[Generator]:
@@ -546,7 +561,8 @@ def _close(params: ModuleParams, seeds: list[GradedVec], working: Box, target: B
 def w_bound(params: ModuleParams, seeds: list[GradedVec]):
     """The fiber dimension of the wedge submodule W at each degree,
     C(d-1, k-1) where alpha + n != 0 and 0 where alpha + n = 0, when every
-    seed lies in W; None otherwise.
+    seed lies in W; None otherwise.  alpha + n = 0 only at n = -alpha for an
+    integral alpha, so the bound is read per degree without arithmetic.
 
     W is invariant under the whole Witt algebra, so it bounds the closure of
     such seeds under W, Lhat and L.  Only the natural and exterior reps
@@ -556,7 +572,10 @@ def w_bound(params: ModuleParams, seeds: list[GradedVec]):
     if params.rep.kind not in ("natural", "exterior") or not all(map(w_membership, seeds)):
         return None
     rank = comb(params.d - 1, _wedge_power(params.rep) - 1)
-    return lambda n: rank if any(a + x for a, x in zip(params.alpha, n)) else 0
+    if not params.alpha_integral():
+        return lambda n: rank
+    neg = tuple(-int(a) for a in params.alpha)
+    return lambda n: 0 if n == neg else rank
 
 
 def closure(params: ModuleParams, seeds: list[GradedVec], gen_radius: int,

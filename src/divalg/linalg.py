@@ -44,8 +44,11 @@ def _primitive(vals: list) -> list:
         mult = lcm(*(x.denominator for x in vals))
         vals = [int(x * mult) for x in vals]
         g = gcd(*vals)
-    if next(x for x in vals if x) < 0:
-        g = -g
+    for x in vals:  # the sign of the first nonzero entry
+        if x:
+            if x < 0:
+                g = -g
+            break
     return vals if g == 1 else [x // g for x in vals]
 
 
@@ -55,11 +58,12 @@ def _reduce_into(rows: dict, v: list) -> list | None:
     it is; store and return the primitive form of what is left if it is
     nonzero, else return None."""
     v = _primitive(v)
-    b = 0
+    b, end = 0, len(v)
     while True:
-        b = next((t for t in range(b, len(v)) if v[t]), None)
-        if b is None:
-            return None
+        while not v[b]:  # step to the next nonzero entry, the candidate pivot
+            b += 1
+            if b == end:
+                return None
         row = rows.get(b)
         if row is None:
             row = rows[b] = _primitive(v)

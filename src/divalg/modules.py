@@ -137,12 +137,13 @@ def term_map(params: ModuleParams, u, r, cocycle=None):
     table = params.rep._e_structure
     u_nonzero = [(b, ub) for b, ub in enumerate(u, 1) if ub]
     acc: dict = {}
+    get = acc.get
     for a, ra in enumerate(r, 1):
         if ra:
             for b, ub in u_nonzero:
                 c = ra * ub
                 for dst, src, m in table(a, b):
-                    acc[dst, src] = acc.get((dst, src), 0) + c * m
+                    acc[dst, src] = get((dst, src), 0) + c * m
     # (i, j, m): r u^T takes basis vector j to m times basis vector i, plus others
     entries = [(i, j, m) for (i, j), m in acc.items() if m]
     num, den = sum(map(mul, u, params.alpha_num)), params.alpha_den

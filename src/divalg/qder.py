@@ -46,7 +46,7 @@ from .closure import (
     pair_generators,
     seed_fibers,
 )
-from .linalg import _reduce_into, basis_of
+from .linalg import _primitive, _reduce_into, basis_of
 from .modules import GradedVec, ModuleParams, act, apply_operator, operator
 from .reps import RepHandle, act_matrix
 from .scalars import Cyc, Rat
@@ -522,6 +522,38 @@ def _one_component(off: int, edges: list[tuple[int, int]]) -> bool:
             return False
 
 
+def _outer_maps(shifts: list, d: int) -> list:
+    """A basis, as d x d row lists, of the span in gl_d of the r u^T for the
+    shifts r and the u of :func:`pair_basis` (r).
+
+    Each r u^T has its image in P, the span of the shifts, and trace (u|r)
+    = 0, and the maps of trace 0 with image in P form a space of dimension
+    p d - 1, p = dim P; the reduction stops once the basis is that large.
+    The shifts are taken in increasing L1 norm, and one per line through the
+    origin, as c r u^T is a multiple of r u^T."""
+    shifts = sorted(shifts, key=lambda r: sum(map(abs, r)))
+    echelon: dict = {}
+    for r in shifts:
+        if _reduce_into(echelon, list(r)) is not None and len(echelon) == d:
+            break  # P is all of Q^d
+    top = len(echelon) * d - 1
+    maps: list = []
+    gl: dict = {}
+    lines = set()
+    for r in shifts:
+        line = tuple(_primitive(list(r)))
+        if line in lines:
+            continue
+        lines.add(line)
+        for _, _, u in pair_basis(r):
+            b = [[x * y for y in u] for x in r]
+            if _reduce_into(gl, [x for row in b for x in row]) is not None:
+                maps.append(b)
+                if len(maps) == top:
+                    return maps
+    return maps
+
+
 def off_radical_closure(q: QMatrix, params: ModuleParams, fibers: list, gen_radius: int,
                         working: Box, target: Box, max_iters: int) -> ClosureResult | None:
     """The closure of seeds off the radical, given as the ``(degree,
@@ -533,8 +565,8 @@ def off_radical_closure(q: QMatrix, params: ModuleParams, fibers: list, gen_radi
     (:class:`_DegreeSets`).
 
     rho is linear and rho(-r u^T) = -rho(r u^T), so one shift of each pair
-    +-r is taken, and of the r u^T only a basis of their span in gl_d, at
-    most d^2 - 1 maps, since (u|r) = 0 makes each traceless.  S is reached
+    +-r is taken, and of the r u^T only a basis of their span in gl_d
+    (:func:`_outer_maps`), at most d^2 - 1 maps.  S is reached
     as the engine reaches a span: seed rows first, then rounds, each
     applying the maps to the rows the round before added; ``iterations`` is
     K + 1 for the last round K that added a row, capped by ``max_iters``,
@@ -561,13 +593,7 @@ def off_radical_closure(q: QMatrix, params: ModuleParams, fibers: list, gen_radi
     if not _one_component(off, edges):
         return None
 
-    maps: list = []
-    gl: dict = {}
-    for b in ([[x * y for y in u] for x in r] for r in shifts for _, _, u in pair_basis(r)):
-        if _reduce_into(gl, [x for row in b for x in row]) is not None:
-            maps.append(b)
-            if len(maps) == d * d - 1:
-                break  # all of sl_d
+    maps = _outer_maps(shifts, d)
     rep, dim = params.rep, params.rep.dim
     span: dict = {}
     frontier = [row for _, coords in fibers

@@ -15,8 +15,9 @@ import divalg
 import divalg.closure as closure_mod
 import divalg.qder as qder_mod
 from divalg.cli import run
-from divalg.closure import (Box, ClosureResult, Label, Neighbours, SpanState,
-                            classical_generators, classify, closure, pair_basis)
+from divalg.closure import (Box, ClosureResult, Label, Neighbours, SpanState, _annihilate,
+                            classical_generators, classify, closure, pair_basis,
+                            pair_generators)
 from divalg.linalg import _reduce_into, basis_of, same_span, span_contains
 from divalg.modules import (GradedVec, ModuleParams, _wedge_power, act, graded, w_fiber_basis,
                             w_membership)
@@ -24,7 +25,7 @@ from divalg.qder import QDerElem, act_q, class_of, classify_q, closure_q, qder_g
 from divalg.qtorus import QMatrix, block_normal_q, block_structure, in_rad
 from divalg.reps import RepHandle
 from divalg.witt import ALGEBRAS, AlgElem, pair_term
-from test_linalg import gauss_jordan
+from test_linalg import awkward_vector, gauss_jordan
 
 F = Fraction
 
@@ -205,6 +206,26 @@ def test_pair_basis_is_the_greedy_basis():
                 checked += 1
     assert checked == 5920
     assert pair_basis((0, 0, 0)) == greedy_pair_basis((0, 0, 0)) == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pair_generators_apply_D_times_the_pair_basis(d, monkeypatch):
+    # the vectors pair_generators writes from its closed form are D times
+    # those of pair_basis, in its order, at every nonzero degree of the
+    # radius-3 box
+    p = ModuleParams(d, (F(1, 2), F(-1, 3), F(1, 5), 0, F(2, 7))[:d], RepHandle.natural(d))
+    D = p.alpha_den
+    built = []
+    monkeypatch.setattr(closure_mod, "term_map", lambda params, u, r: built.append((list(u), r)))
+    checked = 0
+    for r in Box.radius(d, 3).degrees():
+        if any(r):
+            built.clear()
+            gens = pair_generators(p, r)
+            assert [g.shift for g in gens] == [r] * (d - 1)
+            assert built == [([D * x for x in u], r) for _, _, u in pair_basis(r)], r
+            checked += 1
+    assert checked == 7 ** d - 1
 
 
 def test_classical_generator_count_d3():
@@ -748,6 +769,41 @@ def test_graded_insert_matches_plain_elimination(kind):
     assert rejected > 0
 
 
+@pytest.mark.parametrize("kind", ["int", "frac", "mixed"])
+def test_annihilate_and_insert_match_basis_of_rank(kind):
+    # at one degree, an insert is accepted exactly when basis_of's rank of
+    # the inserted vectors grows; _annihilate then leaves independent rows
+    # of the old annihilator's span, one fewer, each orthogonal to w
+    rng = Random(f"annihilate-{kind}")
+    rejected = annihilated = 0
+    for _ in range(30):
+        dim = rng.randint(1, 5)
+        state = SpanState(Box.radius(1, 0), dim)
+        vectors = [awkward_vector(rng, kind, dim) for _ in range(rng.randint(1, dim + 2))]
+        vectors += [[2 * x for x in vectors[0]],
+                    [x - y for x, y in zip(vectors[0], vectors[-1])]]
+        inserted = []
+        for w in filter(any, vectors):
+            ann = state.annihilators[0]
+            dots = [sum(x * y for x, y in zip(a, w)) for a in ann]
+            before = basis_of(inserted, dim).rank
+            inserted.append(w)
+            grew = basis_of(inserted, dim).rank > before
+            got = state.insert(0, w)
+            assert (got is not None) == grew
+            rejected += not grew
+            if grew and len(ann) > 1:
+                rows = _annihilate(ann, dots)
+                assert len(rows) == basis_of(rows, dim).rank == len(ann) - 1
+                assert not any(sum(x * y for x, y in zip(a, w)) for a in rows)
+                assert basis_of(ann + rows, dim).rank == len(ann)
+                annihilated += 1
+            rank = basis_of(inserted, dim).rank
+            assert state.rank() == rank
+            assert len(state.annihilators[0]) == dim - rank
+    assert rejected and annihilated
+
+
 # ---------------------------------------------------------------------------
 # the early exit of saturate against the loop without it
 # ---------------------------------------------------------------------------
@@ -975,6 +1031,27 @@ def test_w_bound_matches_unbounded_closure(d, k, kind, alpha_kind, monkeypatch,
             assert got == want, (algebra, name)
             assert got.saturated
     assert plain_extraction["fibers"]
+
+
+@pytest.mark.parametrize("alpha", [(F(1, 3), F(-1, 5), F(1, 7)), (1, -2, 0),
+                                   (F(1, 2), -1, F(-3, 2))],
+                         ids=["generic", "integral", "half-integral"])
+@pytest.mark.parametrize("kind, k", [("natural", 1), ("exterior", 1), ("exterior", 2),
+                                     ("exterior", 3)])
+def test_w_bound_is_the_w_fiber_rank(alpha, kind, k):
+    # the closed form of w_bound against the rank of the W fiber at every
+    # degree of the radius-3 box, which holds -alpha for the integral alpha
+    rep = RepHandle.natural(3) if kind == "natural" else RepHandle.exterior(3, k)
+    p = ModuleParams(3, alpha, rep)
+    n0 = (1, 0, 0)
+    seed = GradedVec(p, {n0: list(w_fiber_basis(3, k, alpha, n0).rows[0])})
+    bound = closure_mod.w_bound(p, [seed])
+    zeros = 0
+    for n in Box.radius(3, 3).degrees():
+        rank = w_fiber_basis(3, k, alpha, n).rank
+        assert bound(n) == rank, n
+        zeros += not rank
+    assert zeros == int(alpha == (1, -2, 0))
 
 
 def test_w_bound_only_for_w_seeds_on_natural_or_exterior_reps():

@@ -9,7 +9,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from divalg.linalg import SpanBasis, _primitive, basis_of, same_span, span_contains
+from divalg.linalg import SpanBasis, _primitive, _reduce_into, basis_of, same_span, span_contains
 
 
 def span_extend(b: SpanBasis, vs) -> tuple[SpanBasis, bool]:
@@ -210,3 +210,66 @@ def test_linalg_matches_gauss_jordan(kind):
         shuffled = list(reversed(vectors))
         assert same_span(b, basis_of(shuffled, dim))
         assert same_span(b, grown) == (len(ref_rows) == rank)
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against Fraction references
+# ---------------------------------------------------------------------------
+
+
+def reduce_reference(rows, v):
+    """:func:`_reduce_into` spelled out in Fractions: at the first nonzero
+    entry of v, subtract the multiple of that column's row that clears it,
+    until an entry has no row; store the primitive form of v there and
+    return it, or return None once v is 0."""
+    v = [Fraction(x) for x in v]
+    for b in range(len(v)):
+        if v[b]:
+            row = rows.get(b)
+            if row is None:
+                rows[b] = primitive_reference(v)
+                return rows[b]
+            c = v[b] / row[b]
+            v = [x - c * y for x, y in zip(v, row)]
+    return None
+
+
+def awkward_vector(rng, kind, dim):
+    """A nonzero vector with up to dim - 1 leading zeros, a lead of either
+    sign and a common factor of 1, 2, 3 or 6; ``kind`` "mixed" draws each
+    entry as an int, a Fraction or a Fraction of denominator 1."""
+    lead = rng.randrange(dim)
+
+    def entry():
+        pick = kind if kind != "mixed" else rng.choice(("int", "frac", "whole"))
+        return Fraction(draw(rng, "int")) if pick == "whole" else draw(rng, pick)
+
+    v = [0] * lead + [entry() for _ in range(dim - lead)]
+    v[lead] = rng.choice((-1, 1)) * (abs(v[lead]) or 1)
+    factor = rng.choice((1, 2, 3, 6))
+    return [factor * x for x in v]
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", "mixed"])
+def test_elimination_kernel_matches_fraction_references(kind):
+    # _primitive, every _reduce_into result and echelon, and basis_of,
+    # against their Fraction references; a repeated row, a multiple and a
+    # combination make some reductions end at 0
+    rng = Random(f"kernel-{kind}")
+    reduced_to_zero = 0
+    for _ in range(40):
+        dim = rng.randint(1, 6)
+        vectors = [awkward_vector(rng, kind, dim) for _ in range(rng.randint(1, 2 * dim))]
+        vectors += [list(vectors[0]), [-2 * x for x in vectors[-1]],
+                    [x + 3 * y for x, y in zip(vectors[0], vectors[-1])]]
+        echelon, mirror = {}, {}
+        for v in filter(any, vectors):
+            assert _primitive(list(v)) == primitive_reference(v)
+            got = _reduce_into(echelon, list(v))
+            assert got == reduce_reference(mirror, v)
+            assert echelon == mirror
+            reduced_to_zero += got is None
+        b = basis_of(vectors, dim)
+        rows, pivots = gauss_jordan(vectors, dim)
+        assert (b.rows, b.pivot_cols) == (tuple(rows), tuple(pivots))
+    assert reduced_to_zero

@@ -460,6 +460,17 @@ def test_term_map_drops_a_trivial_cocycle(q):
                 assert twisted(n, w) == (None if img is None else [sig(r, n) * x for x in img])
 
 
+def test_term_map_keeps_its_own_u():
+    # a map built from a list u does not change when the caller reuses it
+    params = ModuleParams(3, (F(1, 2), F(-2, 3), F(1, 5)), RepHandle.exterior(3, 2))
+    u, r, n, w = [0, 30, -30], (2, 1, 1), (1, -1, 2), [1, -2, 3]
+    apply = term_map(params, u, r)
+    want = apply(n, w)
+    assert want is not None
+    u[1], u[2] = 7, 0
+    assert apply(n, w) == want == term_map(params, (0, 30, -30), r)(n, w)
+
+
 @pytest.mark.parametrize("rep", term_map_reps(), ids=lambda rep: rep.kind)
 def test_closure_generators_are_D_times_act(rep):
     """Every unit and pair generator maps (n, w) to D times the fiber at

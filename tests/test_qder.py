@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from divalg.closure import Box
+from divalg.closure import Box, pair_basis
 from divalg.modules import GradedVec, ModuleParams, act, graded
 from divalg.qder import (
     Q_ALGEBRAS,
@@ -32,7 +32,7 @@ from divalg.qder import (
     radical_bound,
 )
 import divalg.qder
-from divalg.linalg import span_contains
+from divalg.linalg import basis_of, same_span, span_contains
 from divalg.qtorus import (QMatrix, ad_form, block_normal_q, commutator_coeff, f_exponent, in_rad,
                            sigma, sigma_exponent)
 from divalg.reps import RepHandle
@@ -603,12 +603,15 @@ def _route_grid():
     return cases
 
 
-@pytest.mark.parametrize("q, kind, seeds, gen_radius, algebra, working", _route_grid()
-                         + [pytest.param(ROUTE_QS["3311"], "exterior", [((1, 0, 0, 0), 0)], 1,
-                                         "Lq", Box.radius(4, 2), id="3311-ci-d4"),
-                            # fractional rep entries
-                            pytest.param(ROUTE_QS["221"], "twisted", [((1, 0, 0), 0)], 2,
-                                         "Lqhat", Box.radius(3, 2), id="221-twisted")])
+ROUTE_CASES = _route_grid() + [
+    pytest.param(ROUTE_QS["3311"], "exterior", [((1, 0, 0, 0), 0)], 1, "Lq", Box.radius(4, 2),
+                 id="3311-ci-d4"),
+    # fractional rep entries
+    pytest.param(ROUTE_QS["221"], "twisted", [((1, 0, 0), 0)], 2, "Lqhat", Box.radius(3, 2),
+                 id="221-twisted")]
+
+
+@pytest.mark.parametrize("q, kind, seeds, gen_radius, algebra, working", ROUTE_CASES)
 def test_off_radical_route_matches_the_engine(q, kind, seeds, gen_radius, algebra, working,
                                               monkeypatch, q_engine):
     # fiber bases, dims, label and saturation agree with the engine's; the
@@ -620,6 +623,37 @@ def test_off_radical_route_matches_the_engine(q, kind, seeds, gen_radius, algebr
     want = q_engine(*args)
     assert want.saturated
     assert replace(got, iterations=want.iterations) == want
+
+
+@pytest.mark.parametrize("q, kind, seeds, gen_radius, algebra, working", ROUTE_CASES)
+def test_outer_maps_span_every_r_u(q, kind, seeds, gen_radius, algebra, working, monkeypatch):
+    # the maps the route applies are independent and span what every r u^T
+    # of its shifts spans, u in pair_basis(r), as before the shifts were
+    # ordered, taken one per line and cut at p d - 1
+    calls = []
+    real = divalg.qder._outer_maps
+    monkeypatch.setattr(divalg.qder, "_outer_maps",
+                        lambda shifts, d: calls.append((shifts, d, real(shifts, d))) or calls[-1][2])
+    closure_q(*_route_case(q, kind, seeds, gen_radius, algebra, working))
+    assert len(calls) == (not any(in_rad(q, n) for n, _ in seeds))
+    for shifts, d, maps in calls:
+        got = basis_of([[x for row in b for x in row] for b in maps], d * d)
+        every = [[x * y for x in r for y in u] for r in shifts for _, _, u in pair_basis(r)]
+        assert got.rank == len(maps)
+        assert same_span(got, basis_of(every, d * d))
+
+
+def test_outer_maps_reduce_few_matrices(monkeypatch):
+    # Lambda^2 at l = (2, 2, 1, 1, 1), gen_radius 2, box 2: 562 radical
+    # shifts; reducing every r u^T until sl_5 filled made 866 _reduce_into
+    # calls in the closure, the first shift per line up to the bound 207
+    calls = []
+    real = divalg.qder._reduce_into
+    monkeypatch.setattr(divalg.qder, "_reduce_into", lambda *a: calls.append(1) or real(*a))
+    args = _route_case(block_normal_q((2, 2, 1, 1, 1)), "exterior", [((1, 0, 0, 0, 0), 0)], 2,
+                       "Lq", Box.radius(5, 2))
+    got = closure_q(*args)
+    assert (got.label.kind, got.iterations, len(calls)) == ("GqFull", 3, 207)
 
 
 @pytest.mark.parametrize("l, lo, hi, seed", [
