@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import witt
 from .linalg import SpanBasis, basis_of
@@ -98,7 +98,12 @@ class GradedVec:
                                   {n: tuple(-x for x in c) for n, c in self.fibers.items()})
 
     def __sub__(self, other: "GradedVec") -> "GradedVec":
-        return self + (-other)
+        out = dict(self.fibers)
+        get = out.get
+        for n, c in other.fibers.items():
+            prev = get(n)
+            out[n] = tuple([-x for x in c]) if prev is None else tuple(map(sub, prev, c))
+        return GradedVec._trusted(self.params, out)
 
     def scale(self, c) -> "GradedVec":
         return GradedVec._trusted(self.params,

@@ -374,14 +374,17 @@ def _inner_generator(q: QMatrix, m: DegVec) -> Generator:
 
 
 def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
-                    algebra: str) -> list[Generator]:
+                    algebra: str, radical_only: bool = False) -> list[Generator]:
     """Inner generators ad t^m off the radical (:func:`_inner_generator`)
     plus divergence-zero outer generators at radical degrees.  An outer
     generator acts on the fiber at n as sigma(r, n) times the classical map,
     so it is given by the classical pair generator, whose images span the
     same lines.  Lqhat has the same family: its degree derivations D(e_j, 0)
     act on the fiber at n as the scalar (alpha + n)_j, so every image they
-    make lies in the graded span already."""
+    make lies in the graded span already.
+
+    ``radical_only`` leaves out the ``ad t^m``, for rows on the radical: there
+    ``ad t^m`` is 0 (f(m, n) = 1 for a radical n, :func:`radical_bound`)."""
     if algebra not in Q_ALGEBRAS:
         raise ValueError(f"algebra must be one of {Q_ALGEBRAS}")
     zero = (0,) * q.d
@@ -391,7 +394,7 @@ def qder_generators(q: QMatrix, params: ModuleParams, gen_radius: int,
             continue
         if in_rad(q, m):
             gens += pair_generators(params, m)
-        else:
+        elif not radical_only:
             gens.append(_inner_generator(q, m))
     return gens
 
@@ -620,15 +623,17 @@ def closure_q(q: QMatrix, params: ModuleParams, seeds: list[GradedVec], gen_radi
     """Saturate the seeds under the chosen q-algebra inside the working box and
     report canonical fiber bases over the target box.  Seeds all off the
     radical whose box has one off-radical component take
-    :func:`off_radical_closure`; every other closure runs on the engine."""
+    :func:`off_radical_closure`; every other closure runs on the engine,
+    with only the outer generators when every seed is on the radical."""
     fibers = seed_fibers(params, seeds, working, target)
     if algebra not in Q_ALGEBRAS:
         raise ValueError(f"algebra must be one of {Q_ALGEBRAS}")
-    if not any(in_rad(q, n) for n, _ in fibers):
+    radical = [in_rad(q, n) for n, _ in fibers]
+    if not any(radical):
         result = off_radical_closure(q, params, fibers, gen_radius, working, target, max_iters)
         if result is not None:
             return result
     return _close(params, seeds, working, target, max_iters,
-                  lambda: qder_generators(q, params, gen_radius, algebra),
+                  lambda: qder_generators(q, params, gen_radius, algebra, all(radical)),
                   lambda result: classify_q(result, q, params),
                   radical_bound(q, params, seeds))

@@ -129,7 +129,8 @@ class RepHandle:
             out = ()
         elif self.kind == "twisted":
             parent, l = self.params["parent"], self.params["l"]
-            scale = Fraction(l[i - 1], l[j - 1])
+            li, lj = l[i - 1], l[j - 1]
+            scale = li // lj if li % lj == 0 else Fraction(li, lj)
             out = [(dst, src, m * scale) for dst, src, m in parent._e_structure(i, j)]
         else:
             raise ValueError(f"unknown rep kind {self.kind!r}")

@@ -165,7 +165,10 @@ def _raw(order: int, num: tuple, den: int) -> "Cyc":
 
 
 def _cyc(order: int, num, den: int) -> "Cyc":
-    """The Cyc num / den at this order, brought to normal form."""
+    """The Cyc num / den at this order, brought to normal form; over the
+    denominator 1 it is in normal form already."""
+    if den == 1:
+        return _raw(order, tuple(num), 1)
     return _raw(order, *_normal(num, den))
 
 

@@ -6,6 +6,11 @@ relevant exact residual checks, and returns a JSON-able summary dict with
 wraps these into reports; the acceptance tests call them directly.  With a
 fixed seed every suite is fully deterministic.
 
+Every draw goes through :func:`randbelow` (written out inline in the
+hottest samplers), which reads ``rng.getrandbits`` by CPython's own rule
+for ``randrange``: a seed gives exactly the samples that ``randint`` and
+``randrange`` would draw, without their three Python frames per draw.
+
 The algebra samplers return 6 times a random element with coefficients
 a / b (|a| <= 6, 1 <= b <= 3), so every coordinate is a Python integer, and
 the module suites scale each sampled element by D, the lcm of the
@@ -18,7 +23,7 @@ verdict, and the brackets and actions run on integers instead of Fractions.
 from __future__ import annotations
 
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 from random import Random
 
 from .closure import Box
@@ -72,21 +77,51 @@ from .witt import (
 # ---------------------------------------------------------------------------
 
 
+def randbelow(rng: Random, n: int) -> int:
+    """A draw from range(n), n >= 1, on the stream of ``rng.randrange(n)``:
+    ``rng.getrandbits(n.bit_length())``, drawn again while it is >= n, which
+    is CPython's own rule, so a width-1 range consumes a draw too.
+    ``rng.randint(a, b)`` is ``a + randbelow(rng, b - a + 1)``."""
+    if n < 1:
+        raise ValueError(f"empty range for randbelow ({n})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def sample_degree(rng: Random, d: int, radius: int, nonzero: bool = False) -> tuple:
     """A degree of the radius box, redrawn until nonzero when ``nonzero``;
     a box with no nonzero degree raises ValueError before any draw."""
     if nonzero and radius < 1:
         raise ValueError(f"the radius-{radius} box has no nonzero degree")
+    # randbelow(rng, width) - radius per coordinate, inline
+    bits = rng.getrandbits
+    width = 2 * radius + 1
+    k = width.bit_length()
     while True:
-        n = tuple(rng.randint(-radius, radius) for _ in range(d))
+        n = []
+        for _ in range(d):
+            x = bits(k)
+            while x >= width:
+                x = bits(k)
+            n.append(x - radius)
         if not nonzero or any(n):
-            return n
+            return tuple(n)
 
 
 def sample_rat6(rng: Random) -> int:
     """6 times a random a / b (|a| <= 6, 1 <= b <= 3), as an integer."""
-    a = rng.randint(-6, 6)
-    return a * (6 // rng.randint(1, 3))
+    # a = randbelow(rng, 13) - 6 and b = randbelow(rng, 3) + 1, inline
+    bits = rng.getrandbits
+    a = bits(4)
+    while a >= 13:
+        a = bits(4)
+    b = bits(2)
+    while b >= 3:
+        b = bits(2)
+    return (a - 6) * (6 // (b + 1))
 
 
 def sample_div_zero(rng: Random, r) -> tuple:
@@ -107,7 +142,7 @@ def sample_algelem(rng: Random, d: int, algebra: str, radius: int = 3) -> AlgEle
     """A random element of W_d, Lhat_d, or L_d with one or two terms of
     degree in the box, on integer coordinates (6 times a rational sample)."""
     terms: dict = {}
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(1 + randbelow(rng, 2)):
         if algebra == "W":
             r = sample_degree(rng, d, radius)
             add_term(terms, r, tuple(sample_rat6(rng) for _ in range(d)))
@@ -122,12 +157,21 @@ def sample_algelem(rng: Random, d: int, algebra: str, radius: int = 3) -> AlgEle
 def sample_rad_degree(rng: Random, q: QMatrix, radius: int, nonzero: bool = False) -> tuple:
     """A radical degree, as a small combination of the radical basis."""
     basis = rad_q(q)
+    bound = max(radius, 1) * max(max(abs(e) for e in row) for row in basis)
+    bits = rng.getrandbits
     while True:
-        coeffs = [rng.randint(-1, 1) for _ in basis]
-        n = tuple(sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(q.d))
-        if max(abs(x) for x in n) <= max(radius, 1) * max(max(abs(e) for e in row) for row in basis):
-            if not nonzero or any(n):
-                return n
+        n = [0] * q.d
+        for row in basis:
+            # the coefficient randbelow(rng, 3) - 1 of the row, inline
+            c = bits(2)
+            while c >= 3:
+                c = bits(2)
+            if c == 0:
+                n = list(map(sub, n, row))
+            elif c == 2:
+                n = list(map(add, n, row))
+        if max(map(abs, n)) <= bound and (not nonzero or any(n)):
+            return tuple(n)
 
 
 def sample_qder(rng: Random, q: QMatrix, algebra: str, radius: int = 2) -> QDerElem:
@@ -136,12 +180,12 @@ def sample_qder(rng: Random, q: QMatrix, algebra: str, radius: int = 2) -> QDerE
     d = q.d
     inner: dict = {}
     outer: dict = {}
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(1 + randbelow(rng, 2)):
         if rng.random() < 0.5:
             m = sample_degree(rng, d, radius, nonzero=True)
             if in_rad(q, m):
                 continue
-            c = root(q.N, rng.randrange(q.N)) * (6 * rng.randint(1, 3))
+            c = root(q.N, randbelow(rng, q.N)) * (6 * (1 + randbelow(rng, 3)))
             inner[m] = inner[m] + c if m in inner else c
         else:
             r = sample_rad_degree(rng, q, radius, nonzero=(algebra != "Der"))
@@ -160,9 +204,9 @@ def sample_qder(rng: Random, q: QMatrix, algebra: str, radius: int = 2) -> QDerE
 def sample_graded(rng: Random, params: ModuleParams, radius: int = 2) -> GradedVec:
     """A random module vector on one or two fibers of degree in the box."""
     fibers = {}
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(1 + randbelow(rng, 2)):
         n = sample_degree(rng, params.d, radius)
-        fibers[n] = tuple(rng.randint(-3, 3) for _ in range(params.rep.dim))
+        fibers[n] = tuple(randbelow(rng, 7) - 3 for _ in range(params.rep.dim))
     return GradedVec(params, fibers)
 
 
@@ -345,7 +389,7 @@ def act_crosscheck_suite(params: ModuleParams, count: int, rng: Random,
     violations = 0
     for _ in range(count):
         r = sample_degree(rng, params.d, radius)
-        i = rng.randint(1, params.d - 1)
+        i = 1 + randbelow(rng, params.d - 1)
         v = sample_graded(rng, params, radius)
         via_elem = act(params, AlgElem.term(d_basis(r, i), r), v)
         direct = act_d_basis(params, r, i, v)
@@ -503,10 +547,10 @@ def equivariance_suite(q: QMatrix, params: ModuleParams, count: int,
         x = QDerElem(q.d, outer=terms).scale(D)
         if x.is_zero():
             continue
-        i_class = tuple(rng.randrange(li) for li in l)
+        i_class = tuple(randbelow(rng, li) for li in l)
         base = sample_rad_degree(rng, q, radius)
         n = tuple(b + ii for b, ii in zip(base, i_class))
-        v = graded(params, n, tuple(rng.randint(-3, 3) for _ in range(params.rep.dim)))
+        v = graded(params, n, tuple(randbelow(rng, 7) - 3 for _ in range(params.rep.dim)))
         if v.is_zero():
             continue
         checks += 1

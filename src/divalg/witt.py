@@ -14,7 +14,7 @@ degree-zero part; ``ALGEBRAS`` names each classical algebra with its test.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 
 DegVec = tuple[int, ...]
 
@@ -35,7 +35,7 @@ def add_term(terms: dict, r, u) -> None:
     that cancels stays as a zero vector; the AlgElem or GradedVec built from
     ``terms`` drops it."""
     prev = terms.get(r)
-    terms[r] = u if prev is None else tuple(a + b for a, b in zip(prev, u))
+    terms[r] = u if prev is None else tuple(map(add, prev, u))
 
 
 class AlgElem:
@@ -87,7 +87,14 @@ class AlgElem:
         return AlgElem._trusted(self.d, {r: tuple(-c for c in u) for r, u in self.terms.items()})
 
     def __sub__(self, other: "AlgElem") -> "AlgElem":
-        return self + (-other)
+        if other.d != self.d:
+            raise ValueError("dimension mismatch")
+        out = dict(self.terms)
+        get = out.get
+        for r, u in other.terms.items():
+            prev = get(r)
+            out[r] = tuple([-c for c in u]) if prev is None else tuple(map(sub, prev, u))
+        return AlgElem._trusted(self.d, out)
 
     def scale(self, c) -> "AlgElem":
         return AlgElem._trusted(self.d, {r: tuple(c * x for x in u)
@@ -116,15 +123,20 @@ def bracket_witt(x: AlgElem, y: AlgElem, cocycle=None) -> AlgElem:
     if x.d != y.d:
         raise ValueError("dimension mismatch in bracket")
     out: dict[DegVec, tuple] = {}
+    get = out.get
     for r, u in x.terms.items():
         for s, v in y.terms.items():
             a = sum(map(mul, u, s))
             b = sum(map(mul, v, r))
-            w = tuple(a * vi - b * ui for ui, vi in zip(u, v))
+            if not (a or b):
+                continue
+            w = tuple([a * vi - b * ui for ui, vi in zip(u, v)])
             if any(w):
                 if cocycle is not None and (c := cocycle(r, s)) != 1:
-                    w = tuple(c * wi for wi in w)
-                add_term(out, tuple(map(add, r, s)), w)
+                    w = tuple([c * wi for wi in w])
+                rs = tuple(map(add, r, s))
+                prev = get(rs)
+                out[rs] = w if prev is None else tuple(map(add, prev, w))
     return AlgElem._trusted(x.d, out)
 
 

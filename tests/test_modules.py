@@ -29,6 +29,7 @@ from divalg.scalars import Cyc
 from divalg.verify import (
     act_crosscheck_suite,
     module_suite_classical,
+    sample_graded,
     w_invariance_suite,
 )
 from divalg.witt import AlgElem, bracket_witt, pairing
@@ -103,6 +104,25 @@ def test_trusted_matches_validating_constructor():
     assert set(trusted.fibers) == {(0, 0, 0), (0, 1, 0)}
     assert all(type(c) is tuple for c in trusted.fibers.values())
     assert trusted == plain and trusted.params is p
+
+
+def test_sub_is_adding_the_negative():
+    # integer, Fraction and Cyc coordinates; fibers on both sides, on one
+    # side only, and fibers that cancel
+    rng = Random(14)
+    for rep in (RepHandle.natural(2), RepHandle.exterior(3, 2)):
+        p = ModuleParams(rep.d, (F(1, 2),) * rep.d, rep)
+        for _ in range(100):
+            v, w = sample_graded(rng, p, 1), sample_graded(rng, p, 1)
+            w = w.scale(F(1, 3)) + GradedVec(p, {n: c for n, c in v.fibers.items()
+                                                 if rng.random() < 0.5})
+            if rep.d == 2:
+                w = w.scale(Cyc.zeta(3, 1)) + w
+            zero = GradedVec(p, {})
+            for a, b in ((v, w), (w, v), (v, v), (v, zero), (zero, w)):
+                got = a - b
+                assert got.fibers == (a + (-b)).fibers
+                assert all(any(c) for c in got.fibers.values())
 
 
 @pytest.mark.parametrize("algebra", ["W", "Lhat", "L"])

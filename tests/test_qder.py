@@ -2,6 +2,7 @@
 block-normal isomorphisms, and the q-closure: its generators, the radical
 bound and the off-radical route against the engine."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -19,6 +20,7 @@ from divalg.qder import (
     ad_annihilation_check,
     bracket_qder,
     class_of,
+    classify_q,
     closure_q,
     congruence_classes,
     equivariance_residual,
@@ -31,7 +33,9 @@ from divalg.qder import (
     qder_generators,
     radical_bound,
 )
+import divalg.cli
 import divalg.qder
+from divalg.cli import run
 from divalg.linalg import basis_of, same_span, span_contains
 from divalg.qtorus import (QMatrix, ad_form, block_normal_q, commutator_coeff, f_exponent, in_rad,
                            sigma, sigma_exponent)
@@ -623,6 +627,54 @@ def test_off_radical_route_matches_the_engine(q, kind, seeds, gen_radius, algebr
     want = q_engine(*args)
     assert want.saturated
     assert replace(got, iterations=want.iterations) == want
+
+
+def _engine_with_family(args, radical_only, bound):
+    """``_close`` on closure_q's arguments with the radical-only generator
+    family or the full one, and the given fiber bound."""
+    q, params, seeds, gen_radius, working, target, max_iters, algebra = args
+    return divalg.qder._close(
+        params, seeds, working, target, max_iters,
+        lambda: qder_generators(q, params, gen_radius, algebra, radical_only),
+        lambda result: classify_q(result, q, params), bound)
+
+
+RADICAL_SEED_CASES = [c for c in ROUTE_CASES if all(in_rad(c.values[0], n) for n, _ in c.values[2])]
+RADICAL_SEED_CASES.append(pytest.param(
+    ROUTE_QS["2211"], "exterior", [((0, 0, 0, 0), 0)], 2, "Lqhat", Box.radius(4, 2),
+    id="2211-ci-d4-class0"))
+
+
+@pytest.mark.parametrize("q, kind, seeds, gen_radius, algebra, working", RADICAL_SEED_CASES)
+def test_radical_seeds_close_under_the_outer_generators(q, kind, seeds, gen_radius, algebra,
+                                                        working):
+    # ad t^m is 0 on radical rows, so leaving it out changes no result,
+    # with the radical bound or without it; closure_q leaves it out
+    args = _route_case(q, kind, seeds, gen_radius, algebra, working)
+    outer = qder_generators(q, args[1], gen_radius, algebra, True)
+    assert all(in_rad(q, g.shift) for g in outer)
+    assert len(outer) < len(qder_generators(q, args[1], gen_radius, algebra))
+    for bound in (radical_bound(q, args[1], args[2]), None):
+        want = _engine_with_family(args, False, bound)
+        assert want.saturated
+        assert _engine_with_family(args, True, bound) == want
+    assert closure_q(*args) == _engine_with_family(args, False, radical_bound(q, args[1], args[2]))
+
+
+def test_golden_radical_seed_closures_close_under_the_outer_generators(monkeypatch):
+    # the q closures of the golden reports whose seeds are all radical give
+    # the full family's ClosureResult
+    from test_cli import GOLDEN
+    seen = []
+    real = divalg.cli.closure_q
+    monkeypatch.setattr(divalg.cli, "closure_q", lambda *a: seen.append((a, real(*a))) or seen[-1][1])
+    for _, config, _ in GOLDEN:
+        if config["job"] == "closure" and "q" in config:
+            assert run(json.loads(json.dumps(config)), 0)[1] == 0
+    radical = [(a, got) for a, got in seen if all(in_rad(a[0], n) for v in a[2] for n in v.fibers)]
+    assert radical
+    for args, got in radical:
+        assert got == _engine_with_family(args, False, radical_bound(*args[:3]))
 
 
 @pytest.mark.parametrize("q, kind, seeds, gen_radius, algebra, working", ROUTE_CASES)

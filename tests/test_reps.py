@@ -295,8 +295,13 @@ def test_flat_table_matches_the_dict_form(rep):
         assert by_src == dict_structure(rep, i, j), (i, j)
         srcs = [src for _, src, _ in table]
         assert srcs == sorted(srcs)
-        twisted = rep.kind == "twisted"
-        assert all(type(m) is (Fraction if twisted else int) for _, _, m in table)
+        # a twisted entry is an int where l_j divides l_i, a Fraction
+        # l_i / l_j otherwise; every other kind has int entries
+        exact = int
+        if rep.kind == "twisted":
+            l = rep.params["l"]
+            exact = int if l[i - 1] % l[j - 1] == 0 else Fraction
+        assert all(type(m) is exact for _, _, m in table), (i, j)
 
 
 @pytest.mark.parametrize("rep", TABLE_REPS, ids=table_rep_id)

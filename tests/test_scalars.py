@@ -12,7 +12,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from divalg.scalars import Cyc, _cyc, cyclotomic_polynomial, format_rat, parse_rat, root
+from divalg.scalars import (Cyc, _cyc, _normal, _raw, cyclotomic_polynomial, format_rat,
+                            parse_rat, root)
 
 
 def euler_phi(n: int) -> int:
@@ -285,3 +286,16 @@ def test_slots_are_set_once_and_then_frozen():
             with pytest.raises(AttributeError):
                 delattr(x, name)
     assert Cyc.zeta(5, 2).num == (0, 0, 1, 0)
+
+
+@given(st.sampled_from(DIFF_ORDERS), st.data())
+def test_cyc_over_den_1_is_the_normal_form(n, data):
+    # over the denominator 1 _cyc skips _normal; its value must be the one
+    # _normal gives, with the numerator as a tuple of ints
+    num = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=euler_phi(n),
+                             max_size=euler_phi(n)))
+    for den in (1, data.draw(st.integers(-30, 30).filter(bool))):
+        got, want = _cyc(n, list(num), den), _raw(n, *_normal(num, den))
+        assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+        assert type(got.num) is tuple
+        assert_normal(got)

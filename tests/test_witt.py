@@ -2,11 +2,14 @@
 transplant construction."""
 
 from fractions import Fraction
+from operator import add, mul
 from random import Random
 
 import pytest
 
-from divalg.verify import lie_suite_classical, sample_algelem
+from divalg.qtorus import cocycle
+from divalg.scalars import Cyc
+from divalg.verify import lie_suite_classical, sample_algelem, sample_qder
 from divalg.witt import (
     AlgElem,
     bracket_witt,
@@ -17,6 +20,7 @@ from divalg.witt import (
     pair_term,
     pairing,
 )
+from test_qtorus import Q_ANTICOMMUTING
 
 
 def D(u, r):
@@ -52,6 +56,82 @@ def test_bracket_antisymmetry_on_self():
 def test_bracket_dimension_mismatch():
     with pytest.raises(ValueError):
         bracket_witt(D((1, 0), (0, 1)), D((1, 0, 0), (0, 1, 0)))
+
+
+def term_by_term_bracket(x, y, cocycle=None):
+    """The bracket as a sum of one-term elements, [D(u, r), D(v, s)] for
+    every pair of terms, each scaled by ``cocycle(r, s)`` when given."""
+    out = AlgElem.zero(x.d)
+    for r, u in x.terms.items():
+        for s, v in y.terms.items():
+            a, b = pairing(u, s), pairing(v, r)
+            w = [a * vi - b * ui for ui, vi in zip(u, v)]
+            if cocycle is not None:
+                w = [cocycle(r, s) * wi for wi in w]
+            out = out + AlgElem(x.d, {tuple(map(add, r, s)): w})
+    return out
+
+
+def zeta3_cocycle(r, s):
+    """A cocycle argument with Cyc values, 1 at every (r, s) with r . s = 0 mod 3."""
+    return Cyc.zeta(3, sum(map(mul, r, s)))
+
+
+BRACKET_PAIRS = [
+    # zero products only: degree-zero terms, and u orthogonal to s and v to r
+    (D((1, 2), (0, 0)), D((3, -1), (0, 0))),
+    (D((1, -1), (1, 1)), D((2, -2), (3, 3))),
+    # [D(u, r), D(v, s)] and [D(v, s), D(u, r)] land on one degree and cancel
+    (D((1, 0), (0, 1)) + D((0, 1), (1, 0)), D((1, 0), (0, 1)) + D((0, 1), (1, 0))),
+    # two products on one degree that cancel: (1, 0) + (0, 1) = (0, 1) + (1, 0)
+    (D((1, 0), (1, 0)) + D((0, 1), (0, 1)), D((0, 1), (0, 1)) + D((1, 0), (1, 0))),
+    (D((1, 2, 3), (1, 0, -1)) + D((0, 0, 5), (0, 0, 0)), D((2, -1, 0), (1, 2, 3))),
+]
+
+
+@pytest.mark.parametrize("cocycle_arg", [None, zeta3_cocycle], ids=["plain", "zeta3"])
+def test_bracket_matches_the_term_by_term_sum(cocycle_arg):
+    rng = Random(11)
+    pairs = list(BRACKET_PAIRS)
+    for d, algebra in ((2, "W"), (3, "Lhat"), (3, "L"), (4, "W")):
+        for _ in range(60):
+            x = sample_algelem(rng, d, algebra, 2)
+            pairs += [(x, sample_algelem(rng, d, algebra, 2)), (x, x)]
+    for x, y in pairs:
+        got = bracket_witt(x, y, cocycle_arg)
+        want = term_by_term_bracket(x, y, cocycle_arg)
+        assert got.terms == want.terms, (x, y)
+        assert all(any(u) for u in got.terms.values())
+    for x, y in BRACKET_PAIRS[:4]:
+        assert bracket_witt(x, y, cocycle_arg).terms == {}
+
+
+def test_bracket_with_sigma_matches_the_term_by_term_sum():
+    # the outer parts of q derivations, with sigma of a q that is not 1 on
+    # its radical (every pair of coordinates anticommutes) as the cocycle
+    sig = cocycle(Q_ANTICOMMUTING)
+    assert sig is not None
+    rng = Random(12)
+    for algebra in ("Der", "Lq", "Lqhat"):
+        for _ in range(80):
+            x, y = (sample_qder(rng, Q_ANTICOMMUTING, algebra).outer for _ in range(2))
+            for a, b in ((x, y), (x, x), (y, x)):
+                assert bracket_witt(a, b, sig).terms == term_by_term_bracket(a, b, sig).terms
+
+
+def test_sub_is_adding_the_negative():
+    rng = Random(13)
+    for d, algebra in ((2, "W"), (3, "Lhat"), (3, "L")):
+        for _ in range(100):
+            x, y = sample_algelem(rng, d, algebra, 2), sample_algelem(rng, d, algebra, 2)
+            y = y.scale(Fraction(1, 3)) + AlgElem(d, {r: u for r, u in x.terms.items()
+                                                       if rng.random() < 0.5})
+            for a, b in ((x, y), (y, x), (x, x), (x, AlgElem.zero(d)), (AlgElem.zero(d), x)):
+                got = a - b
+                assert got.terms == (a + (-b)).terms
+                assert all(any(u) for u in got.terms.values())
+    with pytest.raises(ValueError):
+        D((1, 0), (0, 1)) - D((1, 0, 0), (0, 1, 0))
 
 
 def test_d_basis_examples():
