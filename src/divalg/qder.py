@@ -25,13 +25,18 @@ classical algebra that ``Q_OUTER`` names.  For block-normal q the congruence
 classes of degrees modulo the radical decompose the module; class 0 is
 annihilated by all inner terms and the remaining classes sum to the
 irreducible complement.
+
+An element is validated once, at the boundary where it enters (membership,
+an operator, a bracket): :meth:`QDerElem.validate` marks it valid for that
+q, and :func:`bracket_qder` marks its result, so no element is scanned
+twice for one q.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, prod
-from operator import mul
+from operator import add, mul
 
 from .closure import (
     Box,
@@ -52,7 +57,7 @@ from .reps import RepHandle, act_matrix
 from .scalars import Cyc, Rat
 from .qtorus import (QMatrix, ad_form, block_structure, cocycle, commutator_coeff, in_rad,
                      sigma_exponent)
-from .witt import ALGEBRAS, AlgElem, DegVec, bracket_witt, pairing
+from .witt import ALGEBRAS, AlgElem, DegVec, bracket_witt
 
 #: Global sign of the outer-outer bracket; +1 is the convention under which
 #: the module action is a representation (and the only one degenerating to
@@ -70,9 +75,14 @@ Scalar = int | Rat | Cyc
 class QDerElem:
     """Finite sum of inner terms (degree outside Rad_q) and outer terms
     (degree inside Rad_q); the outer part is a classical :class:`AlgElem`.
-    Inner coefficients are kept as given: int, Fraction or Cyc."""
+    Inner coefficients are kept as given: int, Fraction or Cyc.
 
-    __slots__ = ("d", "inner", "outer")
+    An element is a value, never changed after it is built, so its validity
+    for a q is checked once: ``_valid_q`` is the last q it passed
+    :meth:`validate` for (QMatrix is immutable, and the mark is an identity
+    test), or None."""
+
+    __slots__ = ("d", "inner", "outer", "_valid_q")
 
     def __init__(self, d: int, inner: dict | None = None, outer: AlgElem | dict | None = None):
         self.d = d
@@ -85,6 +95,7 @@ class QDerElem:
         elif outer.d != d:
             raise ValueError("dimension mismatch")
         self.outer = outer
+        self._valid_q = None
 
     @classmethod
     def _trusted(cls, d: int, inner: dict[DegVec, Scalar], outer: AlgElem) -> "QDerElem":
@@ -95,6 +106,7 @@ class QDerElem:
         x.d = d
         x.inner = {m: c for m, c in inner.items() if c}
         x.outer = outer
+        x._valid_q = None
         return x
 
     @staticmethod
@@ -110,12 +122,18 @@ class QDerElem:
         return QDerElem(d)
 
     def validate(self, q: QMatrix) -> None:
+        """Raise ValueError unless every inner degree lies off Rad_q and
+        every outer degree on it; an element that passed for q returns at
+        once when asked again for q."""
+        if self._valid_q is q:
+            return
         for m in self.inner:
             if in_rad(q, m):
                 raise ValueError(f"inner degree {m} lies in the radical")
         for r in self.outer.terms:
             if not in_rad(q, r):
                 raise ValueError(f"outer degree {r} lies outside the radical")
+        self._valid_q = q
 
     def is_zero(self) -> bool:
         return not self.inner and self.outer.is_zero()
@@ -154,17 +172,41 @@ class QDerElem:
 
 def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_SIGN) -> QDerElem:
     """Bilinear extension of the three bracket cases; the outer-outer case is
-    the classical bracket with sigma as its cocycle."""
+    the classical bracket with sigma as its cocycle.
+
+    x and y are validated (once each per q, :meth:`QDerElem.validate`) and
+    the result is marked valid for q: its outer degrees are sums of radical
+    degrees, and each nonzero inner term, cancelling or not, is refused in
+    the order it is made if its degree is radical."""
     if x.d != y.d or x.d != q.d:
         raise ValueError("dimension mismatch")
     x.validate(q)
     y.validate(q)
     sig = cocycle(q)
-    inner: dict[DegVec, Scalar] = {}
+    terms = []  # (degree, coefficient) of each inner term, in order
 
-    def add_inner(m: DegVec, c: Scalar) -> None:
+    # inner-inner: ad of the monomial commutator
+    for m, cm in x.inner.items():
+        for n, cn in y.inner.items():
+            c = commutator_coeff(q, m, n)
+            if c is not None:
+                terms.append((tuple(map(add, m, n)), c * (cm * cn)))
+
+    # outer-inner, and inner-outer by antisymmetry
+    for alg, ads, sign in ((x.outer, y.inner, 1), (y.outer, x.inner, -1)):
+        for r, u in alg.terms.items():
+            for s, cs in ads.items():
+                coeff = sum(map(mul, u, s))
+                if coeff:
+                    c = cs * (sign * coeff)
+                    if sig is not None and (z := sig(r, s)) != 1:
+                        c = c * z
+                    terms.append((tuple(map(add, r, s)), c))
+
+    inner: dict[DegVec, Scalar] = {}
+    for m, c in terms:
         if not c:
-            return
+            continue
         if in_rad(q, m):
             raise ValueError(
                 f"bracket produced an inner term at radical degree {m}; "
@@ -172,26 +214,10 @@ def bracket_qder(q: QMatrix, x: QDerElem, y: QDerElem, outer_sign: int = OUTER_S
             )
         inner[m] = inner[m] + c if m in inner else c
 
-    # inner-inner: ad of the monomial commutator
-    for m, cm in x.inner.items():
-        for n, cn in y.inner.items():
-            c = commutator_coeff(q, m, n)
-            if c is not None:
-                add_inner(tuple(a + b for a, b in zip(m, n)), c * (cm * cn))
-
-    # outer-inner, and inner-outer by antisymmetry
-    for alg, ads, sign in ((x.outer, y.inner, 1), (y.outer, x.inner, -1)):
-        for r, u in alg.terms.items():
-            for s, cs in ads.items():
-                coeff = pairing(u, s)
-                if coeff:
-                    c = cs * (sign * coeff)
-                    if sig is not None and (z := sig(r, s)) != 1:
-                        c = c * z
-                    add_inner(tuple(a + b for a, b in zip(r, s)), c)
-
     outer = bracket_witt(x.outer, y.outer, sig)
-    return QDerElem._trusted(q.d, inner, outer if outer_sign == 1 else -outer)
+    out = QDerElem._trusted(q.d, inner, outer if outer_sign == 1 else -outer)
+    out._valid_q = q
+    return out
 
 
 # ---------------------------------------------------------------------------

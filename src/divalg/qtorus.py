@@ -32,7 +32,8 @@ class QMatrix:
     an entry nonzero mod N as ``(i, ((j, k_ji mod N), ...))`` over those
     entries only, and from which :func:`in_rad`, :func:`f_exponent` and
     :func:`ad_form` read the form f(m, n) = m^T k n; and,
-    once :func:`cocycle` asks, whether sigma is 1 on Rad_q x Z^d.
+    once :func:`cocycle` or :func:`block_structure` asks, whether sigma is
+    1 on Rad_q x Z^d and the block orders l.
     """
 
     d: int
@@ -64,6 +65,28 @@ class QMatrix:
         """sigma(b, e_i) = 1 for every radical basis row b and every i."""
         units = [tuple(int(t == i) for t in range(self.d)) for i in range(self.d)]
         return not any(sigma_exponent(self, b, e) for b in _rad_basis(self) for e in units)
+
+    @cached_property
+    def _block(self) -> tuple[int, ...] | None:
+        """:func:`block_structure`, read from ``exps`` once per matrix."""
+        d, n = self.d, self.N
+        l = [1] * d
+        pos = 0
+        while pos + 1 < d:
+            a = self.exps[pos][pos + 1] % n
+            if a == 0:
+                break
+            if (self.exps[pos + 1][pos] + a) % n:
+                return None
+            l[pos] = l[pos + 1] = n // gcd(a, n)
+            pos += 2
+        for i in range(d):
+            for j in range(d):
+                if i < pos and j < pos and i != j and i // 2 == j // 2:
+                    continue  # inside a designated pair
+                if self.exps[i][j] % n:
+                    return None
+        return tuple(l)
 
     @staticmethod
     def from_exps(n: int, exps) -> "QMatrix":
@@ -202,30 +225,14 @@ def block_normal_q(l) -> QMatrix:
 
 
 def block_structure(q: QMatrix) -> tuple[int, ...] | None:
-    """Recover the order vector l from a block-normal QMatrix, else None.
+    """Recover the order vector l from a block-normal QMatrix, else None;
+    computed once per matrix.
 
     Block-normal means: leading coordinate pairs (1,2), (3,4), ... each
     carrying a primitive root of some order >= 2, and every other pair of
     coordinates commuting.
     """
-    d, n = q.d, q.N
-    l = [1] * d
-    pos = 0
-    while pos + 1 < d:
-        a = q.exps[pos][pos + 1] % n
-        if a == 0:
-            break
-        if (q.exps[pos + 1][pos] + a) % n:
-            return None
-        l[pos] = l[pos + 1] = n // gcd(a, n)
-        pos += 2
-    for i in range(d):
-        for j in range(d):
-            if i < pos and j < pos and i != j and i // 2 == j // 2:
-                continue  # inside a designated pair
-            if q.exps[i][j] % n:
-                return None
-    return tuple(l)
+    return q._block
 
 
 def cocycle_identities_residual(q: QMatrix, m, n, r) -> tuple:

@@ -18,6 +18,11 @@ denominators of alpha, so that (u | alpha) is an integer for every term of
 the element and of its brackets.  Each check is multilinear in its algebra
 elements and membership is in subspaces, so neither multiple changes a
 verdict, and the brackets and actions run on integers instead of Fractions.
+
+The samplers build their elements through ``_trusted``, unvalidated: their
+keys are int tuples and their entries ints or roots, and a q sample's inner
+degrees are drawn off the radical and its outer ones on it.  A q element is
+validated where it enters a check, once per q (:mod:`divalg.qder`).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from operator import add, mul, sub
 from random import Random
 
 from .closure import Box
-from .linalg import basis_of, span_contains
+from .linalg import _reduce_into
 from .modules import (
     GradedVec,
     ModuleParams,
@@ -52,6 +57,7 @@ from .qder import (
 )
 from .qtorus import (
     QMatrix,
+    _rad_basis,
     block_structure,
     cocycle_identities_residual,
     in_rad,
@@ -151,12 +157,12 @@ def sample_algelem(rng: Random, d: int, algebra: str, radius: int = 3) -> AlgEle
         add_term(terms, r, sample_div_zero(rng, r))
     if algebra == "Lhat" and rng.random() < 0.5:
         add_term(terms, (0,) * d, tuple(sample_rat6(rng) for _ in range(d)))
-    return AlgElem(d, terms)
+    return AlgElem._trusted(d, terms)
 
 
 def sample_rad_degree(rng: Random, q: QMatrix, radius: int, nonzero: bool = False) -> tuple:
     """A radical degree, as a small combination of the radical basis."""
-    basis = rad_q(q)
+    basis = _rad_basis(q)
     bound = max(radius, 1) * max(max(abs(e) for e in row) for row in basis)
     bits = rng.getrandbits
     while True:
@@ -198,7 +204,7 @@ def sample_qder(rng: Random, q: QMatrix, algebra: str, radius: int = 2) -> QDerE
             add_term(outer, r, u)
     if algebra in ("Der", "Lqhat") and rng.random() < 0.4:
         add_term(outer, (0,) * d, tuple(sample_rat6(rng) for _ in range(d)))
-    return QDerElem(d, inner, outer)
+    return QDerElem._trusted(d, inner, AlgElem._trusted(d, outer))
 
 
 def sample_graded(rng: Random, params: ModuleParams, radius: int = 2) -> GradedVec:
@@ -207,7 +213,7 @@ def sample_graded(rng: Random, params: ModuleParams, radius: int = 2) -> GradedV
     for _ in range(1 + randbelow(rng, 2)):
         n = sample_degree(rng, params.d, radius)
         fibers[n] = tuple(randbelow(rng, 7) - 3 for _ in range(params.rep.dim))
-    return GradedVec(params, fibers)
+    return GradedVec._trusted(params, fibers)
 
 
 # ---------------------------------------------------------------------------
@@ -255,30 +261,44 @@ def lie_suite_q(q: QMatrix, algebra: str, triples: int, rng: Random,
             "violations": violations}
 
 
+def _pair_echelon(r) -> dict:
+    """The fraction-free echelon (:func:`~divalg.linalg._reduce_into`) of
+    the nonzero pair terms at r; its size is their rank."""
+    d = len(r)
+    echelon: dict = {}
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            u = pair_term(r, i, j)
+            if any(u):
+                _reduce_into(echelon, list(u))
+    return echelon
+
+
+def _in_echelon(echelon: dict, u) -> bool:
+    """Whether u lies in the span of the echelon's rows: it reduces to zero
+    against them (on a copy, which keeps a remainder)."""
+    return not any(u) or _reduce_into(dict(echelon), list(u)) is None
+
+
 def d_basis_span_suite(d: int, radius: int = 2) -> dict:
     """At every nonzero degree r in the box, the pair elements span the full
     orthogonal complement {u : (u|r) = 0} (rank d - 1); the adjacent-index
-    elements d_{r,i} always lie inside it."""
+    elements d_{r,i} always lie inside it.  Both are decided on the
+    fraction-free echelon of the pair terms."""
     violations = 0
     checks = 0
     for r in Box.radius(d, radius).degrees():
         if not any(r):
             continue
         checks += 1
-        rows = []
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                u = pair_term(r, i, j)
-                if any(u):
-                    rows.append(u)
-        basis = basis_of(rows, d)
-        if basis.rank != d - 1:
+        echelon = _pair_echelon(r)
+        if len(echelon) != d - 1:
             violations += 1
             continue
         for i in range(1, d):
             u = d_basis(r, i)
             if any(u):
-                if pairing(u, r) != 0 or not span_contains(basis, u):
+                if pairing(u, r) != 0 or not _in_echelon(echelon, u):
                     violations += 1
     return {"name": "pair-element-span", "d": d, "checks": checks, "violations": violations}
 

@@ -238,3 +238,86 @@ def test_sample_graded_matches_the_reference(rep, radius):
     same_draws(lambda rng: sample_graded(rng, params, radius),
                lambda rng: ref_sample_graded(rng, params, radius),
                lambda a, b: a.fibers == b.fibers)
+
+
+# ---------------------------------------------------------------------------
+# the samplers build unvalidated, as the validating constructors would
+# ---------------------------------------------------------------------------
+
+
+def same_dict(a: dict, b: dict) -> bool:
+    """Equal, in the same order, with keys and entries of the same types."""
+    def types(x):
+        return tuple(map(type, x)) if isinstance(x, tuple) else type(x)
+    return (a == b and list(a) == list(b)
+            and [(types(k), types(v)) for k, v in a.items()]
+            == [(types(k), types(v)) for k, v in b.items()])
+
+
+def recording_trusted(monkeypatch, cls, construct) -> list:
+    """Each element that ``cls._trusted`` builds, with the element that the
+    validating ``construct`` builds from the same arguments."""
+    built = []
+    trusted = cls._trusted.__func__
+
+    def recording(c, *args):
+        x = trusted(c, *args)
+        built.append((x, construct(*args)))
+        return x
+    monkeypatch.setattr(cls, "_trusted", classmethod(recording))
+    return built
+
+
+def built_as_constructed(sample, built, same):
+    """``sample`` wrapped to assert that the element it returns is the last
+    one recorded and equals the constructor's."""
+    def wrapped(rng):
+        del built[:]
+        x = sample(rng)
+        got, want = built[-1]
+        assert got is x and type(want) is type(x) and same(x, want)
+        return x
+    return wrapped
+
+
+@pytest.mark.parametrize("d, algebra, radius", [(2, "W", 3), (3, "Lhat", 3), (3, "L", 2),
+                                                (4, "L", 1), (4, "W", 0)])
+def test_sample_algelem_builds_what_the_constructor_builds(monkeypatch, d, algebra, radius):
+    built = recording_trusted(monkeypatch, AlgElem, AlgElem)
+    same_draws(built_as_constructed(lambda rng: sample_algelem(rng, d, algebra, radius), built,
+                                    lambda a, b: a.d == b.d and same_dict(a.terms, b.terms)),
+               lambda rng: ref_sample_algelem(rng, d, algebra, radius),
+               lambda a, b: a.terms == b.terms)
+
+
+@pytest.mark.parametrize("name", list(RAD_QS))
+@pytest.mark.parametrize("algebra", ["Der", "Lq", "Lqhat"])
+def test_sample_qder_builds_what_the_constructor_builds(monkeypatch, name, algebra):
+    q = RAD_QS[name]
+    outers = recording_trusted(monkeypatch, AlgElem, AlgElem)
+    built = recording_trusted(monkeypatch, QDerElem, QDerElem)
+
+    def same(a, b):
+        # the outer part too is the one the AlgElem constructor builds
+        (got, want), = outers
+        return (a.d == b.d and a.outer is got and same_dict(a.inner, b.inner)
+                and same_dict(a.outer.terms, want.terms) and a._valid_q is None)
+
+    def sample(rng):
+        del outers[:]
+        return sample_qder(rng, q, algebra)
+    same_draws(built_as_constructed(sample, built, same),
+               lambda rng: ref_sample_qder(rng, q, algebra),
+               lambda a, b: a.inner == b.inner and a.outer.terms == b.outer.terms)
+
+
+@pytest.mark.parametrize("rep, radius", [(RepHandle.natural(2), 2), (RepHandle.exterior(4, 2), 1),
+                                         (RepHandle.trivial(3), 3)])
+def test_sample_graded_builds_what_the_constructor_builds(monkeypatch, rep, radius):
+    params = ModuleParams(rep.d, (Fraction(1, 2),) * rep.d, rep)
+    built = recording_trusted(monkeypatch, GradedVec, GradedVec)
+    same_draws(built_as_constructed(lambda rng: sample_graded(rng, params, radius), built,
+                                    lambda a, b: a.params is b.params
+                                    and same_dict(a.fibers, b.fibers)),
+               lambda rng: ref_sample_graded(rng, params, radius),
+               lambda a, b: a.fibers == b.fibers)

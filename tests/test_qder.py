@@ -5,6 +5,7 @@ bound and the off-radical route against the engine."""
 import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 
 import pytest
@@ -30,6 +31,7 @@ from divalg.qder import (
     iso_params,
     module_axiom_residual_q,
     off_radical_closure,
+    operator_q,
     qder_generators,
     radical_bound,
 )
@@ -37,8 +39,8 @@ import divalg.cli
 import divalg.qder
 from divalg.cli import run
 from divalg.linalg import basis_of, same_span, span_contains
-from divalg.qtorus import (QMatrix, ad_form, block_normal_q, commutator_coeff, f_exponent, in_rad,
-                           sigma, sigma_exponent)
+from divalg.qtorus import (QMatrix, ad_form, block_normal_q, block_structure, commutator_coeff,
+                           f_exponent, in_rad, sigma, sigma_exponent)
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
 from divalg.verify import (
@@ -222,6 +224,60 @@ def test_bracket_rejects_each_inner_term_at_a_radical_degree(monkeypatch):
         bracket_qder(Q22, x, x)
 
 
+def test_validity_is_checked_once_per_q(monkeypatch):
+    # (2, 0) is off the radical 3Z x 3Z and on 2Z x 2Z
+    q33 = block_normal_q((3, 3))
+    x = QDerElem.ad((2, 0))
+    x.validate(q33)
+    with pytest.raises(ValueError, match="lies in the radical"):
+        x.validate(Q22)
+    with pytest.raises(ValueError, match="lies in the radical"):
+        in_q_algebra(Q22, "Der", x)  # a failure leaves no mark for Q22
+    # the element passed for q33: asking again scans no degree
+    true_in_rad = divalg.qder.in_rad
+    scanned = []
+    monkeypatch.setattr(divalg.qder, "in_rad",
+                        lambda q, m: scanned.append(m) or true_in_rad(q, m))
+    x.validate(q33)
+    assert in_q_algebra(q33, "Der", x) and operator_q(q33, P22, x)
+    assert scanned == []
+    # an equal but distinct matrix is checked afresh
+    x.validate(block_normal_q((3, 3)))
+    assert scanned == [(2, 0)]
+
+
+@pytest.mark.parametrize("make_bad", [lambda: QDerElem.ad((2, 0)),
+                                      lambda: QDerElem.douter((1, 0), (1, 0)),
+                                      lambda: QDerElem.ad((1, 0)) + QDerElem.ad((0, 2))])
+def test_fresh_invalid_elements_raise_at_every_boundary(make_bad):
+    good = QDerElem.ad((1, 0))
+    good.validate(Q22)
+    v = graded(P22, (1, 1), (1, 0))
+    for call in (lambda x: bracket_qder(Q22, x, good), lambda x: bracket_qder(Q22, good, x),
+                 lambda x: operator_q(Q22, P22, x), lambda x: act_q(Q22, x, v),
+                 lambda x: in_q_algebra(Q22, "Lqhat", x)):
+        with pytest.raises(ValueError, match="radical"):
+            call(make_bad())
+
+
+def test_bracket_results_carry_the_mark_and_equal_validated_construction():
+    rng = Random(29)
+    for l in ((2, 2), (3, 3), (2, 2, 1)):
+        q = block_normal_q(l)
+        for _ in range(30):
+            x, y = sample_qder(rng, q, "Der"), sample_qder(rng, q, "Lqhat")
+            assert x._valid_q is None  # sampled, not yet checked
+            for z in (bracket_qder(q, x, y), bracket_qder(q, x, x + y),
+                      bracket_qder(q, y, x, outer_sign=-1)):
+                assert z._valid_q is q and x._valid_q is y._valid_q is q
+                want = QDerElem(q.d, z.inner, z.outer.terms)
+                want.validate(q)
+                assert z.inner == want.inner and z.outer.terms == want.outer.terms
+                assert list(map(type, z.inner.values())) == list(map(type, want.inner.values()))
+    # sums, negatives and multiples carry no mark
+    assert (x + y)._valid_q is (-x)._valid_q is x.scale(2)._valid_q is None
+
+
 @pytest.mark.parametrize("algebra", ("Der", "Lq", "Lqhat"))
 def test_lie_suites_q(algebra):
     assert lie_suite_q(Q22, algebra, 40, Random(3))["violations"] == 0
@@ -365,6 +421,24 @@ def test_iso_params_entries_are_per_alpha():
     # the same alpha on another rep object is another module too
     c = iso_params(Q22, ModuleParams(2, ALPHA, RepHandle.natural(2)), (1, 0))
     assert c is not a and c.rep.params["parent"] is not NAT2
+
+
+def test_block_structure_is_computed_once_per_matrix(monkeypatch):
+    computed = []
+    true = QMatrix._block.func
+    prop = cached_property(lambda q: computed.append(q) or true(q))
+    prop.__set_name__(QMatrix, "_block")
+    monkeypatch.setattr(QMatrix, "_block", prop)
+    q = block_normal_q((3, 3, 1))
+    params = ModuleParams(3, (F(1, 5), F(-2, 7), F(1, 2)), RepHandle.natural(3))
+    x = QDerElem.douter((1, -1, 0), (3, 3, 0))
+    v = graded(params, (4, 1, 2), (1, 0, 2))
+    for _ in range(3):
+        assert equivariance_residual(q, (1, 1, 0), x, v).is_zero()
+        assert block_structure(q) == (3, 3, 1)
+    assert len(computed) == 1 and computed[0] is q
+    # an equal matrix built anew computes its own
+    assert block_structure(block_normal_q((3, 3, 1))) == (3, 3, 1) and len(computed) == 2
 
 
 def test_equivariance():

@@ -17,13 +17,19 @@ import divalg.qder
 import divalg.verify
 import divalg.witt
 from divalg.cli import run
+from divalg.closure import Box
+from divalg.linalg import basis_of, span_contains
 from divalg.modules import ModuleParams, act, module_axiom_residual
 from divalg.qder import OUTER_SIGN, QDerElem, act_q, module_axiom_residual_q
 from divalg.qtorus import block_normal_q, in_rad
 from divalg.reps import RepHandle
 from divalg.scalars import Cyc
 from divalg.verify import (
+    _in_echelon,
+    _pair_echelon,
     _sign_probe,
+    d_basis_span_suite,
+    equivariance_suite,
     lie_suite_classical,
     lie_suite_q,
     module_suite_classical,
@@ -34,7 +40,7 @@ from divalg.verify import (
     sample_qder,
     sample_rad_degree,
 )
-from divalg.witt import AlgElem, add_term, in_L, in_Lhat, pairing
+from divalg.witt import AlgElem, add_term, d_basis, in_L, in_Lhat, pair_term, pairing
 from test_qtorus import Q_ANTICOMMUTING
 from test_witt import jacobi_residual
 
@@ -456,3 +462,89 @@ def test_lie_triple_q_makes_seven_brackets(monkeypatch, l, algebra):
     calls = counting(monkeypatch, divalg.verify, "bracket_qder")
     out = lie_suite_q(block_normal_q(l), algebra, 25, Random(18))
     assert out["violations"] == 0 and len(calls) == 7 * 25
+
+
+def counting_scans(monkeypatch) -> list:
+    """Patch QDerElem.validate to record each element it scans: those not
+    already marked valid for the q asked."""
+    scans = []
+    validate = QDerElem.validate
+
+    def counted(self, q):
+        if self._valid_q is not q:
+            scans.append(self)
+        validate(self, q)
+    monkeypatch.setattr(QDerElem, "validate", counted)
+    return scans
+
+
+@pytest.mark.parametrize("l, algebra", [((2, 2), "Der"), ((3, 3), "Lqhat"), ((2, 2, 1), "Lq")])
+def test_q_suites_scan_each_sampled_element_once(monkeypatch, l, algebra):
+    # the brackets' arguments and results are never scanned again: the lie
+    # suite scans its 3 draws a triple, the module suite its 2 scaled draws
+    # a pair and the sign probe's 2 elements, the equivariance suite the
+    # element of each check
+    q = block_normal_q(l)
+    params = ModuleParams(len(l), (F(1, 5), F(-2, 7), F(1, 2))[:len(l)], RepHandle.natural(len(l)))
+    scans = counting_scans(monkeypatch)
+    assert lie_suite_q(q, algebra, 25, Random(19))["violations"] == 0
+    assert len(scans) == len(set(map(id, scans))) == 3 * 25
+    del scans[:]
+    assert module_suite_q(q, params, algebra, 20, Random(20))["violations"] == 0
+    assert len(scans) == len(set(map(id, scans))) == 2 * 20 + 2
+    del scans[:]
+    out = equivariance_suite(q, params, 20, Random(21))
+    assert out["violations"] == 0 and len(scans) == out["checks"] > 10
+
+
+# ---------------------------------------------------------------------------
+# the pair-element span suite on the fraction-free echelon
+# ---------------------------------------------------------------------------
+
+
+def span_agrees(pair_echelon, in_echelon, d: int) -> bool:
+    """At every nonzero degree r of the radius-2 box, ``pair_echelon(r)``
+    has the rank of basis_of on the pair terms, and ``in_echelon`` decides
+    membership as span_contains does for each d_basis(r, i), each unit
+    vector and r itself (never in the span: (r|r) != 0)."""
+    for r in Box.radius(d, 2).degrees():
+        if not any(r):
+            continue
+        rows = [pair_term(r, i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+        basis = basis_of(rows, d)
+        echelon = pair_echelon(r)
+        if len(echelon) != basis.rank:
+            return False
+        probes = [d_basis(r, i) for i in range(1, d)]
+        probes += [tuple(int(i == j) for j in range(d)) for i in range(d)] + [r]
+        if any(in_echelon(echelon, u) != span_contains(basis, u) for u in probes):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_span_suite_echelon_agrees_with_rref(d):
+    assert span_agrees(_pair_echelon, _in_echelon, d)
+    assert d_basis_span_suite(d) == {"name": "pair-element-span", "d": d,
+                                     "checks": 5 ** d - 1, "violations": 0}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_span_agreement_fails_scratch_suites(monkeypatch, d):
+    def dropping_one_pair_term(r):
+        # the pair (1, d) left out
+        echelon = {}
+        for i in range(1, d + 1):
+            for j in range(i + 1, d + 1):
+                u = pair_term(r, i, j)
+                if any(u) and (i, j) != (1, d):
+                    divalg.verify._reduce_into(echelon, list(u))
+        return echelon
+
+    def accepting_every_vector(echelon, u):
+        return True
+    assert not span_agrees(dropping_one_pair_term, _in_echelon, d)
+    assert not span_agrees(_pair_echelon, accepting_every_vector, d)
+    # the suite itself counts the dropped term
+    monkeypatch.setattr(divalg.verify, "_pair_echelon", dropping_one_pair_term)
+    assert d_basis_span_suite(d)["violations"] > 0
