@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import comb, prod
@@ -88,18 +87,17 @@ from .modules import (GradedVec, ModuleParams, _wedge_power, term_map, w_fiber_b
 from .witt import ALGEBRAS, DegVec
 
 
-@dataclass(frozen=True)
-class Box:
-    """A product of integer intervals [lo_i, hi_i] in Z^d."""
+class Box(namedtuple("Box", "lo hi")):
+    """A product of integer intervals [lo_i, hi_i] in Z^d, from its corners."""
 
-    lo: DegVec
-    hi: DegVec
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi):
+    def __new__(cls, lo: DegVec, hi: DegVec):
+        if len(lo) != len(hi):
             raise ValueError("box corner dimension mismatch")
-        if any(a > b for a, b in zip(self.lo, self.hi)):
+        if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("empty box")
+        return super().__new__(cls, lo, hi)
 
     @staticmethod
     def radius(d: int, r: int) -> "Box":
@@ -139,12 +137,12 @@ class Box:
 Shape = namedtuple("Shape", "name fiber free counted", defaults=(None, False))
 
 
-@dataclass(frozen=True)
-class Label:
-    """Classification of a saturated closure against the known submodules."""
+class Label(namedtuple("Label", "kind vprime_dim", defaults=(None,))):
+    """Classification of a saturated closure against the known submodules:
+    ``kind`` names the first Shape of the table that fits, or Other, and
+    ``vprime_dim`` is the free rank of a counted Shape, else None."""
 
-    kind: str  # the name of the first Shape of the table that fits, or Other
-    vprime_dim: int | None = None  # the free rank of a counted Shape
+    __slots__ = ()
 
     def __str__(self):
         return self.kind if self.vprime_dim is None else f"{self.kind}({self.vprime_dim})"
@@ -159,14 +157,10 @@ class Label:
         return Label(m[1], m[2] and int(m[2])) if fits else None
 
 
-@dataclass
-class ClosureResult:
-    target_box: Box
-    fiber_bases: dict[DegVec, SpanBasis]
-    fiber_dims: dict[DegVec, int]
-    label: Label | None
-    iterations: int
-    saturated: bool
+# A closure's outcome: fiber_bases maps each target degree to its SpanBasis
+# and fiber_dims to its rank; label is None unless saturated.
+ClosureResult = namedtuple("ClosureResult",
+                           "target_box fiber_bases fiber_dims label iterations saturated")
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +539,9 @@ def _close(params: ModuleParams, seeds: list[GradedVec], working: Box, target: B
     rows = [(state.deg_index[n], list(coords)) for n, coords in fibers]
     iterations, saturated = saturate(state, rows, generators(), max_iters)
     bases = extract_fibers(state, target)
-    result = ClosureResult(
-        target_box=target,
-        fiber_bases=bases,
-        fiber_dims={n: b.rank for n, b in bases.items()},
-        label=None,
-        iterations=iterations,
-        saturated=saturated,
-    )
-    if saturated:
-        result.label = classifier(result)
-    return result
+    result = ClosureResult(target, bases, {n: b.rank for n, b in bases.items()}, None,
+                           iterations, saturated)
+    return result._replace(label=classifier(result)) if saturated else result
 
 
 def w_bound(params: ModuleParams, seeds: list[GradedVec]):

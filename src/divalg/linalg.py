@@ -12,18 +12,38 @@ engine keeps its accepted rows in that primitive form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 
-@dataclass(frozen=True)
 class SpanBasis:
-    """RREF basis of a subspace: pivot entries are 1 and alone in their column."""
+    """RREF basis of a subspace: pivot entries are 1 and alone in their column.
+    An immutable value, equal and hashed over its three fields."""
 
-    ambient_dim: int
-    rows: tuple[tuple, ...]
-    pivot_cols: tuple[int, ...]
+    __slots__ = ("ambient_dim", "rows", "pivot_cols")
+
+    def __init__(self, ambient_dim: int, rows: tuple[tuple, ...], pivot_cols: tuple[int, ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivot_cols", pivot_cols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SpanBasis is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SpanBasis is immutable")
+
+    def _key(self):
+        return self.ambient_dim, self.rows, self.pivot_cols
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is SpanBasis else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "SpanBasis(ambient_dim=%r, rows=%r, pivot_cols=%r)" % self._key()
 
     @property
     def rank(self) -> int:

@@ -14,7 +14,6 @@ lies in the fiber at n iff v ^ (alpha + n) = 0 (v = 0 where alpha + n = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -26,32 +25,47 @@ from .reps import RepHandle, act_matrix
 from .witt import AlgElem, DegVec
 
 
-@dataclass(frozen=True)
 class ModuleParams:
     """d, the rational twist alpha, and the coefficient representation.
 
     ``alpha_den`` is D, the lcm of alpha's denominators, and ``alpha_num``
     the integers D alpha, so that (u | alpha) of an integer u is an integer
-    over D.
+    over D.  An immutable value, equal and hashed over d, alpha and rep.
     """
 
-    d: int
-    alpha: tuple
-    rep: RepHandle
-    alpha_den: int = field(init=False, repr=False, compare=False)
-    alpha_num: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("d", "alpha", "rep", "alpha_den", "alpha_num")
 
-    def __post_init__(self):
-        alpha = tuple(Fraction(a) for a in self.alpha)
-        object.__setattr__(self, "alpha", alpha)
-        if len(self.alpha) != self.d:
+    def __init__(self, d: int, alpha: tuple, rep: RepHandle):
+        alpha = tuple(Fraction(a) for a in alpha)
+        if len(alpha) != d:
             raise ValueError("alpha length must equal d")
-        if self.rep.d != self.d:
+        if rep.d != d:
             raise ValueError("representation d does not match module d")
         den = lcm(*(a.denominator for a in alpha))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "alpha_den", den)
         object.__setattr__(self, "alpha_num",
                            tuple(a.numerator * (den // a.denominator) for a in alpha))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModuleParams is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ModuleParams is immutable")
+
+    def _key(self):
+        return self.d, self.alpha, self.rep
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is ModuleParams else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "ModuleParams(d=%r, alpha=%r, rep=%r)" % self._key()
 
     def alpha_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.alpha)

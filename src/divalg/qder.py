@@ -639,9 +639,7 @@ def off_radical_closure(q: QMatrix, params: ModuleParams, fibers: list, gen_radi
     bases = {n: empty if in_rad(q, n) else basis for n in target.degrees()}
     result = ClosureResult(target, bases, {n: b.rank for n, b in bases.items()}, None, rounds,
                            not frontier)
-    if result.saturated:
-        result.label = classify_q(result, q, params)
-    return result
+    return result._replace(label=classify_q(result, q, params)) if result.saturated else result
 
 
 def closure_q(q: QMatrix, params: ModuleParams, seeds: list[GradedVec], gen_radius: int,

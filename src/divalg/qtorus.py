@@ -14,7 +14,6 @@ by one Hermite normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
@@ -22,43 +21,61 @@ from .lattices import smith_kernel_mod
 from .scalars import Cyc, root
 
 
-@dataclass(frozen=True)
 class QMatrix:
-    """Commutation matrix q_ij = zeta_N^{exps[i][j]}.
+    """Commutation matrix q_ij = zeta_N^{exps[i][j]}, an immutable value
+    equal and hashed over d, N and exps.
 
-    Each instance keeps, outside the fields (so equality and hashing ignore
-    them), the nonzero exponents k_ji (i < j) that :func:`sigma_exponent`
-    sums; the column table ``_k_cols``, which lists each column i of k with
-    an entry nonzero mod N as ``(i, ((j, k_ji mod N), ...))`` over those
-    entries only, and from which :func:`in_rad`, :func:`f_exponent` and
-    :func:`ad_form` read the form f(m, n) = m^T k n; and,
-    once :func:`cocycle` or :func:`block_structure` asks, whether sigma is
-    1 on Rad_q x Z^d and the block orders l.
+    Each instance keeps, outside those fields, the nonzero exponents k_ji
+    (i < j) that :func:`sigma_exponent` sums; the column table ``_k_cols``,
+    which lists each column i of k with an entry nonzero mod N as
+    ``(i, ((j, k_ji mod N), ...))`` over those entries only, and from which
+    :func:`in_rad`, :func:`f_exponent` and :func:`ad_form` read the form
+    f(m, n) = m^T k n; and, in its ``__dict__`` once :func:`cocycle` or
+    :func:`block_structure` asks, whether sigma is 1 on Rad_q x Z^d and the
+    block orders l.
     """
 
-    d: int
-    N: int
-    exps: tuple[tuple[int, ...], ...]
+    __slots__ = ("d", "N", "exps", "_sigma_terms", "_k_cols", "__dict__")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, N: int, exps: tuple[tuple[int, ...], ...]):
+        if d < 1:
             raise ValueError("dimension must be positive")
-        if self.N < 1:
+        if N < 1:
             raise ValueError("order must be positive")
-        if len(self.exps) != self.d or any(len(r) != self.d for r in self.exps):
+        if len(exps) != d or any(len(r) != d for r in exps):
             raise ValueError("exponent matrix shape mismatch")
-        for i in range(self.d):
-            if self.exps[i][i] != 0:
+        for i in range(d):
+            if exps[i][i] != 0:
                 raise ValueError("diagonal exponents must be zero")
-            for j in range(self.d):
-                if (self.exps[i][j] + self.exps[j][i]) % self.N:
+            for j in range(d):
+                if (exps[i][j] + exps[j][i]) % N:
                     raise ValueError("exponent matrix must be skew modulo N")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "_sigma_terms", tuple(
-            (i, j, self.exps[j][i]) for i in range(self.d) for j in range(i + 1, self.d)
-            if self.exps[j][i]))
-        cols = ((i, tuple((j, k) for j in range(self.d) if (k := self.exps[j][i] % self.N)))
-                for i in range(self.d))
+            (i, j, exps[j][i]) for i in range(d) for j in range(i + 1, d) if exps[j][i]))
+        cols = ((i, tuple((j, k) for j in range(d) if (k := exps[j][i] % N)))
+                for i in range(d))
         object.__setattr__(self, "_k_cols", tuple(c for c in cols if c[1]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("QMatrix is immutable")
+
+    def _key(self):
+        return self.d, self.N, self.exps
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is QMatrix else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "QMatrix(d=%r, N=%r, exps=%r)" % self._key()
 
     @cached_property
     def _sigma_trivial(self) -> bool:

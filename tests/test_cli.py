@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,20 @@ CLOSURE_W = {
     "target_box": 1,
     "max_iters": 50,
 }
+
+
+def test_import_loads_no_code_introspection_modules():
+    # a fresh interpreter's import of the CLI adds none of the modules that
+    # dataclasses pulls in; the set is measured against that interpreter's own
+    # start-up modules, so what a .pth file or the Python version preloads
+    # does not count
+    code = ("import sys; before = set(sys.modules); import divalg.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "divalg.cli" in added
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)
 
 
 def test_run_closure_label_w():

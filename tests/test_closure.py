@@ -3,7 +3,6 @@ the refusal of seeds on several degrees, the pair basis, and differential
 checks against a naive dense fixed point and plain elimination."""
 
 import types
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -15,8 +14,8 @@ import divalg
 import divalg.closure as closure_mod
 import divalg.qder as qder_mod
 from divalg.cli import run
-from divalg.closure import (Box, ClosureResult, Label, Neighbours, SpanState, _annihilate,
-                            classical_generators, classify, closure, pair_basis,
+from divalg.closure import (Box, ClosureResult, Label, Neighbours, Shape, SpanState,
+                            _annihilate, classical_generators, classify, closure, pair_basis,
                             pair_generators)
 from divalg.linalg import _reduce_into, basis_of, same_span, span_contains
 from divalg.modules import (GradedVec, ModuleParams, _wedge_power, act, graded, w_fiber_basis,
@@ -46,6 +45,45 @@ def test_box_basics():
     assert Box.radius(2, 3).contains_box(b)
     with pytest.raises(ValueError):
         Box((1, 0), (0, 0))
+
+
+@pytest.mark.parametrize("a, b", [
+    (Box.radius(2, 1), Box((-1, -1), (1, 1))),
+    (Label("W"), Label("W", None)),
+    (Label.parse("WPrime(1)", [Shape("WPrime", None, counted=True)]), Label("WPrime", 1)),
+])
+def test_closure_values_compare_and_hash_alike(a, b):
+    assert a is not b and a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (Box.radius(2, 1), Box.radius(2, 2)),
+    (Label("W"), Label("Full")),
+    (Label("WPrime", 1), Label("WPrime", 2)),
+])
+def test_closure_values_differ(a, b):
+    assert a != b
+
+
+@pytest.mark.parametrize("value, name", [
+    pytest.param(value, name, id=f"{type(value).__name__}.{name}") for value, names in [
+        (Box.radius(2, 1), ("lo", "hi")),
+        (Label("WPrime", 1), ("kind", "vprime_dim")),
+        (ClosureResult(Box.radius(2, 0), {}, {}, None, 0, False),
+         ("target_box", "fiber_bases", "fiber_dims", "label", "iterations", "saturated")),
+    ] for name in names])
+def test_closure_values_are_immutable(value, name):
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    ((0, 0), (1,), "box corner dimension mismatch"),
+    ((1, 0), (0, 0), "empty box"),
+])
+def test_box_refusals_keep_their_messages(lo, hi, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Box(lo, hi)
 
 
 def test_closure_w_seed_natural():
@@ -408,7 +446,7 @@ def test_q_engine_matches_naive_fixed_point(algebra, n, coords, q_engine):
     ref = naive_closure(work, tgt, 2, [{n: coords}], q_family(q, params, 2, algebra), 50)
     label = classify_q(ClosureResult(tgt, ref[0], {}, None, ref[1], True), q, params)
     assert_same_closure(res, ref, label)
-    assert replace(closure_q(*args), iterations=res.iterations) == res
+    assert closure_q(*args)._replace(iterations=res.iterations) == res
 
 
 ANTICOMMUTING = QMatrix.from_exps(2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -428,7 +466,7 @@ def test_q_engine_matches_naive_fixed_point_sigma_twisted(n, coords, q_engine):
     work, tgt = boxes(3, work=1, tgt=1)
     args = (ANTICOMMUTING, ANTI_PARAMS, [graded(ANTI_PARAMS, n, coords)], 1, work, tgt, 50, "Lq")
     res = q_engine(*args)
-    assert replace(closure_q(*args), iterations=res.iterations) == res
+    assert closure_q(*args)._replace(iterations=res.iterations) == res
     ref = naive_closure(work, tgt, 3, [{n: coords}],
                         q_family(ANTICOMMUTING, ANTI_PARAMS, 1, "Lq"), 50)
     label = classify_q(ClosureResult(tgt, ref[0], {}, None, ref[1], True),

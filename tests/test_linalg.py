@@ -80,6 +80,27 @@ def test_vector_length_checked():
         span_contains(b, (1, 0, 0))
 
 
+@pytest.mark.parametrize("other, equal", [
+    (SpanBasis(2, ((1, 2),), (0,)), True),
+    (basis_of([[3, 6]], 2), True),
+    (SpanBasis(3, ((1, 2),), (0,)), False),
+    (SpanBasis(2, ((1, 3),), (0,)), False),
+    (SpanBasis(2, ((1, 2),), (1,)), False),
+])
+def test_span_basis_compares_and_hashes_over_its_fields(other, equal):
+    b = basis_of([[2, 4], [1, 2]], 2)
+    assert b is not other and (b == other) == equal
+    if equal:
+        assert hash(b) == hash(other)
+
+
+@pytest.mark.parametrize("name", ["ambient_dim", "rows", "pivot_cols"])
+def test_span_basis_is_immutable(name):
+    b = basis_of([[1, 2]], 2)
+    with pytest.raises(AttributeError):
+        setattr(b, name, getattr(b, name))
+
+
 vectors3 = st.lists(
     st.lists(st.integers(min_value=-5, max_value=5), min_size=3, max_size=3),
     min_size=1,

@@ -320,6 +320,42 @@ def test_w_invariance_first_violation_replays():
     clean = w_invariance_suite(ModuleParams(2, (F(1, 2), 0), RepHandle.trivial(2)))
     assert "first_violation" not in clean
 
+# -- the ModuleParams value ------------------------------------------------------
+
+NAT2 = RepHandle.natural(2)
+
+
+@pytest.mark.parametrize("alpha", [("1/2", "0"), (F(1, 2), 0), (0.5, F(0))])
+def test_module_params_compare_and_hash_over_d_alpha_rep(alpha):
+    a, b = ModuleParams(2, (F(1, 2), 0), NAT2), ModuleParams(2, alpha, NAT2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert b.alpha == (F(1, 2), 0) and (b.alpha_den, b.alpha_num) == (2, (1, 0))
+
+
+@pytest.mark.parametrize("other", [
+    ModuleParams(2, ("1/3", "0"), NAT2),
+    ModuleParams(2, ("1/2", "0"), RepHandle.natural(2)),  # another rep object
+    ModuleParams(2, ("1/2", "0"), RepHandle.exterior(2, 1)),
+])
+def test_module_params_differ(other):
+    assert ModuleParams(2, ("1/2", "0"), NAT2) != other
+
+
+@pytest.mark.parametrize("name", ["d", "alpha", "rep", "alpha_den", "alpha_num"])
+def test_module_params_are_immutable(name):
+    p = ModuleParams(2, ("1/2", "0"), NAT2)
+    with pytest.raises(AttributeError):
+        setattr(p, name, getattr(p, name))
+
+
+@pytest.mark.parametrize("d, alpha, rep, message", [
+    (3, (0, 0), RepHandle.natural(3), "alpha length must equal d"),
+    (3, (0, 0, 0), NAT2, "representation d does not match module d"),
+])
+def test_module_params_refusals_keep_their_messages(d, alpha, rep, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ModuleParams(d, alpha, rep)
+
 
 # -- rank-one split --------------------------------------------------------------
 

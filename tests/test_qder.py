@@ -3,7 +3,6 @@ block-normal isomorphisms, and the q-closure: its generators, the radical
 bound and the off-radical route against the engine."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from random import Random
@@ -700,7 +699,7 @@ def test_off_radical_route_matches_the_engine(q, kind, seeds, gen_radius, algebr
     assert ran_engine == any(in_rad(q, n) for n, _ in seeds)
     want = q_engine(*args)
     assert want.saturated
-    assert replace(got, iterations=want.iterations) == want
+    assert got._replace(iterations=want.iterations) == want
 
 
 def _engine_with_family(args, radical_only, bound):

@@ -271,6 +271,49 @@ def test_qmatrix_invariants_enforced():
         QMatrix.from_exps(3, [[0, 1], [1, 0]])   # not skew mod 3
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 2, ()), "dimension must be positive"),
+    ((1, 0, ((0,),)), "order must be positive"),
+    ((2, 2, ((0, 1),)), "exponent matrix shape mismatch"),
+    ((2, 3, ((1, 0), (0, 0))), "diagonal exponents must be zero"),
+    ((2, 3, ((0, 1), (1, 0))), "exponent matrix must be skew modulo N"),
+])
+def test_qmatrix_refusals_keep_their_messages(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QMatrix(*args)
+
+
+@pytest.mark.parametrize("make", [lambda: block_normal_q((2, 2, 1)),
+                                  lambda: QMatrix.from_exps(2, Q_ANTICOMMUTING.exps)],
+                         ids=["221", "anticommuting"])
+def test_qmatrix_equal_values_share_hash_and_radical_cache(make):
+    """A matrix whose cached state was asked for equals a fresh one, hashes
+    alike, and so finds the radical basis the other computed."""
+    asked = make()
+    block_structure(asked)
+    cocycle(asked)
+    rad_q(asked)
+    fresh = make()
+    assert asked is not fresh and asked == fresh and hash(asked) == hash(fresh)
+    hits = divalg.qtorus._rad_basis.cache_info().hits
+    assert rad_q(fresh) == rad_q(asked)
+    assert divalg.qtorus._rad_basis.cache_info().hits == hits + 2
+
+
+@pytest.mark.parametrize("other", [QMatrix(2, 4, ((0, 1), (-1, 0))),
+                                   QMatrix(2, 2, ((0, 1), (1, 0))),
+                                   QMatrix(2, 2, ((0, -1), (1, 0)))])
+def test_qmatrix_values_differ(other):
+    assert block_normal_q((2, 2)) != other
+
+
+@pytest.mark.parametrize("name", ["d", "N", "exps", "_sigma_terms", "_k_cols"])
+def test_qmatrix_is_immutable(name):
+    q = block_normal_q((2, 2))
+    with pytest.raises(AttributeError):
+        setattr(q, name, getattr(q, name))
+
+
 def test_cocycle_residuals():
     rng = Random(5)
     for q in (Q3, block_normal_q((3, 3))):
